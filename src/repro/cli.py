@@ -728,8 +728,8 @@ def _flags_config(args: argparse.Namespace, workload,
     """
     profile = None
     if getattr(args, "fault_profile", None) is not None:
-        from .faultinject.profile import load_profile
-        profile = load_profile(args.fault_profile, seed=args.seed)
+        from .faultinject.profile import FaultProfile
+        profile = FaultProfile.load(args.fault_profile, seed=args.seed)
     if args.preset is not None:
         config = preset_config(args.preset, workload)
         if profile is not None:
@@ -791,8 +791,8 @@ def _traced_runtime(args: argparse.Namespace,
     workload = make_workload(args.workload, scale=args.scale)
     profile = None
     if args.fault_profile is not None:
-        from .faultinject.profile import load_profile
-        profile = load_profile(args.fault_profile, seed=args.seed)
+        from .faultinject.profile import FaultProfile
+        profile = FaultProfile.load(args.fault_profile, seed=args.seed)
     common = dict(
         prefetcher=args.prefetcher,
         eviction=args.eviction,
@@ -1033,40 +1033,26 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
-    if args.cluster:
-        from .cluster import run_cluster_chaos
-        from .faultinject import load_cluster_profile
+    from .chaos import run_chaos
 
-        profile = load_cluster_profile(args.profile or "shard-kill")
-        report = run_cluster_chaos(
-            workloads=args.workloads,
-            scale=args.scale,
-            seeds=args.seeds,
-            profile=profile,
-            shards=args.shards,
-            workers_per_shard=args.workers_per_shard,
-            deadline=args.deadline,
-            root_dir=args.dir,
-            verbose=args.verbose,
-        )
-    else:
-        from .faultinject import load_service_profile
-        from .serve import run_chaos
-
+    if not args.cluster:
         _check_jobs(args.workers)
-        profile = load_service_profile(args.profile or "worker-kill")
-        report = run_chaos(
-            workloads=args.workloads,
-            scale=args.scale,
-            seeds=args.seeds,
-            profile=profile,
-            workers=args.workers,
-            max_attempts=args.max_attempts,
-            job_timeout=args.job_timeout,
-            deadline=args.deadline,
-            root_dir=args.dir,
-            verbose=args.verbose,
-        )
+    default_profile = "shard-kill" if args.cluster else "worker-kill"
+    report = run_chaos(
+        workloads=args.workloads,
+        scale=args.scale,
+        seeds=args.seeds,
+        profile=args.profile or default_profile,
+        cluster=args.cluster,
+        workers=args.workers,
+        max_attempts=args.max_attempts,
+        job_timeout=args.job_timeout,
+        shards=args.shards,
+        workers_per_shard=args.workers_per_shard,
+        deadline=args.deadline,
+        root_dir=args.dir,
+        verbose=args.verbose,
+    )
     if args.json:
         print(json.dumps(report.to_json_dict(), indent=2,
                          sort_keys=True))

@@ -14,15 +14,14 @@ One coordinator (``repro cluster``) federates N independent
   unchanged against either.
 * :mod:`repro.cluster.agent` — the shard-side daemon thread started by
   ``repro serve --join``; registers and heartbeats queue depth.
-* :mod:`repro.cluster.chaos` — the cluster chaos harness behind
-  ``repro chaos --cluster`` (shard SIGKILL, heartbeat stalls, ring
-  churn) asserting the cluster-wide invariants.
 
-Everything is stdlib-only, like the rest of the service tier.
+The chaos harness behind ``repro chaos --cluster`` (shard SIGKILL,
+heartbeat stalls, ring churn) is the same one that drives a single
+daemon: :mod:`repro.chaos`.  Everything is stdlib-only, like the rest
+of the service tier.
 """
 
 from .agent import ShardAgent
-from .chaos import run_cluster_chaos
 from .coordinator import (
     ClusterCoordinator,
     CoordinatorServer,
@@ -40,6 +39,5 @@ __all__ = [
     "ShardAgent",
     "ShardInfo",
     "ShardRegistry",
-    "run_cluster_chaos",
     "run_coordinator",
 ]

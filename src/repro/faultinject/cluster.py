@@ -5,7 +5,7 @@ One layer above :class:`~repro.faultinject.service.ServiceFaultProfile`
 :class:`ClusterFaultProfile` misbehaves at cluster scope — whole
 shards die, heartbeats go silent, membership churns — and is consumed
 by the cluster chaos harness (``repro chaos --cluster``,
-:func:`repro.cluster.chaos.run_cluster_chaos`):
+:func:`repro.chaos.run_chaos`):
 
 * **shard SIGKILL** (``kill_shards``/``kill_after_jobs``): the harness
   SIGKILLs that many shard processes once the wave has submitted
@@ -26,16 +26,13 @@ sequence on every run.
 
 from __future__ import annotations
 
-import dataclasses
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
-from ..errors import ConfigurationError
+from .profile import Profile
 
 
 @dataclass(frozen=True)
-class ClusterFaultProfile:
+class ClusterFaultProfile(Profile):
     """What goes wrong at the cluster layer, deterministically."""
 
     #: SIGKILL this many shard processes mid-wave (0 disables).
@@ -50,48 +47,17 @@ class ClusterFaultProfile:
     #: Seed for the harness's own draws (victim choice order).
     seed: int = 0
 
-    def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
-        for name in ("kill_shards", "kill_after_jobs",
-                     "stall_heartbeats", "join_midwave"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 0:
-                raise ConfigurationError(
-                    f"cluster fault profile {name} must be a "
-                    f"non-negative int, got {value!r}"
-                )
-        if not isinstance(self.seed, int):
-            raise ConfigurationError(
-                "cluster fault profile seed must be an int"
-            )
-
-    @property
-    def injects_anything(self) -> bool:
-        return bool(self.kill_shards or self.stall_heartbeats
-                    or self.join_midwave)
-
-    # --- plumbing -----------------------------------------------------------
-    def replace(self, **changes: object) -> "ClusterFaultProfile":
-        return dataclasses.replace(self, **changes)
+    kind = "cluster fault profile"
+    counts = ("kill_shards", "kill_after_jobs", "stall_heartbeats",
+              "join_midwave")
+    injectors = ("kill_shards", "stall_heartbeats", "join_midwave")
 
     @classmethod
-    def from_dict(cls, fields: dict) -> "ClusterFaultProfile":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(fields) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown cluster fault profile fields: "
-                f"{sorted(unknown)}"
-            )
-        return cls(**fields)
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+    def named(cls) -> dict[str, "ClusterFaultProfile"]:
+        return CLUSTER_PROFILES
 
 
-#: Named profiles for ``repro chaos --cluster`` and the CI smoke.
+#: Named profiles for ``repro chaos --cluster``.
 CLUSTER_PROFILES: dict[str, ClusterFaultProfile] = {
     "none": ClusterFaultProfile(),
     "shard-kill": ClusterFaultProfile(kill_shards=1),
@@ -100,57 +66,3 @@ CLUSTER_PROFILES: dict[str, ClusterFaultProfile] = {
     "mixed": ClusterFaultProfile(kill_shards=1, join_midwave=1),
 }
 
-
-def _coerce(text: str) -> object:
-    for parse in (int, float):
-        try:
-            return parse(text)
-        except ValueError:
-            continue
-    return text
-
-
-def load_cluster_profile(
-        spec: str | dict | ClusterFaultProfile,
-        seed: int | None = None) -> ClusterFaultProfile:
-    """Resolve a CLI/user spec into a validated cluster fault profile.
-
-    Accepts the same spellings as
-    :func:`~repro.faultinject.service.load_service_profile`: a profile
-    instance, a dict, a name from :data:`CLUSTER_PROFILES`, an inline
-    ``key=value[,key=value...]`` string, or a JSON file path.
-    """
-    if isinstance(spec, ClusterFaultProfile):
-        profile = spec
-    elif isinstance(spec, dict):
-        profile = ClusterFaultProfile.from_dict(spec)
-    elif spec in CLUSTER_PROFILES:
-        profile = CLUSTER_PROFILES[spec]
-    elif "=" in spec:
-        fields: dict[str, object] = {}
-        for pair in spec.split(","):
-            key, sep, value = pair.partition("=")
-            if not sep:
-                raise ConfigurationError(
-                    f"bad cluster fault profile assignment {pair!r}"
-                )
-            fields[key.strip()] = _coerce(value.strip())
-        profile = ClusterFaultProfile.from_dict(fields)
-    else:
-        path = Path(spec)
-        if not path.is_file():
-            raise ConfigurationError(
-                f"cluster fault profile {spec!r} is neither a named "
-                f"profile ({', '.join(sorted(CLUSTER_PROFILES))}), a "
-                "key=value list, nor a JSON file"
-            )
-        fields = json.loads(path.read_text())
-        if not isinstance(fields, dict):
-            raise ConfigurationError(
-                f"cluster fault profile file {spec!r} must hold a "
-                "JSON object"
-            )
-        profile = ClusterFaultProfile.from_dict(fields)
-    if seed is not None and seed != profile.seed:
-        profile = profile.replace(seed=seed)
-    return profile

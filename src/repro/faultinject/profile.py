@@ -5,16 +5,174 @@ A :class:`FaultProfile` is a frozen, validated bundle of injection rates
 back).  Profiles are deterministic: the same profile and seed produce the
 same injected fault sequence on every run, which is what makes resilience
 experiments reproducible.
+
+:class:`Profile` is the shared base of every profile shape in this
+package (:class:`FaultProfile`, the service-layer
+:class:`~repro.faultinject.service.ServiceFaultProfile` and the
+cluster-layer :class:`~repro.faultinject.cluster.ClusterFaultProfile`):
+one dict round-trip and one :meth:`Profile.load` resolving the CLI
+spellings, so the three shapes cannot drift apart.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
 from ..errors import ConfigurationError
+
+
+def _coerce(text: str) -> object:
+    for parse in (int, float):
+        try:
+            return parse(text)
+        except ValueError:
+            continue
+    return text
+
+
+@dataclass(frozen=True)
+class Profile:
+    """Frozen, validated profile base: dict round-trip and spec loading.
+
+    Subclasses declare their fields (a ``seed: int`` among them), a
+    ``kind`` label for error messages, their non-negative int
+    ``counts``, the ``injectors`` that inject a fault when nonzero,
+    :meth:`named` (their registry of named profiles), and extend
+    :meth:`validate` for anything else.  Tuple-typed fields
+    (``tuple[int, ...]``) travel as JSON lists and are written ``a+b``
+    in inline specs.
+    """
+
+    #: Human label used in every error message ("fault profile", ...).
+    kind = "profile"
+    #: Fields that must hold non-negative ints.
+    counts = ()
+    #: Fields that inject a fault whenever they are nonzero/non-empty.
+    injectors = ()
+
+    def __post_init__(self) -> None:
+        self.validate()
+
+    def validate(self) -> None:
+        """Raise :class:`ConfigurationError` on inconsistent fields."""
+        for name in self.counts:
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < 0:
+                raise ConfigurationError(
+                    f"{self.kind} {name} must be a non-negative int, "
+                    f"got {value!r}"
+                )
+        for name, item_type in self._tuple_fields().items():
+            value = getattr(self, name)
+            if not isinstance(value, tuple) or not all(
+                    isinstance(item, item_type) for item in value):
+                raise ConfigurationError(
+                    f"{self.kind} {name} must be a tuple of "
+                    f"{item_type.__name__}s, got {value!r}"
+                )
+        if not isinstance(self.seed, int):
+            raise ConfigurationError(f"{self.kind} seed must be an int")
+
+    @property
+    def injects_anything(self) -> bool:
+        """True when at least one injecting field is set."""
+        return any(getattr(self, name) for name in self.injectors)
+
+    @classmethod
+    def named(cls) -> dict[str, "Profile"]:
+        """The named profiles :meth:`load` resolves by name."""
+        return {}
+
+    @classmethod
+    @functools.cache
+    def _tuple_fields(cls) -> dict[str, type]:
+        """Tuple-typed field name -> element type, from the annotations."""
+        hints = typing.get_type_hints(cls)
+        return {f.name: typing.get_args(hints[f.name])[0]
+                for f in dataclasses.fields(cls)
+                if typing.get_origin(hints[f.name]) is tuple}
+
+    def replace(self, **changes: object) -> "Profile":
+        """Validated copy with ``changes`` applied."""
+        return dataclasses.replace(self, **changes)
+
+    @classmethod
+    def from_dict(cls, fields: dict) -> "Profile":
+        """Build (and validate) a profile from plain JSON-able fields."""
+        known = {f.name for f in dataclasses.fields(cls)}
+        unknown = set(fields) - known
+        if unknown:
+            raise ConfigurationError(
+                f"unknown {cls.kind} fields: {sorted(unknown)}"
+            )
+        fields = dict(fields)
+        for name in cls._tuple_fields():
+            if isinstance(fields.get(name), list):
+                fields[name] = tuple(fields[name])
+        return cls(**fields)
+
+    def to_dict(self) -> dict:
+        data = dataclasses.asdict(self)
+        for name in self._tuple_fields():
+            data[name] = list(data[name])
+        return data
+
+    @classmethod
+    def load(cls, spec: "str | dict | Profile",
+             seed: int | None = None) -> "Profile":
+        """Resolve a CLI/user profile spec into a validated profile.
+
+        ``spec`` may be a profile instance, a dict of fields, a name
+        from :meth:`named`, an inline ``key=value[,key=value...]``
+        string, or a JSON file path.  ``seed`` overrides the profile's
+        seed when given.
+        """
+        if isinstance(spec, cls):
+            profile = spec
+        elif isinstance(spec, dict):
+            profile = cls.from_dict(spec)
+        elif spec in cls.named():
+            profile = cls.named()[spec]
+        elif "=" in spec:
+            tuples = cls._tuple_fields()
+            fields: dict[str, object] = {}
+            for pair in spec.split(","):
+                key, sep, value = pair.partition("=")
+                if not sep:
+                    raise ConfigurationError(
+                        f"bad {cls.kind} assignment {pair!r}"
+                    )
+                key = key.strip()
+                if key in tuples:
+                    fields[key] = tuple(
+                        tuples[key](item) for item in value.split("+")
+                        if item)
+                else:
+                    fields[key] = _coerce(value.strip())
+            profile = cls.from_dict(fields)
+        else:
+            path = Path(spec)
+            if not path.is_file():
+                raise ConfigurationError(
+                    f"{cls.kind} {spec!r} is neither a named profile "
+                    f"({', '.join(sorted(cls.named()))}), a key=value "
+                    "list, nor a JSON file"
+                )
+            fields = json.loads(path.read_text())
+            if not isinstance(fields, dict):
+                raise ConfigurationError(
+                    f"{cls.kind} file {spec!r} must hold a JSON object"
+                )
+            profile = cls.from_dict(fields)
+        if seed is not None and seed != profile.seed:
+            profile = profile.replace(seed=seed)
+        return profile
+
 
 #: Profile fields that are probabilities (must lie in [0, 1]).
 _RATE_FIELDS = (
@@ -28,7 +186,7 @@ _RATE_FIELDS = (
 
 
 @dataclass(frozen=True)
-class FaultProfile:
+class FaultProfile(Profile):
     """What to inject, and how the driver is allowed to recover.
 
     All rates are per-opportunity probabilities drawn from one dedicated
@@ -77,11 +235,17 @@ class FaultProfile:
     #: Seed of the injection RNG stream.
     seed: int = 0
 
-    def __post_init__(self) -> None:
-        self.validate()
+    kind = "fault profile"
+    counts = ("max_retries", "degrade_after_failures")
+    injectors = _RATE_FIELDS
+
+    @classmethod
+    def named(cls) -> dict[str, "FaultProfile"]:
+        return PROFILES
 
     def validate(self) -> None:
         """Raise :class:`ConfigurationError` on any inconsistent rate."""
+        super().validate()
         for name in _RATE_FIELDS:
             value = getattr(self, name)
             if not isinstance(value, (int, float)) or not 0.0 <= value <= 1.0:
@@ -98,20 +262,6 @@ class FaultProfile:
                 raise ConfigurationError(f"fault profile {name} must be >= 0")
         if self.backoff_multiplier < 1.0:
             raise ConfigurationError("backoff_multiplier must be >= 1")
-        if not isinstance(self.max_retries, int) or self.max_retries < 0:
-            raise ConfigurationError("max_retries must be a non-negative int")
-        if not isinstance(self.degrade_after_failures, int) \
-                or self.degrade_after_failures < 0:
-            raise ConfigurationError(
-                "degrade_after_failures must be a non-negative int"
-            )
-        if not isinstance(self.seed, int):
-            raise ConfigurationError("fault profile seed must be an int")
-
-    @property
-    def injects_anything(self) -> bool:
-        """True when at least one injection rate is nonzero."""
-        return any(getattr(self, name) > 0.0 for name in _RATE_FIELDS)
 
     def backoff_ns(self, attempt: int) -> float:
         """Backoff before retry ``attempt`` (1-based), capped."""
@@ -125,24 +275,6 @@ class FaultProfile:
             # has taken over (a retry storm with a huge max_retries)
             raw = self.backoff_cap_ns
         return min(raw, self.backoff_cap_ns)
-
-    def replace(self, **changes: object) -> "FaultProfile":
-        """Validated copy with ``changes`` applied."""
-        return dataclasses.replace(self, **changes)
-
-    @classmethod
-    def from_dict(cls, fields: dict) -> "FaultProfile":
-        """Build (and validate) a profile from plain JSON-able fields."""
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(fields) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown fault profile fields: {sorted(unknown)}"
-            )
-        return cls(**fields)
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 #: Named profiles for the CLI and experiments, roughly graded by severity.
@@ -163,55 +295,3 @@ PROFILES: dict[str, FaultProfile] = {
     ),
 }
 
-
-def _coerce(text: str) -> object:
-    for parse in (int, float):
-        try:
-            return parse(text)
-        except ValueError:
-            continue
-    return text
-
-
-def load_profile(spec: str | dict | FaultProfile,
-                 seed: int | None = None) -> FaultProfile:
-    """Resolve a CLI/user profile spec into a validated profile.
-
-    ``spec`` may be a :class:`FaultProfile`, a dict of fields, a named
-    profile (``light``/``moderate``/``heavy``), a JSON file path, or an
-    inline ``key=value[,key=value...]`` string.  ``seed`` overrides the
-    profile's seed when given.
-    """
-    if isinstance(spec, FaultProfile):
-        profile = spec
-    elif isinstance(spec, dict):
-        profile = FaultProfile.from_dict(spec)
-    elif spec in PROFILES:
-        profile = PROFILES[spec]
-    elif "=" in spec:
-        fields = {}
-        for pair in spec.split(","):
-            key, _, value = pair.partition("=")
-            if not _:
-                raise ConfigurationError(
-                    f"bad fault profile assignment {pair!r}"
-                )
-            fields[key.strip()] = _coerce(value.strip())
-        profile = FaultProfile.from_dict(fields)
-    else:
-        path = Path(spec)
-        if not path.is_file():
-            raise ConfigurationError(
-                f"fault profile {spec!r} is neither a named profile "
-                f"({', '.join(sorted(PROFILES))}), a key=value list, nor "
-                "a JSON file"
-            )
-        fields = json.loads(path.read_text())
-        if not isinstance(fields, dict):
-            raise ConfigurationError(
-                f"fault profile file {spec!r} must hold a JSON object"
-            )
-        profile = FaultProfile.from_dict(fields)
-    if seed is not None and seed != profile.seed:
-        profile = profile.replace(seed=seed)
-    return profile

@@ -30,16 +30,14 @@ hardware-level profiles.
 
 from __future__ import annotations
 
-import dataclasses
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 from ..errors import ConfigurationError
+from .profile import Profile
 
 
 @dataclass(frozen=True)
-class ServiceFaultProfile:
+class ServiceFaultProfile(Profile):
     """What goes wrong at the service layer, deterministically."""
 
     #: Kill the worker (SIGKILL, no cleanup) when its per-lifetime job
@@ -63,40 +61,23 @@ class ServiceFaultProfile:
     #: Seed for any randomized harness-side draws.
     seed: int = 0
 
-    def __post_init__(self) -> None:
-        self.validate()
+    kind = "service fault profile"
+    counts = ("kill_every_jobs", "stall_every_jobs", "corrupt_cache_every",
+              "truncate_journal_entries")
+    injectors = counts + ("poison_seeds",)
+
+    @classmethod
+    def named(cls) -> dict[str, "ServiceFaultProfile"]:
+        return SERVICE_PROFILES
 
     def validate(self) -> None:
-        for name in ("kill_every_jobs", "stall_every_jobs",
-                     "corrupt_cache_every", "truncate_journal_entries"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 0:
-                raise ConfigurationError(
-                    f"service fault profile {name} must be a "
-                    f"non-negative int, got {value!r}"
-                )
+        super().validate()
         if not isinstance(self.stall_seconds, (int, float)) \
                 or self.stall_seconds < 0:
             raise ConfigurationError(
                 f"service fault profile stall_seconds must be >= 0, "
                 f"got {self.stall_seconds!r}"
             )
-        if not isinstance(self.poison_seeds, tuple) or not all(
-                isinstance(seed, int) for seed in self.poison_seeds):
-            raise ConfigurationError(
-                f"service fault profile poison_seeds must be a tuple "
-                f"of ints, got {self.poison_seeds!r}"
-            )
-        if not isinstance(self.seed, int):
-            raise ConfigurationError(
-                "service fault profile seed must be an int"
-            )
-
-    @property
-    def injects_anything(self) -> bool:
-        return bool(self.kill_every_jobs or self.poison_seeds
-                    or self.stall_every_jobs or self.corrupt_cache_every
-                    or self.truncate_journal_entries)
 
     # --- worker-side decisions (all pure functions of counters) -------------
     def should_kill(self, job_index: int, config_seed: int) -> bool:
@@ -117,32 +98,8 @@ class ServiceFaultProfile:
         return bool(self.corrupt_cache_every) \
             and store_index % self.corrupt_cache_every == 0
 
-    # --- plumbing -----------------------------------------------------------
-    def replace(self, **changes: object) -> "ServiceFaultProfile":
-        return dataclasses.replace(self, **changes)
 
-    @classmethod
-    def from_dict(cls, fields: dict) -> "ServiceFaultProfile":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(fields) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown service fault profile fields: "
-                f"{sorted(unknown)}"
-            )
-        fields = dict(fields)
-        if "poison_seeds" in fields \
-                and isinstance(fields["poison_seeds"], list):
-            fields["poison_seeds"] = tuple(fields["poison_seeds"])
-        return cls(**fields)
-
-    def to_dict(self) -> dict:
-        data = dataclasses.asdict(self)
-        data["poison_seeds"] = list(self.poison_seeds)
-        return data
-
-
-#: Named profiles for `repro chaos` and the CI smoke, graded by scope.
+#: Named profiles for ``repro chaos``, graded by scope.
 SERVICE_PROFILES: dict[str, ServiceFaultProfile] = {
     "worker-kill": ServiceFaultProfile(kill_every_jobs=2),
     "poison-job": ServiceFaultProfile(poison_seeds=(1097,)),
@@ -156,62 +113,3 @@ SERVICE_PROFILES: dict[str, ServiceFaultProfile] = {
                                  truncate_journal_entries=1),
 }
 
-
-def _coerce(text: str) -> object:
-    for parse in (int, float):
-        try:
-            return parse(text)
-        except ValueError:
-            continue
-    return text
-
-
-def load_service_profile(
-        spec: str | dict | ServiceFaultProfile,
-        seed: int | None = None) -> ServiceFaultProfile:
-    """Resolve a CLI/user spec into a validated service fault profile.
-
-    ``spec`` may be a :class:`ServiceFaultProfile`, a dict of fields, a
-    named profile (see :data:`SERVICE_PROFILES`), a JSON file path, or
-    an inline ``key=value[,key=value...]`` string.  ``seed`` overrides
-    the profile's seed when given.
-    """
-    if isinstance(spec, ServiceFaultProfile):
-        profile = spec
-    elif isinstance(spec, dict):
-        profile = ServiceFaultProfile.from_dict(spec)
-    elif spec in SERVICE_PROFILES:
-        profile = SERVICE_PROFILES[spec]
-    elif "=" in spec:
-        fields: dict[str, object] = {}
-        for pair in spec.split(","):
-            key, sep, value = pair.partition("=")
-            if not sep:
-                raise ConfigurationError(
-                    f"bad service fault profile assignment {pair!r}"
-                )
-            key = key.strip()
-            if key == "poison_seeds":
-                fields[key] = tuple(
-                    int(s) for s in value.split("+") if s)
-            else:
-                fields[key] = _coerce(value.strip())
-        profile = ServiceFaultProfile.from_dict(fields)
-    else:
-        path = Path(spec)
-        if not path.is_file():
-            raise ConfigurationError(
-                f"service fault profile {spec!r} is neither a named "
-                f"profile ({', '.join(sorted(SERVICE_PROFILES))}), a "
-                "key=value list, nor a JSON file"
-            )
-        fields = json.loads(path.read_text())
-        if not isinstance(fields, dict):
-            raise ConfigurationError(
-                f"service fault profile file {spec!r} must hold a "
-                "JSON object"
-            )
-        profile = ServiceFaultProfile.from_dict(fields)
-    if seed is not None and seed != profile.seed:
-        profile = profile.replace(seed=seed)
-    return profile

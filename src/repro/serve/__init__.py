@@ -13,12 +13,12 @@ The fleet survives its own workers: a crashed or wedged process is
 detected (pipe EOF, heartbeat silence, job deadline), its job lease is
 revoked and the job requeued with bounded backoff, and a job that
 keeps killing workers is quarantined as a clean failure after
-``max_attempts`` tries.  ``repro chaos`` injects exactly those faults
-and asserts the recovery invariants.  See docs/SERVICE.md.
+``max_attempts`` tries.  ``repro chaos`` (:mod:`repro.chaos`) injects
+exactly those faults and asserts the recovery invariants.  See
+docs/SERVICE.md.
 """
 
 from .api import JsonRequestHandler, make_handler
-from .chaos import ChaosReport, build_chaos_cells, run_chaos
 from .client import DEFAULT_PORT, ServeClient
 from .events import (
     DEFAULT_EVENTS_DIR,
@@ -58,7 +58,6 @@ from .worker import WorkerProcess
 __all__ = [
     "ACTIVE_STATES",
     "CANCELLED",
-    "ChaosReport",
     "DEFAULT_EVENTS_DIR",
     "DEFAULT_JOURNAL_DIR",
     "DEFAULT_PORT",
@@ -86,11 +85,9 @@ __all__ = [
     "VOLATILE_FIELDS",
     "WORKER_MODES",
     "WorkerProcess",
-    "build_chaos_cells",
     "canonical_event_lines",
     "canonical_trace_lines",
     "make_event",
     "make_handler",
-    "run_chaos",
     "validate_event",
 ]

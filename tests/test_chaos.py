@@ -1,31 +1,29 @@
 """Tests for the worker-process fleet and the service chaos layer.
 
 Unmarked tests are pure in-process unit tests — fault-profile
-validation and parsing, run-cache self-healing, fleet-option policy —
-and run in the tier-1 suite.  The ``chaos``-marked classes spawn real
-worker processes and exercise the supervisor's recovery machinery:
-crash detection, lease revocation and requeue, poison-job quarantine,
-hang kills, and the full ``repro chaos`` invariant harness.
+validation (spec parsing is tested once for every profile shape in
+``tests/test_faultinject.py``), run-cache self-healing, fleet-option
+policy, the harness's job mix — and run in the tier-1 suite.  The
+``chaos``-marked classes spawn real worker processes and exercise the
+supervisor's recovery machinery: crash detection, lease revocation and
+requeue, poison-job quarantine, hang kills, and the full ``repro
+chaos`` invariant harness and CLI.
 """
 
 import json
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
+from repro.chaos import build_chaos_cells, run_chaos
 from repro.config import SimulatorConfig
-from repro.errors import ConfigurationError, ServeError
-from repro.faultinject import (
-    SERVICE_PROFILES,
-    ServiceFaultProfile,
-    load_service_profile,
-)
-from repro.serve import (
-    FleetOptions,
-    JobJournal,
-    SimulationService,
-    run_chaos,
-)
-from repro.serve.chaos import build_chaos_cells
+from repro.errors import ConfigurationError, ServeError, WorkloadError
+from repro.faultinject import ServiceFaultProfile
+from repro.serve import FleetOptions, JobJournal, SimulationService
 from repro.serve.queue import DONE, FAILED
 from repro.stats import FailedRun, SimStats
 from repro.sweep import RunCache, SweepCell
@@ -84,21 +82,6 @@ class TestServiceFaultProfile:
         clone = ServiceFaultProfile.from_dict(
             json.loads(json.dumps(profile.to_dict())))
         assert clone == profile
-
-    def test_load_named_kv_file_and_seed_override(self, tmp_path):
-        assert load_service_profile("worker-kill") is \
-            SERVICE_PROFILES["worker-kill"]
-        parsed = load_service_profile(
-            "kill_every_jobs=2,poison_seeds=5+6,stall_seconds=1.5")
-        assert parsed.kill_every_jobs == 2
-        assert parsed.poison_seeds == (5, 6)
-        assert parsed.stall_seconds == 1.5
-        path = tmp_path / "profile.json"
-        path.write_text(json.dumps({"corrupt_cache_every": 4}))
-        assert load_service_profile(str(path)).corrupt_cache_every == 4
-        assert load_service_profile("poison-job", seed=9).seed == 9
-        with pytest.raises(ConfigurationError):
-            load_service_profile("no-such-profile")
 
 
 class TestFleetOptions:
@@ -172,9 +155,21 @@ class TestChaosCells:
     def test_poison_seeds_are_appended_once(self):
         profile = ServiceFaultProfile(poison_seeds=(1097,))
         cells = build_chaos_cells(["hotspot"], SCALE, [1, 1097],
-                                  profile)
+                                  profile.poison_seeds)
         assert [c.config.seed for c in cells] == [1, 1097]
         assert len({c.cache_key() for c in cells}) == 2
+
+    def test_unknown_workload_raises_before_boot(self, tmp_path):
+        """A bad job mix is refused before any daemon starts: no
+        dispatcher thread is left behind and no run root is written."""
+        before = set(threading.enumerate())
+        with pytest.raises(WorkloadError):
+            run_chaos(workloads=["nosuch"], root_dir=tmp_path / "chaos")
+        started = [thread.name for thread in threading.enumerate()
+                   if thread not in before]
+        assert not [name for name in started
+                    if name.startswith("serve-dispatch")]
+        assert not (tmp_path / "chaos").exists()
 
 
 def process_service(tmp_path, profile=None, workers=1, **fleet_kwargs):
@@ -280,31 +275,59 @@ class TestProcessFleet:
             service.drain(timeout=60)
 
 
+#: The harness's fault mix: worker kills, a poison seed, every cache
+#: store torn, and two planted corrupt journal files.
+MIXED = ServiceFaultProfile(kill_every_jobs=3, poison_seeds=(1097,),
+                            corrupt_cache_every=1,
+                            truncate_journal_entries=2)
+
+
 @pytest.mark.chaos
 class TestChaosHarness:
-    def test_mixed_profile_invariants_hold(self, tmp_path):
-        profile = ServiceFaultProfile(kill_every_jobs=3,
-                                      poison_seeds=(1097,),
-                                      corrupt_cache_every=1,
-                                      truncate_journal_entries=2)
+    @pytest.mark.parametrize("profile, seeds", [
+        pytest.param(MIXED, [1, 2], id="mixed"),
+        pytest.param("worker-kill", [1, 2, 3], id="worker-kill"),
+    ])
+    def test_profile_invariants_hold(self, tmp_path, profile, seeds):
         report = run_chaos(
-            workloads=["hotspot"], scale=SCALE, seeds=[1, 2],
+            workloads=["hotspot"], scale=SCALE, seeds=seeds,
             profile=profile, workers=2, max_attempts=3,
             root_dir=tmp_path / "chaos",
         )
         assert report.violations == []
         assert report.ok
-        assert report.jobs_total == 5  # 3 first wave + 2 reuse wave
-        assert report.poison_jobs == 1
-        assert report.jobs_failed == 1
-        assert report.metrics["serve.jobs_quarantined"] == 1
-        assert report.metrics["serve.journal_entries_quarantined"] == 2
-        assert report.metrics["serve.cache_entries_quarantined"] >= 1
         payload = report.to_json_dict()
         assert payload["ok"] and payload["violations"] == []
         assert "chaos: PASS" in report.to_table()
+        if profile is MIXED:
+            assert report.jobs_total == 5  # 3 first wave + 2 reuse wave
+            assert report.poison_jobs == 1
+            assert report.jobs_failed == 1
+            assert report.metrics["serve.jobs_quarantined"] == 1
+            assert report.metrics[
+                "serve.journal_entries_quarantined"] == 2
+            assert report.metrics[
+                "serve.cache_entries_quarantined"] >= 1
+        else:
+            # Three jobs over two workers: one worker reaches its 2nd
+            # job and is killed.
+            assert report.metrics["serve.worker_restarts"] >= 1
 
     def test_stalling_profile_requires_job_timeout(self):
         with pytest.raises(ServeError):
             run_chaos(workloads=["hotspot"],
                       profile=ServiceFaultProfile(stall_every_jobs=1))
+
+    def test_cli_json_report(self, tmp_path):
+        """``repro chaos --json`` exits 0 with an ``ok`` report."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        out = subprocess.run(
+            [sys.executable, "-m", "repro", "chaos", "--json",
+             "--dir", str(tmp_path / "chaos")],
+            capture_output=True, text=True, timeout=600,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert out.returncode == 0, out.stderr
+        report = json.loads(out.stdout)
+        assert report["ok"] is True
+        assert report["violations"] == []

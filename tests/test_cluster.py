@@ -27,11 +27,7 @@ from repro.errors import (
     ServeClientError,
     ShardNotFoundError,
 )
-from repro.faultinject import (
-    CLUSTER_PROFILES,
-    ClusterFaultProfile,
-    load_cluster_profile,
-)
+from repro.faultinject import CLUSTER_PROFILES, ClusterFaultProfile
 from repro.obs.metrics import Histogram
 from repro.serve.api import build_cell
 
@@ -203,15 +199,18 @@ class TestShardRegistry:
 # --- cluster fault profiles --------------------------------------------------
 
 class TestClusterFaultProfile:
+    """Spec loading is shared by every profile shape and tested once,
+    in ``tests/test_faultinject.py::TestProfileLoad``."""
+
     def test_named_profiles(self):
-        assert load_cluster_profile("shard-kill").kill_shards == 1
-        assert load_cluster_profile("none").injects_anything is False
+        assert CLUSTER_PROFILES["shard-kill"].kill_shards == 1
+        assert CLUSTER_PROFILES["none"].injects_anything is False
         assert set(CLUSTER_PROFILES) == {
             "none", "shard-kill", "heartbeat-stall", "ring-churn",
             "mixed"}
 
     def test_inline_key_value(self):
-        profile = load_cluster_profile(
+        profile = ClusterFaultProfile.load(
             "kill_shards=2,kill_after_jobs=1,seed=9")
         assert profile.kill_shards == 2
         assert profile.kill_after_jobs == 1
@@ -220,11 +219,11 @@ class TestClusterFaultProfile:
     def test_json_file(self, tmp_path):
         path = tmp_path / "profile.json"
         path.write_text(json.dumps({"stall_heartbeats": 1}))
-        assert load_cluster_profile(str(path)).stall_heartbeats == 1
+        assert ClusterFaultProfile.load(str(path)).stall_heartbeats == 1
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigurationError):
-            load_cluster_profile("explode=1")
+            ClusterFaultProfile.load("explode=1")
 
     def test_negative_count_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -232,10 +231,10 @@ class TestClusterFaultProfile:
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ConfigurationError):
-            load_cluster_profile("not-a-profile")
+            ClusterFaultProfile.load("not-a-profile")
 
     def test_seed_override(self):
-        assert load_cluster_profile("shard-kill", seed=5).seed == 5
+        assert ClusterFaultProfile.load("shard-kill", seed=5).seed == 5
 
 
 # --- histogram merging -------------------------------------------------------
@@ -653,26 +652,30 @@ class TestClusterHTTP:
 @pytest.mark.cluster
 class TestClusterChaos:
     def test_shard_kill_invariants(self, tmp_path):
-        from repro.cluster import run_cluster_chaos
+        from repro.chaos import run_chaos
 
-        profile = load_cluster_profile("shard-kill")
-        report = run_cluster_chaos(
+        report = run_chaos(
             workloads=["hotspot"], scale=0.05, seeds=[1, 2, 3, 4],
-            profile=profile, shards=3, workers_per_shard=1,
-            deadline=180.0, root_dir=tmp_path / "chaos")
+            profile="shard-kill", cluster=True, shards=3,
+            workers_per_shard=1, deadline=180.0,
+            root_dir=tmp_path / "chaos")
         assert report.violations == []
         assert report.ok
         assert report.shards_killed == 1
         assert report.jobs_done == report.jobs_total
         assert report.parity_checked > 0
         assert report.warm_hit_rate >= 0.9
+        # The victim is declared dead in /v1/cluster/shards.
+        [victim] = report.victims
+        assert report.shard_states[victim] == "dead"
+        assert report.metrics["cluster.shards_dead"] >= 1
 
     def test_none_profile_clean_run(self, tmp_path):
-        from repro.cluster import run_cluster_chaos
+        from repro.chaos import run_chaos
 
-        report = run_cluster_chaos(
+        report = run_chaos(
             workloads=["hotspot"], scale=0.05, seeds=[1, 2],
-            profile=load_cluster_profile("none"), shards=2,
+            profile="none", cluster=True, shards=2,
             workers_per_shard=1, deadline=120.0,
             root_dir=tmp_path / "chaos")
         assert report.ok

@@ -17,7 +17,12 @@ from repro.errors import (
 )
 from repro.experiments import FailedRun, common, run_suite_setting
 from repro.experiments import extension_resilience
-from repro.faultinject import FaultProfile, PROFILES, load_profile
+from repro.faultinject import (
+    PROFILES,
+    ClusterFaultProfile,
+    FaultProfile,
+    ServiceFaultProfile,
+)
 from repro.gpu.kernel import KernelSpec, ThreadBlockSpec, WarpSpec
 from repro.runtime import run_workload
 from repro.validation import ClaimCheck
@@ -83,19 +88,30 @@ class TestProfile:
         with pytest.raises(ConfigurationError, match="unknown"):
             FaultProfile.from_dict({"transfer_fault_rat": 0.1})
 
-    def test_load_profile_forms(self, tmp_path):
-        assert load_profile("moderate") is PROFILES["moderate"]
-        inline = load_profile("transfer_fault_rate=0.2, max_retries=3")
-        assert inline.transfer_fault_rate == 0.2
-        assert inline.max_retries == 3
-        path = tmp_path / "p.json"
-        path.write_text(json.dumps({"latency_spike_rate": 0.4}))
-        assert load_profile(str(path)).latency_spike_rate == 0.4
-        assert load_profile("light", seed=9).seed == 9
-        with pytest.raises(ConfigurationError):
-            load_profile("no-such-profile")
-        with pytest.raises(ConfigurationError):
-            load_profile("transfer_fault_rate")
+    def test_to_dict_and_cache_key_are_stable(self):
+        """Profiled configs keep their serialized bytes and cache keys,
+        so existing run-cache entries stay addressable."""
+        profile = PROFILES["moderate"].replace(seed=7)
+        assert json.dumps(profile.to_dict()) == (
+            '{"transfer_fault_rate": 0.05, "latency_spike_rate": 0.05, '
+            '"latency_spike_multiplier": 4.0, "fault_drop_rate": 0.02, '
+            '"fault_duplicate_rate": 0.02, "mshr_overflow_rate": 0.0, '
+            '"service_delay_rate": 0.05, "service_delay_ns": 100000.0, '
+            '"fault_redelivery_ns": 50000.0, "max_retries": 8, '
+            '"backoff_base_ns": 10000.0, "backoff_multiplier": 2.0, '
+            '"backoff_cap_ns": 1000000.0, "degrade_after_failures": 4, '
+            '"seed": 7}')
+        config = SimulatorConfig(prefetcher="tbn", eviction="lru4k",
+                                 seed=3, fault_profile=profile)
+        assert config.cache_key() == (
+            "4dbd07276a3f52a1b70d81b8b8a664c6"
+            "bdac645cca14f58f98ac4bd59ca9513a")
+        inline = oversubscribed(
+            8 * MIB, 110.0, seed=1, fault_profile=FaultProfile.load(
+                "transfer_fault_rate=0.2,max_retries=3"))
+        assert inline.cache_key() == (
+            "ff80bfbe57955a71cc2a0520b54fecd8"
+            "67b8dadec8431dd1c7ef7f6cdf93d571")
 
     def test_config_coerces_profile_dict(self):
         config = SimulatorConfig(fault_profile={"transfer_fault_rate": 0.1})
@@ -109,6 +125,71 @@ class TestProfile:
         for exc_type in (FaultInjectionError, RetryExhaustedError,
                          WatchdogTimeout):
             assert issubclass(exc_type, ReproError)
+
+
+#: One case per profile shape: ``Profile.load`` resolves the same
+#: spellings for all three.
+LOADER_CASES = [
+    pytest.param(FaultProfile, dict(
+        name="moderate",
+        inline="transfer_fault_rate=0.2, max_retries=3",
+        inline_fields=dict(transfer_fault_rate=0.2, max_retries=3),
+        file_fields=dict(latency_spike_rate=0.4),
+        bare="transfer_fault_rate",
+    ), id="FaultProfile"),
+    pytest.param(ServiceFaultProfile, dict(
+        name="worker-kill",
+        inline="kill_every_jobs=2,poison_seeds=1+2,stall_seconds=1.5",
+        inline_fields=dict(kill_every_jobs=2, poison_seeds=(1, 2),
+                           stall_seconds=1.5),
+        file_fields=dict(corrupt_cache_every=4, poison_seeds=[5, 6]),
+        bare="kill_every_jobs",
+    ), id="ServiceFaultProfile"),
+    pytest.param(ClusterFaultProfile, dict(
+        name="shard-kill",
+        inline="kill_shards=2,kill_after_jobs=1,seed=9",
+        inline_fields=dict(kill_shards=2, kill_after_jobs=1, seed=9),
+        file_fields=dict(stall_heartbeats=1),
+        bare="kill_shards",
+    ), id="ClusterFaultProfile"),
+]
+
+
+class TestProfileLoad:
+    @pytest.mark.parametrize("cls, case", LOADER_CASES)
+    def test_load_forms(self, tmp_path, cls, case):
+        named = cls.named()[case["name"]]
+        assert cls.load(case["name"]) is named
+        assert cls.load(named) is named
+        assert cls.load(named.to_dict()) == named
+
+        inline = cls.load(case["inline"])
+        for key, value in case["inline_fields"].items():
+            assert getattr(inline, key) == value
+
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps(case["file_fields"]))
+        from_file = cls.load(str(path))
+        for key, value in case["file_fields"].items():
+            expected = tuple(value) if isinstance(value, list) else value
+            assert getattr(from_file, key) == expected
+        assert cls.from_dict(json.loads(json.dumps(
+            from_file.to_dict()))) == from_file
+
+        path.write_text("[1, 2]")
+        with pytest.raises(ConfigurationError, match="JSON object"):
+            cls.load(str(path))
+        with pytest.raises(ConfigurationError, match="unknown"):
+            cls.load("explode=1")
+        with pytest.raises(ConfigurationError):
+            cls.load(case["bare"])
+        with pytest.raises(ConfigurationError, match="assignment"):
+            cls.load(f"{case['bare']}=1,{case['bare']}")
+        with pytest.raises(ConfigurationError, match="named profile"):
+            cls.load("no-such-profile")
+
+        assert cls.load(case["name"], seed=5).seed == 5
+        assert cls.load(case["name"], seed=named.seed) is named
 
 
 class TestZeroCostWhenDisabled:
