@@ -157,8 +157,9 @@ def equivalence_matrix(scale: float = 1.0) -> list[BenchCell]:
 #: Cells timed for ``BENCH_core.json``.  Steady-state iterative cells
 #: are where the batched engine pays (the acceptance target is >=3x on
 #: at least two of them); the single-kernel and fault-bound cells are
-#: kept deliberately — their ~1x shows the fast path is *free* when the
-#: run is dominated by cold faults and driver work the engines share.
+#: kept deliberately — they are dominated by cold faults and driver work
+#: the engines share, so their ratio shows what the fast path's fallback
+#: costs (about 1x; below 1x means the fallback stopped being cheap).
 THROUGHPUT_CELLS = (
     BenchCell(name="hotspot-steady", workload="hotspot",
               kwargs=(("iterations", 64),),

@@ -9,6 +9,8 @@ driver owns the transfer scheduling around it.
 from __future__ import annotations
 
 import random
+from collections import Counter
+from collections.abc import Iterable
 
 from ..config import SimulatorConfig
 from ..errors import PolicyError
@@ -112,6 +114,10 @@ class UvmContext:
             name = alloc.name
             self._alloc_name_by_chunk[chunk] = name
         return name
+
+    def allocation_page_counts(self, pages: Iterable[int]) -> Counter[str]:
+        """Page counts per owning allocation, in first-seen page order."""
+        return Counter(map(self.allocation_name_of_page, pages))
 
     def block_fully_invalid(self, block: int) -> bool:
         """True when no page of ``block`` is valid or in flight.

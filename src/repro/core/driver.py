@@ -437,14 +437,14 @@ class UvmDriver:
         stats = ctx.stats
         if self.injector is not None:
             self._consecutive_failures = 0
+        pages = group.pages
         tracer = self.tracer
-        waiters: list[object] = []
-        for page in group.pages:
-            if tracer.enabled:
-                # Close the far-fault lifecycle span (fault raised → warp
-                # wake) on the first faulting warp's SM track.  Emitted as
-                # an async pair: one SM routinely has many faults in
-                # flight, which complete events cannot nest.
+        if tracer.enabled:
+            # Close the far-fault lifecycle span (fault raised → warp
+            # wake) on the first faulting warp's SM track.  Emitted as an
+            # async pair: one SM routinely has many faults in flight,
+            # which complete events cannot nest.
+            for page in pages:
                 entry = self.mshr.entry(page)
                 if entry is not None and entry.waiters:
                     sm = entry.waiters[0].sm
@@ -454,20 +454,35 @@ class UvmDriver:
                         args={"page": page,
                               "waiters": len(entry.waiters)},
                     )
-            pte = ctx.page_table.complete_migration(page, now_ns)
-            per_alloc = stats.allocation(
-                ctx.allocation_name_of_page(page)
-            )
-            stats.pages_migrated += 1
-            per_alloc.pages_migrated += 1
-            if pte.migration_count > 1:
-                stats.pages_thrashed += 1
-                per_alloc.pages_thrashed += 1
-            if page not in group.fault_pages:
-                stats.pages_prefetched += 1
-                per_alloc.pages_prefetched += 1
-            self.eviction.on_validated(page, ctx)
-            waiters.extend(self.mshr.complete(page))
+        complete_migration = ctx.page_table.complete_migration
+        on_validated = self.eviction.on_validated
+        complete_entry = self.mshr.complete
+        fault_pages = group.fault_pages
+        name_of = ctx.allocation_name_of_page
+        #: allocation name -> [migrated, thrashed, prefetched], in the
+        #: first-seen order per_allocation records are created in.
+        per_alloc: dict[str, list[int]] = {}
+        waiters: list[object] = []
+        for page in pages:
+            name = name_of(page)
+            record = per_alloc.get(name)
+            if record is None:
+                record = per_alloc[name] = [0, 0, 0]
+            record[0] += 1
+            if complete_migration(page, now_ns).migration_count > 1:
+                record[1] += 1
+            if page not in fault_pages:
+                record[2] += 1
+            on_validated(page, ctx)
+            waiters.extend(complete_entry(page))
+        for name, (migrated, thrashed, prefetched) in per_alloc.items():
+            per = stats.allocation(name)
+            per.pages_migrated += migrated
+            per.pages_thrashed += thrashed
+            per.pages_prefetched += prefetched
+            stats.pages_migrated += migrated
+            stats.pages_thrashed += thrashed
+            stats.pages_prefetched += prefetched
         if waiters:
             self.engine.wake_warps(waiters, now_ns)
 
@@ -485,21 +500,21 @@ class UvmDriver:
         if not plan.units:
             return 0
         stats.eviction_events += 1
+        evicted_pages = plan.all_pages()
         if not plan.trees_preadjusted:
-            ctx.adjust_trees_for_pages(plan.all_pages(), -1)
+            ctx.adjust_trees_for_pages(evicted_pages, -1)
+        # Nothing below reads a TLB, so one shootdown for the whole round
+        # is exact.  Dirty flags reset on invalidation: read them first.
+        self.engine.tlb_shootdown(evicted_pages)
+        dirty = set(ctx.page_table.dirty_pages(evicted_pages))
+        invalidate = ctx.page_table.invalidate
         tracing = self.tracer.enabled
         freed = 0
         written_back = 0
         dropped_clean = 0
         for unit in plan.units:
-            dirty = set(ctx.page_table.dirty_pages(unit.pages))
             for page in unit.pages:
-                ctx.page_table.invalidate(page)
-                self.engine.tlb_shootdown(page)
-                stats.allocation(
-                    ctx.allocation_name_of_page(page)
-                ).pages_evicted += 1
-            stats.pages_evicted += len(unit.pages)
+                invalidate(page)
             freed += len(unit.pages)
             if unit.unit_writeback:
                 # SLe/TBNe/2MB: the whole unit goes back as one transfer,
@@ -513,21 +528,24 @@ class UvmDriver:
                 stats.pages_written_back += len(unit.pages)
                 written_back += len(unit.pages)
             else:
-                clean = len(unit.pages) - len(dirty)
+                unit_dirty = sorted(dirty.intersection(unit.pages))
+                clean = len(unit.pages) - len(unit_dirty)
                 if clean:
                     ctx.frames.release(clean, now_ns)
                     stats.pages_dropped_clean += clean
                     dropped_clean += clean
                 note = {"pages": 1, "eviction": True} if tracing else None
-                for page in sorted(dirty):
+                for page in unit_dirty:
                     transfer = self.link.write_back(page_size, now_ns,
                                                     note)
                     ctx.frames.release(1, transfer.end_ns)
-                stats.pages_written_back += len(dirty)
-                written_back += len(dirty)
+                stats.pages_written_back += len(unit_dirty)
+                written_back += len(unit_dirty)
+        stats.pages_evicted += freed
+        for name, count in ctx.allocation_page_counts(evicted_pages).items():
+            stats.allocation(name).pages_evicted += count
         # Observation hooks (no-ops for the built-ins): the fully applied
         # plan, pages now invalid.  Combined policies get the event once.
-        evicted_pages = plan.all_pages()
         self.eviction.on_evicted(evicted_pages, ctx)
         if self.prefetcher is not self.eviction:
             self.prefetcher.on_evicted(evicted_pages, ctx)
@@ -581,13 +599,12 @@ class UvmDriver:
         if not resident:
             return
         dirty = set(ctx.page_table.dirty_pages(resident))
+        self.engine.tlb_shootdown(resident)
         for page in resident:
             ctx.page_table.invalidate(page)
-            self.engine.tlb_shootdown(page)
             self.eviction.on_invalidated_externally(page, ctx)
-            stats.allocation(
-                ctx.allocation_name_of_page(page)
-            ).pages_evicted += 1
+        for name, count in ctx.allocation_page_counts(resident).items():
+            stats.allocation(name).pages_evicted += count
         ctx.adjust_trees_for_pages(resident, -1)
         stats.pages_evicted += len(resident)
         # Dirty data rides the write channel in contiguous runs (frames

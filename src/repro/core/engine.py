@@ -272,12 +272,20 @@ class Simulator:
             sm.time_ns = max(sm.time_ns, now_ns)
             self._schedule_sm(sm, sm.time_ns)
 
-    def tlb_shootdown(self, page: int) -> None:
-        """Invalidate a page's translation (all SMs) and its L2 lines."""
+    def tlb_shootdown(self, pages: list[int]) -> None:
+        """Invalidate the pages' translations (all SMs) and L2 lines.
+
+        The driver calls this once per eviction round with the round's
+        whole page list, so each SM intersects its entries with the set
+        once instead of taking one call per page.
+        """
+        page_set = set(pages)
         for sm in self.sms:
-            sm.tlb.invalidate(page)
-        if self.l2 is not None:
-            self.l2.invalidate(page)
+            sm.tlb.invalidate_many(page_set)
+        l2 = self.l2
+        if l2 is not None:
+            for page in pages:
+                l2.invalidate(page)
 
     # ---------------------------------------------------------------- SM engine
     def _schedule_sm(self, sm: StreamingMultiprocessor,

@@ -18,8 +18,9 @@ handles that quantum in stages:
    selection of ``StreamingMultiprocessor.next_ready_warp`` *without
    mutating anything*.  In the common case — every ready warp holds at
    least its share of the quantum — the schedule is a perfect rotation,
-   so the page/write vectors assemble from cached per-warp numpy arrays
-   with one strided slice per warp (``out[j::R] = stream[c:c+take]``).
+   so the page/write vectors assemble with one index gather from the
+   SM's cached, concatenated numpy stream arrays (slots ``j::R`` belong
+   to the ``j``-th ready warp).
    Otherwise (a warp exhausts mid-window) a scalar scan simulates the
    rotation slot by slot.  Far faults cannot be predicted here and are
    handled below.
@@ -93,6 +94,8 @@ through the hit path) run the reference loop unchanged, so selecting
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 import numpy as np
 
@@ -210,10 +213,11 @@ class MaskedTlb(Tlb):
         entries[page] = None
         self.mask.set(page)
 
-    def invalidate(self, page: int) -> bool:
-        hit = super().invalidate(page)
-        if hit:
-            self.mask.clear(page)
+    def invalidate_many(self, pages: set[int]) -> set[int]:
+        hit = super().invalidate_many(pages)
+        clear = self.mask.clear
+        for page in hit:
+            clear(page)
         return hit
 
     def flush(self) -> None:
@@ -287,34 +291,37 @@ class FastSimulator(Simulator):
         if not self._fast_issue:
             return
         pend = self._pend_pages
-        if pend:
-            if len(pend) == 1:
-                pages = pend[0]
-                times = self._pend_times[0]
+        if not pend:
+            # Every window that queues TLB refreshes in ``tlb.pend``
+            # queues its accesses here too: nothing is pending.
+            return
+        if len(pend) == 1:
+            pages = pend[0]
+            times = self._pend_times[0]
+        else:
+            pages = np.concatenate(pend)
+            times = np.concatenate(self._pend_times)
+        writes_list = self._pend_writes
+        writes: np.ndarray | None = None
+        if any(w is not None for w in writes_list):
+            if len(writes_list) == 1:
+                writes = writes_list[0]
             else:
-                pages = np.concatenate(pend)
-                times = np.concatenate(self._pend_times)
-            writes_list = self._pend_writes
-            writes: np.ndarray | None = None
-            if any(w is not None for w in writes_list):
-                if len(writes_list) == 1:
-                    writes = writes_list[0]
-                else:
-                    writes = np.concatenate([
-                        w if w is not None
-                        else np.zeros(p.shape[0], dtype=bool)
-                        for p, w in zip(pend, writes_list)
-                    ])
-            pend.clear()
-            self._pend_times.clear()
-            self._pend_writes.clear()
-            total = pages.shape[0]
-            last_rev = np.unique(pages[::-1], return_index=True)[1]
-            sel = np.sort(total - 1 - last_rev)
-            touch_pages = self.page_table.mark_access_span(
-                pages, sel, times, writes
-            )
-            self.driver.eviction.on_accessed_many(touch_pages, self.ctx)
+                writes = np.concatenate([
+                    w if w is not None
+                    else np.zeros(p.shape[0], dtype=bool)
+                    for p, w in zip(pend, writes_list)
+                ])
+        pend.clear()
+        self._pend_times.clear()
+        self._pend_writes.clear()
+        total = pages.shape[0]
+        last_rev = np.unique(pages[::-1], return_index=True)[1]
+        sel = np.sort(total - 1 - last_rev)
+        touch_pages = self.page_table.mark_access_span(
+            pages, sel, times, writes
+        )
+        self.driver.eviction.on_accessed_many(touch_pages, self.ctx)
         for sm in self.sms:
             tlb_pend = sm.tlb.pend
             if tlb_pend:
@@ -448,30 +455,24 @@ class FastSimulator(Simulator):
         if cache is not None and cache[0] == n and cache[1] is warps[0] \
                 and cache[2] is warps[-1]:
             return cache
-        pages_list = []
-        writes_list = []
-        starts = np.empty(n + 1, dtype=np.int64)
-        offset = 0
-        for i, warp in enumerate(warps):
-            np_pages = warp.np_pages
-            if np_pages is None:
-                if warp.accesses:
-                    stream = np.array(warp.accesses, dtype=np.int64)
-                    np_pages = warp.np_pages = np.ascontiguousarray(
-                        stream[:, 0]
-                    )
-                    warp.np_writes = stream[:, 1].astype(bool)
-                else:
-                    np_pages = warp.np_pages = np.zeros(0, dtype=np.int64)
-                    warp.np_writes = np.zeros(0, dtype=bool)
-            starts[i] = offset
-            offset += np_pages.shape[0]
-            pages_list.append(np_pages)
-            writes_list.append(warp.np_writes)
-        starts[n] = offset
-        cache = (n, warps[0], warps[-1],
-                 np.concatenate(pages_list), np.concatenate(writes_list),
-                 starts)
+        starts = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum([len(warp.accesses) for warp in warps], out=starts[1:])
+        if starts[n]:
+            # A rebuild follows block placement, so most resident warps
+            # are new.  Converting the whole pool at once re-converts
+            # the few survivors of a half-replaced pool, yet beats
+            # caching per warp: one call over column tuples converts
+            # about twice as fast as per-warp 2-D arrays of the
+            # (page, write) pairs.
+            pages, writes = zip(*chain.from_iterable(
+                warp.accesses for warp in warps
+            ))
+            cat_pages = np.array(pages, dtype=np.int64)
+            cat_writes = np.array(writes, dtype=bool)
+        else:
+            cat_pages = np.zeros(0, dtype=np.int64)
+            cat_writes = np.zeros(0, dtype=bool)
+        cache = (n, warps[0], warps[-1], cat_pages, cat_writes, starts)
         sm.fast_cache = cache
         return cache
 

@@ -39,6 +39,9 @@ class StreamingMultiprocessor:
         #: True when a step event is queued or executing for this SM.
         self.scheduled = False
         self._blocks: list[_ResidentBlock] = []
+        #: Warps of the resident blocks, in block order; rebuilt only when
+        #: the resident set changes.
+        self._warps: list[Warp] = []
         self._rr_index = 0
 
     # --- residency ---------------------------------------------------------
@@ -49,12 +52,14 @@ class StreamingMultiprocessor:
         for warp in block.warps:
             warp.sm = self
         self._blocks.append(block)
+        self._warps = self._warps + block.warps
 
     def reap_finished_blocks(self) -> list[int]:
         """Remove completed thread blocks; returns their ids."""
         finished = [b.tb_id for b in self._blocks if b.done]
         if finished:
             self._blocks = [b for b in self._blocks if not b.done]
+            self._warps = [w for b in self._blocks for w in b.warps]
             self._rr_index = 0
         return finished
 
@@ -69,17 +74,22 @@ class StreamingMultiprocessor:
 
     # --- scheduling ----------------------------------------------------------
     def all_warps(self) -> list[Warp]:
-        return [w for b in self._blocks for w in b.warps]
+        """Resident warps in block order (shared list: do not mutate)."""
+        return self._warps
 
     def next_ready_warp(self) -> Warp | None:
         """Round-robin over READY warps across resident blocks."""
-        warps = self.all_warps()
-        if not warps:
-            return None
+        warps = self._warps
         n = len(warps)
-        for offset in range(n):
-            warp = warps[(self._rr_index + offset) % n]
-            if warp.state is WarpState.READY:
-                self._rr_index = (self._rr_index + offset + 1) % n
-                return warp
+        rr = self._rr_index
+        ready = WarpState.READY
+        # From the rotation index to the end, then wrap around to it.
+        for index in range(rr, n):
+            if warps[index].state is ready:
+                self._rr_index = index + 1 if index + 1 < n else 0
+                return warps[index]
+        for index in range(rr):
+            if warps[index].state is ready:
+                self._rr_index = index + 1
+                return warps[index]
         return None

@@ -24,7 +24,7 @@ class Warp:
     """One warp's execution cursor over its access stream."""
 
     __slots__ = ("warp_id", "accesses", "cursor", "state", "blocked_on",
-                 "sm", "np_pages", "np_writes")
+                 "sm")
 
     def __init__(self, warp_id: int, spec: WarpSpec) -> None:
         self.warp_id = warp_id
@@ -35,10 +35,6 @@ class Warp:
         self.blocked_on: int | None = None
         #: Back-reference to the hosting SM, set at thread-block placement.
         self.sm = None
-        #: Lazy per-stream numpy mirrors of ``accesses`` (pages / write
-        #: flags), built and used only by :mod:`repro.core.fastpath`.
-        self.np_pages = None
-        self.np_writes = None
 
     @property
     def done(self) -> bool:

@@ -103,6 +103,9 @@ class HierarchicalLRU:
 
     def __init__(self, space: AddressSpace | None = None) -> None:
         self.space = space or DEFAULT_ADDRESS_SPACE
+        # Geometry as plain ints: insert/touch run once per access.
+        self._pages_per_block = self.space.pages_per_block
+        self._pages_per_large_page = self.space.pages_per_large_page
         self._chunks: OrderedDict[int, _ChunkEntry] = OrderedDict()
         self._page_count = 0
 
@@ -110,17 +113,17 @@ class HierarchicalLRU:
         return self._page_count
 
     def __contains__(self, page: int) -> bool:
-        chunk = self._chunks.get(self.space.large_page_of_page(page))
+        chunk = self._chunks.get(page // self._pages_per_large_page)
         if chunk is None:
             return False
-        block_pages = chunk.blocks.get(self.space.block_of_page(page))
+        block_pages = chunk.blocks.get(page // self._pages_per_block)
         return block_pages is not None and page in block_pages
 
     # --- mutation ---------------------------------------------------------
     def insert(self, page: int) -> None:
         """Add a freshly validated page; refreshes chunk and block order."""
-        chunk_id = self.space.large_page_of_page(page)
-        block_id = self.space.block_of_page(page)
+        chunk_id = page // self._pages_per_large_page
+        block_id = page // self._pages_per_block
         chunk = self._chunks.get(chunk_id)
         if chunk is None:
             chunk = _ChunkEntry()
@@ -140,15 +143,27 @@ class HierarchicalLRU:
             self._page_count += 1
 
     def touch(self, page: int) -> None:
-        """Refresh a resident page's position on access."""
-        if page not in self:
-            raise PolicyError(f"page {page} not in hierarchical LRU")
-        self.insert(page)
+        """Refresh a resident page's position on access.
+
+        Same order as :meth:`insert` of a present page, in one lookup
+        pass; an absent page raises before anything moves.
+        """
+        chunk_id = page // self._pages_per_large_page
+        chunk = self._chunks.get(chunk_id)
+        if chunk is not None:
+            block_id = page // self._pages_per_block
+            block_pages = chunk.blocks.get(block_id)
+            if block_pages is not None and page in block_pages:
+                self._chunks.move_to_end(chunk_id)
+                chunk.blocks.move_to_end(block_id)
+                block_pages.move_to_end(page)
+                return
+        raise PolicyError(f"page {page} not in hierarchical LRU")
 
     def remove(self, page: int) -> None:
         """Drop one page, pruning empty blocks/chunks."""
-        chunk_id = self.space.large_page_of_page(page)
-        block_id = self.space.block_of_page(page)
+        chunk_id = page // self._pages_per_large_page
+        block_id = page // self._pages_per_block
         chunk = self._chunks.get(chunk_id)
         if chunk is None:
             raise PolicyError(f"page {page} not in hierarchical LRU")

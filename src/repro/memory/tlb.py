@@ -3,7 +3,7 @@
 The paper models a fully associative TLB with a single-cycle lookup
 (Section 6.1, after Pichai et al.); misses trigger a 100-cycle page-table
 walk by the GMMU.  Entries are invalidated (a shootdown) when the driver
-evicts the page.
+evicts the page; the driver shoots down a whole eviction round at once.
 """
 
 from __future__ import annotations
@@ -55,12 +55,17 @@ class Tlb:
             self._entries.popitem(last=False)
         self._entries[page] = None
 
-    def invalidate(self, page: int) -> bool:
-        """Shoot down a translation; True when it was cached."""
-        if page in self._entries:
-            del self._entries[page]
-            return True
-        return False
+    def invalidate_many(self, pages: set[int]) -> set[int]:
+        """Shoot down every cached translation in ``pages``.
+
+        Returns the pages that were cached; survivors keep their LRU
+        order.
+        """
+        entries = self._entries
+        hit = entries.keys() & pages
+        for page in hit:
+            del entries[page]
+        return hit
 
     def flush(self) -> None:
         """Drop every cached translation."""

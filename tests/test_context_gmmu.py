@@ -111,6 +111,16 @@ class TestPageHelpers:
         ctx.config = ctx.config.replace(lru_reservation_fraction=0.0)
         assert ctx.reservation_skip == 0
 
+    def test_allocation_page_counts_in_first_seen_order(self):
+        ctx = make_ctx(alloc_specs=(("a", 4 * MIB), ("b", 2 * MIB)))
+        a = ctx.allocator.get("a").page_range
+        b = ctx.allocator.get("b").page_range
+        # "a" spans two 2MB chunks; "b" is seen first.
+        pages = [b[3], a[600], a[0], b[0], a[1]]
+        counts = ctx.allocation_page_counts(pages)
+        assert list(counts.items()) == [("b", 2), ("a", 3)]
+        assert ctx.allocation_page_counts([]) == {}
+
 
 class _EngineStub:
     """Captures driver callbacks without a full engine."""
@@ -125,7 +135,7 @@ class _EngineStub:
     def wake_warps(self, waiters, now_ns):
         self.woken.extend(waiters)
 
-    def tlb_shootdown(self, page):
+    def tlb_shootdown(self, pages):
         pass
 
 

@@ -5,6 +5,7 @@ import pytest
 from repro import constants
 from repro.config import SimulatorConfig
 from repro.core.engine import Simulator
+from repro.core.plans import MigrationPlan, TransferGroup
 from repro.errors import SimulationError
 from repro.gpu.kernel import KernelSpec, ThreadBlockSpec, WarpSpec
 from repro.memory.page import PageState
@@ -171,6 +172,60 @@ class TestWritebackPaths:
         sim.synchronize()
         assert sim.stats.pages_dropped_clean == 0
         assert sim.stats.pages_written_back == sim.stats.pages_evicted
+
+
+class TestBookkeeping:
+    """Per-allocation counters of an eviction round and completed groups."""
+
+    def migrate(self, sim, groups):
+        plan = MigrationPlan(groups=groups)
+        sim.driver._execute_migration(plan, now_ns=sim.now,
+                                      batch_start_ns=sim.now,
+                                      batched_handling=True)
+        sim.synchronize()
+
+    def test_counters_fold_per_allocation_in_first_seen_order(self):
+        sim = make_sim(num_sms=2, prefetcher="none", eviction="lru4k",
+                       device_memory_bytes=16 * MIB)
+        a = sim.malloc_managed("a", 4 * MIB)
+        b = sim.malloc_managed("b", MIB)
+        edge = a.page_range[0] + 511     # last page of a's first 2 MB chunk
+        b0 = b.page_range[0]
+        # Round 1: b's group completes first, then a group crossing a's
+        # chunk boundary; all pages prefetched (no warp waits on them).
+        self.migrate(sim, [TransferGroup([b0, b0 + 1]),
+                           TransferGroup([edge, edge + 1])])
+        assert list(sim.stats.per_allocation) == ["b", "a"]
+        # One eviction round over both allocations, one page dirty.
+        sim.page_table.mark_access(b0, sim.now, True)
+        for sm in sim.sms:
+            for page in (b0, edge, edge + 1):
+                sm.tlb.insert(page)
+        assert sim.driver._evict(4, sim.now) == 4
+        sim.synchronize()
+        assert all(len(sm.tlb) == 0 for sm in sim.sms)
+        # Round 2: edge and edge+1 re-migrate (thrashed), edge+1 and
+        # edge+2 are prefetched; b0 re-migrates as a fault page.
+        self.migrate(sim, [
+            TransferGroup([edge, edge + 1, edge + 2],
+                          fault_pages=frozenset({edge})),
+            TransferGroup([b0], fault_pages=frozenset({b0})),
+        ])
+        per = sim.stats.per_allocation
+        assert list(per) == ["b", "a"]
+        assert (per["a"].pages_migrated, per["a"].pages_thrashed,
+                per["a"].pages_prefetched, per["a"].pages_evicted) \
+            == (5, 2, 4, 2)
+        assert (per["b"].pages_migrated, per["b"].pages_thrashed,
+                per["b"].pages_prefetched, per["b"].pages_evicted) \
+            == (3, 1, 2, 2)
+        stats = sim.stats
+        assert (stats.pages_migrated, stats.pages_thrashed,
+                stats.pages_prefetched, stats.pages_evicted) == (8, 3, 6, 4)
+        assert stats.eviction_events == 1
+        assert (stats.pages_written_back, stats.pages_dropped_clean) \
+            == (1, 3)
+        sim.check_invariants()
 
 
 class TestUserPrefetch:

@@ -185,6 +185,49 @@ class TestHierarchicalLRU:
             assert any(SPACE.block_of_page(p) == victim_block
                        for p in reference)
 
+    @staticmethod
+    def _order(lru):
+        """Full LRU-to-MRU page order (chunk, then block, then page)."""
+        return [lru.victim_page(i) for i in range(len(lru))]
+
+    @given(st.lists(st.tuples(st.sampled_from(["ins", "del", "touch"]),
+                              st.integers(min_value=0, max_value=1100)),
+                    max_size=80))
+    @settings(max_examples=100, deadline=None)
+    def test_touch_orders_like_insert(self, ops):
+        touched = HierarchicalLRU()
+        inserted = HierarchicalLRU()
+        for op, page in ops:
+            present = page in inserted
+            if op == "ins" or (op == "touch" and present):
+                if op == "touch":
+                    touched.touch(page)
+                else:
+                    touched.insert(page)
+                inserted.insert(page)
+            elif op == "touch":
+                before = self._order(touched)
+                with pytest.raises(PolicyError):
+                    touched.touch(page)
+                assert self._order(touched) == before
+            elif present:
+                touched.remove(page)
+                inserted.remove(page)
+            assert touched.blocks_in_order() == inserted.blocks_in_order()
+            assert self._order(touched) == self._order(inserted)
+
+    def test_touch_absent_raises_at_every_level(self):
+        lru = HierarchicalLRU()
+        lru.insert(0)
+        lru.insert(PAGES_PER_BLOCK)
+        before = self._order(lru)
+        for page in (PAGES_PER_CHUNK,          # absent chunk
+                     2 * PAGES_PER_BLOCK,      # absent block, chunk present
+                     1):                       # absent page, block present
+            with pytest.raises(PolicyError):
+                lru.touch(page)
+            assert self._order(lru) == before
+
 
 class TestRandomMembership:
     def test_insert_remove_contains(self):

@@ -120,9 +120,10 @@ class TestTlb:
     def test_invalidate(self):
         tlb = Tlb(4)
         tlb.insert(1)
-        assert tlb.invalidate(1)
-        assert not tlb.invalidate(1)
-        assert 1 not in tlb
+        tlb.insert(2)
+        assert tlb.invalidate_many({1, 3}) == {1}
+        assert tlb.invalidate_many({1}) == set()
+        assert 1 not in tlb and 2 in tlb
 
     def test_flush(self):
         tlb = Tlb(4)

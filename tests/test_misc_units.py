@@ -133,8 +133,32 @@ class TestEngineDetails:
         sim = Simulator(SimulatorConfig(num_sms=3))
         for sm in sim.sms:
             sm.tlb.insert(42)
-        sim.tlb_shootdown(42)
+        sim.tlb_shootdown([42])
         assert all(42 not in sm.tlb for sm in sim.sms)
+
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    def test_batched_shootdown_keeps_survivor_order(self, engine):
+        import numpy as np
+
+        from repro.core import make_simulator
+        sim = make_simulator(SimulatorConfig(num_sms=3, engine=engine))
+        base = 1 << 20
+        cached = [base + i for i in range(8)]
+        for sm in sim.sms:
+            for page in cached:
+                sm.tlb.insert(page)
+            sm.tlb.lookup(base + 2)      # base + 2 becomes MRU
+        evicted = [base + 1, base + 4, base, base + 9]   # +9: never cached
+        sim.tlb_shootdown(evicted)
+        survivors = [base + i for i in (3, 5, 6, 7, 2)]
+        for sm in sim.sms:
+            assert list(sm.tlb._entries) == survivors
+            assert len(sm.tlb) == len(survivors)
+            if engine == "fast":
+                assert not sm.tlb.mask.gather(
+                    np.array(evicted, dtype=np.int64)).any()
+                assert sm.tlb.mask.gather(
+                    np.array(survivors, dtype=np.int64)).all()
 
     def test_walker_selected_from_config(self):
         from repro.memory.radix_walker import FixedWalker, RadixWalker
