@@ -22,8 +22,8 @@ handles that quantum in stages:
    SM's cached, concatenated numpy stream arrays (slots ``j::R`` belong
    to the ``j``-th ready warp).
    Otherwise (a warp exhausts mid-window) a scalar scan simulates the
-   rotation slot by slot.  Far faults cannot be predicted here and are
-   handled below.
+   rotation slot by slot.  Generation applies nothing, so a window
+   that turns out not to be all-hit costs only the wasted scan.
 
 2. **Vectorized hit classification**: each SM's TLB is a
    :class:`MaskedTlb` that mirrors its membership into a numpy bit
@@ -64,23 +64,20 @@ handles that quantum in stages:
    re-touch the same pages every kernel, and the cross-kernel span is
    where last-touch compression actually pays.
 
-4. **Scalar replay with batch flush**: windows that contain TLB misses
-   first flush all pending batches, then fall back to an inlined
-   per-access loop that performs *exactly* the reference sequence of
-   structure mutations (TLB insert/evict, page walks, walker state)
-   while still batching the window-local recency updates.  Pending TLB
-   refreshes flush before every TLB insert so replacement decisions see
-   the same LRU order as the reference.  At the first far fault the
-   loop stops *before* consuming the faulting access and hands the
-   remaining budget to the reference loop (``super()._issue_quantum``),
-   so fault registration, MSHR merging, driver batching and warp
-   blocking stay event-for-event identical.  A far fault (or a mostly
-   blocked SM) also starts a short cooldown during which the SM issues
-   through the reference loop directly: fault-bound phases are not
-   batching targets, and the cooldown avoids paying schedule generation
-   for windows that will fall back anyway.  Plain capacity-miss windows
-   skip the cooldown — the batched replay already handles them at
-   reference speed and the next window is usually all-hit again.
+4. **Reference fallback**: a window with any TLB miss applies
+   nothing.  The engine flushes all pending batches and issues the
+   whole quantum through the reference loop
+   (``super()._issue_quantum``), so TLB fills, page walks, fault
+   registration, MSHR merging, driver batching and warp blocking run
+   the reference code itself, not a copy of it.  The engine thus
+   retires accesses exactly two ways: as a deferred all-hit window or
+   through the reference loop.  When a fallback quantum registers a
+   new far fault, the SM also starts a short cooldown during which it
+   issues through the reference loop directly: fault-bound phases are
+   not batching targets, and the cooldown avoids paying schedule
+   generation for windows that will fall back anyway.  Plain
+   capacity-miss windows skip the cooldown — the next window is
+   usually all-hit again.
 
 Equivalence is enforced, not assumed: the ``fastpath-equiv`` validation
 claim and ``repro bench --compare`` assert byte-identical
@@ -185,15 +182,17 @@ class MaskedTlb(Tlb):
     :class:`PageBitmap` so a whole quantum's hits classify in one gather,
     and that queues deferred hit refreshes in ``pend``.
 
-    Only membership-changing operations touch the bitmap; ``lookup`` and
-    ``refresh_many`` (pure LRU reordering) stay as cheap as the base
-    class.  Replacement order and hit/miss accounting are inherited
-    untouched, so behaviour is identical by construction.  ``pend``
-    holds page vectors of deferred all-hit windows; membership is
-    frozen while anything is pending (inserts and invalidations only
-    happen after a flush), so applying the refreshes late — compressed
-    to last-access order — reorders the LRU exactly as eager refreshes
-    would have.
+    Only membership-changing operations touch the bitmap: the reference
+    loop's fills (``insert``) and the driver's shootdowns
+    (``invalidate_many``).  ``lookup`` and ``refresh_many`` (pure LRU
+    reordering) stay as cheap as the base class.  Replacement order and
+    hit/miss accounting are inherited untouched, so behaviour is
+    identical by construction.  ``pend`` holds page vectors of deferred
+    all-hit windows.  Membership is frozen while anything is pending,
+    because the reference loop and every driver event run only after a
+    flush.  Applying the refreshes late — compressed to last-access
+    order — therefore reorders the LRU exactly as eager refreshes would
+    have.
     """
 
     def __init__(self, entries: int) -> None:
@@ -233,12 +232,12 @@ class FastSimulator(Simulator):
     #: Below this ready-warp share the quantum is fault-bound and the
     #: schedule scan degenerates; the reference loop handles it directly.
     _MIN_READY_FRACTION = 0.25
-    #: Quanta issued through the reference loop after a far fault or a
-    #: mostly-blocked window; fault-bound phases would otherwise pay
-    #: schedule generation and a gather per window only to fall back
-    #: anyway.  Plain capacity-miss windows do *not* start a cooldown:
-    #: the batched replay handles them at reference speed and the next
-    #: window is usually all-hit again.
+    #: Quanta issued through the reference loop directly after a
+    #: fallback quantum registered a new far fault; fault-bound phases
+    #: would otherwise pay schedule generation and a gather per window
+    #: only to fall back anyway.  Fallbacks that register no new far
+    #: fault (plain capacity misses) start no cooldown: the next window
+    #: is usually all-hit again.
     _MISS_COOLDOWN = 8
     #: Minimum per-warp share for the strided-slice schedule; below it
     #: (many warps, tiny slices) the scalar scan is cheaper.
@@ -345,29 +344,25 @@ class FastSimulator(Simulator):
         cooldown = sm.fast_cooldown
         if cooldown:
             sm.fast_cooldown = cooldown - 1
-            self._flush_pending()
-            super()._issue_quantum(sm, budget)
+        elif self._fast_pass(sm, budget):
             return
-        issued, clean = self._fast_pass(sm, budget)
-        if not clean:
+        self._flush_pending()
+        far_faults = self.stats.far_faults
+        super()._issue_quantum(sm, budget)
+        if not cooldown and self.stats.far_faults != far_faults:
             sm.fast_cooldown = self._MISS_COOLDOWN
-            self._flush_pending()
-            super()._issue_quantum(sm, budget - issued)
 
-    def _fast_pass(self, sm: StreamingMultiprocessor,
-                   budget: int) -> tuple[int, bool]:
-        """Issue as much of the quantum as can be batched.
+    def _fast_pass(self, sm: StreamingMultiprocessor, budget: int) -> bool:
+        """Retire the quantum as one deferred all-hit window, if it is one.
 
-        Returns ``(issued, clean)``: ``clean`` is True when nothing is
-        left for the reference loop (every issuable access was retired),
-        False when the pass stopped early — at a far fault, or because
-        the quantum is not worth batching — with ``issued`` accesses
-        already applied and all pending batches flushed.
+        Returns True when the quantum is done: it was committed as a
+        deferred all-hit window, or no warp was ready to issue.  Returns
+        False with nothing applied — some access misses the TLB, or the
+        SM is mostly blocked — so the caller issues the whole quantum
+        through the reference loop.
         """
         warps = sm.all_warps()
         n = len(warps)
-        if n == 0:
-            return 0, True
         # Ready warps in the cyclic order the round-robin scan first
         # reaches them from the current rotation index.
         rr = sm._rr_index
@@ -380,18 +375,18 @@ class FastSimulator(Simulator):
                 rot.append(pos)
         ready_count = len(rot)
         if ready_count == 0:
-            return 0, True
+            return True
         if ready_count < n * self._MIN_READY_FRACTION:
             # Mostly-blocked SM: fault-bound, not a batching target.
-            return 0, False
+            return False
 
         # --- stage 1a: perfect-rotation schedule via one index gather.
         base, extra = divmod(budget, ready_count)
         if base >= self._MIN_UNIFORM_SHARE:
-            result = self._uniform_window(sm, warps, rot, budget,
-                                          base, extra)
-            if result is not None:
-                return result
+            committed = self._uniform_window(sm, warps, rot, budget,
+                                             base, extra)
+            if committed is not None:
+                return committed
 
         # --- stage 1b: simulate the round-robin schedule slot by slot.
         cursors = [w.cursor for w in warps]
@@ -424,20 +419,24 @@ class FastSimulator(Simulator):
                 index = 0
         total = len(slot_pos)
         if total == 0:
-            return 0, True
+            return True
 
         # --- stage 2: classify the window against the TLB bitmap.
-        pages_arr = np.fromiter(slot_pages, np.int64, total)
-        hits = sm.tlb.mask.gather(pages_arr)
-        if hits.all():
-            self._defer_hit_window(sm, warps, slot_pos, pages_arr,
-                                   slot_writes)
-            return total, True
-
-        # --- stage 3: scalar replay with batch flush, bail at far fault.
-        self._flush_pending()
-        return self._replay(sm, warps, lengths, slot_pos, slot_pages,
-                            slot_writes)
+        pages = np.fromiter(slot_pages, np.int64, total)
+        if not sm.tlb.mask.gather(pages).all():
+            return False
+        self._defer_hits(sm, pages,
+                         np.fromiter(slot_writes, bool, total))
+        counts = np.bincount(np.fromiter(slot_pos, np.int64, total),
+                             minlength=n).tolist()
+        for pos, count in enumerate(counts):
+            if count:
+                warp = warps[pos]
+                warp.cursor += count
+                if warp.cursor >= lengths[pos]:
+                    warp.state = WarpState.DONE
+        sm._rr_index = (slot_pos[-1] + 1) % n
+        return True
 
     # --------------------------------------------------- perfect rotation
     def _stream_cache(self, sm: StreamingMultiprocessor,
@@ -478,7 +477,7 @@ class FastSimulator(Simulator):
 
     def _uniform_window(self, sm: StreamingMultiprocessor, warps: list,
                         rot: list[int], budget: int, base: int,
-                        extra: int) -> tuple[int, bool] | None:
+                        extra: int) -> bool | None:
         """Assemble and retire a window whose schedule is a pure rotation.
 
         When every ready warp holds at least its share (``base``
@@ -488,7 +487,8 @@ class FastSimulator(Simulator):
         SM's concatenated stream arrays (slot ``i`` reads element
         ``cursor[i % R] + i // R`` of warp ``rot[i % R]``'s segment).
         Returns None when some warp runs out mid-window (the scalar
-        schedule scan handles that case).
+        schedule scan handles that case); otherwise the
+        :meth:`_fast_pass` verdict for the window.
         """
         n_ready = len(rot)
         cache = self._stream_cache(sm, warps)
@@ -512,30 +512,9 @@ class FastSimulator(Simulator):
         mod_pat, div_pat = pat
         idx = (segment + cursors)[mod_pat] + div_pat
         pages = cat_pages[idx]
-        writes = cat_writes[idx]
-
-        hits = sm.tlb.mask.gather(pages)
-        if not hits.all():
-            self._flush_pending()
-            slot_pos = [rot[i % n_ready] for i in range(budget)]
-            lengths = [len(w.accesses) for w in warps]
-            return self._replay(sm, warps, lengths, slot_pos,
-                                pages.tolist(), writes.tolist())
-
-        # All hits: commit eager state, defer the recency bookkeeping.
-        times = np.empty(budget + 1)
-        times[0] = sm.time_ns
-        times[1:] = self._access_ns
-        np.cumsum(times, out=times)
-        sm.time_ns = float(times[-1])
-        self.stats.tlb_hits += budget
-        tlb = sm.tlb
-        tlb.hits += budget
-        self._pend_pages.append(pages)
-        self._pend_times.append(times[1:])
-        self._pend_writes.append(writes if writes.any() else None)
-        tlb.pend.append(pages)
-
+        if not sm.tlb.mask.gather(pages).all():
+            return False
+        self._defer_hits(sm, pages, cat_writes[idx])
         for j, pos in enumerate(rot):
             warp = warps[pos]
             take = base + 1 if j < extra else base
@@ -545,19 +524,19 @@ class FastSimulator(Simulator):
                 warp.state = WarpState.DONE
         last_pos = rot[(budget - 1) % n_ready]
         sm._rr_index = last_pos + 1 if last_pos + 1 < len(warps) else 0
-        return budget, True
+        return True
 
     # ------------------------------------------------- deferred hit window
-    def _defer_hit_window(self, sm: StreamingMultiprocessor, warps: list,
-                          slot_pos: list[int], pages_arr: np.ndarray,
-                          slot_writes: list[bool]) -> None:
-        """Commit an all-hit window from the scalar schedule, deferred.
+    def _defer_hits(self, sm: StreamingMultiprocessor, pages: np.ndarray,
+                    writes: np.ndarray) -> None:
+        """Commit the SM-wide state of an all-hit window, deferred.
 
-        Eager state — hit counters, the SM clock, warp cursors/states,
-        the round-robin index — is exactly what the reference loop
-        would leave; the recency bookkeeping joins the pending buffers.
+        Eager state — hit counters and the SM clock — is exactly what
+        the reference loop would leave; the recency bookkeeping joins
+        the pending buffers.  Callers advance warp cursors and the
+        round-robin index themselves.
         """
-        total = pages_arr.shape[0]
+        total = pages.shape[0]
         times = np.empty(total + 1)
         times[0] = sm.time_ns
         times[1:] = self._access_ns
@@ -566,105 +545,7 @@ class FastSimulator(Simulator):
         self.stats.tlb_hits += total
         tlb = sm.tlb
         tlb.hits += total
-        self._pend_pages.append(pages_arr)
+        self._pend_pages.append(pages)
         self._pend_times.append(times[1:])
-        if any(slot_writes):
-            self._pend_writes.append(
-                np.fromiter(slot_writes, dtype=bool, count=total)
-            )
-        else:
-            self._pend_writes.append(None)
-        tlb.pend.append(pages_arr)
-
-        # Warp cursors, DONE transitions, round-robin index.
-        counts = np.bincount(np.fromiter(slot_pos, np.int64, total),
-                             minlength=len(warps)).tolist()
-        for pos, count in enumerate(counts):
-            if count:
-                warp = warps[pos]
-                warp.cursor += count
-                if warp.cursor >= len(warp.accesses):
-                    warp.state = WarpState.DONE
-        sm._rr_index = (slot_pos[-1] + 1) % len(warps)
-
-    # ------------------------------------------------------- scalar replay
-    def _replay(self, sm: StreamingMultiprocessor, warps: list,
-                lengths: list[int], slot_pos: list[int],
-                slot_pages: list[int],
-                slot_writes: list[bool]) -> tuple[int, bool]:
-        """Replay a mixed hit/miss window access by access.
-
-        Runs with all pending batches flushed.  Follows the reference
-        loop's structure mutations exactly — including walker state and
-        TLB replacement on fills — while batching the window-local
-        recency updates.  Stops *before* the first far-faulting access
-        (no side effects for it) so the reference loop can register the
-        fault identically.
-        """
-        stats = self.stats
-        tlb = sm.tlb
-        tlb_entries = tlb._entries
-        access_ns = self._access_ns
-        ns_per_cycle = self._ns_per_cycle
-        walk_cycles = self.walker.walk_cycles
-        is_valid = self.page_table.is_valid
-        time_ns = sm.time_ns
-        n = len(warps)
-
-        #: page -> last issue time; insertion order == last-access order.
-        mark_times: dict[int, float] = {}
-        written: set[int] = set()
-        #: Hit refreshes pending since the last TLB fill (membership is
-        #: constant between fills, so per-segment compression is exact).
-        tlb_pend: dict[int, None] = {}
-        hit_count = 0
-        issued = 0
-        faulted = False
-
-        for i, page in enumerate(slot_pages):
-            if page in tlb_entries:
-                hit_count += 1
-                time_ns += access_ns
-                if page in tlb_pend:
-                    del tlb_pend[page]
-                tlb_pend[page] = None
-            else:
-                if not is_valid(page):
-                    faulted = True
-                    break
-                stats.tlb_misses += 1
-                tlb.misses += 1
-                stats.page_table_walks += 1
-                time_ns += access_ns + walk_cycles(page) * ns_per_cycle
-                if tlb_pend:
-                    tlb.refresh_many(tlb_pend)
-                    tlb_pend.clear()
-                tlb.insert(page)
-            if page in mark_times:
-                del mark_times[page]
-            mark_times[page] = time_ns
-            if slot_writes[i]:
-                written.add(page)
-            pos = slot_pos[i]
-            warp = warps[pos]
-            cursor = warp.cursor + 1
-            warp.cursor = cursor
-            if cursor == lengths[pos]:
-                warp.state = WarpState.DONE
-            sm._rr_index = pos + 1 if pos + 1 < n else 0
-            issued += 1
-
-        sm.time_ns = time_ns
-        if hit_count:
-            stats.tlb_hits += hit_count
-            tlb.hits += hit_count
-            if tlb_pend:
-                tlb.refresh_many(tlb_pend)
-        if mark_times:
-            pages = list(mark_times)
-            self.page_table.mark_access_many(pages, mark_times.values(),
-                                             written)
-            self.driver.eviction.on_accessed_many(pages, self.ctx)
-        # A fault hands the rest of the quantum to the reference loop; a
-        # fully replayed window left no issuable access behind.
-        return issued, not faulted
+        self._pend_writes.append(writes if writes.any() else None)
+        tlb.pend.append(pages)

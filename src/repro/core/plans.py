@@ -37,11 +37,6 @@ class TransferGroup:
             )
 
     @property
-    def size_bytes(self) -> int:
-        # Page size is uniform; resolved by the driver via its context.
-        return len(self.pages)
-
-    @property
     def has_fault(self) -> bool:
         return bool(self.fault_pages)
 

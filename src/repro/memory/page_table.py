@@ -114,32 +114,6 @@ class GpuPageTable:
         if is_write:
             store.dirty[index] = True
 
-    def mark_access_many(self, pages, times, written) -> None:
-        """Batch :meth:`mark_access` over a compressed access window.
-
-        Fast-path helper (:mod:`repro.core.fastpath`): ``pages[i]`` was
-        last accessed at ``times[i]`` and ``written`` is the set of pages
-        with at least one write in the window.  Per PTE this is exactly
-        the fold of the individual ``mark_access`` calls — ``accessed``
-        latches, ``last_access_ns`` takes the final time, ``dirty`` ORs
-        the writes — so marking once per distinct page is equivalent.
-        """
-        entries = self._entries
-        store = self._store
-        base = store.base
-        accessed = store.accessed
-        last_access = store.last_access
-        dirty = store.dirty
-        for page, time_ns in zip(pages, times):
-            pte = entries.get(page)
-            if pte is None or pte.state is not PageState.VALID:
-                raise PageTableError(f"access to non-valid page {page}")
-            index = page - base
-            accessed[index] = True
-            last_access[index] = time_ns
-            if page in written:
-                dirty[index] = True
-
     def mark_access_span(self, pages, sel, times, writes) -> list[int]:
         """Vectorized :meth:`mark_access` fold over a deferred access span.
 

@@ -433,9 +433,6 @@ class SimulationService:
         if self.tracer is not None:
             self.tracer.queue_depth(depth, running)
 
-    # Backwards-compatible alias (pre-fleet name).
-    _sample_gauges = sample_gauges
-
     @property
     def draining(self) -> bool:
         return self._draining.is_set()

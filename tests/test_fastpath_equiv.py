@@ -34,6 +34,9 @@ PAIRINGS = (
     ("random", "random"),
 )
 
+#: TLB size of the second differential draw per seed (default: 512).
+SMALL_TLB = 16
+
 SHAPES = (StreamingWorkload, RandomWorkload, StridedWorkload,
           CyclicScanWorkload)
 
@@ -75,9 +78,11 @@ def _run(engine: str, shape, workload_kwargs, overrides, percent):
     return stats.to_json(), residency, list(stats.kernel_times_ns)
 
 
-def _assert_engines_agree(seed: int) -> None:
+def _assert_engines_agree(seed: int, tlb_entries: int | None) -> None:
     rng = random.Random(seed)
     shape_workload, overrides, percent = _draw_cell(rng)
+    if tlb_entries is not None:
+        overrides["tlb_entries"] = tlb_entries
     kwargs = {
         "pages": shape_workload.pages,
         "iterations": shape_workload.iterations,
@@ -98,15 +103,26 @@ def _assert_engines_agree(seed: int) -> None:
     assert ref_json == fast_json, context
 
 
+def _tlb_params(seeds):
+    """Each seed at the default TLB size (id ``seed``) and at
+    ``SMALL_TLB`` entries (id ``seed-tlb16``).  The small TLB adds
+    capacity-miss windows, which the fast engine hands whole to the
+    reference loop."""
+    for seed in seeds:
+        yield pytest.param(seed, None, id=str(seed))
+        yield pytest.param(seed, SMALL_TLB, id=f"{seed}-tlb{SMALL_TLB}")
+
+
 class TestRandomizedDifferential:
-    @pytest.mark.parametrize("seed", range(4))
-    def test_engines_agree_small_matrix(self, seed):
-        _assert_engines_agree(seed)
+    @pytest.mark.parametrize(("seed", "tlb_entries"), _tlb_params(range(4)))
+    def test_engines_agree_small_matrix(self, seed, tlb_entries):
+        _assert_engines_agree(seed, tlb_entries)
 
     @pytest.mark.slow
-    @pytest.mark.parametrize("seed", range(4, 40))
-    def test_engines_agree_wide(self, seed):
-        _assert_engines_agree(seed)
+    @pytest.mark.parametrize(("seed", "tlb_entries"),
+                             _tlb_params(range(4, 40)))
+    def test_engines_agree_wide(self, seed, tlb_entries):
+        _assert_engines_agree(seed, tlb_entries)
 
 
 class TestFixedMatrix:
