@@ -34,6 +34,7 @@ from functools import partial
 from ..errors import RetryExhaustedError, SimulationError
 from ..interconnect.pcie import PcieLink
 from ..memory.mshr import FarFaultMSHR
+from ..memory.page import PageState
 from ..obs.tracer import (
     CAT_INJECT,
     NULL_TRACER,
@@ -236,7 +237,6 @@ class UvmDriver:
 
     def _migration_in_flight(self, page: int) -> bool:
         """True when the page is MIGRATING (transfer already scheduled)."""
-        from ..memory.page import PageState
         return self.ctx.page_table.state_of(page) is PageState.MIGRATING
 
     def _handling_done(self, now_ns: float) -> None:
@@ -589,7 +589,6 @@ class UvmDriver:
         fresh data — which it does anyway via the far-fault path, so no
         extra state is needed beyond the invalidation.
         """
-        from ..memory.page import PageState
         from ..memory.addressing import contiguous_runs
 
         ctx = self.ctx
@@ -639,7 +638,6 @@ class UvmDriver:
         latency.  Under memory pressure the eviction policy makes room, as
         for any other migration; whatever still cannot fit is skipped.
         """
-        from ..memory.page import PageState
         from .plans import split_runs_at_faults
 
         page_table = self.ctx.page_table

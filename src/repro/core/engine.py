@@ -416,6 +416,7 @@ class Simulator:
                 f"frames.used={self.frames.used} != valid pages {valid} + "
                 f"in-flight {in_flight}"
             )
+        self.page_table.check_flag_store()
         for tree in self.ctx.all_trees():
             tree.check_consistency()
 

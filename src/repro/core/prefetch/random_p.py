@@ -8,7 +8,6 @@ faulty page belongs" (Section 3.1).
 
 from __future__ import annotations
 
-from ...memory.page import PageState
 from ..context import UvmContext
 from ..plans import MigrationPlan, split_runs_at_faults
 from .base import Prefetcher, register_prefetcher
@@ -35,10 +34,11 @@ class RandomPrefetcher(Prefetcher):
     def _pick_candidate(page: int, planned: set[int],
                         ctx: UvmContext) -> int | None:
         """A uniformly random INVALID page of the same 2 MB large page."""
+        chunk = ctx.requested_pages_in_large_page(page)
         pool = [
-            p for p in ctx.requested_pages_in_large_page(page)
+            p for p in ctx.page_table.invalid_pages_in_range(
+                chunk.start, chunk.stop)
             if p not in planned
-            and ctx.page_table.state_of(p) is PageState.INVALID
         ]
         if not pool:
             return None

@@ -36,6 +36,9 @@ class PageFlagStore:
     with a handful of vectorized scatters while scalar readers (the
     reference engine, policies, tests) go through
     :class:`PageTableEntry` properties and see ordinary attributes.
+    The ``occupied`` bit (MIGRATING or VALID) mirrors the PTE state
+    machine so range queries over INVALID pages take one slice instead
+    of a per-page state lookup.
 
     Global page indices start near ``base_addr // page_size`` (~2^20 for
     the default 4 GiB VA base), so the store keeps its own base offset
@@ -43,13 +46,15 @@ class PageFlagStore:
     reallocates the arrays; never cache an index across an ``ensure``.
     """
 
-    __slots__ = ("base", "size", "valid", "accessed", "dirty",
+    __slots__ = ("base", "size", "valid", "occupied", "accessed", "dirty",
                  "last_access")
 
     def __init__(self) -> None:
         self.base = 0
         self.size = 0
         self.valid = np.zeros(0, dtype=bool)
+        #: MIGRATING or VALID: the page is not a migration candidate.
+        self.occupied = np.zeros(0, dtype=bool)
         self.accessed = np.zeros(0, dtype=bool)
         self.dirty = np.zeros(0, dtype=bool)
         self.last_access = np.zeros(0)
@@ -79,7 +84,8 @@ class PageFlagStore:
         return page - self.base
 
     def _alloc(self, new_size: int, offset: int, old_size: int) -> None:
-        for name in ("valid", "accessed", "dirty", "last_access"):
+        for name in ("valid", "occupied", "accessed", "dirty",
+                     "last_access"):
             old = getattr(self, name)
             new = np.zeros(new_size, dtype=old.dtype)
             if old_size:
@@ -155,6 +161,7 @@ class PageTableEntry:
         store = self._store
         index = self.page - store.base
         store.valid[index] = False
+        store.occupied[index] = False
         store.dirty[index] = False
         store.accessed[index] = False
 

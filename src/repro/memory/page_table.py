@@ -72,6 +72,8 @@ class GpuPageTable:
                 f"page {page} cannot start migrating from {pte.state}"
             )
         pte.state = PageState.MIGRATING
+        store = self._store
+        store.occupied[page - store.base] = True
         return pte
 
     def complete_migration(self, page: int, time_ns: float) -> PageTableEntry:
@@ -152,8 +154,23 @@ class GpuPageTable:
 
     def invalid_pages_in_block(self, block: int) -> list[int]:
         """Pages of ``block`` with no valid flag and no transfer in flight."""
-        return [p for p in self.space.pages_in_block(block)
-                if self.state_of(p) is PageState.INVALID]
+        pages = self.space.pages_in_block(block)
+        return self.invalid_pages_in_range(pages.start, pages.stop)
+
+    def invalid_pages_in_range(self, first: int, stop: int) -> list[int]:
+        """INVALID pages of ``[first, stop)`` in ascending order.
+
+        Reads the store's occupancy bits; pages outside the store window
+        have no PTE and so count as INVALID.
+        """
+        store = self._store
+        base = store.base
+        lo = max(first, base)
+        hi = min(stop, base + store.size)
+        if lo >= hi:
+            return list(range(first, stop))
+        free = np.flatnonzero(~store.occupied[lo - base:hi - base]) + lo
+        return [*range(first, lo), *free.tolist(), *range(hi, stop)]
 
     def dirty_pages(self, pages: list[int]) -> list[int]:
         """Subset of ``pages`` whose dirty flag is set."""
@@ -172,3 +189,31 @@ class GpuPageTable:
         """All VALID page indices (test/diagnostic helper)."""
         return [p for p, pte in self._entries.items()
                 if pte.state is PageState.VALID]
+
+    def check_flag_store(self) -> None:
+        """Raise unless the store's valid/occupied bits match every PTE.
+
+        Pages without a PTE must have both bits clear; the valid count
+        must equal the number of set valid bits.
+        """
+        store = self._store
+        base = store.base
+        valid = np.zeros(store.size, dtype=bool)
+        occupied = np.zeros(store.size, dtype=bool)
+        for page, pte in self._entries.items():
+            if pte.state is not PageState.INVALID:
+                occupied[page - base] = True
+                valid[page - base] = pte.state is PageState.VALID
+        for name, expected in (("valid", valid), ("occupied", occupied)):
+            wrong = np.flatnonzero(getattr(store, name) != expected)
+            if wrong.size:
+                page = int(wrong[0]) + base
+                raise PageTableError(
+                    f"{name} bit of page {page} disagrees with PTE state "
+                    f"{self.state_of(page)}"
+                )
+        if int(valid.sum()) != self._valid_count:
+            raise PageTableError(
+                f"valid_count={self._valid_count} but {int(valid.sum())} "
+                f"PTEs are VALID"
+            )

@@ -1,10 +1,13 @@
 """Tests for the prefetcher policies (repro.core.prefetch)."""
 
+import random
+
 import pytest
 
 from repro import constants
 from repro.config import SimulatorConfig
 from repro.core.context import UvmContext
+from repro.core.plans import split_runs_at_faults
 from repro.core.prefetch import (
     PREFETCHER_REGISTRY,
     make_prefetcher,
@@ -13,6 +16,7 @@ from repro.errors import PolicyError
 from repro.memory.addressing import AddressSpace
 from repro.memory.allocator import ManagedAllocator
 from repro.memory.frames import FramePool
+from repro.memory.page import PageState
 from repro.memory.page_table import GpuPageTable
 from repro.stats import SimStats
 
@@ -104,6 +108,81 @@ class TestRandomPrefetcher:
         validate(ctx, pages[1:])  # everything but the fault page
         plan = make_prefetcher("random").plan([pages[0]], ctx)
         assert plan.all_pages() == [pages[0]]
+
+
+def scan_invalid(page_table, pages):
+    """Oracle: the per-page state scan Rp's pool used to be built from."""
+    return [p for p in pages if page_table.state_of(p) is PageState.INVALID]
+
+
+def scan_random_plan(faulted, ctx):
+    """Oracle: ``RandomPrefetcher.plan`` with a per-page-scan pool."""
+    fault_set = set(faulted)
+    planned = set(fault_set)
+    for page in faulted:
+        alloc_pages = ctx.allocator.allocation_of_page(page).page_range
+        chunk = ctx.space.pages_in_large_page(
+            ctx.space.large_page_of_page(page))
+        pool = [p for p in scan_invalid(ctx.page_table, chunk)
+                if p in alloc_pages and p not in planned]
+        if pool:
+            planned.add(ctx.rng.choice(pool))
+    return split_runs_at_faults(sorted(planned), fault_set)
+
+
+class TestRandomPoolMatchesScan:
+    """The occupancy-bit range query and Rp's pool against the scan."""
+
+    @staticmethod
+    def _ctx(seed):
+        space = AddressSpace()
+        allocator = ManagedAllocator(space)
+        page = constants.PAGE_SIZE
+        small = allocator.malloc_managed("small", 300 * page)
+        pair = allocator.malloc_managed("pair", 700 * page)
+        # The gap puts "far" past the first flag-store window.
+        allocator.malloc_managed("gap", 256 * constants.MIB)
+        far = allocator.malloc_managed("far", 600 * page)
+        ctx = UvmContext(SimulatorConfig(seed=seed), space, allocator,
+                         GpuPageTable(space), FramePool(None), SimStats())
+        return ctx, small, pair, far
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_transitions(self, seed):
+        ctx, small, pair, far = self._ctx(seed)
+        table = ctx.page_table
+        draw = random.Random(seed)
+        touched = [*small.page_range, *pair.page_range]
+        prefetcher = make_prefetcher("random")
+        for _ in range(30):
+            for page in draw.sample(touched, 40):
+                state = table.state_of(page)
+                if state is PageState.INVALID:
+                    table.begin_migration(page)
+                elif state is PageState.MIGRATING:
+                    table.complete_migration(page, 0.0)
+                else:
+                    table.invalidate(page)
+            for alloc in (small, pair, far):
+                pages = alloc.page_range
+                first = draw.randrange(pages.start, pages.stop)
+                stop = draw.randrange(first, pages.stop + 1)
+                assert table.invalid_pages_in_range(first, stop) \
+                    == scan_invalid(table, range(first, stop))
+            candidates = scan_invalid(table, [*touched, *far.page_range])
+            faulted = draw.sample(candidates, draw.randint(1, 8))
+            before = ctx.rng.getstate()
+            expected = scan_random_plan(faulted, ctx)
+            expected_state = ctx.rng.getstate()
+            ctx.rng.setstate(before)
+            assert prefetcher.plan(faulted, ctx).groups == expected
+            assert ctx.rng.getstate() == expected_state
+        store = table._store
+        assert far.page_range.start >= store.base + store.size
+        assert all(table.peek(p) is None for p in far.page_range)
+        span = range(small.page_range.start, far.page_range.stop)
+        assert table.invalid_pages_in_range(span.start, span.stop) \
+            == scan_invalid(table, span)
 
 
 class TestSequentialLocal:
