@@ -14,7 +14,10 @@ Two jobs, one cell vocabulary:
   reports accesses/second plus the fast-over-reference speedup per cell.
   Kernel specs are materialized *outside* the timed region: workload
   generation is identical python work for both engines and measuring it
-  would only dilute the engine comparison.
+  would only dilute the engine comparison.  Each timed run is also
+  scaled to *nominal* seconds by a fixed calibration loop timed just
+  before and after it (:func:`calibrate`), so a host that runs
+  everything slower for a while reads the same nominal throughput.
 
 Cells are deliberately data (frozen dataclass): the equivalence matrix
 below is the *fixed* seed × workload × pairing × oversubscription grid
@@ -24,6 +27,9 @@ along, and it must not silently drift between CI and local runs.
 
 from __future__ import annotations
 
+import gc
+import heapq
+import random
 import time
 from dataclasses import dataclass, field
 
@@ -214,15 +220,70 @@ def _build(cell: BenchCell, engine: str):
     return runtime, kernels, accesses
 
 
-def _run(cell: BenchCell, engine: str) -> tuple[str, float, int]:
-    """Run one cell; returns (stats json, wall seconds, accesses)."""
-    runtime, kernels, accesses = _build(cell, engine)
+def _launch_all(runtime: UvmRuntime, kernels: list) -> float:
+    """Launch every kernel and synchronize; returns wall seconds."""
     start = time.perf_counter()
     for kernel in kernels:
         runtime.launch_kernel(kernel)
     runtime.device_synchronize()
-    elapsed = time.perf_counter() - start
+    return time.perf_counter() - start
+
+
+def _run(cell: BenchCell, engine: str) -> tuple[str, float, int]:
+    """Run one cell; returns (stats json, wall seconds, accesses)."""
+    runtime, kernels, accesses = _build(cell, engine)
+    elapsed = _launch_all(runtime, kernels)
     return runtime.stats.to_json(), elapsed, accesses
+
+
+#: Seconds :func:`calibrate` takes on the nominal host.
+NOMINAL_CAL_S = 0.010
+
+
+def calibrate() -> float:
+    """Time a fixed loop of heap, dict and random-number traffic, the kind
+    of interpreter work the simulator's event loop does, and which no
+    change to the program can speed up or slow down; returns seconds.
+
+    The same loop as the repository benchmark's host-speed calibration.
+    """
+    rng = random.Random(7)
+    heap: list = []
+    table: dict = {}
+    gc.disable()
+    try:
+        start = time.perf_counter()
+        for i in range(12000):
+            heapq.heappush(heap, (rng.random(), i))
+            table[i & 1023] = table.get(i & 1023, 0) + 1
+            if len(heap) > 256:
+                heapq.heappop(heap)
+        return time.perf_counter() - start
+    finally:
+        gc.enable()
+
+
+def _calibration() -> float:
+    """Median of three :func:`calibrate` loops (one alone jitters by
+    about 10% on a shared host)."""
+    return sorted(calibrate() for _ in range(3))[1]
+
+
+def _timed_run(cell: BenchCell, engine: str) -> tuple[float, float, int,
+                                                      UvmRuntime]:
+    """Run one cell between two calibrations.
+
+    Returns (wall seconds, nominal seconds, accesses, runtime): the
+    nominal seconds scale the wall time by the nominal-to-measured
+    ratio of the calibrations on either side of the run.
+    """
+    runtime, kernels, accesses = _build(cell, engine)
+    gc.collect()
+    before = _calibration()
+    elapsed = _launch_all(runtime, kernels)
+    after = _calibration()
+    return (elapsed, elapsed * 2 * NOMINAL_CAL_S / (before + after),
+            accesses, runtime)
 
 
 def compare_engines(cells: list[BenchCell] | None = None,
@@ -243,8 +304,13 @@ def throughput_report(cells: tuple[BenchCell, ...] = THROUGHPUT_CELLS,
                       repeats: int = 3) -> dict:
     """Time both engines per cell; best-of-``repeats`` wall clock.
 
-    The JSON shape is the ``BENCH_core.json`` contract consumed by
-    ``scripts/bench_gate.py`` and the stored trajectory under
+    Each engine entry holds the best wall ``seconds`` and its
+    ``accesses_per_sec``, plus ``nominal_accesses_per_sec`` from the
+    best calibrated (nominal) time, which is what
+    ``scripts/bench_gate.py`` gates on.  Fast-engine entries also carry
+    ``windows``, the :attr:`~repro.core.fastpath.FastSimulator.window_counts`
+    of the run.  The JSON shape is the ``BENCH_core.json`` contract
+    consumed by the gate and the stored trajectory under
     ``benchmarks/trajectory/``.
     """
     report: dict = {"schema": "repro-bench-core/v1", "cells": []}
@@ -258,17 +324,23 @@ def throughput_report(cells: tuple[BenchCell, ...] = THROUGHPUT_CELLS,
             "engines": {},
         }
         for engine in ("reference", "fast"):
-            best = None
-            accesses = 0
+            best = best_nominal = None
             for _ in range(repeats):
-                _, elapsed, accesses = _run(cell, engine)
+                elapsed, nominal, accesses, runtime = _timed_run(cell,
+                                                                 engine)
                 if best is None or elapsed < best:
                     best = elapsed
+                if best_nominal is None or nominal < best_nominal:
+                    best_nominal = nominal
             entry["accesses"] = accesses
-            entry["engines"][engine] = {
+            result = entry["engines"][engine] = {
                 "seconds": best,
                 "accesses_per_sec": accesses / best if best else 0.0,
+                "nominal_accesses_per_sec":
+                    accesses / best_nominal if best_nominal else 0.0,
             }
+            if engine == "fast":
+                result["windows"] = dict(runtime.simulator.window_counts)
         ref = entry["engines"]["reference"]["seconds"]
         fast = entry["engines"]["fast"]["seconds"]
         entry["speedup"] = ref / fast if fast else 0.0
@@ -295,14 +367,17 @@ def format_compare(results: list[CellResult]) -> str:
 def format_throughput(report: dict) -> str:
     """Human-readable table of a :func:`throughput_report` run."""
     lines = [f"{'cell':22s} {'accesses':>9s} {'ref us/acc':>11s} "
-             f"{'fast us/acc':>12s} {'speedup':>8s}", "-" * 68]
+             f"{'fast us/acc':>12s} {'speedup':>8s} {'fast nom/s':>11s}",
+             "-" * 80]
     for entry in report["cells"]:
         accesses = entry["accesses"]
         ref = entry["engines"]["reference"]["seconds"]
-        fast = entry["engines"]["fast"]["seconds"]
+        fast = entry["engines"]["fast"]
         lines.append(
             f"{entry['cell']:22s} {accesses:9d} "
-            f"{ref / accesses * 1e6:11.2f} {fast / accesses * 1e6:12.2f} "
-            f"{entry['speedup']:7.2f}x"
+            f"{ref / accesses * 1e6:11.2f} "
+            f"{fast['seconds'] / accesses * 1e6:12.2f} "
+            f"{entry['speedup']:7.2f}x "
+            f"{fast['nominal_accesses_per_sec']:11.0f}"
         )
     return "\n".join(lines)

@@ -25,6 +25,7 @@ from ..gpu.kernel import KernelSpec
 from ..gpu.l2cache import L2Cache
 from ..gpu.sm import StreamingMultiprocessor
 from ..gpu.tb_scheduler import ThreadBlockScheduler
+from ..gpu.warp import WarpState
 from ..interconnect.bandwidth import BandwidthModel
 from ..interconnect.pcie import PcieLink
 from ..memory.addressing import AddressSpace
@@ -339,41 +340,84 @@ class Simulator:
         while sharing the launch/reap/reschedule machinery — the contract
         is that any override must leave *identical* simulator state to
         this reference loop.
+
+        The loop runs on locals: it inlines the round-robin scan of
+        :meth:`StreamingMultiprocessor.next_ready_warp`, the hit path of
+        :meth:`Tlb.lookup` and the cursor bump of :meth:`Warp.advance`,
+        and writes the SM clock, the rotation index and the hit counters
+        back once per quantum.  Nothing it calls reads them: the GMMU
+        gets the clock as an argument and the driver only schedules
+        events.  Every call that carries semantics (page walk, GMMU miss
+        handling, warp blocking, L2, PTE marks, the eviction hook, the
+        access-trace sampler) keeps its order.
         """
+        warps = sm.all_warps()
+        n = len(warps)
+        if not n:
+            return
         config = self.config
         stats = self.stats
         trace = config.record_access_trace
         trace_stride = config.access_trace_stride
         trace_cap = config.access_trace_cap
-        access_ns = config.cycles_per_access * self._ns_per_cycle
         ns_per_cycle = self._ns_per_cycle
+        access_ns = config.cycles_per_access * ns_per_cycle
+        l2 = self.l2
+        l2_miss_ns = config.l2_miss_cycles * ns_per_cycle
         walker = self.walker
-        page_table = self.page_table
-        eviction = self.driver.eviction
+        gmmu = self.gmmu
+        mark_access = self.page_table.mark_access
+        on_accessed = self.driver.eviction.on_accessed
+        ctx = self.ctx
+        tlb = sm.tlb
+        entries = tlb._entries
+        refresh = entries.move_to_end
+        ready = WarpState.READY
+        done = WarpState.DONE
+        time = sm.time_ns
+        rr = sm._rr_index
+        hits = 0
 
         for _ in range(budget):
-            warp = sm.next_ready_warp()
-            if warp is None:
-                break
-            page, is_write = warp.current_access()
-            if sm.tlb.lookup(page):
-                stats.tlb_hits += 1
-                sm.time_ns += access_ns
-                if self.l2 is not None and not self.l2.access(page):
-                    sm.time_ns += (config.l2_miss_cycles
-                                   * self._ns_per_cycle)
+            # Round-robin from the rotation index, wrapping once.
+            index = rr
+            warp = warps[index]
+            if warp.state is not ready:
+                while True:
+                    index += 1
+                    if index == n:
+                        index = 0
+                    if index == rr:
+                        warp = None
+                        break
+                    warp = warps[index]
+                    if warp.state is ready:
+                        break
+                if warp is None:
+                    break
+            rr = index + 1
+            if rr == n:
+                rr = 0
+            cursor = warp.cursor
+            page, is_write = warp.accesses[cursor]
+            if page in entries:
+                refresh(page)
+                hits += 1
+                time += access_ns
+                if l2 is not None and not l2.access(page):
+                    time += l2_miss_ns
             else:
+                tlb.misses += 1
                 stats.tlb_misses += 1
                 walk_ns = walker.walk_cycles(page) * ns_per_cycle
-                sm.time_ns += access_ns + walk_ns
-                if not self.gmmu.handle_tlb_miss(sm, warp, page, sm.time_ns):
+                time += access_ns + walk_ns
+                if not gmmu.handle_tlb_miss(sm, warp, page, time):
                     warp.block_on(page)
                     continue
-                if self.l2 is not None and not self.l2.access(page):
-                    sm.time_ns += (config.l2_miss_cycles
-                                   * self._ns_per_cycle)
-            page_table.mark_access(page, sm.time_ns, is_write)
-            eviction.on_accessed(page, self.ctx)
+                if l2 is not None and not l2.access(page):
+                    time += l2_miss_ns
+            mark_access(page, time, is_write)
+            on_accessed(page, ctx)
             if trace:
                 self._access_seq += 1
                 if (self._access_seq - 1) % trace_stride == 0:
@@ -382,9 +426,22 @@ class Simulator:
                         stats.access_trace_dropped += 1
                     else:
                         stats.access_trace.append(
-                            (sm.time_ns, page, self.current_iteration)
+                            (time, page, self.current_iteration)
                         )
-            warp.advance()
+            if warp.state is not ready:
+                raise SimulationError(
+                    f"warp {warp.warp_id} cannot advance while "
+                    f"{warp.state}"
+                )
+            cursor += 1
+            warp.cursor = cursor
+            if cursor >= len(warp.accesses):
+                warp.state = done
+
+        sm.time_ns = time
+        sm._rr_index = rr
+        tlb.hits += hits
+        stats.tlb_hits += hits
 
     # ---------------------------------------------------------------- inspection
     def residency_map(self, allocation_name: str) -> list:

@@ -77,7 +77,8 @@ handles that quantum in stages:
    not batching targets, and the cooldown avoids paying schedule
    generation for windows that will fall back anyway.  Plain
    capacity-miss windows skip the cooldown — the next window is
-   usually all-hit again.
+   usually all-hit again.  ``FastSimulator.window_counts`` counts how
+   each quantum went (deferred, or why it ran the reference loop).
 
 Equivalence is enforced, not assumed: the ``fastpath-equiv`` validation
 claim and ``repro bench --compare`` assert byte-identical
@@ -104,6 +105,14 @@ from ..memory.tlb import Tlb
 from .engine import Simulator
 from .evict.base import EvictionPolicy
 from .prefetch.base import Prefetcher
+
+#: Outcomes counted in :attr:`FastSimulator.window_counts`: committed as
+#: a deferred all-hit window; sent to the reference loop because the SM
+#: was mostly blocked (or had no ready warp), or because the window
+#: missed the TLB at its first access or later in it; or issued on the
+#: reference loop during a post-fault cooldown.
+WINDOW_OUTCOMES = ("deferred", "blocked_sm", "first_access_miss",
+                   "later_miss", "cooldown")
 
 #: Bitmap pages are tracked relative to a base rounded down to this many
 #: pages, so neighbouring allocations land in one array.
@@ -272,6 +281,11 @@ class FastSimulator(Simulator):
         #: (budget, n_ready) -> (lane % n_ready, lane // n_ready) index
         #: patterns for the rotation gather of :meth:`_uniform_window`.
         self._rot_patterns: dict[tuple[int, int], tuple] = {}
+        #: Outcome -> count of ``_issue_quantum`` calls (see
+        #: ``WINDOW_OUTCOMES``); the counts sum to the quanta issued and
+        #: stay zero when the engine declines its fast path.  Kept out
+        #: of ``SimStats`` so no digest sees them.
+        self.window_counts = dict.fromkeys(WINDOW_OUTCOMES, 0)
         if self._fast_issue:
             for sm in self.sms:
                 sm.tlb = MaskedTlb(config.tlb_entries)
@@ -344,6 +358,7 @@ class FastSimulator(Simulator):
         cooldown = sm.fast_cooldown
         if cooldown:
             sm.fast_cooldown = cooldown - 1
+            self.window_counts["cooldown"] += 1
         elif self._fast_pass(sm, budget):
             return
         self._flush_pending()
@@ -374,11 +389,11 @@ class FastSimulator(Simulator):
             if warps[pos].state is WarpState.READY:
                 rot.append(pos)
         ready_count = len(rot)
-        if ready_count == 0:
-            return True
-        if ready_count < n * self._MIN_READY_FRACTION:
+        if not ready_count or ready_count < n * self._MIN_READY_FRACTION:
             # Mostly-blocked SM: fault-bound, not a batching target.
-            return False
+            # With no warp ready there is nothing to issue at all.
+            self.window_counts["blocked_sm"] += 1
+            return not ready_count
 
         # --- stage 1a: perfect-rotation schedule via one index gather.
         base, extra = divmod(budget, ready_count)
@@ -423,7 +438,7 @@ class FastSimulator(Simulator):
 
         # --- stage 2: classify the window against the TLB bitmap.
         pages = np.fromiter(slot_pages, np.int64, total)
-        if not sm.tlb.mask.gather(pages).all():
+        if not self._all_hit(sm, pages):
             return False
         self._defer_hits(sm, pages,
                          np.fromiter(slot_writes, bool, total))
@@ -512,7 +527,7 @@ class FastSimulator(Simulator):
         mod_pat, div_pat = pat
         idx = (segment + cursors)[mod_pat] + div_pat
         pages = cat_pages[idx]
-        if not sm.tlb.mask.gather(pages).all():
+        if not self._all_hit(sm, pages):
             return False
         self._defer_hits(sm, pages, cat_writes[idx])
         for j, pos in enumerate(rot):
@@ -527,6 +542,17 @@ class FastSimulator(Simulator):
         return True
 
     # ------------------------------------------------- deferred hit window
+    def _all_hit(self, sm: StreamingMultiprocessor,
+                 pages: np.ndarray) -> bool:
+        """True when every page of the window is in the SM's TLB;
+        otherwise counts where the window first missed."""
+        hit = sm.tlb.mask.gather(pages)
+        if hit.all():
+            return True
+        self.window_counts["first_access_miss" if not hit[0]
+                           else "later_miss"] += 1
+        return False
+
     def _defer_hits(self, sm: StreamingMultiprocessor, pages: np.ndarray,
                     writes: np.ndarray) -> None:
         """Commit the SM-wide state of an all-hit window, deferred.
@@ -536,6 +562,7 @@ class FastSimulator(Simulator):
         the pending buffers.  Callers advance warp cursors and the
         round-robin index themselves.
         """
+        self.window_counts["deferred"] += 1
         total = pages.shape[0]
         times = np.empty(total + 1)
         times[0] = sm.time_ns

@@ -69,8 +69,13 @@ class StreamingMultiprocessor:
 
     @property
     def idle(self) -> bool:
-        """True when no warp can issue (all blocked or done)."""
-        return self.next_ready_warp() is None
+        """True when no warp can issue (all blocked or done).
+
+        Side-effect free: unlike :meth:`next_ready_warp`, asking does
+        not advance the rotation index.
+        """
+        ready = WarpState.READY
+        return not any(warp.state is ready for warp in self._warps)
 
     # --- scheduling ----------------------------------------------------------
     def all_warps(self) -> list[Warp]:

@@ -14,11 +14,22 @@ import random
 
 import pytest
 
-from repro.bench import BenchCell, compare_engines, equivalence_matrix
+from repro.bench import (
+    BenchCell,
+    compare_engines,
+    equivalence_matrix,
+    throughput_report,
+)
 from repro.config import SimulatorConfig, oversubscribed
 from repro.core import make_simulator
-from repro.core.fastpath import FastSimulator, MaskedTlb, PageBitmap
+from repro.core.fastpath import (
+    WINDOW_OUTCOMES,
+    FastSimulator,
+    MaskedTlb,
+    PageBitmap,
+)
 from repro.runtime import UvmRuntime
+from repro.workloads import make_workload
 from repro.workloads.synthetic import (
     CyclicScanWorkload,
     RandomWorkload,
@@ -203,3 +214,54 @@ class TestBenchReportShape:
         # The payloads are real canonical stats JSON, kept for diffing.
         assert json.loads(result.reference_json) == \
             json.loads(result.fast_json)
+
+    def test_throughput_report_records_nominal_and_windows(self):
+        cell = BenchCell(name="tiny", workload="bfs",
+                         oversubscription=None, scale=0.1)
+        (entry,) = throughput_report((cell,), repeats=1)["cells"]
+        for engine in ("reference", "fast"):
+            assert entry["engines"][engine]["nominal_accesses_per_sec"] > 0
+        assert "windows" not in entry["engines"]["reference"]
+        windows = entry["engines"]["fast"]["windows"]
+        assert set(windows) == set(WINDOW_OUTCOMES)
+        assert sum(windows.values()) > 0
+
+
+class TestWindowCounters:
+    """``FastSimulator.window_counts``: one outcome per issued quantum,
+    outside ``SimStats``."""
+
+    def _run_counted(self, monkeypatch, **overrides):
+        calls = []
+        issue = FastSimulator._issue_quantum
+
+        def counted(self, sm, budget):
+            calls.append(budget)
+            issue(self, sm, budget)
+
+        monkeypatch.setattr(FastSimulator, "_issue_quantum", counted)
+        # Cold-start misses, then all-hit iterations: every outcome.
+        workload = make_workload("hotspot", scale=0.2, iterations=4)
+        config = SimulatorConfig(engine="fast", prefetcher="tbn",
+                                 eviction="tbn", **overrides)
+        runtime = UvmRuntime(config)
+        runtime.run_workload(workload)
+        return runtime.simulator, len(calls)
+
+    def test_outcomes_sum_to_issued_quanta(self, monkeypatch):
+        sim, calls = self._run_counted(monkeypatch)
+        counts = sim.window_counts
+        assert set(counts) == set(WINDOW_OUTCOMES)
+        assert sum(counts.values()) == calls
+        assert all(counts.values()), counts
+
+    def test_counts_stay_out_of_stats(self, monkeypatch):
+        sim, _ = self._run_counted(monkeypatch)
+        payload = sim.stats.to_json()
+        for outcome in WINDOW_OUTCOMES:
+            assert outcome not in payload
+
+    def test_declined_mode_counts_nothing(self, monkeypatch):
+        sim, calls = self._run_counted(monkeypatch, l2_enabled=True)
+        assert calls > 0
+        assert sum(sim.window_counts.values()) == 0

@@ -116,6 +116,17 @@ class TestStreamingMultiprocessor:
         sm.next_ready_warp().block_on(1)
         assert sm.idle
 
+    def test_idle_does_not_advance_rotation(self):
+        sm = self.make_sm()
+        sm.add_thread_block(0, ThreadBlockSpec(
+            [warp_spec([1]), warp_spec([2]), warp_spec([3])]),
+            first_warp_id=0)
+        sm.next_ready_warp()
+        assert sm._rr_index == 1
+        assert not sm.idle
+        assert sm._rr_index == 1
+        assert sm.next_ready_warp() is sm.all_warps()[1]
+
     def test_warps_get_sm_backref(self):
         sm = self.make_sm()
         sm.add_thread_block(0, ThreadBlockSpec([warp_spec([1])]),
@@ -179,3 +190,35 @@ class TestThreadBlockScheduler:
         sched.launch(self.kernel(4))
         ids = [w.warp_id for sm in sms for w in sm.all_warps()]
         assert len(ids) == len(set(ids))
+
+
+class TestSmStepRotationSkip:
+    """``Simulator._sm_step`` asks ``next_ready_warp()`` whether to
+    reschedule after each quantum.  The call moves the rotation index
+    past the warp it returns, so every quantum starts one ready warp
+    later than plain round-robin would.  The recorded digests depend on
+    that skip (docs/MODEL.md, "SM stepping"); this pins it."""
+
+    def test_quantum_starts_one_warp_past_plain_round_robin(self):
+        from repro.config import SimulatorConfig
+        from repro.core.engine import Simulator
+
+        sim = Simulator(SimulatorConfig(tlb_entries=16))
+        alloc = sim.malloc_managed("a", 16 * sim.config.page_size)
+        sim.prefetch_async("a")
+        sim.synchronize()
+        base = alloc.page_range[0]
+        sm = sim.sms[0]
+        sm.add_thread_block(0, ThreadBlockSpec(
+            [warp_spec(range(base + 4 * w, base + 4 * w + 4))
+             for w in range(3)]), first_warp_id=0)
+        warps = sm.all_warps()
+        sim.SM_QUANTUM = 5
+        sim._sm_step(sm, sim.now)
+        # Warps 0, 1, 2, 0, 1 issued; the reschedule check then
+        # returned warp 2 and moved the rotation past it.
+        assert [w.cursor for w in warps] == [2, 2, 1]
+        assert sm._rr_index == 0
+        sim._sm_step(sm, sim.now)
+        # Plain round-robin would resume at warp 2: [4, 3, 3].
+        assert [w.cursor for w in warps] == [4, 4, 2]

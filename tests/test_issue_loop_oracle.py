@@ -1,0 +1,180 @@
+"""An independent oracle for the shared per-access issue loop.
+
+Both engines run ``Simulator._issue_quantum``: the reference engine for
+every quantum, the fast engine for every window that is not all-hit and
+for every mode it declines (L2, access-trace sampling).  A bug in that
+loop therefore shows in neither the fast≡reference differential nor
+``repro bench --compare``.  ``OracleSimulator`` keeps the loop as it
+was written before it moved onto locals — one ``next_ready_warp``,
+``Tlb.lookup``, ``current_access`` and ``advance`` call per access — and
+every cell here asserts byte-identical ``SimStats.to_json()`` plus the
+per-SM state the loop writes back (clock, rotation index, TLB counters
+and LRU order).
+
+The tier-1 matrix runs four workloads at a small scale under the four
+fig11 pairings, unbounded and at 110%, with the default and a 16-entry
+TLB, plus dedicated L2, access-trace and fault-profile cells.  The same
+matrix at a larger scale and the remaining workloads are ``slow``.
+"""
+
+import pytest
+
+from repro.core.engine import Simulator
+from repro.experiments.common import COMBINATIONS, combo_config
+from repro.faultinject.profile import FaultProfile
+from repro.gpu.sm import StreamingMultiprocessor
+from repro.workloads import make_workload
+from repro.workloads.base import AddressResolver
+
+
+class OracleSimulator(Simulator):
+    """The reference engine with the method-call issue loop."""
+
+    def _issue_quantum(self, sm: StreamingMultiprocessor,
+                       budget: int) -> None:
+        config = self.config
+        stats = self.stats
+        trace = config.record_access_trace
+        trace_stride = config.access_trace_stride
+        trace_cap = config.access_trace_cap
+        access_ns = config.cycles_per_access * self._ns_per_cycle
+        ns_per_cycle = self._ns_per_cycle
+        walker = self.walker
+        page_table = self.page_table
+        eviction = self.driver.eviction
+
+        for _ in range(budget):
+            warp = sm.next_ready_warp()
+            if warp is None:
+                break
+            page, is_write = warp.current_access()
+            if sm.tlb.lookup(page):
+                stats.tlb_hits += 1
+                sm.time_ns += access_ns
+                if self.l2 is not None and not self.l2.access(page):
+                    sm.time_ns += (config.l2_miss_cycles
+                                   * self._ns_per_cycle)
+            else:
+                stats.tlb_misses += 1
+                walk_ns = walker.walk_cycles(page) * ns_per_cycle
+                sm.time_ns += access_ns + walk_ns
+                if not self.gmmu.handle_tlb_miss(sm, warp, page, sm.time_ns):
+                    warp.block_on(page)
+                    continue
+                if self.l2 is not None and not self.l2.access(page):
+                    sm.time_ns += (config.l2_miss_cycles
+                                   * self._ns_per_cycle)
+            page_table.mark_access(page, sm.time_ns, is_write)
+            eviction.on_accessed(page, self.ctx)
+            if trace:
+                self._access_seq += 1
+                if (self._access_seq - 1) % trace_stride == 0:
+                    if trace_cap \
+                            and len(stats.access_trace) >= trace_cap:
+                        stats.access_trace_dropped += 1
+                    else:
+                        stats.access_trace.append(
+                            (sm.time_ns, page, self.current_iteration)
+                        )
+            warp.advance()
+
+
+#: Workloads of the tier-1 matrix and the extra ones of the slow matrix.
+TIER1_WORKLOADS = ("hotspot", "srad", "bfs", "kmeans")
+SLOW_WORKLOADS = ("backprop", "nw", "pathfinder", "gemm")
+TIER1_SCALE = 0.1
+SLOW_SCALE = 0.25
+OVERSUBS = (None, 110.0)
+#: None keeps the config default (512 entries).
+TLB_SIZES = (None, 16)
+
+
+def _run(cls, name: str, scale: float, **overrides):
+    """Stats JSON and per-SM loop state after one workload run."""
+    workload = make_workload(name, scale=scale)
+    combo = overrides.pop("combo", COMBINATIONS[-1])
+    _, prefetcher, eviction, keep_prefetching = combo
+    config = combo_config(workload, prefetcher, eviction,
+                          overrides.pop("oversubscription", 110.0),
+                          keep_prefetching, **overrides)
+    sim = cls(config)
+    for spec in workload.allocations():
+        sim.malloc_managed(spec.name, spec.size_bytes)
+    resolver = AddressResolver(sim.allocator)
+    for kernel in workload.kernel_specs(resolver):
+        sim.launch_kernel(kernel)
+    sim.synchronize()
+    sim.check_invariants()
+    per_sm = [(sm.time_ns, sm._rr_index, sm.tlb.hits, sm.tlb.misses,
+               list(sm.tlb._entries)) for sm in sim.sms]
+    return sim.stats.to_json(), per_sm
+
+
+def _assert_matches_oracle(name: str, scale: float, **overrides) -> None:
+    expected = _run(OracleSimulator, name, scale, **dict(overrides))
+    actual = _run(Simulator, name, scale, **dict(overrides))
+    assert actual[0] == expected[0]
+    assert actual[1] == expected[1]
+
+
+def _matrix(workloads):
+    for name in workloads:
+        for combo in COMBINATIONS:
+            for over in OVERSUBS:
+                for tlb in TLB_SIZES:
+                    overrides = {"combo": combo, "oversubscription": over}
+                    if tlb is not None:
+                        overrides["tlb_entries"] = tlb
+                    label = (f"{name}-{combo[0]}-"
+                             f"{'unbnd' if over is None else int(over)}-"
+                             f"tlb{tlb or 'default'}")
+                    yield pytest.param(name, overrides, id=label)
+
+
+class TestIssueLoopOracle:
+    @pytest.mark.parametrize("name,overrides",
+                             list(_matrix(TIER1_WORKLOADS)))
+    def test_matrix(self, name, overrides):
+        _assert_matches_oracle(name, TIER1_SCALE, **overrides)
+
+    def test_l2_enabled(self):
+        _assert_matches_oracle("srad", TIER1_SCALE, l2_enabled=True,
+                               l2_capacity_pages=64, l2_ways=4)
+
+    def test_l2_enabled_small_tlb(self):
+        _assert_matches_oracle("hotspot", TIER1_SCALE, l2_enabled=True,
+                               tlb_entries=16)
+
+    def test_access_trace_stride_and_cap(self):
+        _assert_matches_oracle("kmeans", TIER1_SCALE,
+                               record_access_trace=True,
+                               access_trace_stride=3,
+                               access_trace_cap=500)
+
+    def test_fault_profile(self):
+        _assert_matches_oracle(
+            "hotspot", TIER1_SCALE,
+            fault_profile=FaultProfile.load("moderate", seed=3),
+        )
+
+
+@pytest.mark.slow
+class TestIssueLoopOracleSlow:
+    @pytest.mark.parametrize(
+        "name,overrides",
+        list(_matrix(TIER1_WORKLOADS + SLOW_WORKLOADS)))
+    def test_matrix(self, name, overrides):
+        _assert_matches_oracle(name, SLOW_SCALE, **overrides)
+
+    @pytest.mark.parametrize("profile", ["light", "moderate", "heavy"])
+    def test_fault_profiles(self, profile):
+        _assert_matches_oracle(
+            "bfs", SLOW_SCALE,
+            fault_profile=FaultProfile.load(profile, seed=1),
+        )
+
+    def test_l2_and_access_trace(self):
+        _assert_matches_oracle("srad", SLOW_SCALE, l2_enabled=True,
+                               record_access_trace=True,
+                               access_trace_stride=2,
+                               access_trace_cap=2000)
