@@ -133,8 +133,7 @@ class UvmDriver:
 
     def _redeliver_fault(self, page: int, now_ns: float) -> None:
         """Second delivery attempt for a lost far-fault notification."""
-        if self.ctx.page_table.is_valid(page) \
-                or self._migration_in_flight(page):
+        if self.ctx.page_table.state_of(page) is not PageState.INVALID:
             # A prefetch or merged batch already covers the page.
             return
         self.ctx.stats.recovered_faults += 1
@@ -163,10 +162,10 @@ class UvmDriver:
             self._pending = []
         # dict.fromkeys dedups while keeping arrival order: duplicate
         # deliveries (fault injection) must not migrate a page twice.
+        state_of = page_table.state_of
         batch = [
             page for page in dict.fromkeys(drained)
-            if not page_table.is_valid(page)
-            and not self._migration_in_flight(page)
+            if state_of(page) is PageState.INVALID
         ]
         if not batch:
             if self._pending:
@@ -234,10 +233,6 @@ class UvmDriver:
                                 batch_start_ns=now_ns,
                                 batched_handling=config.batch_fault_handling)
         self.engine.schedule(handled_at, self._handling_done)
-
-    def _migration_in_flight(self, page: int) -> bool:
-        """True when the page is MIGRATING (transfer already scheduled)."""
-        return self.ctx.page_table.state_of(page) is PageState.MIGRATING
 
     def _handling_done(self, now_ns: float) -> None:
         """The batch's 45 us handling window closed; start the next batch."""
@@ -469,7 +464,7 @@ class UvmDriver:
             if record is None:
                 record = per_alloc[name] = [0, 0, 0]
             record[0] += 1
-            if complete_migration(page, now_ns).migration_count > 1:
+            if complete_migration(page) > 1:
                 record[1] += 1
             if page not in fault_pages:
                 record[2] += 1

@@ -67,8 +67,7 @@ class Simulator:
                                   config.large_page_size)
         self.stats = SimStats()
         self.allocator = ManagedAllocator(self.space)
-        self.page_table = GpuPageTable(self.space,
-                                       config.page_table_walk_cycles)
+        self.page_table = GpuPageTable()
         self.frames = FramePool(config.device_memory_pages)
         self.ctx = UvmContext(config, self.space, self.allocator,
                               self.page_table, self.frames, self.stats)
@@ -320,7 +319,7 @@ class Simulator:
         """Apply any deferred batched state updates (no-op here).
 
         The fast engine (:mod:`repro.core.fastpath`) accumulates
-        compressible recency updates — PTE access marks, eviction
+        compressible recency updates — dirty marks, eviction
         touches, TLB hit refreshes — across consecutive all-hit SM
         quanta and overrides this hook to apply them.  The reference
         engine applies everything eagerly, so this is a no-op; it is
@@ -348,7 +347,7 @@ class Simulator:
         back once per quantum.  Nothing it calls reads them: the GMMU
         gets the clock as an argument and the driver only schedules
         events.  Every call that carries semantics (page walk, GMMU miss
-        handling, warp blocking, L2, PTE marks, the eviction hook, the
+        handling, warp blocking, L2, dirty marks, the eviction hook, the
         access-trace sampler) keeps its order.
         """
         warps = sm.all_warps()
@@ -416,7 +415,7 @@ class Simulator:
                     continue
                 if l2 is not None and not l2.access(page):
                     time += l2_miss_ns
-            mark_access(page, time, is_write)
+            mark_access(page, is_write)
             on_accessed(page, ctx)
             if trace:
                 self._access_seq += 1
@@ -473,7 +472,15 @@ class Simulator:
                 f"frames.used={self.frames.used} != valid pages {valid} + "
                 f"in-flight {in_flight}"
             )
-        self.page_table.check_flag_store()
+        self.page_table.check_valid_count()
+        for sm in self.sms:
+            for page in sm.tlb._entries:
+                state = self.page_table.state_of(page)
+                if state is not PageState.VALID:
+                    raise SimulationError(
+                        f"SM {sm.sm_id} TLB maps page {page} in state "
+                        f"{state}"
+                    )
         for tree in self.ctx.all_trees():
             tree.check_consistency()
 

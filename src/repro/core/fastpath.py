@@ -35,18 +35,18 @@ handles that quantum in stages:
    — hit counters, the SM clock (``np.cumsum`` issue times: sequential
    left-to-right float accumulation, bit-identical to the reference
    loop's repeated ``+=``), warp cursors, the round-robin index — and
-   *defers* the recency bookkeeping by appending the page/time/write
+   *defers* the recency bookkeeping by appending the page/write
    vectors to pending buffers:
 
-   * PTE access marks and eviction-policy touches accumulate globally
+   * dirty marks and eviction-policy touches accumulate globally
      (in execution order across SMs);
    * TLB hit refreshes accumulate per SM.
 
    The pending span is compressed at flush time to one operation per
    distinct page in last-access order (``np.unique`` over the reversed
    concatenation).  For pure recency bookkeeping — every built-in
-   eviction policy, the TLB's LRU order, and the PTE
-   accessed/dirty/last-access fields — this is provably equivalent to
+   eviction policy, the TLB's LRU order, and the page table's dirty
+   bits — this is provably equivalent to
    replaying every access, because only the final per-page state is
    observable and it depends only on each page's last touch (dirty ORs
    across the span).
@@ -101,6 +101,7 @@ from ..config import SimulatorConfig
 from ..errors import SimulationError
 from ..gpu.sm import StreamingMultiprocessor
 from ..gpu.warp import WarpState
+from ..memory.page import grown_window
 from ..memory.tlb import Tlb
 from .engine import Simulator
 from .evict.base import EvictionPolicy
@@ -114,18 +115,13 @@ from .prefetch.base import Prefetcher
 WINDOW_OUTCOMES = ("deferred", "blocked_sm", "first_access_miss",
                    "later_miss", "cooldown")
 
-#: Bitmap pages are tracked relative to a base rounded down to this many
-#: pages, so neighbouring allocations land in one array.
-_MASK_ALIGN = 1 << 16
-
 
 class PageBitmap:
     """Residency bits over a window of global page indices.
 
-    Global page indices start near ``base_addr // page_size`` (~2^20 for
-    the default 4 GiB VA base), so the bitmap keeps its own base offset
-    and grows geometrically in either direction on demand.  ``gather``
-    treats pages outside the window as unset.
+    The window grows like the page table's (see
+    :func:`~repro.memory.page.grown_window`); ``gather`` treats pages
+    outside it as unset.
     """
 
     __slots__ = ("_base", "_bits")
@@ -136,29 +132,13 @@ class PageBitmap:
 
     def _ensure(self, page: int) -> None:
         size = self._bits.shape[0]
-        if size == 0:
-            self._base = (page // _MASK_ALIGN) * _MASK_ALIGN
-            self._bits = np.zeros(_MASK_ALIGN, dtype=bool)
+        if 0 <= page - self._base < size:
             return
-        index = page - self._base
-        if 0 <= index < size:
-            return
-        new_base = self._base
-        grow_low = 0
-        if index < 0:
-            grow_low = max(size, -index)
-            grow_low = ((grow_low + _MASK_ALIGN - 1) // _MASK_ALIGN) \
-                * _MASK_ALIGN
-            new_base = self._base - grow_low
-        grow_high = 0
-        if index >= size:
-            grow_high = max(size, index - size + 1)
-            grow_high = ((grow_high + _MASK_ALIGN - 1) // _MASK_ALIGN) \
-                * _MASK_ALIGN
-        new_bits = np.zeros(grow_low + size + grow_high, dtype=bool)
-        new_bits[grow_low:grow_low + size] = self._bits
-        self._base = new_base
-        self._bits = new_bits
+        base, new_size, offset = grown_window(self._base, size, page)
+        bits = np.zeros(new_size, dtype=bool)
+        bits[offset:offset + size] = self._bits
+        self._base = base
+        self._bits = bits
 
     def set(self, page: int) -> None:
         self._ensure(page)
@@ -273,10 +253,8 @@ class FastSimulator(Simulator):
             and not config.l2_enabled
         self._access_ns = config.cycles_per_access * self._ns_per_cycle
         #: Deferred all-hit windows, execution order across all SMs:
-        #: page vectors, issue-time vectors, write masks (None = no
-        #: writes in that window).
+        #: page vectors and write masks (None = no writes in that window).
         self._pend_pages: list[np.ndarray] = []
-        self._pend_times: list[np.ndarray] = []
         self._pend_writes: list[np.ndarray | None] = []
         #: (budget, n_ready) -> (lane % n_ready, lane // n_ready) index
         #: patterns for the rotation gather of :meth:`_uniform_window`.
@@ -308,12 +286,7 @@ class FastSimulator(Simulator):
             # Every window that queues TLB refreshes in ``tlb.pend``
             # queues its accesses here too: nothing is pending.
             return
-        if len(pend) == 1:
-            pages = pend[0]
-            times = self._pend_times[0]
-        else:
-            pages = np.concatenate(pend)
-            times = np.concatenate(self._pend_times)
+        pages = pend[0] if len(pend) == 1 else np.concatenate(pend)
         writes_list = self._pend_writes
         writes: np.ndarray | None = None
         if any(w is not None for w in writes_list):
@@ -326,15 +299,14 @@ class FastSimulator(Simulator):
                     for p, w in zip(pend, writes_list)
                 ])
         pend.clear()
-        self._pend_times.clear()
         self._pend_writes.clear()
         total = pages.shape[0]
         last_rev = np.unique(pages[::-1], return_index=True)[1]
-        sel = np.sort(total - 1 - last_rev)
-        touch_pages = self.page_table.mark_access_span(
-            pages, sel, times, writes
+        touched = pages[np.sort(total - 1 - last_rev)]
+        self.page_table.mark_access_span(
+            touched, None if writes is None else pages[writes]
         )
-        self.driver.eviction.on_accessed_many(touch_pages, self.ctx)
+        self.driver.eviction.on_accessed_many(touched.tolist(), self.ctx)
         for sm in self.sms:
             tlb_pend = sm.tlb.pend
             if tlb_pend:
@@ -573,6 +545,5 @@ class FastSimulator(Simulator):
         tlb = sm.tlb
         tlb.hits += total
         self._pend_pages.append(pages)
-        self._pend_times.append(times[1:])
         self._pend_writes.append(writes if writes.any() else None)
         tlb.pend.append(pages)

@@ -8,7 +8,7 @@ from .btree import BuddyTree
 from .frames import FramePool
 from .lru import FlatLRU, HierarchicalLRU
 from .mshr import FarFaultMSHR
-from .page import PageState, PageTableEntry
+from .page import PageState
 from .page_table import GpuPageTable
 from .tlb import Tlb
 
@@ -24,7 +24,6 @@ __all__ = [
     "HierarchicalLRU",
     "FarFaultMSHR",
     "PageState",
-    "PageTableEntry",
     "GpuPageTable",
     "Tlb",
 ]

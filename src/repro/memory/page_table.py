@@ -1,62 +1,86 @@
 """The GPU page table.
 
-PTEs are created lazily on first fault (the paper: "new page table entries
-are created in the GPU's page table and upon completion of migration, these
-entries are validated").  The table also exposes the valid-page queries that
-the prefetch/eviction policies need, and models the 100-cycle multi-threaded
-page-table walk of Table 2 as a constant latency.
+A page's entry comes into play on its first fault (the paper: "new page
+table entries are created in the GPU's page table and upon completion of
+migration, these entries are validated").  The table also answers the
+page-state queries that the prefetch/eviction policies need.  Walk
+latency belongs to the page walker (:mod:`repro.memory.radix_walker`).
 """
 
 from __future__ import annotations
 
+from array import array
+
 import numpy as np
 
-from .. import constants
 from ..errors import PageTableError
-from .addressing import AddressSpace, DEFAULT_ADDRESS_SPACE
-from .page import PageFlagStore, PageState, PageTableEntry
+from .page import PageState, grown_window
+
+#: State codes stored per page; ``_STATES[code]`` is the public state.
+_INVALID, _MIGRATING, _VALID = 0, 1, 2
+_STATES = (PageState.INVALID, PageState.MIGRATING, PageState.VALID)
 
 
 class GpuPageTable:
-    """Page-index keyed PTE store with state-transition checking.
+    """Per-page state with transition checking.
 
-    The mutable per-page mark fields (valid/accessed/dirty bits and the
-    last-access timestamp) live in the table's :class:`PageFlagStore`
-    numpy arrays; :class:`PageTableEntry` objects carry the state machine
-    and proxy the mark fields, which lets the fast engine commit whole
-    access spans with vectorized scatters (:meth:`mark_access_span`).
+    Three flat arrays indexed by ``page - base`` hold everything a page
+    needs: its state code, its dirty bit, and how many migrations it has
+    completed.  They are a ``bytearray`` / ``array("q")`` so the scalar
+    per-access path indexes them at plain-Python speed; the vector paths
+    (:meth:`invalid_pages_in_range`, :meth:`mark_access_span`) take
+    ``np.frombuffer`` views per call.  Growth replaces the arrays, so a
+    view or an index must never be held across a growth.  Pages outside
+    the window are INVALID and were never migrated.
     """
 
-    def __init__(self, space: AddressSpace | None = None,
-                 walk_cycles: int = constants.PAGE_TABLE_WALK_CYCLES) -> None:
-        self.space = space or DEFAULT_ADDRESS_SPACE
-        self.walk_cycles = walk_cycles
-        self._entries: dict[int, PageTableEntry] = {}
-        self._store = PageFlagStore()
+    def __init__(self) -> None:
+        self._base = 0
+        self._state = bytearray()
+        #: 1 once the page is written while VALID; cleared on eviction.
+        self._dirty = bytearray()
+        #: Completed migrations per page; more than one means thrashing.
+        self._migrations = array("q")
         self._valid_count = 0
 
+    def _index(self, page: int) -> int:
+        """Index of ``page``, growing the window to cover it."""
+        index = page - self._base
+        size = len(self._state)
+        if 0 <= index < size:
+            return index
+        base, new_size, offset = grown_window(self._base, size, page)
+        stop = offset + size
+        state = bytearray(new_size)
+        state[offset:stop] = self._state
+        dirty = bytearray(new_size)
+        dirty[offset:stop] = self._dirty
+        migrations = array("q", [0]) * new_size
+        migrations[offset:stop] = self._migrations
+        self._state, self._dirty, self._migrations = state, dirty, migrations
+        self._base = base
+        return page - base
+
+    def _code(self, page: int) -> int:
+        index = page - self._base
+        if 0 <= index < len(self._state):
+            return self._state[index]
+        return _INVALID
+
     # --- lookup -------------------------------------------------------------
-    def entry(self, page: int) -> PageTableEntry:
-        """The PTE for ``page``, creating an INVALID one if absent."""
-        pte = self._entries.get(page)
-        if pte is None:
-            pte = PageTableEntry(page, self._store)
-            self._entries[page] = pte
-        return pte
-
-    def peek(self, page: int) -> PageTableEntry | None:
-        """The PTE for ``page`` or None; never creates an entry."""
-        return self._entries.get(page)
-
     def state_of(self, page: int) -> PageState:
-        """Current state of ``page`` (INVALID when no PTE exists)."""
-        pte = self._entries.get(page)
-        return pte.state if pte is not None else PageState.INVALID
+        """Current state of ``page``."""
+        state = self._state
+        index = page - self._base
+        if 0 <= index < len(state):
+            return _STATES[state[index]]
+        return PageState.INVALID
 
     def is_valid(self, page: int) -> bool:
         """True when ``page`` has its valid flag set."""
-        pte = self._entries.get(page)
-        return pte is not None and pte.state is PageState.VALID
+        state = self._state
+        index = page - self._base
+        return 0 <= index < len(state) and state[index] == _VALID
 
     @property
     def valid_count(self) -> int:
@@ -64,156 +88,100 @@ class GpuPageTable:
         return self._valid_count
 
     # --- state transitions ----------------------------------------------------
-    def begin_migration(self, page: int) -> PageTableEntry:
+    def begin_migration(self, page: int) -> None:
         """INVALID -> MIGRATING when a transfer for the page is scheduled."""
-        pte = self.entry(page)
-        if pte.state is not PageState.INVALID:
+        code = self._code(page)
+        if code != _INVALID:
             raise PageTableError(
-                f"page {page} cannot start migrating from {pte.state}"
+                f"page {page} cannot start migrating from {_STATES[code]}"
             )
-        pte.state = PageState.MIGRATING
-        store = self._store
-        store.occupied[page - store.base] = True
-        return pte
+        index = self._index(page)  # may replace the arrays: index first
+        self._state[index] = _MIGRATING
 
-    def complete_migration(self, page: int, time_ns: float) -> PageTableEntry:
-        """MIGRATING -> VALID when the PCI-e transfer completes."""
-        pte = self.entry(page)
-        if pte.state is not PageState.MIGRATING:
-            raise PageTableError(
-                f"page {page} finished migration while {pte.state}"
-            )
-        pte.state = PageState.VALID
-        store = self._store
-        index = page - store.base
-        store.valid[index] = True
-        store.dirty[index] = False
-        store.accessed[index] = False
-        store.last_access[index] = time_ns
-        pte.migration_count += 1
-        self._valid_count += 1
-        return pte
+    def complete_migration(self, page: int) -> int:
+        """MIGRATING -> VALID when the PCI-e transfer completes.
 
-    def invalidate(self, page: int) -> PageTableEntry:
-        """VALID -> INVALID when the page is evicted."""
-        pte = self._entries.get(page)
-        if pte is None or pte.state is not PageState.VALID:
-            state = pte.state if pte is not None else PageState.INVALID
-            raise PageTableError(f"cannot evict page {page} in state {state}")
-        pte.reset_on_eviction()
-        self._valid_count -= 1
-        return pte
-
-    def mark_access(self, page: int, time_ns: float, is_write: bool) -> None:
-        """Set accessed (and dirty on writes) flags of a VALID page."""
-        pte = self._entries.get(page)
-        if pte is None or pte.state is not PageState.VALID:
-            raise PageTableError(f"access to non-valid page {page}")
-        store = self._store
-        index = page - store.base
-        store.accessed[index] = True
-        store.last_access[index] = time_ns
-        if is_write:
-            store.dirty[index] = True
-
-    def mark_access_span(self, pages, sel, times, writes) -> list[int]:
-        """Vectorized :meth:`mark_access` fold over a deferred access span.
-
-        ``pages``/``times`` are execution-order arrays; ``sel`` selects
-        the last occurrence of each distinct page (ascending); ``writes``
-        is a boolean mask over ``pages`` marking written accesses, or
-        None when the span has no writes.
-        Returns the distinct pages (``pages[sel]``) as a list
-        for the eviction-policy batch touch.  All span pages must be
-        VALID — the fast engine flushes before anything can invalidate.
+        Returns the page's migration count, this one included.
         """
-        store = self._store
-        index = pages - store.base
-        if (index.size and (index.min() < 0 or index.max() >= store.size)) \
-                or not store.valid[index].all():
-            # A page escaped the residency guarantee; redo the checks
-            # scalar-wise to name the culprit like mark_access would.
-            entries = self._entries
-            for page in pages.tolist():
-                pte = entries.get(page)
-                if pte is None or pte.state is not PageState.VALID:
-                    raise PageTableError(f"access to non-valid page {page}")
-            raise PageTableError("valid-bit store out of sync with PTE states")
-        dsel = index[sel]
-        store.accessed[dsel] = True
-        store.last_access[dsel] = times[sel]
-        if writes is not None:
-            store.dirty[index[writes]] = True
-        return pages[sel].tolist()
+        code = self._code(page)
+        if code != _MIGRATING:
+            raise PageTableError(
+                f"page {page} finished migration while {_STATES[code]}"
+            )
+        index = page - self._base
+        self._state[index] = _VALID
+        self._valid_count += 1
+        count = self._migrations[index] + 1
+        self._migrations[index] = count
+        return count
+
+    def invalidate(self, page: int) -> None:
+        """VALID -> INVALID when the page is evicted."""
+        code = self._code(page)
+        if code != _VALID:
+            raise PageTableError(
+                f"cannot evict page {page} in state {_STATES[code]}"
+            )
+        index = page - self._base
+        self._state[index] = _INVALID
+        self._dirty[index] = 0
+        self._valid_count -= 1
+
+    def mark_access(self, page: int, is_write: bool) -> None:
+        """Record an access to a VALID page (writes set its dirty bit)."""
+        state = self._state
+        index = page - self._base
+        if not (0 <= index < len(state) and state[index] == _VALID):
+            raise PageTableError(f"access to non-valid page {page}")
+        if is_write:
+            self._dirty[index] = 1
+
+    def mark_access_span(self, pages: np.ndarray,
+                         written: np.ndarray | None) -> None:
+        """Vectorized :meth:`mark_access` over a deferred access span.
+
+        ``pages`` holds every page the span accessed (int64, repeats
+        allowed); ``written`` the pages it wrote, or None when it wrote
+        none.  All span pages must be VALID — the fast engine flushes
+        before anything can invalidate.
+        """
+        index = pages - self._base
+        state = np.frombuffer(self._state, dtype=np.uint8)
+        valid = (index >= 0) & (index < state.shape[0])
+        if valid.all():
+            valid = state[index] == _VALID
+        if not valid.all():
+            page = int(pages[np.argmin(valid)])
+            raise PageTableError(f"access to non-valid page {page}")
+        if written is not None:
+            dirty = np.frombuffer(self._dirty, dtype=np.uint8)
+            dirty[written - self._base] = 1
 
     # --- policy queries -------------------------------------------------------
-    def valid_pages_in_block(self, block: int) -> list[int]:
-        """VALID page indices inside basic block ``block``."""
-        return [p for p in self.space.pages_in_block(block)
-                if self.is_valid(p)]
-
-    def invalid_pages_in_block(self, block: int) -> list[int]:
-        """Pages of ``block`` with no valid flag and no transfer in flight."""
-        pages = self.space.pages_in_block(block)
-        return self.invalid_pages_in_range(pages.start, pages.stop)
-
     def invalid_pages_in_range(self, first: int, stop: int) -> list[int]:
-        """INVALID pages of ``[first, stop)`` in ascending order.
-
-        Reads the store's occupancy bits; pages outside the store window
-        have no PTE and so count as INVALID.
-        """
-        store = self._store
-        base = store.base
+        """INVALID pages of ``[first, stop)`` in ascending order."""
+        base = self._base
         lo = max(first, base)
-        hi = min(stop, base + store.size)
+        hi = min(stop, base + len(self._state))
         if lo >= hi:
             return list(range(first, stop))
-        free = np.flatnonzero(~store.occupied[lo - base:hi - base]) + lo
+        state = np.frombuffer(self._state, dtype=np.uint8)
+        free = np.flatnonzero(state[lo - base:hi - base] == _INVALID) + lo
         return [*range(first, lo), *free.tolist(), *range(hi, stop)]
 
     def dirty_pages(self, pages: list[int]) -> list[int]:
         """Subset of ``pages`` whose dirty flag is set."""
-        store = self._store
-        base = store.base
-        size = store.size
-        dirty = store.dirty
-        out = []
-        for page in pages:
-            index = page - base
-            if 0 <= index < size and dirty[index]:
-                out.append(page)
-        return out
+        base = self._base
+        dirty = self._dirty
+        size = len(dirty)
+        return [page for page in pages
+                if 0 <= page - base < size and dirty[page - base]]
 
-    def valid_pages(self) -> list[int]:
-        """All VALID page indices (test/diagnostic helper)."""
-        return [p for p, pte in self._entries.items()
-                if pte.state is PageState.VALID]
-
-    def check_flag_store(self) -> None:
-        """Raise unless the store's valid/occupied bits match every PTE.
-
-        Pages without a PTE must have both bits clear; the valid count
-        must equal the number of set valid bits.
-        """
-        store = self._store
-        base = store.base
-        valid = np.zeros(store.size, dtype=bool)
-        occupied = np.zeros(store.size, dtype=bool)
-        for page, pte in self._entries.items():
-            if pte.state is not PageState.INVALID:
-                occupied[page - base] = True
-                valid[page - base] = pte.state is PageState.VALID
-        for name, expected in (("valid", valid), ("occupied", occupied)):
-            wrong = np.flatnonzero(getattr(store, name) != expected)
-            if wrong.size:
-                page = int(wrong[0]) + base
-                raise PageTableError(
-                    f"{name} bit of page {page} disagrees with PTE state "
-                    f"{self.state_of(page)}"
-                )
-        if int(valid.sum()) != self._valid_count:
+    def check_valid_count(self) -> None:
+        """Raise unless ``valid_count`` equals the number of VALID pages."""
+        actual = self._state.count(_VALID)
+        if actual != self._valid_count:
             raise PageTableError(
-                f"valid_count={self._valid_count} but {int(valid.sum())} "
-                f"PTEs are VALID"
+                f"valid_count={self._valid_count} but {actual} pages are "
+                f"VALID"
             )

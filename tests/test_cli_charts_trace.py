@@ -49,6 +49,8 @@ class TestCli:
         assert main(["list"]) == 0
         out = capsys.readouterr().out
         assert "tbn" in out and "hotspot" in out
+        assert any(line.startswith("learned   : bandit, logistic, ngram")
+                   for line in out.splitlines())
 
     def test_run_prints_counters(self, capsys):
         assert main(["run", "pathfinder", "--scale", "0.1"]) == 0

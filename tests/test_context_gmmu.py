@@ -30,7 +30,7 @@ def make_ctx(alloc_specs=(("a", 4 * MIB),), capacity=None):
     allocator = ManagedAllocator(space)
     for name, size in alloc_specs:
         allocator.malloc_managed(name, size)
-    return UvmContext(config, space, allocator, GpuPageTable(space),
+    return UvmContext(config, space, allocator, GpuPageTable(),
                       FramePool(capacity), SimStats())
 
 
@@ -78,7 +78,7 @@ class TestPageHelpers:
         base = alloc.page_range[0]
         ctx.page_table.begin_migration(base)         # MIGRATING
         ctx.page_table.begin_migration(base + 1)
-        ctx.page_table.complete_migration(base + 1, 0.0)  # VALID
+        ctx.page_table.complete_migration(base + 1)  # VALID
         block = ctx.space.block_of_page(base)
         pages = ctx.migratable_pages_in_block(block)
         assert base not in pages and base + 1 not in pages
@@ -106,7 +106,7 @@ class TestPageHelpers:
         alloc = ctx.allocator.get("a")
         for page in alloc.page_range[:50]:
             ctx.page_table.begin_migration(page)
-            ctx.page_table.complete_migration(page, 0.0)
+            ctx.page_table.complete_migration(page)
         assert ctx.reservation_skip == 5
         ctx.config = ctx.config.replace(lru_reservation_fraction=0.0)
         assert ctx.reservation_skip == 0
@@ -161,7 +161,7 @@ class TestGmmu:
         ctx, gmmu, driver, sm = self.make()
         page = ctx.allocator.get("a").page_range[0]
         ctx.page_table.begin_migration(page)
-        ctx.page_table.complete_migration(page, 0.0)
+        ctx.page_table.complete_migration(page)
         warp = self.fresh_warp(page)
         assert gmmu.handle_tlb_miss(sm, warp, page, 0.0)
         assert page in sm.tlb

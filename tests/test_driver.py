@@ -197,7 +197,7 @@ class TestBookkeeping:
                            TransferGroup([edge, edge + 1])])
         assert list(sim.stats.per_allocation) == ["b", "a"]
         # One eviction round over both allocations, one page dirty.
-        sim.page_table.mark_access(b0, sim.now, True)
+        sim.page_table.mark_access(b0, True)
         for sm in sim.sms:
             for page in (b0, edge, edge + 1):
                 sm.tlb.insert(page)

@@ -4,7 +4,7 @@ import pytest
 
 from repro import constants
 from repro.config import SimulatorConfig, oversubscribed
-from repro.core.engine import Simulator
+from repro.core.engine import Simulator, make_simulator
 from repro.errors import SimulationError
 from repro.gpu.kernel import KernelSpec, ThreadBlockSpec, WarpSpec
 from repro.memory.page import PageState
@@ -275,3 +275,21 @@ class TestInvariantsAcrossPolicies:
         sim.synchronize()
         sim.check_invariants()
         assert sim.page_table.valid_count <= sim.frames.capacity
+
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    def test_tlb_mapping_a_non_valid_page_is_caught(self, engine):
+        sim = make_simulator(oversubscribed(
+            2 * MIB, 120.0, num_sms=4, engine=engine,
+        ))
+        alloc = sim.malloc_managed("a", 2 * MIB)
+        sim.launch_kernel(scan_kernel(alloc.page_range[0], alloc.num_pages))
+        sim.synchronize()
+        sim.check_invariants()
+        evicted = next(page for page in alloc.page_range
+                       if sim.page_table.state_of(page)
+                       is PageState.INVALID)
+        sim.sms[1].tlb.insert(evicted)
+        with pytest.raises(SimulationError,
+                           match=f"SM 1 TLB maps page {evicted} in state "
+                                 f"PageState.INVALID"):
+            sim.check_invariants()

@@ -23,19 +23,19 @@ def make_ctx(alloc_bytes=4 * constants.MIB, reservation=0.0):
     space = AddressSpace()
     allocator = ManagedAllocator(space)
     allocator.malloc_managed("a", alloc_bytes)
-    ctx = UvmContext(config, space, allocator, GpuPageTable(space),
+    ctx = UvmContext(config, space, allocator, GpuPageTable(),
                      FramePool(None), SimStats())
     return ctx, allocator.get("a")
 
 
 def validate_pages(ctx, policy, pages, access=True, time=None):
     """Migrate pages in and register them with the policy."""
-    for i, page in enumerate(pages):
+    for page in pages:
         ctx.page_table.begin_migration(page)
-        ctx.page_table.complete_migration(page, float(i))
+        ctx.page_table.complete_migration(page)
         policy.on_validated(page, ctx)
         if access:
-            ctx.page_table.mark_access(page, float(i), is_write=False)
+            ctx.page_table.mark_access(page, is_write=False)
             policy.on_accessed(page, ctx)
 
 

@@ -155,7 +155,7 @@ class TestZhengSequential:
         space = AddressSpace()
         allocator = ManagedAllocator(space)
         allocator.malloc_managed("a", 4 * MIB)
-        ctx = UvmContext(config, space, allocator, GpuPageTable(space),
+        ctx = UvmContext(config, space, allocator, GpuPageTable(),
                          FramePool(None), SimStats())
         alloc = allocator.get("a")
         base = alloc.page_range[0]

@@ -64,7 +64,7 @@ class OracleSimulator(Simulator):
                 if self.l2 is not None and not self.l2.access(page):
                     sm.time_ns += (config.l2_miss_cycles
                                    * self._ns_per_cycle)
-            page_table.mark_access(page, sm.time_ns, is_write)
+            page_table.mark_access(page, is_write)
             eviction.on_accessed(page, self.ctx)
             if trace:
                 self._access_seq += 1

@@ -15,6 +15,11 @@ from repro.core.evict import make_eviction_policy
 from repro.core.prefetch import make_prefetcher
 from repro.errors import PolicyError, SimulationError
 from repro.experiments.common import combo_config
+from repro.experiments.extension_learned import (
+    HAND_BUILT,
+    WORKLOADS,
+    learned_table,
+)
 from repro.memory.addressing import AddressSpace
 from repro.memory.allocator import ManagedAllocator
 from repro.memory.frames import FramePool
@@ -43,18 +48,18 @@ def make_ctx(alloc_bytes=4 * constants.MIB, seed=0):
     space = AddressSpace()
     allocator = ManagedAllocator(space)
     allocator.malloc_managed("a", alloc_bytes)
-    ctx = UvmContext(config, space, allocator, GpuPageTable(space),
+    ctx = UvmContext(config, space, allocator, GpuPageTable(),
                      FramePool(None), SimStats())
     return ctx, allocator.get("a")
 
 
 def validate_pages(ctx, policy, pages, access=True):
-    for i, page in enumerate(pages):
+    for page in pages:
         ctx.page_table.begin_migration(page)
-        ctx.page_table.complete_migration(page, float(i))
+        ctx.page_table.complete_migration(page)
         policy.on_validated(page, ctx)
         if access:
-            ctx.page_table.mark_access(page, float(i), is_write=False)
+            ctx.page_table.mark_access(page, is_write=False)
             policy.on_accessed(page, ctx)
 
 
@@ -288,3 +293,15 @@ class TestLogisticEvictor:
         assert logistic.evictable_pages() == 0
         assert not logistic._weights.any()
         assert not logistic._recent
+
+
+@pytest.mark.slow
+class TestLearnedTable:
+    def test_tiny_fan_out_runs_every_pairing(self):
+        results = learned_table(0.1, percents=(110.0,))
+        labels = [label for label, _, _, _ in HAND_BUILT + LEARNED_PAIRINGS]
+        assert sorted(results) == sorted((label, 110.0) for label in labels)
+        for per_workload in results.values():
+            assert set(per_workload) == set(WORKLOADS)
+            for stats in per_workload.values():
+                assert stats.total_kernel_time_ns > 0

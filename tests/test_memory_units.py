@@ -1,5 +1,7 @@
 """Tests for page table, TLB, MSHR, and frame pool."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,11 +28,11 @@ class TestPageTable:
         pt = GpuPageTable()
         pt.begin_migration(7)
         assert pt.state_of(7) is PageState.MIGRATING
-        pt.complete_migration(7, time_ns=100.0)
+        assert pt.complete_migration(7) == 1
         assert pt.is_valid(7)
         assert pt.valid_count == 1
-        pte = pt.invalidate(7)
-        assert pte.state is PageState.INVALID
+        pt.invalidate(7)
+        assert pt.state_of(7) is PageState.INVALID
         assert pt.valid_count == 0
 
     def test_double_migration_rejected(self):
@@ -42,7 +44,7 @@ class TestPageTable:
     def test_complete_without_begin_rejected(self):
         pt = GpuPageTable()
         with pytest.raises(PageTableError):
-            pt.complete_migration(7, 0.0)
+            pt.complete_migration(7)
 
     def test_invalidate_non_valid_rejected(self):
         pt = GpuPageTable()
@@ -55,50 +57,113 @@ class TestPageTable:
     def test_access_flags(self):
         pt = GpuPageTable()
         pt.begin_migration(7)
-        pt.complete_migration(7, 0.0)
-        pte = pt.entry(7)
-        assert not pte.accessed and not pte.dirty
-        pt.mark_access(7, 5.0, is_write=False)
-        assert pte.accessed and not pte.dirty
-        pt.mark_access(7, 6.0, is_write=True)
-        assert pte.dirty
-        assert pte.last_access_ns == 6.0
+        pt.complete_migration(7)
+        assert pt.dirty_pages([7]) == []
+        pt.mark_access(7, is_write=False)
+        assert pt.dirty_pages([7]) == []
+        pt.mark_access(7, is_write=True)
+        assert pt.dirty_pages([7]) == [7]
 
     def test_access_to_invalid_rejected(self):
         pt = GpuPageTable()
         with pytest.raises(PageTableError):
-            pt.mark_access(7, 0.0, is_write=False)
+            pt.mark_access(7, is_write=False)
 
     def test_eviction_clears_flags_and_counts_migrations(self):
         pt = GpuPageTable()
         pt.begin_migration(7)
-        pt.complete_migration(7, 0.0)
-        pt.mark_access(7, 1.0, is_write=True)
+        assert pt.complete_migration(7) == 1
+        pt.mark_access(7, is_write=True)
         pt.invalidate(7)
         pt.begin_migration(7)
-        pt.complete_migration(7, 2.0)
-        pte = pt.entry(7)
-        assert pte.migration_count == 2
-        assert not pte.dirty
-
-    def test_block_queries(self):
-        pt = GpuPageTable()
-        for page in (0, 1, 5):
-            pt.begin_migration(page)
-            pt.complete_migration(page, 0.0)
-        pt.begin_migration(2)  # in flight
-        assert pt.valid_pages_in_block(0) == [0, 1, 5]
-        invalid = pt.invalid_pages_in_block(0)
-        assert 2 not in invalid  # MIGRATING is not INVALID
-        assert set(invalid) == set(range(16)) - {0, 1, 2, 5}
+        assert pt.complete_migration(7) == 2
+        assert pt.dirty_pages([7]) == []
 
     def test_dirty_pages_query(self):
         pt = GpuPageTable()
         for page in (3, 4):
             pt.begin_migration(page)
-            pt.complete_migration(page, 0.0)
-        pt.mark_access(3, 1.0, is_write=True)
+            pt.complete_migration(page)
+        pt.mark_access(3, is_write=True)
         assert pt.dirty_pages([3, 4, 9]) == [3]
+
+
+
+class TestPageTableModel:
+    """Seeded random op sequences, legal and illegal, against a dict model."""
+
+    CENTER = 1 << 20
+    SPREAD = 1 << 17
+    #: Op -> the only state it is legal in.
+    LEGAL = {"begin": PageState.INVALID, "complete": PageState.MIGRATING,
+             "invalidate": PageState.VALID, "read": PageState.VALID,
+             "write": PageState.VALID}
+
+    @staticmethod
+    def _apply(pt, op, page):
+        if op == "begin":
+            return pt.begin_migration(page)
+        if op == "complete":
+            return pt.complete_migration(page)
+        if op == "invalidate":
+            return pt.invalidate(page)
+        return pt.mark_access(page, is_write=op == "write")
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_ops_match_dict_model(self, seed):
+        draw = random.Random(seed)
+        pt = GpuPageTable()
+        state: dict[int, PageState] = {}
+        dirty: set[int] = set()
+        migrations: dict[int, int] = {}
+        # Pages around 2^20 +- 2^17: the window grows below and above the
+        # first page's chunk.
+        pool = [self.CENTER + draw.randrange(-self.SPREAD, self.SPREAD)
+                for _ in range(48)]
+        for _ in range(500):
+            page = draw.choice(pool)
+            current = state.get(page, PageState.INVALID)
+            if draw.random() < 0.75:
+                op = draw.choice([op for op, legal in self.LEGAL.items()
+                                  if legal is current])
+            else:
+                op = draw.choice(list(self.LEGAL))
+            if self.LEGAL[op] is not current:
+                with pytest.raises(PageTableError):
+                    self._apply(pt, op, page)
+            else:
+                result = self._apply(pt, op, page)
+                if op == "begin":
+                    state[page] = PageState.MIGRATING
+                elif op == "complete":
+                    state[page] = PageState.VALID
+                    migrations[page] = migrations.get(page, 0) + 1
+                    assert result == migrations[page]
+                elif op == "invalidate":
+                    state[page] = PageState.INVALID
+                    dirty.discard(page)
+                elif op == "write":
+                    dirty.add(page)
+            for p in pool:
+                expected = state.get(p, PageState.INVALID)
+                assert pt.state_of(p) is expected
+                assert pt.is_valid(p) == (expected is PageState.VALID)
+            assert pt.valid_count == sum(
+                s is PageState.VALID for s in state.values())
+            assert pt.dirty_pages(pool) == [p for p in pool if p in dirty]
+            # Anchor ranges on pool pages and the window edges so they
+            # straddle both.
+            anchor = draw.choice(
+                [*pool, pt._base, pt._base + len(pt._state)])
+            first = anchor - draw.randrange(2048)
+            stop = first + draw.randrange(4096)
+            assert pt.invalid_pages_in_range(first, stop) == [
+                p for p in range(first, stop)
+                if state.get(p, PageState.INVALID) is PageState.INVALID
+            ]
+        pt.check_valid_count()
+        assert pt._base < self.CENTER - self.SPREAD // 2
+        assert pt._base + len(pt._state) > self.CENTER + self.SPREAD // 2
 
 
 class TestTlb:

@@ -99,7 +99,7 @@ class TestTbnpTransferBounds:
         config = SimulatorConfig()
         allocator = ManagedAllocator(SPACE)
         allocator.malloc_managed("a", 2 * constants.MIB)
-        ctx = UvmContext(config, SPACE, allocator, GpuPageTable(SPACE),
+        ctx = UvmContext(config, SPACE, allocator, GpuPageTable(),
                          FramePool(None), SimStats())
         alloc = allocator.get("a")
         base = alloc.page_range[0]
@@ -109,7 +109,7 @@ class TestTbnpTransferBounds:
             for page in range(base + block * PAGES_PER_BLOCK,
                               base + (block + 1) * PAGES_PER_BLOCK):
                 ctx.page_table.begin_migration(page)
-                ctx.page_table.complete_migration(page, 0.0)
+                ctx.page_table.complete_migration(page)
                 valid_pages.append(page)
         if valid_pages:
             ctx.adjust_trees_for_pages(valid_pages, +1)
