@@ -204,8 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--seed", type=int, default=0)
     run_p.add_argument("--engine", default="reference",
                        choices=("reference", "fast"),
-                       help="simulation engine; 'fast' is the batched "
-                            "numpy engine (result-identical, see "
+                       help="simulation engine; 'fast' defers recency "
+                            "updates (result-identical, see "
                             "docs/PERFORMANCE.md)")
     run_p.add_argument("--preset", default=None,
                        choices=sorted(PRESETS),
@@ -514,8 +514,8 @@ def build_parser() -> argparse.ArgumentParser:
     submit_p.add_argument("--seed", type=int, default=0)
     submit_p.add_argument("--engine", default="reference",
                           choices=("reference", "fast"),
-                          help="simulation engine; 'fast' is the "
-                               "batched numpy engine (result-identical, "
+                          help="simulation engine; 'fast' defers "
+                               "recency updates (result-identical, "
                                "see docs/PERFORMANCE.md)")
     submit_p.add_argument("--preset", default=None,
                           choices=sorted(PRESETS),

@@ -33,7 +33,7 @@ class SimulatorConfig:
 
     # --- Engine ------------------------------------------------------------
     #: Simulation engine: ``"reference"`` is the per-access discrete-event
-    #: model; ``"fast"`` is the batched/vectorized engine
+    #: model; ``"fast"`` defers its recency updates to an access log
     #: (:mod:`repro.core.fastpath`), byte-identical by contract and gated
     #: by the ``fastpath-equiv`` validation claim.  The default stays
     #: ``"reference"`` until the gate has a longer track record.

@@ -134,6 +134,10 @@ class Simulator:
         self.current_iteration = 0
         #: Accesses seen by the access-trace sampler (stride bookkeeping).
         self._access_seq = 0
+        #: Retired ``(page, is_write)`` accesses whose dirty marks and
+        #: eviction-policy touches wait for :meth:`_flush_pending`; None
+        #: applies them eagerly (this engine).
+        self._access_log: list | None = None
         self._ns_per_cycle = constants.NS_PER_CYCLE
         self._kernel_done = True
         self._kernel_end = 0.0
@@ -224,7 +228,7 @@ class Simulator:
                     watchdog.note_events(interval)
                     self._flush_pending()
                     watchdog.tick(self)
-        # Deferred batches stay pending across kernel launches (iterative
+        # The access log stays pending across kernel launches (iterative
         # workloads re-touch the same pages every kernel, so cross-kernel
         # spans are where compression pays); ``synchronize``, the driver
         # entry points, and ``check_invariants`` all flush first.
@@ -294,7 +298,7 @@ class Simulator:
             return
         sm.scheduled = True
         callback = lambda now, sm=sm: self._sm_step(sm, now)  # noqa: E731
-        # Marks the one event kind that may leave deferred batches behind
+        # Marks the one event kind that may leave deferred accesses behind
         # (see Simulator._flush_pending); every other callback flushes.
         callback.is_sm_step = True
         self.events.push(time_ns, callback)
@@ -316,17 +320,16 @@ class Simulator:
             self._schedule_sm(sm, sm.time_ns)
 
     def _flush_pending(self) -> None:
-        """Apply any deferred batched state updates (no-op here).
+        """Apply the deferred access log (no-op here).
 
-        The fast engine (:mod:`repro.core.fastpath`) accumulates
-        compressible recency updates — dirty marks, eviction
-        touches, TLB hit refreshes — across consecutive all-hit SM
-        quanta and overrides this hook to apply them.  The reference
-        engine applies everything eagerly, so this is a no-op; it is
-        called at every point deferred state could become observable:
-        before any non-SM-step event callback, on ``synchronize``,
-        before driver entry points (``prefetch_async``, ``cpu_access``),
-        and before invariant checks.
+        The fast engine (:mod:`repro.core.fastpath`) defers each retired
+        access's dirty mark and eviction-policy touch to its access log
+        and overrides this hook to apply the log.  The reference engine
+        applies both eagerly, so this is a no-op; it is called at every
+        point deferred state could become observable: before any
+        non-SM-step event callback, on ``synchronize``, before driver
+        entry points (``prefetch_async``, ``cpu_access``), before
+        watchdog ticks and before invariant checks.
         """
 
     def _issue_quantum(self, sm: StreamingMultiprocessor,
@@ -334,11 +337,14 @@ class Simulator:
         """The per-access issue loop of one SM step event.
 
         Retires up to ``budget`` accesses from the SM's READY warps in
-        round-robin order.  Split out of :meth:`_sm_step` so alternative
-        engines (:mod:`repro.core.fastpath`) can override the issue loop
-        while sharing the launch/reap/reschedule machinery — the contract
-        is that any override must leave *identical* simulator state to
-        this reference loop.
+        round-robin order.  Both engines run this loop; they differ only
+        in its tail.  With no access log (the reference engine) each
+        retired access marks the page table and touches the eviction
+        policy at once; with one (the fast engine) the warp's own
+        ``(page, is_write)`` tuple is appended to the log and
+        :meth:`_flush_pending` applies it later.  The TLB refresh, every
+        miss, page walk, fault, fill, L2 access and access-trace sample
+        run eagerly in both engines.
 
         The loop runs on locals: it inlines the round-robin scan of
         :meth:`StreamingMultiprocessor.next_ready_warp`, the hit path of
@@ -368,6 +374,8 @@ class Simulator:
         mark_access = self.page_table.mark_access
         on_accessed = self.driver.eviction.on_accessed
         ctx = self.ctx
+        log = self._access_log
+        defer = log.append if log is not None else None
         tlb = sm.tlb
         entries = tlb._entries
         refresh = entries.move_to_end
@@ -398,7 +406,8 @@ class Simulator:
             if rr == n:
                 rr = 0
             cursor = warp.cursor
-            page, is_write = warp.accesses[cursor]
+            access = warp.accesses[cursor]
+            page, is_write = access
             if page in entries:
                 refresh(page)
                 hits += 1
@@ -415,8 +424,11 @@ class Simulator:
                     continue
                 if l2 is not None and not l2.access(page):
                     time += l2_miss_ns
-            mark_access(page, is_write)
-            on_accessed(page, ctx)
+            if defer is None:
+                mark_access(page, is_write)
+                on_accessed(page, ctx)
+            else:
+                defer(access)
             if trace:
                 self._access_seq += 1
                 if (self._access_seq - 1) % trace_stride == 0:
@@ -491,9 +503,9 @@ def make_simulator(config: SimulatorConfig, *,
     """Build the engine selected by ``config.engine``.
 
     ``"reference"`` is the event-for-event model above; ``"fast"`` is the
-    batched :class:`~repro.core.fastpath.FastSimulator`, which must be
-    byte-identical in results (gated by the ``fastpath-equiv`` validate
-    claim and ``repro bench --compare``).  Explicit ``prefetcher`` /
+    deferred-recency :class:`~repro.core.fastpath.FastSimulator`, which
+    must be byte-identical in results (gated by the ``fastpath-equiv``
+    validate claim and ``repro bench --compare``).  Explicit ``prefetcher`` /
     ``eviction`` instances bypass the registries (tests, subclassed knob
     variants); they are reset() before adoption, so a reused instance
     behaves like a fresh one.

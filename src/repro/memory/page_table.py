@@ -27,11 +27,11 @@ class GpuPageTable:
     Three flat arrays indexed by ``page - base`` hold everything a page
     needs: its state code, its dirty bit, and how many migrations it has
     completed.  They are a ``bytearray`` / ``array("q")`` so the scalar
-    per-access path indexes them at plain-Python speed; the vector paths
-    (:meth:`invalid_pages_in_range`, :meth:`mark_access_span`) take
-    ``np.frombuffer`` views per call.  Growth replaces the arrays, so a
-    view or an index must never be held across a growth.  Pages outside
-    the window are INVALID and were never migrated.
+    per-access path indexes them at plain-Python speed; the vector path
+    (:meth:`invalid_pages_in_range`) takes an ``np.frombuffer`` view per
+    call.  Growth replaces the arrays, so a view or an index must never
+    be held across a growth.  Pages outside the window are INVALID and
+    were never migrated.
     """
 
     def __init__(self) -> None:
@@ -135,27 +135,6 @@ class GpuPageTable:
             raise PageTableError(f"access to non-valid page {page}")
         if is_write:
             self._dirty[index] = 1
-
-    def mark_access_span(self, pages: np.ndarray,
-                         written: np.ndarray | None) -> None:
-        """Vectorized :meth:`mark_access` over a deferred access span.
-
-        ``pages`` holds every page the span accessed (int64, repeats
-        allowed); ``written`` the pages it wrote, or None when it wrote
-        none.  All span pages must be VALID — the fast engine flushes
-        before anything can invalidate.
-        """
-        index = pages - self._base
-        state = np.frombuffer(self._state, dtype=np.uint8)
-        valid = (index >= 0) & (index < state.shape[0])
-        if valid.all():
-            valid = state[index] == _VALID
-        if not valid.all():
-            page = int(pages[np.argmin(valid)])
-            raise PageTableError(f"access to non-valid page {page}")
-        if written is not None:
-            dirty = np.frombuffer(self._dirty, dtype=np.uint8)
-            dirty[written - self._base] = 1
 
     # --- policy queries -------------------------------------------------------
     def invalid_pages_in_range(self, first: int, stop: int) -> list[int]:

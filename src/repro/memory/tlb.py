@@ -31,21 +31,6 @@ class Tlb:
         self.misses += 1
         return False
 
-    def refresh_many(self, pages) -> None:
-        """Batch LRU refresh of already-cached translations.
-
-        Fast-path helper (:mod:`repro.core.fastpath`): equivalent to one
-        ``lookup`` hit per page but without the hit/miss accounting — the
-        caller has already counted the hits.  Pages must be deduplicated
-        and ordered by *last* access: refreshing each distinct page once
-        in that order leaves the same LRU order as the full hit sequence.
-        Every page must currently be cached (the caller checked
-        membership and nothing evicted in between).
-        """
-        move = self._entries.move_to_end
-        for page in pages:
-            move(page)
-
     def insert(self, page: int) -> None:
         """Fill a translation, evicting the LRU entry when full."""
         if page in self._entries:

@@ -221,7 +221,7 @@ def _check_fastpath(checks: list[ClaimCheck], scale: float) -> None:
 
     Runs the fixed :func:`repro.bench.equivalence_matrix` — seeds ×
     workloads × policy pairings × over-subscription levels, plus
-    fault-profile and tracing cells — under ``engine="reference"`` and
+    fault-profile, tracing and L2 cells — under ``engine="reference"`` and
     ``engine="fast"`` and byte-compares ``SimStats.to_json()`` per cell.
     This is not a statistical claim about the paper but the correctness
     gate that makes the fast engine's numbers *mean* anything: every
@@ -240,7 +240,7 @@ def _check_fastpath(checks: list[ClaimCheck], scale: float) -> None:
         "fastpath-equiv",
         "the batched fast engine is result-identical to the reference "
         "discrete-event engine across workloads, policy pairings, "
-        "over-subscription levels, fault profiles, and tracing modes",
+        "over-subscription levels, fault profiles, tracing modes and L2",
         "engine selection must never change simulation results",
         measured,
         not mismatched,

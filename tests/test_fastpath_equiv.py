@@ -22,14 +22,10 @@ from repro.bench import (
 )
 from repro.config import SimulatorConfig, oversubscribed
 from repro.core import make_simulator
-from repro.core.fastpath import (
-    WINDOW_OUTCOMES,
-    FastSimulator,
-    MaskedTlb,
-    PageBitmap,
-)
+from repro.core.fastpath import DEFERRAL_COUNTERS, FastSimulator
 from repro.runtime import UvmRuntime
 from repro.workloads import make_workload
+from repro.workloads.base import AddressResolver
 from repro.workloads.synthetic import (
     CyclicScanWorkload,
     RandomWorkload,
@@ -117,8 +113,7 @@ def _assert_engines_agree(seed: int, tlb_entries: int | None) -> None:
 def _tlb_params(seeds):
     """Each seed at the default TLB size (id ``seed``) and at
     ``SMALL_TLB`` entries (id ``seed-tlb16``).  The small TLB adds
-    capacity-miss windows, which the fast engine hands whole to the
-    reference loop."""
+    capacity misses between the deferred hits of a span."""
     for seed in seeds:
         yield pytest.param(seed, None, id=str(seed))
         yield pytest.param(seed, SMALL_TLB, id=f"{seed}-tlb{SMALL_TLB}")
@@ -142,6 +137,7 @@ class TestFixedMatrix:
         assert any(cell.fault_profile for cell in cells)
         assert any(cell.trace for cell in cells)
         assert any(cell.record_access_trace for cell in cells)
+        assert any(cell.l2_enabled for cell in cells)
         assert any(cell.oversubscription is None for cell in cells)
         assert len({cell.seed for cell in cells}) > 1
         assert len({cell.workload for cell in cells}) >= 8
@@ -166,43 +162,47 @@ class TestFastEngineSelection:
     def test_factory_returns_fast_engine(self):
         sim = make_simulator(SimulatorConfig(engine="fast"))
         assert isinstance(sim, FastSimulator)
-        assert sim._fast_issue
-        assert all(isinstance(sm.tlb, MaskedTlb) for sm in sim.sms)
+        assert sim._access_log == []
 
-    def test_access_trace_mode_declines_fast_issue(self):
-        sim = make_simulator(SimulatorConfig(engine="fast",
-                                             record_access_trace=True))
-        assert isinstance(sim, FastSimulator)
-        assert not sim._fast_issue
+    @pytest.mark.parametrize("mode", ["record_access_trace", "l2_enabled"])
+    def test_access_trace_and_l2_modes_byte_identical(self, mode):
+        # Neither mode is declined: the fast engine defers its recency
+        # tail while the sampler and the L2 run eagerly in the shared
+        # loop.
+        cell = BenchCell(name=mode, workload="hotspot",
+                         kwargs=(("iterations", 3),), prefetcher="tbn",
+                         eviction="tbn", oversubscription=110.0,
+                         scale=0.15, **{mode: True})
+        (result,) = compare_engines([cell])
+        assert result.identical, result.cell
 
     def test_default_engine_is_reference(self):
         sim = make_simulator(SimulatorConfig())
         assert not isinstance(sim, FastSimulator)
+        assert sim._access_log is None
 
 
-class TestPageBitmap:
-    def test_set_clear_gather(self):
-        import numpy as np
+class TestDeferredValidCheck:
+    def test_flush_raises_on_logged_page_invalidated_behind_its_back(self):
+        from repro.errors import PageTableError
 
-        bitmap = PageBitmap()
-        bitmap.set(1_050_000)
-        bitmap.set(5)
-        got = bitmap.gather(np.array([5, 6, 1_050_000], dtype=np.int64))
-        assert got.tolist() == [True, False, True]
-        bitmap.clear(5)
-        got = bitmap.gather(np.array([5, 1_050_000], dtype=np.int64))
-        assert got.tolist() == [False, True]
-
-    def test_growth_preserves_bits_both_directions(self):
-        import numpy as np
-
-        bitmap = PageBitmap()
-        bitmap.set(1 << 20)
-        bitmap.set((1 << 20) + (1 << 17))   # grow high
-        bitmap.set((1 << 20) - (1 << 17))   # grow low
-        pages = np.array([1 << 20, (1 << 20) + (1 << 17),
-                          (1 << 20) - (1 << 17)], dtype=np.int64)
-        assert bitmap.gather(pages).all()
+        workload = make_workload("hotspot", scale=0.15, iterations=2)
+        # No invariant check at kernel end: it would flush the log.
+        runtime = UvmRuntime(SimulatorConfig(
+            engine="fast", check_invariants_on_completion=False))
+        runtime.run_workload(workload)
+        sim = runtime.simulator
+        # Re-run one kernel: every page is resident, so every access
+        # hits and waits in the log until the next flush.
+        resolver = AddressResolver(sim.allocator)
+        kernel = next(iter(workload.kernel_specs(resolver)))
+        sim.launch_kernel(kernel)
+        assert sim._access_log
+        page = sim._access_log[0][0]
+        sim.page_table.invalidate(page)
+        with pytest.raises(PageTableError,
+                           match=f"access to non-valid page {page}"):
+            sim.synchronize()
 
 
 class TestBenchReportShape:
@@ -215,53 +215,55 @@ class TestBenchReportShape:
         assert json.loads(result.reference_json) == \
             json.loads(result.fast_json)
 
-    def test_throughput_report_records_nominal_and_windows(self):
+    def test_throughput_report_records_nominal_and_deferral(self):
         cell = BenchCell(name="tiny", workload="bfs",
                          oversubscription=None, scale=0.1)
         (entry,) = throughput_report((cell,), repeats=1)["cells"]
         for engine in ("reference", "fast"):
             assert entry["engines"][engine]["nominal_accesses_per_sec"] > 0
-        assert "windows" not in entry["engines"]["reference"]
-        windows = entry["engines"]["fast"]["windows"]
-        assert set(windows) == set(WINDOW_OUTCOMES)
-        assert sum(windows.values()) > 0
+        assert "deferral" not in entry["engines"]["reference"]
+        deferral = entry["engines"]["fast"]["deferral"]
+        assert set(deferral) == set(DEFERRAL_COUNTERS)
+        assert deferral["accesses_deferred"] == entry["accesses"]
 
 
-class TestWindowCounters:
-    """``FastSimulator.window_counts``: one outcome per issued quantum,
-    outside ``SimStats``."""
+def _retired(stats) -> int:
+    """Accesses retired: a lookup that far-faults (new fault or MSHR
+    merge) blocks its warp and retires on replay.  Exact without a
+    fault-injection profile."""
+    return stats.tlb_hits + stats.tlb_misses - stats.far_faults \
+        - stats.mshr_merges
 
-    def _run_counted(self, monkeypatch, **overrides):
-        calls = []
-        issue = FastSimulator._issue_quantum
 
-        def counted(self, sm, budget):
-            calls.append(budget)
-            issue(self, sm, budget)
+class TestDeferralCounters:
+    """``FastSimulator.deferral_counts``: how much the access log
+    compressed, outside ``SimStats``."""
 
-        monkeypatch.setattr(FastSimulator, "_issue_quantum", counted)
-        # Cold-start misses, then all-hit iterations: every outcome.
+    def _run(self, **overrides):
+        # Cold-start misses, then iterations that re-touch every page.
         workload = make_workload("hotspot", scale=0.2, iterations=4)
         config = SimulatorConfig(engine="fast", prefetcher="tbn",
                                  eviction="tbn", **overrides)
         runtime = UvmRuntime(config)
-        runtime.run_workload(workload)
-        return runtime.simulator, len(calls)
+        stats = runtime.run_workload(workload)
+        return runtime.simulator, stats
 
-    def test_outcomes_sum_to_issued_quanta(self, monkeypatch):
-        sim, calls = self._run_counted(monkeypatch)
-        counts = sim.window_counts
-        assert set(counts) == set(WINDOW_OUTCOMES)
-        assert sum(counts.values()) == calls
-        assert all(counts.values()), counts
+    def test_every_retired_access_is_deferred_and_compressed(self):
+        sim, stats = self._run()
+        counts = sim.deferral_counts
+        assert set(counts) == set(DEFERRAL_COUNTERS)
+        assert counts["accesses_deferred"] == _retired(stats)
+        assert 0 < counts["flushes"] <= counts["pages_replayed"] \
+            < counts["accesses_deferred"]
+        assert not sim._access_log
 
-    def test_counts_stay_out_of_stats(self, monkeypatch):
-        sim, _ = self._run_counted(monkeypatch)
-        payload = sim.stats.to_json()
-        for outcome in WINDOW_OUTCOMES:
-            assert outcome not in payload
+    def test_counts_stay_out_of_stats(self):
+        sim, stats = self._run()
+        payload = stats.to_json()
+        for counter in DEFERRAL_COUNTERS:
+            assert counter not in payload
 
-    def test_declined_mode_counts_nothing(self, monkeypatch):
-        sim, calls = self._run_counted(monkeypatch, l2_enabled=True)
-        assert calls > 0
-        assert sum(sim.window_counts.values()) == 0
+    @pytest.mark.parametrize("mode", ["record_access_trace", "l2_enabled"])
+    def test_access_trace_and_l2_modes_defer_too(self, mode):
+        sim, stats = self._run(**{mode: True})
+        assert sim.deferral_counts["accesses_deferred"] == _retired(stats)

@@ -1,10 +1,9 @@
 """An independent oracle for the shared per-access issue loop.
 
-Both engines run ``Simulator._issue_quantum``: the reference engine for
-every quantum, the fast engine for every window that is not all-hit and
-for every mode it declines (L2, access-trace sampling).  A bug in that
-loop therefore shows in neither the fast≡reference differential nor
-``repro bench --compare``.  ``OracleSimulator`` keeps the loop as it
+Both engines run ``Simulator._issue_quantum`` for every quantum; the
+fast engine only swaps the loop's recency tail for an append to its
+access log.  A bug in the rest of that loop therefore shows in neither
+the fast≡reference differential nor ``repro bench --compare``.  ``OracleSimulator`` keeps the loop as it
 was written before it moved onto locals — one ``next_ready_warp``,
 ``Tlb.lookup``, ``current_access`` and ``advance`` call per access — and
 every cell here asserts byte-identical ``SimStats.to_json()`` plus the

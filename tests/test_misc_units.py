@@ -138,8 +138,6 @@ class TestEngineDetails:
 
     @pytest.mark.parametrize("engine", ["reference", "fast"])
     def test_batched_shootdown_keeps_survivor_order(self, engine):
-        import numpy as np
-
         from repro.core import make_simulator
         sim = make_simulator(SimulatorConfig(num_sms=3, engine=engine))
         base = 1 << 20
@@ -154,11 +152,6 @@ class TestEngineDetails:
         for sm in sim.sms:
             assert list(sm.tlb._entries) == survivors
             assert len(sm.tlb) == len(survivors)
-            if engine == "fast":
-                assert not sm.tlb.mask.gather(
-                    np.array(evicted, dtype=np.int64)).any()
-                assert sm.tlb.mask.gather(
-                    np.array(survivors, dtype=np.int64)).all()
 
     def test_walker_selected_from_config(self):
         from repro.memory.radix_walker import FixedWalker, RadixWalker
