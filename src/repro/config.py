@@ -293,23 +293,12 @@ class SimulatorConfig:
         # policies that did not declare byte-identical batched-access
         # equivalence.  Lazy imports: the registries live below config in
         # the import graph (same pattern as FaultProfile above).
-        from .core.evict import EVICTION_REGISTRY  # noqa: PLC0415
-        from .core.prefetch import PREFETCHER_REGISTRY  # noqa: PLC0415
-        from .errors import PolicyError, SimulationError  # noqa: PLC0415
-        if self.prefetcher not in PREFETCHER_REGISTRY:
-            known = ", ".join(sorted(PREFETCHER_REGISTRY))
-            raise PolicyError(
-                f"unknown prefetcher {self.prefetcher!r}; known: {known}"
-            )
-        if self.eviction not in EVICTION_REGISTRY:
-            known = ", ".join(sorted(EVICTION_REGISTRY))
-            raise PolicyError(
-                f"unknown eviction policy {self.eviction!r}; "
-                f"known: {known}"
-            )
+        from .errors import SimulationError  # noqa: PLC0415
+        from .policy.registry import (  # noqa: PLC0415
+            pair_supports_fastpath, policy_class)
+        policy_class(self.prefetcher, "prefetch")
+        policy_class(self.eviction, "evict")
         if self.engine == "fast":
-            from .policy.registry import \
-                pair_supports_fastpath  # noqa: PLC0415
             if not pair_supports_fastpath(self.prefetcher, self.eviction):
                 raise SimulationError(
                     f"engine='fast' is not supported with "

@@ -16,18 +16,22 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-from ...memory.addressing import contiguous_runs
 from ...memory.lru import HierarchicalLRU
 from ..context import UvmContext
-from ..plans import EvictionPlan, EvictionUnit
-from .base import EvictionPolicy, clamped_skip, register_eviction
+from .base import register_eviction
+from .tbn import TreeBasedNeighborhoodPreEviction
 
 _MISSING = object()
 
 
 @register_eviction
-class AdaptivePreEviction(EvictionPolicy):
-    """TBNe-style cascades, throttled by an observed thrash rate."""
+class AdaptivePreEviction(TreeBasedNeighborhoodPreEviction):
+    """TBNe-style cascades, throttled by an observed thrash rate.
+
+    Only the thrash bookkeeping is its own.  The epoch note runs after
+    every write-back unit, so :attr:`cascading` can flip between the
+    victims of a single plan.
+    """
 
     name = "adaptive"
 
@@ -40,53 +44,30 @@ class AdaptivePreEviction(EvictionPolicy):
     #: Sliding window of recently evicted pages watched for returns.
     RECENT_WINDOW = 4096
 
-    def __init__(self) -> None:
-        self._lru: HierarchicalLRU | None = None
-        self._cascading = True
+    def reset(self) -> None:
+        super().reset()
+        self.cascading = True
         #: Recently evicted pages (FIFO, bounded); a page migrating back
         #: while still tracked counts as thrash.
         self._recent: OrderedDict[int, None] = OrderedDict()
         self._epoch_evictions = 0
         self._epoch_thrashed = 0
 
-    def reset(self) -> None:
-        self._lru = None
-        self._cascading = True
-        self._recent.clear()
-        self._epoch_evictions = 0
-        self._epoch_thrashed = 0
-
-    def _structure(self, ctx: UvmContext) -> HierarchicalLRU:
-        if self._lru is None:
-            self._lru = HierarchicalLRU(ctx.space)
-        return self._lru
-
-    # --- bookkeeping -----------------------------------------------------
     def on_validated(self, page: int, ctx: UvmContext) -> None:
         if self._recent.pop(page, _MISSING) is not _MISSING:
             # A recently evicted page came back: thrash.
             self._epoch_thrashed += 1
-        self._structure(ctx).insert(page)
+        super().on_validated(page, ctx)
 
-    def on_accessed(self, page: int, ctx: UvmContext) -> None:
-        self._structure(ctx).touch(page)
+    def _evict_next(self, lru: HierarchicalLRU,
+                    ctx: UvmContext) -> list[list[int]]:
+        units = super()._evict_next(lru, ctx)
+        for pages in units:
+            self._note_evictions(pages)
+        return units
 
-    def on_accessed_many(self, pages, ctx: UvmContext) -> None:
-        touch = self._structure(ctx).touch
-        for page in pages:
-            touch(page)
-
-    def on_invalidated_externally(self, page: int,
-                                  ctx: UvmContext) -> None:
-        lru = self._structure(ctx)
-        if page in lru:
-            lru.remove(page)
-
-    def evictable_pages(self) -> int:
-        return len(self._lru) if self._lru is not None else 0
-
-    # --- adaptation --------------------------------------------------------
     def _note_evictions(self, pages: list[int]) -> None:
+        """Epoch note after one write-back unit."""
         for page in pages:
             self._recent[page] = None
         while len(self._recent) > self.RECENT_WINDOW:
@@ -94,60 +75,9 @@ class AdaptivePreEviction(EvictionPolicy):
         self._epoch_evictions += len(pages)
         if self._epoch_evictions >= self.EPOCH_EVICTIONS:
             rate = self._epoch_thrashed / self._epoch_evictions
-            if self._cascading and rate > self.THRASH_HIGH:
-                self._cascading = False
-            elif not self._cascading and rate < self.THRASH_LOW:
-                self._cascading = True
+            if self.cascading and rate > self.THRASH_HIGH:
+                self.cascading = False
+            elif not self.cascading and rate < self.THRASH_LOW:
+                self.cascading = True
             self._epoch_evictions = 0
             self._epoch_thrashed = 0
-
-    @property
-    def cascading(self) -> bool:
-        """Whether tree cascades are currently enabled (diagnostics)."""
-        return self._cascading
-
-    # --- planning ------------------------------------------------------------
-    def plan_eviction(self, n_pages: int, ctx: UvmContext) -> EvictionPlan:
-        lru = self._structure(ctx)
-        page_size = ctx.config.page_size
-        units: list[EvictionUnit] = []
-        freed = 0
-        while freed < n_pages and len(lru):
-            skip = clamped_skip(ctx.reservation_skip, len(lru), 1)
-            victim_block = lru.victim_block(skip)
-            evicted = self._evict_block(victim_block, lru, ctx)
-            block_ids = sorted(evicted)
-            for start, count in contiguous_runs(block_ids):
-                pages: list[int] = []
-                for block in range(start, start + count):
-                    pages.extend(evicted[block])
-                pages.sort()
-                units.append(EvictionUnit(pages, unit_writeback=True))
-                freed += len(pages)
-                self._note_evictions(pages)
-        return EvictionPlan(units=units, trees_preadjusted=True)
-
-    def _evict_block(self, victim_block: int, lru: HierarchicalLRU,
-                     ctx: UvmContext) -> dict[int, list[int]]:
-        """Evict one block, cascading only while thrash is low."""
-        page_size = ctx.config.page_size
-        tree = ctx.tree_for_block(victim_block)
-        evicted: dict[int, list[int]] = {}
-        pages = lru.remove_block(victim_block)
-        evicted[victim_block] = pages
-        tree.adjust_block(victim_block, -len(pages) * page_size)
-        if not self._cascading:
-            return evicted
-        cascade = tree.balance_after_evict(victim_block)
-        for block, nbytes in cascade.items():
-            wanted = nbytes // page_size
-            block_pages = lru.remove_block(block)
-            taken = block_pages[:wanted]
-            for page in block_pages[len(taken):]:
-                lru.insert(page)
-            if taken:
-                evicted[block] = taken
-            shortfall = wanted - len(taken)
-            if shortfall > 0:
-                tree.adjust_block(block, shortfall * page_size)
-        return evicted

@@ -2,7 +2,10 @@
 
 An eviction policy keeps its own recency bookkeeping, fed by the driver
 through ``on_validated`` / ``on_accessed``, and turns a frame shortage into
-an :class:`~repro.core.plans.EvictionPlan`.
+an :class:`~repro.core.plans.EvictionPlan`.  The block-granular policies
+(SLe, TBNe, 2 MB LRU and the ones built on them) share
+:class:`BlockLruEviction`, which owns the hierarchical LRU and leaves
+them only the choice of victims.
 
 Contract:
 
@@ -21,9 +24,11 @@ from abc import ABC, abstractmethod
 from typing import Callable
 
 from ...errors import PolicyError
+from ...memory.lru import HierarchicalLRU
 from ...policy.base import Policy
+from ...policy.registry import policy_class
 from ..context import UvmContext
-from ..plans import EvictionPlan
+from ..plans import EvictionPlan, EvictionUnit
 
 
 class EvictionPolicy(Policy, ABC):
@@ -75,6 +80,83 @@ class EvictionPolicy(Policy, ABC):
         """How many pages this policy could evict right now."""
 
 
+class BlockLruEviction(EvictionPolicy):
+    """Block-granular eviction on the hierarchical LRU (Section 5.3).
+
+    The base owns LRU membership and recency: a page joins the list when
+    its valid flag is set (prefetched-but-unaccessed pages included),
+    every access touches it, and an external invalidation drops it.
+    ``plan_eviction`` removes victims until the shortage is covered;
+    each subclass only says, in :meth:`_evict_next`, which pages the
+    next victim takes with it and how they group into write-back units.
+
+    ``reset`` runs from ``__init__``, so a subclass with state of its own
+    extends ``reset`` (calling ``super().reset()``) and needs no
+    ``__init__``.
+    """
+
+    #: Whether ``_evict_next`` already applied its deltas to the trees.
+    trees_preadjusted = False
+
+    def __init__(self) -> None:
+        self.reset()
+
+    def reset(self) -> None:
+        # The LRU binds a run's AddressSpace; drop it so the next run
+        # rebuilds against its own context.
+        self._lru: HierarchicalLRU | None = None
+
+    def _structure(self, ctx: UvmContext) -> HierarchicalLRU:
+        if self._lru is None:
+            self._lru = HierarchicalLRU(ctx.space)
+        return self._lru
+
+    def on_validated(self, page: int, ctx: UvmContext) -> None:
+        # Section 5.3 design choice: LRU membership starts at validation.
+        self._structure(ctx).insert(page)
+
+    def on_accessed(self, page: int, ctx: UvmContext) -> None:
+        self._structure(ctx).touch(page)
+
+    def on_accessed_many(self, pages, ctx: UvmContext) -> None:
+        touch = self._structure(ctx).touch
+        for page in pages:
+            touch(page)
+
+    def on_invalidated_externally(self, page: int,
+                                  ctx: UvmContext) -> None:
+        lru = self._structure(ctx)
+        if page in lru:
+            lru.remove(page)
+
+    def evictable_pages(self) -> int:
+        return len(self._lru) if self._lru is not None else 0
+
+    def plan_eviction(self, n_pages: int, ctx: UvmContext) -> EvictionPlan:
+        lru = self._structure(ctx)
+        units: list[EvictionUnit] = []
+        freed = 0
+        while freed < n_pages and len(lru):
+            for pages in self._evict_next(lru, ctx):
+                units.append(EvictionUnit(pages, unit_writeback=True))
+                freed += len(pages)
+        return EvictionPlan(units=units,
+                            trees_preadjusted=self.trees_preadjusted)
+
+    @abstractmethod
+    def _evict_next(self, lru: HierarchicalLRU,
+                    ctx: UvmContext) -> list[list[int]]:
+        """Remove the next victim's pages from ``lru`` and return them
+        as sorted write-back units (each written back as one transfer)."""
+
+    @staticmethod
+    def _lru_victim_block(lru: HierarchicalLRU, ctx: UvmContext) -> int:
+        """The LRU's oldest block past the reserved head."""
+        return lru.victim_block(
+            clamped_skip(ctx.reservation_skip, len(lru), 1)
+        )
+
+
 EVICTION_REGISTRY: dict[str, Callable[[], EvictionPolicy]] = {}
 
 
@@ -86,14 +168,7 @@ def register_eviction(cls: type[EvictionPolicy]) -> type[EvictionPolicy]:
 
 def make_eviction_policy(name: str) -> EvictionPolicy:
     """Instantiate an eviction policy by registry name."""
-    try:
-        factory = EVICTION_REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sorted(EVICTION_REGISTRY))
-        raise PolicyError(
-            f"unknown eviction policy {name!r}; known: {known}"
-        ) from None
-    return factory()
+    return policy_class(name, "evict")()
 
 
 def clamped_skip(requested_skip: int, population: int, needed: int) -> int:

@@ -11,61 +11,21 @@ from __future__ import annotations
 
 from ...memory.lru import HierarchicalLRU
 from ..context import UvmContext
-from ..plans import EvictionPlan, EvictionUnit
-from .base import EvictionPolicy, clamped_skip, register_eviction
+from .base import BlockLruEviction, register_eviction
 
 
 @register_eviction
-class Lru2MbEviction(EvictionPolicy):
+class Lru2MbEviction(BlockLruEviction):
     """Evicts the least-recently-used 2 MB large page in one unit."""
 
     name = "lru2mb"
 
-    def __init__(self) -> None:
-        self._lru: HierarchicalLRU | None = None
-
-    def reset(self) -> None:
-        # The LRU binds a run's AddressSpace; drop it so the next run
-        # rebuilds against its own context.
-        self._lru = None
-
-    def _structure(self, ctx: UvmContext) -> HierarchicalLRU:
-        if self._lru is None:
-            self._lru = HierarchicalLRU(ctx.space)
-        return self._lru
-
-    def on_validated(self, page: int, ctx: UvmContext) -> None:
-        self._structure(ctx).insert(page)
-
-    def on_accessed(self, page: int, ctx: UvmContext) -> None:
-        self._structure(ctx).touch(page)
-
-    def on_accessed_many(self, pages, ctx: UvmContext) -> None:
-        touch = self._structure(ctx).touch
-        for page in pages:
-            touch(page)
-
-    def on_invalidated_externally(self, page: int,
-                                  ctx: UvmContext) -> None:
-        lru = self._structure(ctx)
-        if page in lru:
-            lru.remove(page)
-
-    def evictable_pages(self) -> int:
-        return len(self._lru) if self._lru is not None else 0
-
-    def plan_eviction(self, n_pages: int, ctx: UvmContext) -> EvictionPlan:
-        lru = self._structure(ctx)
-        units: list[EvictionUnit] = []
-        freed = 0
-        while freed < n_pages and len(lru):
-            skip = clamped_skip(ctx.reservation_skip, len(lru), 1)
-            victim_block = lru.victim_block(skip)
-            chunk = victim_block // ctx.space.blocks_per_large_page
-            pages: list[int] = []
-            for block in ctx.space.blocks_in_large_page(chunk):
-                pages.extend(lru.remove_block(block))
-            pages.sort()
-            units.append(EvictionUnit(pages, unit_writeback=True))
-            freed += len(pages)
-        return EvictionPlan(units=units)
+    def _evict_next(self, lru: HierarchicalLRU,
+                    ctx: UvmContext) -> list[list[int]]:
+        chunk = self._lru_victim_block(lru, ctx) \
+            // ctx.space.blocks_per_large_page
+        pages: list[int] = []
+        for block in ctx.space.blocks_in_large_page(chunk):
+            pages.extend(lru.remove_block(block))
+        pages.sort()
+        return [pages]

@@ -14,90 +14,52 @@ from __future__ import annotations
 from ...memory.addressing import contiguous_runs
 from ...memory.lru import HierarchicalLRU
 from ..context import UvmContext
-from ..plans import EvictionPlan, EvictionUnit
-from .base import EvictionPolicy, clamped_skip, register_eviction
+from .base import BlockLruEviction, register_eviction
 
 
 @register_eviction
-class TreeBasedNeighborhoodPreEviction(EvictionPolicy):
+class TreeBasedNeighborhoodPreEviction(BlockLruEviction):
     """Adaptive block-granular pre-eviction driven by tree balance."""
 
     name = "tbn"
+    trees_preadjusted = True
+    #: Whether the tree cascade follows the victim block (a subclass may
+    #: throttle it per instance).
+    cascading = True
 
-    def __init__(self) -> None:
-        self._lru: HierarchicalLRU | None = None
-
-    def reset(self) -> None:
-        # The LRU binds a run's AddressSpace; drop it so the next run
-        # rebuilds against its own context.
-        self._lru = None
-
-    def _structure(self, ctx: UvmContext) -> HierarchicalLRU:
-        if self._lru is None:
-            self._lru = HierarchicalLRU(ctx.space)
-        return self._lru
-
-    def on_validated(self, page: int, ctx: UvmContext) -> None:
-        # Section 5.3 design choice: LRU membership starts at validation.
-        self._structure(ctx).insert(page)
-
-    def on_accessed(self, page: int, ctx: UvmContext) -> None:
-        self._structure(ctx).touch(page)
-
-    def on_accessed_many(self, pages, ctx: UvmContext) -> None:
-        touch = self._structure(ctx).touch
-        for page in pages:
-            touch(page)
-
-    def on_invalidated_externally(self, page: int,
-                                  ctx: UvmContext) -> None:
-        lru = self._structure(ctx)
-        if page in lru:
-            lru.remove(page)
-
-    def evictable_pages(self) -> int:
-        return len(self._lru) if self._lru is not None else 0
-
-    def plan_eviction(self, n_pages: int, ctx: UvmContext) -> EvictionPlan:
-        lru = self._structure(ctx)
-        page_size = ctx.config.page_size
-        units: list[EvictionUnit] = []
-        freed = 0
-        while freed < n_pages and len(lru):
-            skip = clamped_skip(ctx.reservation_skip, len(lru), 1)
-            victim_block = lru.victim_block(skip)
-            evicted_blocks = self._evict_with_cascade(
-                victim_block, lru, ctx
-            )
-            # Group contiguous evicted blocks into single write-back units.
-            block_ids = sorted(evicted_blocks)
-            for start, count in contiguous_runs(block_ids):
-                pages: list[int] = []
-                for block in range(start, start + count):
-                    pages.extend(evicted_blocks[block])
-                pages.sort()
-                units.append(EvictionUnit(pages, unit_writeback=True))
-                freed += len(pages)
-        return EvictionPlan(units=units, trees_preadjusted=True)
+    def _evict_next(self, lru: HierarchicalLRU,
+                    ctx: UvmContext) -> list[list[int]]:
+        evicted = self._evict_with_cascade(
+            self._lru_victim_block(lru, ctx), lru, ctx
+        )
+        # Group contiguous evicted blocks into single write-back units.
+        units: list[list[int]] = []
+        for start, count in contiguous_runs(sorted(evicted)):
+            pages: list[int] = []
+            for block in range(start, start + count):
+                pages.extend(evicted[block])
+            pages.sort()
+            units.append(pages)
+        return units
 
     def _evict_with_cascade(
         self, victim_block: int, lru: HierarchicalLRU, ctx: UvmContext
     ) -> dict[int, list[int]]:
-        """Evict the victim block, apply the tree cascade, and return
-        ``{block: pages_removed}`` for everything chosen."""
+        """Evict the victim block, apply the tree cascade while
+        :attr:`cascading`, and return ``{block: pages_removed}`` for
+        everything chosen."""
         page_size = ctx.config.page_size
         tree = ctx.tree_for_block(victim_block)
-        evicted: dict[int, list[int]] = {}
-
         pages = lru.remove_block(victim_block)
-        evicted[victim_block] = pages
+        evicted = {victim_block: pages}
         tree.adjust_block(victim_block, -len(pages) * page_size)
+        if not self.cascading:
+            return evicted
         cascade = tree.balance_after_evict(victim_block)
         for block, nbytes in cascade.items():
             wanted = nbytes // page_size
             block_pages = lru.remove_block(block)
-            taken = block_pages[:wanted] if wanted < len(block_pages) \
-                else block_pages
+            taken = block_pages[:wanted]
             # Pages beyond `wanted` (partial-block decisions) stay resident.
             for page in block_pages[len(taken):]:
                 lru.insert(page)

@@ -19,8 +19,8 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Callable
 
-from ...errors import PolicyError
 from ...policy.base import Policy
+from ...policy.registry import policy_class
 from ..context import UvmContext
 from ..plans import MigrationPlan
 
@@ -50,11 +50,4 @@ def register_prefetcher(cls: type[Prefetcher]) -> type[Prefetcher]:
 
 def make_prefetcher(name: str) -> Prefetcher:
     """Instantiate a prefetcher by registry name."""
-    try:
-        factory = PREFETCHER_REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sorted(PREFETCHER_REGISTRY))
-        raise PolicyError(
-            f"unknown prefetcher {name!r}; known: {known}"
-        ) from None
-    return factory()
+    return policy_class(name, "prefetch")()

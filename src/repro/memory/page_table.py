@@ -148,6 +148,16 @@ class GpuPageTable:
         free = np.flatnonzero(state[lo - base:hi - base] == _INVALID) + lo
         return [*range(first, lo), *free.tolist(), *range(hi, stop)]
 
+    def resident_count(self, first: int, stop: int) -> int:
+        """VALID or MIGRATING pages of ``[first, stop)``: the to-be-valid
+        pages the buddy trees count."""
+        base = self._base
+        lo = max(first - base, 0)
+        hi = min(stop - base, len(self._state))
+        if lo >= hi:
+            return 0
+        return hi - lo - self._state.count(_INVALID, lo, hi)
+
     def dirty_pages(self, pages: list[int]) -> list[int]:
         """Subset of ``pages`` whose dirty flag is set."""
         base = self._base

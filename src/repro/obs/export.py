@@ -6,8 +6,8 @@ Chrome Trace Event spec and accepted by Perfetto's legacy importer and
 entries carry ``ph`` (phase), ``ts``/``dur`` (microseconds), ``pid``/
 ``tid``, ``name``, ``cat``, and optional ``args``.
 
-:func:`validate_chrome_trace` is the schema gate used by the tests and
-``scripts/smoke_obs.sh``: field presence/types, non-negative durations,
+:func:`validate_chrome_trace` is the schema gate used by the tests
+(``tests/test_obs.py``): field presence/types, non-negative durations,
 matched async begin/end pairs, and strict nesting of complete events per
 track (a partially-overlapping pair of "X" spans renders wrong in every
 viewer, so it is rejected here rather than discovered in the UI).

@@ -24,8 +24,7 @@ from collections import OrderedDict
 import numpy as np
 
 from ..core.context import UvmContext
-from ..core.evict.base import EvictionPolicy, register_eviction
-from ..core.plans import EvictionPlan, EvictionUnit
+from ..core.evict.base import BlockLruEviction, register_eviction
 from ..memory.lru import HierarchicalLRU
 
 #: Knuth multiplicative-hash constant (2654435761 = 2^32 / phi).
@@ -39,7 +38,7 @@ def _feature_index(feature_id: int, bucket: int, dim: int) -> int:
 
 
 @register_eviction
-class LogisticEvictor(EvictionPolicy):
+class LogisticEvictor(BlockLruEviction):
     """Evicts the candidate block with the lowest predicted reuse."""
 
     name = "logistic"
@@ -57,25 +56,16 @@ class LogisticEvictor(EvictionPolicy):
     #: Density buckets (valid pages per block quantized).
     DENSITY_BUCKETS = 4
 
-    def __init__(self) -> None:
-        self._lru: HierarchicalLRU | None = None
+    #: Recently faulted blocks kept for the neighbourhood feature.
+    _hot_limit = 64
+
+    def reset(self) -> None:
+        super().reset()
         self._weights = np.zeros(self.DIM, dtype=np.float64)
         #: Evicted page -> feature vector of the eviction decision.
         self._recent: OrderedDict[int, np.ndarray] = OrderedDict()
         #: Blocks faulted in the last few batches (neighbourhood signal).
         self._hot_blocks: OrderedDict[int, None] = OrderedDict()
-        self._hot_limit = 64
-
-    def reset(self) -> None:
-        self._lru = None
-        self._weights = np.zeros(self.DIM, dtype=np.float64)
-        self._recent.clear()
-        self._hot_blocks.clear()
-
-    def _structure(self, ctx: UvmContext) -> HierarchicalLRU:
-        if self._lru is None:
-            self._lru = HierarchicalLRU(ctx.space)
-        return self._lru
 
     # --- bookkeeping -------------------------------------------------------
     def on_fault_batch(self, pages, ctx: UvmContext) -> None:
@@ -91,24 +81,7 @@ class LogisticEvictor(EvictionPolicy):
         if features is not None:
             # A remembered eviction came back: it evicted a live page.
             self._train(features, label=1.0)
-        self._structure(ctx).insert(page)
-
-    def on_accessed(self, page: int, ctx: UvmContext) -> None:
-        self._structure(ctx).touch(page)
-
-    def on_accessed_many(self, pages, ctx: UvmContext) -> None:
-        touch = self._structure(ctx).touch
-        for page in pages:
-            touch(page)
-
-    def on_invalidated_externally(self, page: int,
-                                  ctx: UvmContext) -> None:
-        lru = self._structure(ctx)
-        if page in lru:
-            lru.remove(page)
-
-    def evictable_pages(self) -> int:
-        return len(self._lru) if self._lru is not None else 0
+        super().on_validated(page, ctx)
 
     # --- model -------------------------------------------------------------
     def _features(self, rank: int, block: int,
@@ -146,17 +119,12 @@ class LogisticEvictor(EvictionPolicy):
         self._weights -= self.LEARNING_RATE * gradient * x
 
     # --- planning ----------------------------------------------------------
-    def plan_eviction(self, n_pages: int, ctx: UvmContext) -> EvictionPlan:
-        lru = self._structure(ctx)
-        units: list[EvictionUnit] = []
-        freed = 0
-        while freed < n_pages and len(lru):
-            block, features = self._pick_block(lru, ctx)
-            pages = sorted(lru.remove_block(block))
-            units.append(EvictionUnit(pages, unit_writeback=True))
-            freed += len(pages)
-            self._remember(pages, features)
-        return EvictionPlan(units=units)
+    def _evict_next(self, lru: HierarchicalLRU,
+                    ctx: UvmContext) -> list[list[int]]:
+        block, features = self._pick_block(lru, ctx)
+        pages = sorted(lru.remove_block(block))
+        self._remember(pages, features)
+        return [pages]
 
     def _pick_block(self, lru: HierarchicalLRU,
                     ctx: UvmContext) -> tuple[int, np.ndarray]:

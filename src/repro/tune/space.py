@@ -20,10 +20,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from ..core.evict import EVICTION_REGISTRY
-from ..core.prefetch import PREFETCHER_REGISTRY
-from ..errors import TuneError
+from ..errors import PolicyError, TuneError
 from ..experiments.common import COMBINATIONS, combo_config
+from ..policy.registry import policy_class
 from ..sweep import SweepCell
 from ..workloads.registry import make_workload, validate_scale
 
@@ -155,18 +154,11 @@ class SearchSpace:
             if label in seen:
                 raise TuneError(f"duplicate pairing label {label!r}")
             seen.add(label)
-            if prefetcher not in PREFETCHER_REGISTRY:
-                known = ", ".join(sorted(PREFETCHER_REGISTRY))
-                raise TuneError(
-                    f"pairing {label!r}: unknown prefetcher "
-                    f"{prefetcher!r}; known: {known}"
-                )
-            if eviction not in EVICTION_REGISTRY:
-                known = ", ".join(sorted(EVICTION_REGISTRY))
-                raise TuneError(
-                    f"pairing {label!r}: unknown eviction policy "
-                    f"{eviction!r}; known: {known}"
-                )
+            try:
+                policy_class(prefetcher, "prefetch")
+                policy_class(eviction, "evict")
+            except PolicyError as exc:
+                raise TuneError(f"pairing {label!r}: {exc}") from None
         if not self.tbn_thresholds:
             raise TuneError("search space has no TBN thresholds")
         for threshold in self.tbn_thresholds:

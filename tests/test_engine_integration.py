@@ -293,3 +293,27 @@ class TestInvariantsAcrossPolicies:
                            match=f"SM 1 TLB maps page {evicted} in state "
                                  f"PageState.INVALID"):
             sim.check_invariants()
+
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    def test_tree_leaf_drift_from_page_table_is_caught(self, engine):
+        """A leaf whose bytes disagree with its block's VALID/MIGRATING
+        pages is caught even while every node still sums its children."""
+        sim = make_simulator(oversubscribed(
+            2 * MIB, 120.0, num_sms=4, engine=engine, prefetcher="tbn",
+            eviction="tbn",
+        ))
+        alloc = sim.malloc_managed("a", 2 * MIB)
+        sim.launch_kernel(scan_kernel(alloc.page_range[0], alloc.num_pages))
+        sim.synchronize()
+        sim.check_invariants()
+        tree = sim.ctx.all_trees()[0]
+        block = next(
+            block for block in range(tree.first_block,
+                                     tree.first_block + tree.num_blocks)
+            if tree.leaf_valid_bytes(block) > 0
+        )
+        tree.adjust_block(block, -constants.PAGE_SIZE)
+        tree.check_consistency()
+        with pytest.raises(SimulationError,
+                           match=f"tree leaf of block {block} holds"):
+            sim.check_invariants()

@@ -439,3 +439,26 @@ class TestResilienceExperiment:
         assert result.column("fault rate") == [0.0, 0.05]
         table = result.to_table()
         assert "TBNe+TBNp slowdown" in table
+
+
+class TestCli:
+    def test_run_with_named_profile_prints_resilience_counters(self,
+                                                               capsys):
+        from repro.cli import main
+        assert main(["run", "bfs", "--scale", "0.15",
+                     "--oversubscription", "110", "--prefetcher", "tbn",
+                     "--eviction", "tbn", "--fault-profile",
+                     "moderate"]) == 0
+        out = capsys.readouterr().out
+        assert "resilience counter" in out
+        assert "injected_transfer_faults" in out
+
+    def test_faults_severity_sweep(self, capsys):
+        from repro.cli import main
+        assert main(["faults", "bfs", "--scale", "0.15",
+                     "--rates", "0", "0.05", "0.2"]) == 0
+        rows = [line.split() for line in capsys.readouterr().out
+                .splitlines() if line.strip()[:1].isdigit()]
+        assert [row[0] for row in rows] == ["0.00", "0.05", "0.20"]
+        # Column 3 counts injected perturbations: none at rate 0.
+        assert rows[0][2] == "0" and int(rows[2][2]) > 0

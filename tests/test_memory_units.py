@@ -161,6 +161,9 @@ class TestPageTableModel:
                 p for p in range(first, stop)
                 if state.get(p, PageState.INVALID) is PageState.INVALID
             ]
+            assert pt.resident_count(first, stop) == sum(
+                state.get(p, PageState.INVALID) is not PageState.INVALID
+                for p in range(first, stop))
         pt.check_valid_count()
         assert pt._base < self.CENTER - self.SPREAD // 2
         assert pt._base + len(pt._state) > self.CENTER + self.SPREAD // 2

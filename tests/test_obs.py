@@ -2,8 +2,8 @@
 
 The expensive double-run determinism checks carry the ``trace`` marker
 (excluded from the default tier-1 run, like ``slow``); everything else is
-cheap and runs by default.  ``scripts/smoke_obs.sh`` runs this module with
-markers cleared.
+cheap and runs by default.  Run everything, determinism checks included,
+with ``PYTHONPATH=src python -m pytest tests/test_obs.py -m ""``.
 """
 
 import json
@@ -465,3 +465,13 @@ class TestCli:
         out = capsys.readouterr().out
         assert "stall attribution" in out
         assert "slowest fault batches" in out
+
+    def test_report_command_with_fault_profile(self, capsys):
+        from repro.cli import main
+        assert main(["report", "bfs", "--scale", "0.15",
+                     "--oversubscription", "110", "--prefetcher", "tbn",
+                     "--eviction", "tbn", "--fault-profile", "moderate",
+                     "--top", "3"]) == 0
+        out = capsys.readouterr().out
+        assert "retry backoff" in out
+        assert "injected perturbations:" in out

@@ -253,3 +253,20 @@ class TestDeterminism:
             parallel = fig11_combinations.run(scale=SCALE,
                                               workload_names=TINY)
         assert parallel.to_table() == serial.to_table()
+
+
+@pytest.mark.sweep
+def test_warm_fig11_cli_run_executes_nothing_and_prints_same_tables(
+        tmp_path, capsys):
+    """A second ``repro experiment fig11`` against the first run's cache
+    executes no simulation and prints byte-identical stdout."""
+    from repro.cli import main
+    argv = ["experiment", "fig11", "--scale", str(SCALE), "--jobs", "2",
+            "--cache-dir", str(tmp_path / "runcache")]
+    assert main(argv) == 0
+    cold = capsys.readouterr()
+    assert "[sweep] 0 simulation(s) executed" not in cold.err
+    assert main(argv) == 0
+    warm = capsys.readouterr()
+    assert "[sweep] 0 simulation(s) executed" in warm.err
+    assert warm.out == cold.out
