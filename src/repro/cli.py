@@ -184,33 +184,38 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list", help="list workloads, policies, experiments")
 
-    run_p = sub.add_parser("run", help="run one workload")
-    run_p.add_argument("workload", choices=sorted(WORKLOAD_REGISTRY))
-    run_p.add_argument("--scale", type=float, default=0.5)
-    run_p.add_argument("--prefetcher", default="tbn",
+    def add_cell_flags(p) -> None:
+        """The cell flags `run` and `submit` share; `_flags_config`
+        turns them into the cache key both commands agree on."""
+        p.add_argument("workload", choices=sorted(WORKLOAD_REGISTRY))
+        p.add_argument("--scale", type=float, default=0.5)
+        p.add_argument("--prefetcher", default="tbn",
                        choices=sorted(PREFETCHER_REGISTRY))
-    run_p.add_argument("--eviction", default="lru4k",
+        p.add_argument("--eviction", default="lru4k",
                        choices=sorted(EVICTION_REGISTRY))
-    run_p.add_argument("--oversubscription", type=float, default=None,
+        p.add_argument("--oversubscription", type=float, default=None,
                        metavar="PERCENT",
                        help="working set as %% of device memory")
-    run_p.add_argument("--keep-prefetching", action="store_true",
+        p.add_argument("--keep-prefetching", action="store_true",
                        help="do not disable the prefetcher under "
                             "over-subscription")
-    run_p.add_argument("--reservation", type=float, default=0.0,
+        p.add_argument("--reservation", type=float, default=0.0,
                        help="LRU-head reservation fraction")
-    run_p.add_argument("--buffer", type=float, default=0.0,
+        p.add_argument("--buffer", type=float, default=0.0,
                        help="free-page buffer fraction")
-    run_p.add_argument("--seed", type=int, default=0)
-    run_p.add_argument("--engine", default="reference",
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--engine", default="reference",
                        choices=("reference", "fast"),
                        help="simulation engine; 'fast' defers recency "
                             "updates (result-identical, see "
                             "docs/PERFORMANCE.md)")
-    run_p.add_argument("--preset", default=None,
+        p.add_argument("--preset", default=None,
                        choices=sorted(PRESETS),
                        help="named paper setting; overrides the policy "
                             "and memory flags")
+
+    run_p = sub.add_parser("run", help="run one workload")
+    add_cell_flags(run_p)
     run_p.add_argument("--config-file", type=Path, default=None,
                        help="JSON file of SimulatorConfig fields; its "
                             "values override the policy flags")
@@ -495,32 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="submit one workload cell to a running server and print "
              "the resulting SimStats JSON",
     )
-    submit_p.add_argument("workload", choices=sorted(WORKLOAD_REGISTRY))
-    submit_p.add_argument("--scale", type=float, default=0.5)
-    submit_p.add_argument("--prefetcher", default="tbn",
-                          choices=sorted(PREFETCHER_REGISTRY))
-    submit_p.add_argument("--eviction", default="lru4k",
-                          choices=sorted(EVICTION_REGISTRY))
-    submit_p.add_argument("--oversubscription", type=float, default=None,
-                          metavar="PERCENT",
-                          help="working set as %% of device memory")
-    submit_p.add_argument("--keep-prefetching", action="store_true",
-                          help="do not disable the prefetcher under "
-                               "over-subscription")
-    submit_p.add_argument("--reservation", type=float, default=0.0,
-                          help="LRU-head reservation fraction")
-    submit_p.add_argument("--buffer", type=float, default=0.0,
-                          help="free-page buffer fraction")
-    submit_p.add_argument("--seed", type=int, default=0)
-    submit_p.add_argument("--engine", default="reference",
-                          choices=("reference", "fast"),
-                          help="simulation engine; 'fast' defers "
-                               "recency updates (result-identical, "
-                               "see docs/PERFORMANCE.md)")
-    submit_p.add_argument("--preset", default=None,
-                          choices=sorted(PRESETS),
-                          help="named paper setting; overrides the "
-                               "policy and memory flags")
+    add_cell_flags(submit_p)
     submit_p.add_argument("--no-wait", action="store_true",
                           help="print the job id and return without "
                                "waiting for the result")

@@ -26,12 +26,6 @@ from ..serve.client import ServeClient
 DEFAULT_HEARTBEAT_INTERVAL = 1.0
 
 
-def parse_coordinator_url(url: str) -> tuple[str, int]:
-    """``http://host:port`` (scheme optional) -> ``(host, port)``."""
-    client = ServeClient.from_url(url)
-    return client.host, client.port
-
-
 class ShardAgent:
     """Daemon thread registering + heartbeating one shard."""
 
@@ -53,9 +47,8 @@ class ShardAgent:
             f"{uuid.uuid4().hex[:6]}"
         self.interval = interval
         if client is None:
-            host, port = parse_coordinator_url(coordinator_url)
-            client = ServeClient(host=host, port=port, timeout=5.0,
-                                 backpressure_retries=0)
+            client = ServeClient.from_url(coordinator_url, timeout=5.0,
+                                          backpressure_retries=0)
         self.client = client
         self.registered = False
         self.heartbeats_sent = 0

@@ -8,13 +8,13 @@ jobs finish and are forgotten, queued jobs simply stay on disk, and the
 next server generation replays them in submission order under their
 original ids — clients polling across the restart never notice.
 
-The process-fleet supervisor adds a second tier: when a job is leased
-to a worker process, a write-ahead lease entry lands under
-``<root>/worker-<i>/`` recording the job id and its attempt count.  The
-supervisor replays a worker's WAL when that worker dies (requeue or
-quarantine), and the daemon replays every WAL on restart so attempt
-counts survive a daemon crash — a poison job cannot reset its strike
-count by killing the whole server.
+The supervisor adds a second tier: when a job is leased to a worker
+slot, a write-ahead lease entry lands under ``<root>/worker-<i>/``
+recording the job id and its attempt count.  The supervisor replays a
+worker's WAL when that worker process dies (requeue or quarantine), and
+the daemon replays every WAL on restart so attempt counts survive a
+daemon crash — a poison job cannot reset its strike count by killing
+the whole server.
 
 Layout mirrors the run cache: one self-describing JSON file per job,
 atomic writes via rename.  Anything unreadable or version-mismatched
@@ -137,7 +137,7 @@ class JobJournal:
     def record_lease(self, worker: int, job: Job, attempt: int) -> None:
         """Write-ahead record: worker ``worker`` now owns ``job``.
 
-        Written *before* the job is handed to the worker process, so a
+        Written *before* the job is handed to the worker, so a
         daemon crash mid-execution still knows the attempt count on
         restart.
         """

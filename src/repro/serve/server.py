@@ -4,15 +4,15 @@
 
 * admission through the bounded, coalescing
   :class:`~repro.serve.queue.JobQueue` (full queue -> 429 upstream),
-* an execution backend — either the classic pool of worker *threads*
-  (each running one cell at a time through the sweep layer's
-  single-cell seam, :func:`repro.sweep.execute_cell`) or, the default
-  for ``repro serve``, a **supervised fleet of worker processes**
-  (:class:`~repro.serve.supervisor.Supervisor`): crash/hang detection
-  via heartbeats and job deadlines, job leases revoked and requeued
-  with bounded backoff when a worker dies, poison jobs quarantined
-  after ``max_attempts`` worker-killing executions, per-worker lease
-  WALs replayed on worker death and daemon restart,
+* one execution backend, the :class:`~repro.serve.supervisor.Supervisor`:
+  per-slot job leases with write-ahead lease WALs replayed on daemon
+  restart, and — with worker *processes* in the slots, the default for
+  ``repro serve`` — crash/hang detection via heartbeats and job
+  deadlines, leases revoked and requeued with bounded backoff when a
+  worker dies, poison jobs quarantined after ``max_attempts``
+  worker-killing executions.  ``worker_mode="thread"`` fills the slots
+  with in-process workers instead (shared imports, injectable runners,
+  no crash isolation),
 * metrics through a :class:`~repro.obs.metrics.MetricsRegistry`
   (queue depth, running jobs, cache hit/miss, jobs served, worker
   restarts, lease revocations, quarantine counters, p50/p95 service
@@ -21,15 +21,6 @@
   survives a restart (corrupt entries quarantined, never fatal),
 * graceful drain: :meth:`drain` stops admissions, lets running jobs
   finish, and leaves queued jobs journaled for the next generation.
-
-Why both backends?  Threads amortize imports and share cache warmth,
-and deterministic unit tests inject gated runners there.  But threads
-share a fate: one segfaulting or wedged cell takes every in-flight job
-with it.  The process fleet isolates that blast radius — a worker
-death costs one lease revocation and one respawn, not the daemon —
-which is what lets ``repro serve`` stay up under the chaos harness
-(``repro chaos``).  Results are byte-identical either way: workers
-re-seed per cell from the content hash exactly like the serial path.
 """
 
 from __future__ import annotations
@@ -37,7 +28,6 @@ from __future__ import annotations
 import signal
 import sys
 import threading
-import time
 from http.server import ThreadingHTTPServer
 
 from .. import __version__
@@ -56,87 +46,15 @@ from .supervisor import FleetOptions, Supervisor
 WORKER_MODES = ("thread", "process")
 
 
-class _ThreadBackend:
-    """The classic worker-thread pool (also the test seam).
-
-    ``runner`` is the execution hook: ``cell -> (result, cache_hit)``.
-    The default is :func:`repro.sweep.execute_cell` bound to the
-    service cache; tests inject gated runners to hold jobs in flight
-    deterministically.
-    """
-
-    def __init__(self, service: "SimulationService", jobs: int,
-                 runner) -> None:
-        self.service = service
-        self._runner = runner or (
-            lambda cell: execute_cell(cell, cache=service.cache))
-        self._threads = [
-            threading.Thread(target=self._work, args=(i,),
-                             name=f"serve-worker-{i}", daemon=True)
-            for i in range(jobs)
-        ]
-        self._idle = threading.Semaphore(0)
-        self._drained = False
-
-    def start(self) -> None:
-        for thread in self._threads:
-            thread.start()
-
-    def descriptor(self) -> dict:
-        return {"worker_mode": "thread"}
-
-    def _work(self, index: int) -> None:
-        service = self.service
-        while True:
-            job = service.queue.take()
-            if job is None:
-                self._idle.release()
-                return
-            job.attempts += 1
-            service.note_leased(job, worker=index)
-            start_ns = None
-            if service.tracer is not None:
-                start_ns = service.tracer.job_leased(
-                    job.id, job.seq, index, job.attempts)
-            service.sample_gauges()
-            exec_start = time.time()
-            try:
-                result, cache_hit = self._runner(job.cell)
-            except Exception as exc:  # noqa: BLE001 — keep serving
-                result = FailedRun(
-                    job.cell.workload_spec.get("name", "?"),
-                    type(exc).__name__, str(exc))
-                cache_hit = False
-            exec_end = time.time()
-            if service.tracer is not None and start_ns is not None:
-                service.tracer.attempt_finished(
-                    job.id, job.seq, index, job.attempts, start_ns,
-                    outcome="failed" if isinstance(result, FailedRun)
-                    else "done",
-                    cache="hit" if cache_hit else "miss",
-                    exec_window=(exec_start, exec_end))
-            service.finish_job(job, result, cache_hit, worker=index)
-            service.sample_gauges()
-
-    def sample_metrics(self) -> None:
-        """No per-worker gauges in thread mode."""
-
-    def drain(self, timeout: float | None = None) -> bool:
-        if self._drained:
-            return True
-        done = True
-        for _ in self._threads:
-            done = self._idle.acquire(timeout=timeout) and done
-        self._drained = done
-        return done
-
-
 class SimulationService:
     """Job admission, execution, metrics, and drain — no HTTP in here.
 
-    ``worker_mode`` selects the execution backend: ``"thread"`` (the
-    in-process pool; forced whenever a ``runner`` is injected) or
-    ``"process"`` (the supervised fleet, configured via ``fleet``).
+    ``worker_mode`` selects what fills the supervisor's slots:
+    ``"thread"`` (in-process workers running ``runner``, by default
+    :func:`~repro.sweep.execute_cell` on the service cache; forced
+    whenever a ``runner`` is injected) or ``"process"`` (supervised
+    worker processes).  ``fleet`` configures the supervision either
+    way.
     """
 
     def __init__(
@@ -230,11 +148,11 @@ class SimulationService:
             "serve.service_latency_ns",
             help="submit-to-terminal wall latency per job")
 
-        if worker_mode == "process":
-            self._backend: Supervisor | _ThreadBackend = Supervisor(
-                self, jobs=jobs, options=fleet)
-        else:
-            self._backend = _ThreadBackend(self, jobs=jobs, runner=runner)
+        if worker_mode == "thread" and runner is None:
+            def runner(cell):
+                return execute_cell(cell, cache=self.cache)
+        self._backend = Supervisor(self, jobs=jobs, options=fleet,
+                                   runner=runner)
 
     # --- lifecycle ---------------------------------------------------------
     def start(self) -> int:
@@ -282,7 +200,7 @@ class SimulationService:
             detail=detail)
 
     def note_leased(self, job: Job, worker: int | None = None) -> None:
-        """A backend took the job off the queue (attempt already
+        """The supervisor took the job off the queue (attempt already
         bumped)."""
         self._event("leased", job, worker=worker, attempt=job.attempts)
         self._event("executing", job, worker=worker,
@@ -290,7 +208,7 @@ class SimulationService:
 
     def finish_job(self, job: Job, result, cache_hit: bool,
                    worker: int | None = None) -> None:
-        """Publish one job's terminal state (both backends land here).
+        """Publish one job's terminal state.
 
         Forgets *before* publishing the terminal state, so "job is
         terminal" implies "journal entry gone" for every observer.  A

@@ -1,14 +1,19 @@
-"""Supervised fleet of worker processes behind the simulation service.
+"""The supervised worker slots behind the simulation service.
 
-The :class:`Supervisor` is the process-mode execution backend of
-:class:`~repro.serve.server.SimulationService`.  It owns N
-:class:`~repro.serve.worker.WorkerProcess` children and N dispatcher
-threads; each dispatcher loops::
+The :class:`Supervisor` is the one execution backend of
+:class:`~repro.serve.server.SimulationService`.  It owns N worker
+slots and N dispatcher threads; each dispatcher loops::
 
     job = queue.take()            # blocks; None on drain
     lease = grant(job, worker)    # write-ahead lease WAL entry
-    result = worker.run(payload)  # crash/hang detection inside
-    finish(job, result)           # journal forget + terminal state
+    outcome = worker.run(cell)    # crash/hang detection inside
+    finish(job, outcome)          # journal forget + terminal state
+
+``worker_mode`` only decides what fills a slot: a
+:class:`~repro.serve.worker.WorkerProcess` (``"process"``) or an
+:class:`~repro.serve.worker.InProcessWorker` (``"thread"``).  Leases,
+WALs and per-slot metrics apply to both; only a process can crash, so
+only process mode ever takes the revoke path below.
 
 **Job leases.**  Before a job is handed to a worker the supervisor
 writes a lease entry to the journal's per-worker WAL
@@ -35,13 +40,17 @@ from __future__ import annotations
 import sys
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import ServeError, WorkerCrashError
 from ..faultinject.service import ServiceFaultProfile
-from ..stats import FailedRun, SimStats
+from ..stats import FailedRun
 from .queue import Job
-from .worker import DEFAULT_HEARTBEAT_INTERVAL, WorkerProcess
+from .worker import (
+    DEFAULT_HEARTBEAT_INTERVAL,
+    InProcessWorker,
+    WorkerProcess,
+)
 
 
 @dataclass(frozen=True)
@@ -94,24 +103,29 @@ class Lease:
     """One worker's claim on one job (in-memory view of the WAL entry)."""
 
     job: Job
-    worker: int
     attempt: int
-    granted_at: float = field(default_factory=time.monotonic)
     #: Attempt-span start on the service tracer's clock (None when
     #: tracing is off); kept here so the crash path can close the span.
     span_start_ns: float | None = None
 
 
 class Supervisor:
-    """Spawn, watch, and replace the worker processes; never die."""
+    """Spawn, watch, and replace the workers; never die.
+
+    With ``runner`` set, every slot is an :class:`InProcessWorker`
+    running it; otherwise a :class:`WorkerProcess`.
+    """
 
     def __init__(self, service, jobs: int,
-                 options: FleetOptions | None = None) -> None:
+                 options: FleetOptions | None = None,
+                 runner=None) -> None:
         self.service = service
         self.options = options or FleetOptions()
         self.options.validate()
         self.jobs = jobs
-        self._workers: list[WorkerProcess | None] = [None] * jobs
+        self._runner = runner
+        self._workers: list[WorkerProcess | InProcessWorker | None] = \
+            [None] * jobs
         self._dispatchers = [
             threading.Thread(target=self._dispatch, args=(slot,),
                              name=f"serve-dispatch-{slot}", daemon=True)
@@ -121,7 +135,6 @@ class Supervisor:
         self._lock = threading.Lock()
         self._idle = threading.Semaphore(0)
         self._drained = False
-        self._draining = threading.Event()
         self.restarts = 0
 
         # Per-worker instruments, labelled by slot (service.registry
@@ -158,27 +171,30 @@ class Supervisor:
             alive = sum(1 for worker in self._workers
                         if worker is not None and worker.is_alive())
         return {
-            "worker_mode": "process",
+            "worker_mode": self.service.worker_mode,
             "workers_alive": alive,
             "worker_restarts": self.restarts,
             "max_attempts": self.options.max_attempts,
         }
 
-    def _spawn(self, slot: int) -> WorkerProcess:
-        cache = self.service.cache
-        profile = self.options.fault_profile
-        worker = WorkerProcess(
-            index=slot,
-            cache_dir=str(cache.root) if cache is not None else None,
-            profile_fields=profile.to_dict() if profile else None,
-            heartbeat_interval=self.options.heartbeat_interval,
-            start_method=self.options.start_method,
-        )
+    def _spawn(self, slot: int) -> WorkerProcess | InProcessWorker:
+        if self._runner is not None:
+            worker = InProcessWorker(self._runner)
+        else:
+            cache = self.service.cache
+            profile = self.options.fault_profile
+            worker = WorkerProcess(
+                index=slot,
+                cache_dir=str(cache.root) if cache is not None else None,
+                profile_fields=profile.to_dict() if profile else None,
+                heartbeat_interval=self.options.heartbeat_interval,
+                start_method=self.options.start_method,
+            )
         with self._lock:
             self._workers[slot] = worker
         return worker
 
-    def _ensure_worker(self, slot: int) -> WorkerProcess:
+    def _ensure_worker(self, slot: int) -> WorkerProcess | InProcessWorker:
         with self._lock:
             worker = self._workers[slot]
         if worker is not None and worker.is_alive():
@@ -200,16 +216,14 @@ class Supervisor:
 
     def sample_metrics(self) -> None:
         """Refresh the per-worker gauges (called at snapshot time)."""
-        now = time.monotonic()
         with self._lock:
             for slot in range(self.jobs):
                 self._g_inflight[slot].set(
                     1 if slot in self._leases else 0)
                 worker = self._workers[slot]
-                age = 0.0
-                if worker is not None and worker.is_alive():
-                    age = max(0.0, now - worker.last_heartbeat)
-                self._g_heartbeat_age[slot].set(age)
+                alive = worker is not None and worker.is_alive()
+                self._g_heartbeat_age[slot].set(
+                    worker.heartbeat_age() if alive else 0.0)
 
     # --- the dispatch loop --------------------------------------------------
     def _dispatch(self, slot: int) -> None:
@@ -227,7 +241,7 @@ class Supervisor:
         service = self.service
         journal = service.journal
         job.attempts += 1
-        lease = Lease(job=job, worker=slot, attempt=job.attempts)
+        lease = Lease(job=job, attempt=job.attempts)
         if service.tracer is not None:
             lease.span_start_ns = service.tracer.job_leased(
                 job.id, job.seq, slot, job.attempts)
@@ -238,14 +252,10 @@ class Supervisor:
         service.note_leased(job, worker=slot)
         if journal is not None:
             journal.record_lease(slot, job, job.attempts)
-        payload = {
-            "workload": job.cell.workload_spec,
-            "config": job.cell.config.to_dict(),
-        }
         try:
             worker = self._ensure_worker(slot)
             outcome = worker.run(
-                payload,
+                job.cell,
                 job_timeout=self.options.job_timeout,
                 heartbeat_timeout=self.options.heartbeat_timeout,
             )
@@ -258,23 +268,17 @@ class Supervisor:
             self._g_inflight[slot].set(0)
         if journal is not None:
             journal.forget_lease(slot, job.id)
-        if outcome["kind"] == "failed":
-            result: SimStats | FailedRun = \
-                FailedRun.from_json_dict(outcome["payload"])
-        else:
-            result = SimStats.from_json_dict(outcome["payload"])
-        service.note_cache_quarantined(
-            outcome.get("cache_quarantined", 0))
+        service.note_cache_quarantined(outcome.cache_quarantined)
         if service.tracer is not None \
                 and lease.span_start_ns is not None:
             service.tracer.attempt_finished(
                 job.id, job.seq, slot, job.attempts,
                 lease.span_start_ns,
-                outcome="failed" if outcome["kind"] == "failed"
+                outcome="failed" if isinstance(outcome.result, FailedRun)
                 else "done",
-                cache="hit" if outcome["cache_hit"] else "miss",
-                exec_window=outcome.get("exec_window"))
-        service.finish_job(job, result, outcome["cache_hit"],
+                cache="hit" if outcome.cache_hit else "miss",
+                exec_window=outcome.exec_window)
+        service.finish_job(job, outcome.result, outcome.cache_hit,
                            worker=slot)
 
     def _revoke(self, slot: int, crash: WorkerCrashError) -> None:
@@ -300,8 +304,6 @@ class Supervisor:
                 if job is not None:
                     owed.append((job, entry["attempt"]))
                 journal.forget_lease(slot, entry["id"])
-        elif lease is not None:
-            owed.append((lease.job, lease.attempt))
         if not owed and lease is not None:
             owed.append((lease.job, lease.attempt))
 
@@ -339,9 +341,7 @@ class Supervisor:
     # --- shutdown -----------------------------------------------------------
     def drain(self, timeout: float | None = None) -> bool:
         """Wait for every dispatcher to finish its in-flight job, then
-        stop the worker processes.  Idempotent; mirrors the thread
-        backend's contract."""
-        self._draining.set()
+        stop the workers.  Idempotent."""
         if self._drained:
             return True
         done = True

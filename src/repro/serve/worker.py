@@ -1,14 +1,19 @@
-"""One supervised worker process of the serving fleet.
+"""The two worker kinds behind the serving supervisor's slots.
 
-A :class:`WorkerProcess` wraps one ``multiprocessing`` child running
+Both answer ``run(cell, job_timeout, heartbeat_timeout)`` with one
+:class:`WorkerOutcome` built by :func:`execute_timed`.  A
+:class:`WorkerProcess` wraps one ``multiprocessing`` child running
 :func:`_worker_main`: a loop that receives ``("run", payload)`` messages
-over a duplex pipe, executes the cell through the same single-cell seam
-the thread pool used (:func:`repro.sweep.execute_cell`, shared run
-cache, per-cell deterministic reseeding — so a result from a worker
-process is byte-identical to the same cell run in-process), and answers
-``("result", {...})``.
+over a duplex pipe, executes the cell through the sweep layer's
+single-cell seam (:func:`repro.sweep.execute_cell`, shared run cache,
+per-cell deterministic reseeding — so a result from a worker process is
+byte-identical to the same cell run in-process), and answers
+``("result", outcome)``.  An :class:`InProcessWorker` runs the cell on
+the dispatcher thread itself (``--worker-mode thread``, and the seam
+tests inject runners through).
 
-Liveness has three signals, all consumed by the supervisor:
+A worker process has three liveness signals, all consumed by the
+supervisor:
 
 * **pipe EOF / dead process** — the worker crashed (or was SIGKILLed by
   an injected fault); detected within one poll interval;
@@ -38,8 +43,10 @@ import os
 import signal
 import threading
 import time
+from dataclasses import dataclass, replace
 
 from ..errors import WorkerCrashError
+from ..stats import FailedRun, SimStats
 
 #: Seconds between child heartbeats.
 DEFAULT_HEARTBEAT_INTERVAL = 0.5
@@ -47,19 +54,52 @@ DEFAULT_HEARTBEAT_INTERVAL = 0.5
 _POLL_INTERVAL = 0.05
 
 
+@dataclass(frozen=True)
+class WorkerOutcome:
+    """One executed job, as either worker kind hands it back."""
+
+    result: SimStats | FailedRun
+    cache_hit: bool
+    #: Corrupt run-cache entries this job moved aside.
+    cache_quarantined: int
+    #: Wall-clock ``(start, end)`` of the execution, on the executing
+    #: process's clock; the tracer nests it inside the attempt span.
+    exec_window: tuple[float, float]
+
+
+def execute_timed(runner, cell, cache=None) -> WorkerOutcome:
+    """Run ``runner(cell) -> (result, cache_hit)`` and time it; ``cache``
+    is read only for its quarantine counter, so pass it only where no
+    other thread uses that cache."""
+    quarantined_before = cache.quarantined if cache is not None else 0
+    exec_start = time.time()
+    result, cache_hit = runner(cell)
+    exec_end = time.time()
+    quarantined = cache.quarantined - quarantined_before \
+        if cache is not None else 0
+    return WorkerOutcome(result, cache_hit, quarantined,
+                         (exec_start, exec_end))
+
+
+def _encode(outcome: WorkerOutcome) -> WorkerOutcome:
+    """The pipe form: the result as its tagged JSON dict."""
+    kind = "failed" if isinstance(outcome.result, FailedRun) else "stats"
+    return replace(outcome, result=(kind, outcome.result.to_json_dict()))
+
+
+def _decode(outcome: WorkerOutcome) -> WorkerOutcome:
+    kind, payload = outcome.result
+    cls = FailedRun if kind == "failed" else SimStats
+    return replace(outcome, result=cls.from_json_dict(payload))
+
+
 def _worker_main(index: int, conn, cache_dir: str | None,
                  profile_fields: dict | None,
                  heartbeat_interval: float) -> None:
-    """Child entry point: serve ``run`` requests until ``stop``/EOF.
-
-    Imports live inside the function so a ``spawn``-started child pays
-    them once, and so the module stays importable without the simulator
-    packages loaded.
-    """
+    """Child entry point: serve ``run`` requests until ``stop``/EOF."""
     from ..config import SimulatorConfig
     from ..faultinject.service import ServiceFaultProfile
     from ..sweep import RunCache, SweepCell, execute_cell
-    from ..stats import FailedRun
 
     profile = ServiceFaultProfile.from_dict(profile_fields) \
         if profile_fields else None
@@ -116,29 +156,16 @@ def _worker_main(index: int, conn, cache_dir: str | None,
             if profile.should_stall(jobs_run):
                 time.sleep(profile.stall_seconds)
 
-        quarantined_before = cache.quarantined if cache else 0
-        # The executing window, measured with the child's own clock and
-        # shipped with the result so the parent's ServiceTracer can nest
-        # it inside the attempt span (clamped there — clocks may skew).
-        exec_start = time.time()
-        result, cache_hit = execute_cell(cell, cache=cache)
-        exec_end = time.time()
-        quarantined = (cache.quarantined - quarantined_before) \
-            if cache else 0
+        outcome = execute_timed(
+            lambda c: execute_cell(c, cache=cache), cell, cache)
 
-        if profile is not None and cache is not None and not cache_hit:
+        if profile is not None and cache is not None \
+                and not outcome.cache_hit:
             stores += 1
             if profile.should_corrupt_store(stores):
                 _truncate_entry(cache.path_for(cell.cache_key()))
 
-        _send(("result", {
-            "kind": "failed" if isinstance(result, FailedRun)
-            else "stats",
-            "payload": result.to_json_dict(),
-            "cache_hit": cache_hit,
-            "cache_quarantined": quarantined,
-            "exec_window": (exec_start, exec_end),
-        }))
+        _send(("result", _encode(outcome)))
 
 
 def _truncate_entry(path) -> None:
@@ -154,7 +181,7 @@ class WorkerProcess:
     """Parent-side handle for one child worker.
 
     ``run`` is synchronous from the dispatcher thread's point of view:
-    it returns the result dict or raises
+    it returns the decoded outcome or raises
     :class:`~repro.errors.WorkerCrashError` when the child dies, wedges
     past the heartbeat timeout, or blows the job deadline (the latter
     two after the parent SIGKILLs it).
@@ -191,9 +218,14 @@ class WorkerProcess:
             worker=self.index, hang=hang,
         )
 
-    def run(self, payload: dict, job_timeout: float = 0.0,
-            heartbeat_timeout: float = 0.0) -> dict:
-        """Execute one job payload; returns the child's result dict."""
+    def heartbeat_age(self) -> float:
+        return max(0.0, time.monotonic() - self.last_heartbeat)
+
+    def run(self, cell, job_timeout: float = 0.0,
+            heartbeat_timeout: float = 0.0) -> WorkerOutcome:
+        """Execute one cell in the child; returns its outcome."""
+        payload = {"workload": cell.workload_spec,
+                   "config": cell.config.to_dict()}
         # Drain heartbeats queued while idle, so staleness is measured
         # from now.
         while self.conn.poll(0):
@@ -218,7 +250,7 @@ class WorkerProcess:
                     self.last_heartbeat = time.monotonic()
                     continue
                 if message[0] == "result":
-                    return message[1]
+                    return _decode(message[1])
                 continue
             now = time.monotonic()
             if not self.process.is_alive():
@@ -258,3 +290,39 @@ class WorkerProcess:
             self.conn.close()
         except OSError:
             pass
+
+
+class InProcessWorker:
+    """A worker slot that executes on the dispatcher thread itself.
+
+    Any exception ``runner`` raises becomes a :class:`FailedRun`: the
+    thread is the daemon's own.  The job deadline and heartbeat timeout
+    do not apply — there is no process to kill.  Slots share one run
+    cache, so a per-job quarantine delta would race: it stays 0.
+    """
+
+    def __init__(self, runner) -> None:
+        self._runner = runner
+
+    def _guarded(self, cell):
+        try:
+            return self._runner(cell)
+        except Exception as exc:  # noqa: BLE001 — keep serving
+            return FailedRun(cell.workload_spec.get("name", "?"),
+                             type(exc).__name__, str(exc)), False
+
+    def run(self, cell, job_timeout: float = 0.0,
+            heartbeat_timeout: float = 0.0) -> WorkerOutcome:
+        return execute_timed(self._guarded, cell)
+
+    def is_alive(self) -> bool:
+        return True
+
+    def heartbeat_age(self) -> float:
+        return 0.0
+
+    def kill(self) -> None:
+        """Nothing to kill."""
+
+    def stop(self, timeout: float = 2.0) -> None:
+        """Nothing to stop."""

@@ -8,10 +8,12 @@ thread-mode fast path for the report plumbing, and the determinism
 pair — two same-seed ``pattern="unique"`` runs against fresh 2-worker
 *process* daemons must produce byte-identical canonical event logs and
 merged traces, and instrumented served results must equal a plain
-in-process execution of the same cells.
+in-process execution of the same cells.  One more drives `repro serve`,
+`repro loadgen` and `repro top` as subprocesses, cold then warm.
 """
 
 import json
+import re
 
 import pytest
 
@@ -335,3 +337,68 @@ class TestServiceObservabilityDeterminism:
             assert not hit
             for results in (first[3], second[3]):
                 assert results[cell.cache_key()] == direct
+
+
+@pytest.mark.serve
+class TestCliLoadgenAgainstProcessDaemon:
+    """`repro loadgen` twice against a traced 2-worker process daemon
+    booted through the CLI: the warm run is > 90% cache hits, the two
+    reports agree outside the volatile block, the merged trace and the
+    event log carry every lifecycle transition, the Prometheus
+    endpoint has per-worker samples, `repro top` renders, and SIGTERM
+    drains.  The cold report stays at ``BENCH_serve.json`` in the
+    test's tmp dir, where CI picks it up from pytest's ``--basetemp``.
+    """
+
+    def test_cold_then_warm_run(self, tmp_path, repro_cli, serve_daemon):
+        from repro.obs import parse_prometheus_text, validate_chrome_trace
+        from repro.serve import ServeClient, ServeEventLog
+
+        daemon = serve_daemon(
+            "--jobs", "2", "--worker-mode", "process",
+            "--cache-dir", str(tmp_path / "runcache"),
+            "--journal-dir", str(tmp_path / "journal"),
+            "--events-dir", str(tmp_path / "servelog"),
+            "--service-trace")
+        flags = ("--seed", "7", "--duration", "10", "--rate", "4",
+                 "--scale", "0.08", "--port", str(daemon.port))
+        cold_path = tmp_path / "BENCH_serve.json"
+        warm_path = tmp_path / "BENCH_serve_warm.json"
+        trace_path = tmp_path / "serve.trace.json"
+        cold = repro_cli("loadgen", *flags, "--out", str(cold_path))
+        assert cold.returncode == 0, cold.stderr
+        warm = repro_cli("loadgen", *flags, "--out", str(warm_path),
+                         "--trace-out", str(trace_path))
+        assert warm.returncode == 0, warm.stderr
+
+        cold_report = json.loads(cold_path.read_text())
+        warm_report = json.loads(warm_path.read_text())
+        assert warm_report["measured"]["cache_hit_rate"] > 0.9
+        assert cold_report["volatile"] == ["measured"]
+        assert report_to_json(stable_report_fields(cold_report)) == \
+            report_to_json(stable_report_fields(warm_report))
+
+        trace = json.loads(trace_path.read_text())
+        assert validate_chrome_trace(trace) == []
+        names = {event.get("name") for event in trace["traceEvents"]}
+        assert {"queued", "journaled", "attempt-1", "executing",
+                "cache_hit", "cache_miss", "terminal:done"} <= names
+
+        assert ServeEventLog.scan(tmp_path / "servelog") == []
+        kinds = {event["kind"]
+                 for event in ServeEventLog.read(tmp_path / "servelog")}
+        assert {"submitted", "journaled", "leased", "executing",
+                "cache_hit", "cache_miss", "terminal"} <= kinds
+
+        samples = parse_prometheus_text(
+            ServeClient(port=daemon.port).metrics_prom())
+        assert samples["serve_jobs_done"] > 0
+        assert 'serve_worker_inflight{worker="0"}' in samples
+
+        top = repro_cli("top", "--port", str(daemon.port))
+        assert top.returncode == 0, top.stderr
+        assert top.stdout.strip()
+
+        assert daemon.terminate() == 0, daemon.stderr()
+        assert re.search(r"^\[serve\] drained", daemon.stderr(),
+                         re.MULTILINE), daemon.stderr()

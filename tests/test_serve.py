@@ -5,8 +5,9 @@ queue, journal, and job-spec validation — they run in the tier-1 suite.
 The ``serve``-marked classes boot a real HTTP server on an ephemeral
 port and exercise the end-to-end contract: job lifecycle, coalescing,
 cache-hit fast path, 429 backpressure, cancellation, and drain + journal
-resume.  Everything is deterministic: fixed seeds, event-gated fake
-runners instead of timing games, and no wall-clock assertions.
+resume; one of them drives `repro serve`/`repro submit` as
+subprocesses.  Everything is deterministic: fixed seeds, event-gated
+fake runners instead of timing games, and no wall-clock assertions.
 """
 
 import json
@@ -837,6 +838,79 @@ class TestServiceUnit:
         assert job.result.error_type == "RuntimeError"
         service.drain(timeout=30)
 
+    def test_thread_mode_restart_restores_attempts_from_lease_wal(
+            self, tmp_path):
+        journal = JobJournal(tmp_path / "journal")
+        runner = GatedRunner()
+        crashed = SimulationService(jobs=1, journal=journal,
+                                    runner=runner)
+        crashed.start()
+        held, _ = crashed.submit(cell(1))
+        assert runner.started.wait(30)  # leased, mid-job
+        assert [(entry["id"], entry["attempt"])
+                for entry in journal.load_leases()] == [(held.id, 1)]
+
+        # The next generation boots over the same journal while the
+        # first still holds the job, as after a daemon crash.
+        reborn_runner = GatedRunner()
+        reborn = SimulationService(jobs=1, journal=journal,
+                                   runner=reborn_runner)
+        try:
+            assert reborn.start() == 1
+            assert reborn_runner.started.wait(30)
+            job = reborn.queue.get(held.id)
+            assert job.attempts == 2  # the restored strike + this lease
+            assert [(entry["id"], entry["attempt"])
+                    for entry in journal.load_leases()] == [(held.id, 2)]
+            reborn_runner.release()
+            assert job.wait(timeout=30) and job.state == DONE
+            assert journal.load_leases() == []
+        finally:
+            reborn_runner.release()
+            reborn.drain(timeout=30)
+            runner.release()
+            crashed.drain(timeout=30)
+
+    def test_in_process_slots_report_zero_heartbeat_age(self):
+        import time
+
+        runner = GatedRunner()
+        service = SimulationService(jobs=2, runner=runner)
+        service.start()
+        try:
+            service.submit(cell(1))
+            service.submit(cell(2))
+            deadline = time.monotonic() + 30
+            while runner.calls < 2:  # both slots hold a job
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            snapshot = service.metrics_snapshot()
+            for slot in ("0", "1"):
+                labels = f'{{worker="{slot}"}}'
+                assert snapshot[
+                    "serve.worker.heartbeat_age_seconds" + labels] == 0
+                assert snapshot["serve.worker.inflight" + labels] == 1
+                assert snapshot["serve.worker.leases" + labels] == 1
+        finally:
+            runner.release()
+            service.drain(timeout=30)
+
+    def test_health_reports_thread_mode_and_live_workers(self):
+        service = SimulationService(
+            jobs=2, runner=lambda c: (SimStats(), False))
+        service.start()
+        try:
+            job, _ = service.submit(cell(1))
+            assert job.wait(timeout=30)
+            health = service.health()
+            assert health["worker_mode"] == "thread"
+            # Slots fill on their first lease.
+            assert health["workers_alive"] == 1
+            assert health["worker_restarts"] == 0
+            assert health["max_attempts"] == 3
+        finally:
+            service.drain(timeout=30)
+
 
 @pytest.fixture()
 def http_service(tmp_path):
@@ -1113,6 +1187,37 @@ class TestEndToEndSimulation:
         finally:
             server.shutdown(timeout=60)
             server.close()
+
+
+@pytest.mark.serve
+class TestCliServeSubmit:
+    """`repro serve` and `repro submit` as users run them: served stats
+    are byte-identical to `repro run --json`, a repeat is a cache hit,
+    and SIGTERM drains the daemon cleanly."""
+
+    CELL = ("hotspot", "--scale", str(SCALE), "--preset",
+            "paper-tbne-110", "--seed", "0")
+
+    def test_submit_matches_run_then_hits_cache_then_drains(
+            self, tmp_path, repro_cli, serve_daemon):
+        daemon = serve_daemon(
+            "--jobs", "1", "--cache-dir", str(tmp_path / "runcache"),
+            "--journal-dir", str(tmp_path / "journal"),
+            "--events-dir", str(tmp_path / "servelog"))
+        local = repro_cli("run", *self.CELL, "--json")
+        assert local.returncode == 0, local.stderr
+        port = ("--port", str(daemon.port))
+        cold = repro_cli("submit", *self.CELL, *port)
+        warm = repro_cli("submit", *self.CELL, *port)
+        for submitted in (cold, warm):
+            assert submitted.returncode == 0, submitted.stderr
+            assert submitted.stdout == local.stdout
+        assert "cache_hit: false" in cold.stderr
+        assert "cache_hit: true" in warm.stderr
+
+        assert daemon.terminate() == 0, daemon.stderr()
+        assert re.search(r"^\[serve\] drained", daemon.stderr(),
+                         re.MULTILINE), daemon.stderr()
 
 
 @pytest.mark.serve

@@ -1,6 +1,7 @@
 """Tests for the repro.tune policy auto-tuning subsystem."""
 
 import json
+import re
 
 import pytest
 
@@ -445,6 +446,34 @@ class TestCli:
                          "--out", str(out)]) == 0
         assert (first / "gemm.json").read_bytes() == \
             (second / "gemm.json").read_bytes()
+
+    def test_warm_tune_executes_nothing_and_recovers_the_headline(
+            self, tmp_path, capsys):
+        def tune(out):
+            assert main(["tune", "gemm", "--scale", "0.3",
+                         "--percents", "110",
+                         "--cache-dir", str(tmp_path / "cache"),
+                         "--out", str(tmp_path / out)]) == 0
+            return capsys.readouterr()
+
+        cold = tune("cards_cold")
+        warm = tune("cards_warm")
+        assert re.search(r"^\[tune\] 0 simulation\(s\) executed",
+                         warm.err, re.MULTILINE)
+        assert (tmp_path / "cards_cold" / "gemm.json").read_bytes() == \
+            (tmp_path / "cards_warm" / "gemm.json").read_bytes()
+
+        # Only the card path line names the (different) --out dirs.
+        def without_card_path(out):
+            return [line for line in out.splitlines()
+                    if not line.startswith("card -> ")]
+
+        assert without_card_path(cold.out) == without_card_path(warm.out)
+        assert "110% oversubscribed -> TBNe+TBNp" in cold.out
+
+        assert main(["recommend", "gemm", "--oversubscription", "110",
+                     "--cards-dir", str(tmp_path / "cards_cold")]) == 0
+        assert "run TBNe+TBNp" in capsys.readouterr().out
 
     def test_recommend_without_a_card_exits_cleanly(self, tmp_path):
         with pytest.raises(TuneError, match="repro tune"):
