@@ -1,120 +1,95 @@
 #!/usr/bin/env python
-"""Engine-throughput regression gate over the stored bench trajectory.
+"""Throughput gate: perfbench on a change against its parent commit.
 
 Usage::
 
-    python scripts/bench_gate.py BENCH_core.json            # gate
-    python scripts/bench_gate.py BENCH_core.json --record v7 # store entry
+    python scripts/bench_gate.py PARENT_CHECKOUT CHANGE_CHECKOUT
 
-Compares a fresh ``repro bench`` report against the best entry stored
-under ``benchmarks/trajectory/`` and fails (exit 1) when any cell's
-**fast-engine nominal throughput** (``nominal_accesses_per_sec``)
-is more than ``--threshold`` (default 30%) below the best stored entry
-that carries the field.
-
-Nominal throughput divides the accesses by the run's wall time scaled
-with a fixed calibration loop timed just before and after it (see
-``repro.bench.calibrate``), so a host that is slower for a while, or a
-different runner, reads about the same figure.  The fast-over-reference
-speedup is not gated: it also falls when the *reference* engine gets
-faster, which would read as a fast-engine regression.  It is printed
-as information, and entries stored without the nominal field are
-ignored.
+For every workload in the change's ``BENCHMARK.json`` it runs the
+benchmark command (``perfbench/run.py --workload W --seconds 5``) in
+both checkouts, ``PAIRS`` times each, alternating which side runs first.
+It fails (exit 1) when any run reports ``correct`` false or
+``failed > 0``, or when the change's median of a ``GATED`` metric is
+worse than the parent's by more than that metric's ``bound`` (a share
+of the parent's median, in the metric's ``better`` direction).  The
+other end-to-end medians print for information only.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import statistics
+import subprocess
 import sys
 from pathlib import Path
 
-SCHEMA = "repro-bench-core/v1"
-DEFAULT_TRAJECTORY = Path(__file__).resolve().parent.parent \
-    / "benchmarks" / "trajectory"
-FIELD = "nominal_accesses_per_sec"
+PAIRS = 3
+SECONDS = 5
+GATED = ("accesses_per_s.reference", "accesses_per_s.fast")
 
 
-def load_report(path: Path) -> dict:
-    report = json.loads(path.read_text())
-    if report.get("schema") != SCHEMA:
-        sys.exit(f"{path}: expected schema {SCHEMA!r}, "
-                 f"got {report.get('schema')!r}")
-    return report
+def perfbench(checkout: Path, command: list[str], workload: str) -> dict:
+    """One benchmark run; returns its last-line result."""
+    done = subprocess.run([*command, "--workload", workload,
+                           "--seconds", str(SECONDS)], cwd=checkout,
+                          capture_output=True, text=True)
+    lines = done.stdout.splitlines()
+    if done.returncode or not lines:
+        return {"correct": False, "failed": None,
+                "error": (done.stderr.splitlines() or ["no output"])[-1]}
+    return json.loads(lines[-1])
 
 
-def best_stored(trajectory: Path) -> dict[str, tuple[float, str]]:
-    """cell name -> (best stored fast nominal accesses/s, entry filename).
-
-    Entries without the nominal field are skipped.
-    """
-    best: dict[str, tuple[float, str]] = {}
-    if not trajectory.is_dir():
-        return best
-    for entry_path in sorted(trajectory.glob("*.json")):
-        entry = load_report(entry_path)
-        for cell in entry["cells"]:
-            value = cell["engines"]["fast"].get(FIELD)
-            if value is None:
-                continue
-            name = cell["cell"]
-            if name not in best or value > best[name][0]:
-                best[name] = (value, entry_path.name)
-    return best
+def judge(spec: dict, workload: str, parent: list[dict],
+          change: list[dict]) -> list[str]:
+    """Print one workload's medians; return its failures."""
+    failures = [f"{workload}: a {side} run reports correct="
+                f"{run.get('correct')} failed={run.get('failed')} "
+                f"{run.get('error', '')}".rstrip()
+                for side, runs in (("parent", parent), ("change", change))
+                for run in runs
+                if run.get("correct") is not True or run.get("failed") != 0]
+    if failures:
+        return failures
+    print(f"\n{workload}\n  {'metric':34s} {'parent':>12s} "
+          f"{'change':>12s} {'worse by':>9s} {'bound':>6s}  verdict")
+    for metric in spec["end_to_end"]:
+        name, bound = metric["name"], metric["bound"]
+        old, new = (statistics.median(run["metrics"][name]["value"]
+                                      for run in runs)
+                    for runs in (parent, change))
+        sign = 1 if metric["better"] == "lower" else -1
+        worse = sign * (new - old) / old if old else 0.0
+        verdict = ("ok" if worse <= bound else "WORSE") if name in GATED \
+            else "info"
+        if verdict == "WORSE":
+            failures.append(f"{workload}: {name} median {new:.6g} is "
+                            f"{worse:.0%} worse than {old:.6g}")
+        print(f"  {name:34s} {old:12.6g} {new:12.6g} {worse:9.1%} "
+              f"{bound:6.0%}  {verdict}")
+    return failures
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("report", type=Path,
-                        help="BENCH_core.json from `repro bench`")
-    parser.add_argument("--trajectory", type=Path,
-                        default=DEFAULT_TRAJECTORY,
-                        help="stored trajectory directory")
-    parser.add_argument("--threshold", type=float, default=0.30,
-                        help="max allowed fractional drop of fast nominal "
-                             "throughput")
-    parser.add_argument("--record", metavar="LABEL",
-                        help="store the report as <trajectory>/<LABEL>.json "
-                             "after gating")
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
     args = parser.parse_args(argv)
-
-    report = load_report(args.report)
-    best = best_stored(args.trajectory)
-
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
     failures = []
-    print(f"{'cell':22s} {'ref nom/s':>10s} {'fast nom/s':>11s} "
-          f"{'best':>10s} {'speedup':>8s}  verdict")
-    print("-" * 80)
-    for cell in report["cells"]:
-        name = cell["cell"]
-        ref = cell["engines"]["reference"][FIELD]
-        fast = cell["engines"]["fast"][FIELD]
-        stored = best.get(name)
-        if stored is None:
-            verdict, baseline = "no baseline", "-"
-        else:
-            floor = stored[0] * (1.0 - args.threshold)
-            baseline = f"{stored[0]:.0f}"
-            if fast < floor:
-                verdict = f"REGRESSED (<{floor:.0f}, vs {stored[1]})"
-                failures.append(name)
-            else:
-                verdict = "ok"
-        print(f"{name:22s} {ref:10.0f} {fast:11.0f} {baseline:>10s} "
-              f"{cell['speedup']:7.2f}x  {verdict}")
-
-    if failures:
-        print(f"\nFAIL: fast nominal throughput dropped "
-              f">{args.threshold:.0%} on: {', '.join(failures)}")
-        return 1
-    if args.record:
-        args.trajectory.mkdir(parents=True, exist_ok=True)
-        target = args.trajectory / f"{args.record}.json"
-        target.write_text(json.dumps(report, indent=2, sort_keys=True)
-                          + "\n")
-        print(f"\nrecorded {target}")
-    print("\nPASS")
-    return 0
+    for workload in (w["name"] for w in spec["workloads"]):
+        parent: list[dict] = []
+        change: list[dict] = []
+        sides = [(args.parent, parent), (args.change, change)]
+        for index in range(PAIRS):
+            for checkout, runs in sides[::-1] if index % 2 else sides:
+                runs.append(perfbench(checkout, spec["command"], workload))
+        failures += judge(spec, workload, parent, change)
+    for failure in failures:
+        print(f"FAIL {failure}")
+    print("FAIL" if failures else "PASS")
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

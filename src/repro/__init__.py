@@ -3,7 +3,7 @@ Eviction Policy in CPU-GPU Unified Virtual Memory* (Ganguly et al.,
 ISCA 2019).
 
 A trace-driven, discrete-event simulator of CPU-GPU Unified Virtual Memory:
-on-demand page migration over a calibrated PCI-e model, the four hardware
+on-demand page migration over a PCI-e model fit to Table 1, the four hardware
 prefetchers of the paper (on-demand, random, sequential-local, tree-based
 neighborhood), and the eviction/pre-eviction policy family (LRU 4KB/2MB,
 random, SLe, TBNe, free-page-buffer threshold, LRU-head reservation).

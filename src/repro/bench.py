@@ -1,23 +1,12 @@
-"""Engine benchmark and differential-equivalence harness.
+"""Differential-equivalence harness for the two simulation engines.
 
-Two jobs, one cell vocabulary:
-
-* :func:`compare_engines` — the differential-equivalence gate behind the
-  ``fastpath-equiv`` validation claim and ``repro bench --compare``.  It
-  runs every :class:`BenchCell` under both engines and asserts that
-  ``SimStats.to_json()`` is **byte-identical** — not approximately equal,
-  identical — so any divergence in fault counts, transfer histograms,
-  kernel times, or eviction totals fails loudly.
-
-* :func:`throughput_report` — the ``BENCH_core.json`` producer.  It
-  times both engines over the same pre-materialized kernel streams and
-  reports accesses/second plus the fast-over-reference speedup per cell.
-  Kernel specs are materialized *outside* the timed region: workload
-  generation is identical python work for both engines and measuring it
-  would only dilute the engine comparison.  Each timed run is also
-  scaled to *nominal* seconds by a fixed calibration loop timed just
-  before and after it (:func:`calibrate`), so a host that runs
-  everything slower for a while reads the same nominal throughput.
+:func:`compare_engines` is the gate behind the ``fastpath-equiv``
+validation claim and ``repro bench``.  It runs every :class:`BenchCell`
+under both engines and asserts that ``SimStats.to_json()`` is
+**byte-identical** — not approximately equal, identical — so any
+divergence in fault counts, transfer histograms, kernel times, or
+eviction totals fails loudly.  Engine throughput is measured by
+``perfbench/run.py``, not here.
 
 Cells are deliberately data (frozen dataclass): the equivalence matrix
 below is the *fixed* seed × workload × pairing × oversubscription grid
@@ -27,10 +16,6 @@ along, and it must not silently drift between CI and local runs.
 
 from __future__ import annotations
 
-import gc
-import heapq
-import random
-import time
 from dataclasses import dataclass, field
 
 from .config import SimulatorConfig, oversubscribed
@@ -173,36 +158,8 @@ def equivalence_matrix(scale: float = 1.0) -> list[BenchCell]:
     return cells
 
 
-#: Cells timed for ``BENCH_core.json``.  Steady-state iterative cells
-#: are where the fast engine's deferral pays (hot pages re-touched
-#: across kernels compress to one replay each); the single-kernel and
-#: fault-bound cells are kept deliberately — they are dominated by cold
-#: faults and driver work the engines share, so their ratio shows what
-#: deferral costs where it cannot compress much (about 1x; below 1x
-#: means logging and flushing cost more than the eager tail).
-THROUGHPUT_CELLS = (
-    BenchCell(name="hotspot-steady", workload="hotspot",
-              kwargs=(("iterations", 64),),
-              prefetcher="sequential-local", eviction="lru4k",
-              oversubscription=None),
-    BenchCell(name="srad-steady", workload="srad",
-              kwargs=(("iterations", 64),),
-              prefetcher="tbn", eviction="tbn", oversubscription=None),
-    BenchCell(name="kmeans-steady", workload="kmeans",
-              kwargs=(("iterations", 64),),
-              prefetcher="zheng512", eviction="lru2mb",
-              oversubscription=None),
-    BenchCell(name="gemm-coldstart", workload="gemm",
-              prefetcher="sequential-local", eviction="lru4k",
-              oversubscription=None),
-    BenchCell(name="hotspot-faultbound", workload="hotspot",
-              kwargs=(("iterations", 20),),
-              prefetcher="tbn", eviction="tbn", oversubscription=110.0),
-)
-
-
-def _build(cell: BenchCell, engine: str):
-    """Runtime + pre-materialized kernels + access count for one cell."""
+def _run(cell: BenchCell, engine: str) -> str:
+    """Run one cell; returns its canonical stats JSON."""
     workload = make_workload(cell.workload, scale=cell.scale,
                              **dict(cell.kwargs))
     overrides: dict = {
@@ -229,76 +186,11 @@ def _build(cell: BenchCell, engine: str):
     for spec in workload.allocations():
         runtime.malloc_managed(spec.name, spec.size_bytes)
     resolver = AddressResolver(runtime.simulator.allocator)
-    kernels = list(workload.kernel_specs(resolver))
-    accesses = sum(len(warp.accesses) for kernel in kernels
-                   for tb in kernel.thread_blocks for warp in tb.warps)
-    return runtime, kernels, accesses
-
-
-def _launch_all(runtime: UvmRuntime, kernels: list) -> float:
-    """Launch every kernel and synchronize; returns wall seconds."""
-    start = time.perf_counter()
-    for kernel in kernels:
+    # Materialize every kernel before the first launch.
+    for kernel in list(workload.kernel_specs(resolver)):
         runtime.launch_kernel(kernel)
     runtime.device_synchronize()
-    return time.perf_counter() - start
-
-
-def _run(cell: BenchCell, engine: str) -> tuple[str, float, int]:
-    """Run one cell; returns (stats json, wall seconds, accesses)."""
-    runtime, kernels, accesses = _build(cell, engine)
-    elapsed = _launch_all(runtime, kernels)
-    return runtime.stats.to_json(), elapsed, accesses
-
-
-#: Seconds :func:`calibrate` takes on the nominal host.
-NOMINAL_CAL_S = 0.010
-
-
-def calibrate() -> float:
-    """Time a fixed loop of heap, dict and random-number traffic, the kind
-    of interpreter work the simulator's event loop does, and which no
-    change to the program can speed up or slow down; returns seconds.
-
-    The same loop as the repository benchmark's host-speed calibration.
-    """
-    rng = random.Random(7)
-    heap: list = []
-    table: dict = {}
-    gc.disable()
-    try:
-        start = time.perf_counter()
-        for i in range(12000):
-            heapq.heappush(heap, (rng.random(), i))
-            table[i & 1023] = table.get(i & 1023, 0) + 1
-            if len(heap) > 256:
-                heapq.heappop(heap)
-        return time.perf_counter() - start
-    finally:
-        gc.enable()
-
-
-def _calibration() -> float:
-    """Median of three :func:`calibrate` loops (one alone jitters by
-    about 10% on a shared host)."""
-    return sorted(calibrate() for _ in range(3))[1]
-
-
-def _timed_run(cell: BenchCell, engine: str) -> tuple[float, float, int,
-                                                      UvmRuntime]:
-    """Run one cell between two calibrations.
-
-    Returns (wall seconds, nominal seconds, accesses, runtime): the
-    nominal seconds scale the wall time by the nominal-to-measured
-    ratio of the calibrations on either side of the run.
-    """
-    runtime, kernels, accesses = _build(cell, engine)
-    gc.collect()
-    before = _calibration()
-    elapsed = _launch_all(runtime, kernels)
-    after = _calibration()
-    return (elapsed, elapsed * 2 * NOMINAL_CAL_S / (before + after),
-            accesses, runtime)
+    return runtime.stats.to_json()
 
 
 def compare_engines(cells: list[BenchCell] | None = None,
@@ -308,61 +200,11 @@ def compare_engines(cells: list[BenchCell] | None = None,
         cells = equivalence_matrix(scale)
     results = []
     for cell in cells:
-        reference_json, _, _ = _run(cell, "reference")
-        fast_json, _, _ = _run(cell, "fast")
+        reference_json = _run(cell, "reference")
+        fast_json = _run(cell, "fast")
         results.append(CellResult(cell, reference_json == fast_json,
                                   reference_json, fast_json))
     return results
-
-
-def throughput_report(cells: tuple[BenchCell, ...] = THROUGHPUT_CELLS,
-                      repeats: int = 3) -> dict:
-    """Time both engines per cell; best-of-``repeats`` wall clock.
-
-    Each engine entry holds the best wall ``seconds`` and its
-    ``accesses_per_sec``, plus ``nominal_accesses_per_sec`` from the
-    best calibrated (nominal) time, which is what
-    ``scripts/bench_gate.py`` gates on.  Fast-engine entries also carry
-    ``deferral``, the
-    :attr:`~repro.core.fastpath.FastSimulator.deferral_counts` of the
-    run.  The JSON shape is the ``BENCH_core.json`` contract
-    consumed by the gate and the stored trajectory under
-    ``benchmarks/trajectory/``.
-    """
-    report: dict = {"schema": "repro-bench-core/v1", "cells": []}
-    for cell in cells:
-        entry: dict = {
-            "cell": cell.name,
-            "workload": cell.workload,
-            "prefetcher": cell.prefetcher,
-            "eviction": cell.eviction,
-            "oversubscription": cell.oversubscription,
-            "engines": {},
-        }
-        for engine in ("reference", "fast"):
-            best = best_nominal = None
-            for _ in range(repeats):
-                elapsed, nominal, accesses, runtime = _timed_run(cell,
-                                                                 engine)
-                if best is None or elapsed < best:
-                    best = elapsed
-                if best_nominal is None or nominal < best_nominal:
-                    best_nominal = nominal
-            entry["accesses"] = accesses
-            result = entry["engines"][engine] = {
-                "seconds": best,
-                "accesses_per_sec": accesses / best if best else 0.0,
-                "nominal_accesses_per_sec":
-                    accesses / best_nominal if best_nominal else 0.0,
-            }
-            if engine == "fast":
-                result["deferral"] = dict(
-                    runtime.simulator.deferral_counts)
-        ref = entry["engines"]["reference"]["seconds"]
-        fast = entry["engines"]["fast"]["seconds"]
-        entry["speedup"] = ref / fast if fast else 0.0
-        report["cells"].append(entry)
-    return report
 
 
 def format_compare(results: list[CellResult]) -> str:
@@ -378,23 +220,4 @@ def format_compare(results: list[CellResult]) -> str:
         lines.append(f"{cell.name:26s} {pairing:32s} {over:>6s}  {verdict}")
     passed = sum(1 for r in results if r.identical)
     lines.append(f"{passed}/{len(results)} cells byte-identical")
-    return "\n".join(lines)
-
-
-def format_throughput(report: dict) -> str:
-    """Human-readable table of a :func:`throughput_report` run."""
-    lines = [f"{'cell':22s} {'accesses':>9s} {'ref us/acc':>11s} "
-             f"{'fast us/acc':>12s} {'speedup':>8s} {'fast nom/s':>11s}",
-             "-" * 80]
-    for entry in report["cells"]:
-        accesses = entry["accesses"]
-        ref = entry["engines"]["reference"]["seconds"]
-        fast = entry["engines"]["fast"]
-        lines.append(
-            f"{entry['cell']:22s} {accesses:9d} "
-            f"{ref / accesses * 1e6:11.2f} "
-            f"{fast['seconds'] / accesses * 1e6:12.2f} "
-            f"{entry['speedup']:7.2f}x "
-            f"{fast['nominal_accesses_per_sec']:11.0f}"
-        )
     return "\n".join(lines)

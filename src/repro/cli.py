@@ -112,7 +112,7 @@ from .sweep import (
     sweep_context,
 )
 from .workloads.registry import SUITE_ORDER, WORKLOAD_REGISTRY, \
-    make_workload
+    make_workload, validate_scale
 
 #: Experiment name -> zero-or-scale-argument runner.
 EXPERIMENTS = {
@@ -662,20 +662,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench_p = sub.add_parser(
         "bench",
-        help="time both simulation engines (writes BENCH_core.json); "
-             "--compare runs the differential-equivalence matrix instead",
+        help="run the fastpath-equiv differential matrix on both engines "
+             "and exit 1 on any byte-level mismatch",
     )
-    bench_p.add_argument("--compare", action="store_true",
-                         help="run the fastpath-equiv differential matrix "
-                              "and exit 1 on any byte-level mismatch")
     bench_p.add_argument("--scale", type=float, default=1.0,
-                         help="workload footprint scale for --compare")
-    bench_p.add_argument("--repeats", type=int, default=3,
-                         help="timing repeats per (cell, engine); "
-                              "best-of is reported")
-    bench_p.add_argument("--output", type=Path,
-                         default=Path("BENCH_core.json"),
-                         help="throughput report path")
+                         help="workload footprint scale")
     return parser
 
 
@@ -1340,16 +1331,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     from . import bench
 
-    if args.compare:
-        results = bench.compare_engines(scale=args.scale)
-        print(bench.format_compare(results))
-        return 0 if all(r.identical for r in results) else 1
-    report = bench.throughput_report(repeats=args.repeats)
-    args.output.write_text(json.dumps(report, indent=2, sort_keys=True)
-                           + "\n")
-    print(bench.format_throughput(report))
-    print(f"wrote {args.output}")
-    return 0
+    results = bench.compare_engines(scale=args.scale)
+    print(bench.format_compare(results))
+    return 0 if all(r.identical for r in results) else 1
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -1388,7 +1372,7 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_report(args)
     if args.command == "validate":
         from .validation import format_report, validate_claims
-        checks = validate_claims(scale=args.scale)
+        checks = validate_claims(scale=validate_scale(args.scale))
         print(format_report(checks))
         return 0 if all(c.passed for c in checks) else 1
     if args.command == "compare":

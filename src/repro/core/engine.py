@@ -519,7 +519,7 @@ def make_simulator(config: SimulatorConfig, *,
     ``"reference"`` is the event-for-event model above; ``"fast"`` is the
     deferred-recency :class:`~repro.core.fastpath.FastSimulator`, which
     must be byte-identical in results (gated by the ``fastpath-equiv``
-    validate claim and ``repro bench --compare``).  Explicit ``prefetcher`` /
+    validate claim and ``repro bench``).  Explicit ``prefetcher`` /
     ``eviction`` instances bypass the registries (tests, subclassed knob
     variants); they are reset() before adoption, so a reused instance
     behaves like a fresh one.

@@ -45,7 +45,7 @@ engine has no mode it declines.  ``FastSimulator.deferral_counts``
 reports how much the log compressed.
 
 Equivalence is enforced, not assumed: the ``fastpath-equiv`` validation
-claim and ``repro bench --compare`` assert byte-identical
+claim and ``repro bench`` assert byte-identical
 ``SimStats.to_json()`` between both engines across a seed × workload ×
 pairing × oversubscription matrix (see :mod:`repro.bench`).
 """

@@ -72,7 +72,7 @@ class BandwidthModel:
 
     @property
     def peak_bandwidth_gbps(self) -> float:
-        """Bandwidth of the largest calibrated transfer, in GB/s."""
+        """Bandwidth of the largest tabulated transfer, in GB/s."""
         return self._bandwidths[-1] / 1e9
 
     def bandwidth_bps(self, size_bytes: int) -> float:

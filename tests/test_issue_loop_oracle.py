@@ -3,7 +3,7 @@
 Both engines run ``Simulator._issue_quantum`` for every quantum; the
 fast engine only swaps the loop's recency tail for an append to its
 access log.  A bug in the rest of that loop therefore shows in neither
-the fast≡reference differential nor ``repro bench --compare``.  ``OracleSimulator`` keeps the loop as it
+the fast≡reference differential nor ``repro bench``.  ``OracleSimulator`` keeps the loop as it
 was written before it moved onto locals — one ``next_ready_warp``,
 ``Tlb.lookup``, ``current_access`` and ``advance`` call per access — and
 every cell here asserts byte-identical ``SimStats.to_json()`` plus the

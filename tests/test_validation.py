@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main
+from repro.errors import WorkloadError
 from repro.validation import ClaimCheck, format_report, validate_claims
 
 #: Tiny scale keeps this fast; some scale-sensitive claims may not hold
@@ -85,3 +86,21 @@ class TestCliValidate:
             lambda scale: [ClaimCheck("x", "d", "p", "m", False)],
         )
         assert main(["validate"]) == 1
+
+    @pytest.mark.parametrize("scale, message", [
+        ("0", "scale must be > 0, got 0.0"),
+        ("-1", "scale must be > 0, got -1.0"),
+        ("nan", "scale must be finite, got nan"),
+    ])
+    def test_bad_scale_rejected_before_any_claim(self, scale, message,
+                                                 monkeypatch, repro_cli):
+        def no_claims(scale):
+            raise AssertionError("a claim ran")
+
+        monkeypatch.setattr("repro.validation.validate_claims", no_claims)
+        with pytest.raises(WorkloadError, match=message):
+            main(["validate", "--scale", scale])
+        done = repro_cli("validate", "--scale", scale)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr == f"repro: error: {message}\n"
