@@ -9,7 +9,7 @@ them.  One harness serves two targets:
 * **single daemon** (the default): an in-process process-mode
   :class:`~repro.serve.server.SimulationService` (supervised worker
   fleet, journal, run cache) behind
-  :meth:`~repro.serve.server.ServiceServer.start_background`, with a
+  :func:`~repro.serve.server.shard_server` in the background, with a
   :class:`~repro.faultinject.service.ServiceFaultProfile` installed in
   its workers — a cluster of one;
 * **cluster** (``cluster=True``): the coordinator in-process (it is
@@ -71,16 +71,17 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .analysis.report import format_table
-from .cluster.coordinator import ClusterCoordinator, CoordinatorServer
+from .cluster.coordinator import ClusterCoordinator, coordinator_server
 from .config import oversubscribed
 from .errors import ClusterError, ReproError, ServeClientError, ServeError
 from .faultinject.cluster import ClusterFaultProfile
 from .faultinject.profile import Profile
 from .faultinject.service import ServiceFaultProfile
+from .serve.api import ApiServer
 from .serve.client import ServeClient
 from .serve.journal import JOURNAL_FORMAT, JobJournal
 from .serve.queue import FAILED, TERMINAL_STATES
-from .serve.server import ServiceServer, SimulationService
+from .serve.server import SimulationService, shard_server
 from .serve.supervisor import FleetOptions
 from .sweep import RunCache, SweepCell, execute_cell
 from .workloads import make_workload
@@ -275,7 +276,7 @@ class _ServiceTarget:
         self.deadline = deadline
         self.verbose = verbose
         self.service: SimulationService | None = None
-        self.server: ServiceServer | None = None
+        self.server: ApiServer | None = None
 
     def boot(self, root: Path, report: ChaosReport) -> str:
         """Start the daemon under ``root``; returns its URL."""
@@ -291,7 +292,7 @@ class _ServiceTarget:
             fleet=self.fleet,
         )
         self.service.start()
-        server = ServiceServer(self.service, host="127.0.0.1", port=0)
+        server = shard_server(self.service)
         server.start_background()
         self.server = server
         return f"http://{server.host}:{server.port}"
@@ -402,7 +403,7 @@ class _ClusterTarget:
         self.verbose = verbose
         self.fleet: list[_Shard] = []
         self.coordinator: ClusterCoordinator | None = None
-        self.server: CoordinatorServer | None = None
+        self.server: ApiServer | None = None
 
     def boot(self, root: Path, report: ChaosReport) -> str:
         """Start the coordinator and the shards under ``root``; returns
@@ -411,8 +412,7 @@ class _ClusterTarget:
         self.coordinator = ClusterCoordinator(
             seed=self.profile.seed, heartbeat_timeout=1.5,
             steal_threshold=2, steal_batch=2, verbose=self.verbose)
-        server = CoordinatorServer(self.coordinator, host="127.0.0.1",
-                                   port=0)
+        server = coordinator_server(self.coordinator)
         server.start_background()
         self.server = server
         self.coordinator.start_maintenance(tick=0.1)

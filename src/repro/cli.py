@@ -98,7 +98,6 @@ from .tune import (
     load_card,
     make_driver,
     pairings_axis,
-    parse_server_url,
     recommendation_for,
     tune_workload,
     write_card,
@@ -934,13 +933,22 @@ def cmd_faults(args: argparse.Namespace) -> int:
     return 0
 
 
+def _event_log(args: argparse.Namespace):
+    """The structured event log ``--events-dir``/``--no-events`` select
+    for ``repro serve`` and ``repro cluster`` (None = off)."""
+    from .serve import DEFAULT_EVENTS_DIR, ServeEventLog
+
+    if args.no_events:
+        return None
+    return ServeEventLog(args.events_dir if args.events_dir is not None
+                         else DEFAULT_EVENTS_DIR)
+
+
 def cmd_serve(args: argparse.Namespace) -> int:
     from .serve import (
-        DEFAULT_EVENTS_DIR,
         DEFAULT_JOURNAL_DIR,
         FleetOptions,
         JobJournal,
-        ServeEventLog,
         ServiceTracer,
         run_server,
     )
@@ -953,11 +961,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         )
     journal_dir = args.journal_dir if args.journal_dir is not None \
         else DEFAULT_JOURNAL_DIR
-    events = None
-    if not args.no_events:
-        events_dir = args.events_dir if args.events_dir is not None \
-            else DEFAULT_EVENTS_DIR
-        events = ServeEventLog(events_dir)
     tracer = ServiceTracer(workers=args.jobs) if args.service_trace \
         else None
     return run_server(
@@ -971,7 +974,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         worker_mode=args.worker_mode,
         fleet=FleetOptions(max_attempts=args.max_attempts,
                            job_timeout=args.job_timeout),
-        events=events,
+        events=_event_log(args),
         tracer=tracer,
         join=args.join,
         shard_id=args.shard_id,
@@ -982,13 +985,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 def cmd_cluster(args: argparse.Namespace) -> int:
     from .cluster import run_coordinator
-    from .serve import DEFAULT_EVENTS_DIR, ServeEventLog
 
-    events = None
-    if not args.no_events:
-        events_dir = args.events_dir if args.events_dir is not None \
-            else DEFAULT_EVENTS_DIR
-        events = ServeEventLog(events_dir)
     return run_coordinator(
         host=args.host,
         port=args.port,
@@ -998,7 +995,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         steal_threshold=args.steal_threshold,
         steal_batch=args.steal_batch,
         tick=args.tick,
-        events=events,
+        events=_event_log(args),
         verbose=args.verbose,
     )
 
@@ -1068,6 +1065,9 @@ def _fleet_endpoints(args: argparse.Namespace) -> list:
     pairs; falls back to the single ``--host``/``--port`` server."""
     from .serve import ServeClient
 
+    # Parse every --endpoint before the first connection.
+    extra = [(spec, ServeClient.from_url(spec, timeout=args.timeout))
+             for spec in args.endpoint or []]
     endpoints = []
     if args.cluster is not None:
         coordinator = ServeClient.from_url(args.cluster,
@@ -1079,15 +1079,7 @@ def _fleet_endpoints(args: argparse.Namespace) -> list:
                 f"{shard['id']} ({shard['host']}:{shard['port']})",
                 ServeClient(host=shard["host"], port=shard["port"],
                             timeout=args.timeout)))
-    for spec in args.endpoint or []:
-        host, sep, port_text = spec.rpartition(":")
-        if not sep or not host or not port_text.isdigit():
-            raise ConfigurationError(
-                f"--endpoint must look like HOST:PORT, got {spec!r}"
-            )
-        endpoints.append((spec, ServeClient(host=host,
-                                            port=int(port_text),
-                                            timeout=args.timeout)))
+    endpoints += extra
     if not endpoints:
         endpoints.append((f"{args.host}:{args.port}",
                           ServeClient(host=args.host, port=args.port,
@@ -1116,6 +1108,7 @@ def cmd_jobs(args: argparse.Namespace) -> int:
         print(json.dumps(client.status(args.job_id), sort_keys=True,
                          indent=2))
         return 0
+    endpoints = _fleet_endpoints(args)
     if args.cluster is not None:
         # The coordinator's own table first: cluster job ids with the
         # shard each one currently lives on.
@@ -1130,7 +1123,7 @@ def cmd_jobs(args: argparse.Namespace) -> int:
             ["job", "state", "workload", "shard"], rows,
             title=f"{len(rows)} cluster job(s) via {args.cluster}",
         ))
-    for label, client in _fleet_endpoints(args):
+    for label, client in endpoints:
         rows = [
             [job["id"], job["state"], job["workload"],
              "-" if job["cache_hit"] is None
@@ -1157,6 +1150,11 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
         write_report,
     )
 
+    if args.cluster is not None and args.trace_out is not None:
+        raise ConfigurationError(
+            "--trace-out needs a single daemon (--host/--port): the "
+            "cluster coordinator serves no /v1/trace"
+        )
     plan = LoadgenPlan(
         seed=args.seed,
         duration=args.duration,
@@ -1204,20 +1202,18 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
 
 def cmd_top(args: argparse.Namespace) -> int:
     from .loadgen import fetch_cluster_top, fetch_top
+    from .serve import ServeClient
+
+    endpoints = [ServeClient.from_url(spec) for spec in args.endpoint or []]
 
     def _frame() -> str:
         panels = []
         if args.cluster is not None:
             panels.append(fetch_cluster_top(args.cluster,
                                             timeout=args.timeout))
-        for spec in args.endpoint or []:
-            host, sep, port_text = spec.rpartition(":")
-            if not sep or not host or not port_text.isdigit():
-                raise ConfigurationError(
-                    f"--endpoint must look like HOST:PORT, got "
-                    f"{spec!r}"
-                )
-            panels.append(fetch_top(host=host, port=int(port_text),
+        for endpoint in endpoints:
+            panels.append(fetch_top(host=endpoint.host,
+                                    port=endpoint.port,
                                     timeout=args.timeout))
         if not panels:
             panels.append(fetch_top(host=args.host, port=args.port,
@@ -1260,14 +1256,13 @@ def cmd_tune(args: argparse.Namespace) -> int:
     if args.via_server is not None:
         from .serve import ServeClient
 
-        host, port = parse_server_url(args.via_server)
-        client = ServeClient(host=host, port=port)
+        client = ServeClient.from_url(args.via_server)
         card = tune_workload(
             request,
             evaluator=ServerEvaluator(client,
                                       timeout=args.server_timeout),
         )
-        print(f"[tune] evaluated via http://{host}:{port}",
+        print(f"[tune] evaluated via http://{client.host}:{client.port}",
               file=sys.stderr)
     else:
         _check_jobs(args.jobs)

@@ -9,9 +9,10 @@ One coordinator (``repro cluster``) federates N independent
 * :mod:`repro.cluster.registry` — shard membership: register,
   heartbeat, dead-on-silence reaping.
 * :mod:`repro.cluster.coordinator` — the routing/stealing/failover
-  brain plus its HTTP server.  Speaks the same ``/v1/jobs`` API as a
-  single shard, so :class:`~repro.serve.client.ServeClient` works
-  unchanged against either.
+  brain, served by the same HTTP front door as a shard
+  (:mod:`repro.serve.api`) with the same ``/v1/jobs`` route table, so
+  :class:`~repro.serve.client.ServeClient` works unchanged against
+  either.
 * :mod:`repro.cluster.agent` — the shard-side daemon thread started by
   ``repro serve --join``; registers and heartbeats queue depth.
 
@@ -24,8 +25,8 @@ of the service tier.
 from .agent import ShardAgent
 from .coordinator import (
     ClusterCoordinator,
-    CoordinatorServer,
     RoutedJob,
+    coordinator_server,
     run_coordinator,
 )
 from .registry import ShardInfo, ShardRegistry
@@ -33,11 +34,11 @@ from .ring import HashRing
 
 __all__ = [
     "ClusterCoordinator",
-    "CoordinatorServer",
     "HashRing",
     "RoutedJob",
     "ShardAgent",
     "ShardInfo",
     "ShardRegistry",
+    "coordinator_server",
     "run_coordinator",
 ]

@@ -63,7 +63,7 @@ class ShardAgent:
                 "id": self.shard_id,
                 "host": self.advertise_host,
                 "port": self.advertise_port,
-                "workers": self.service.jobs,
+                "workers": self.service.workers,
             })
         except ReproError:
             self.errors += 1

@@ -1,9 +1,11 @@
 """The cluster coordinator: routing, work-stealing, failover.
 
-``repro cluster`` runs one :class:`ClusterCoordinator` behind a
-:class:`CoordinatorServer`.  The coordinator speaks the *same*
-``/v1/jobs`` API as a single ``repro serve`` shard — submit, status,
-result, cancel — so :class:`~repro.serve.client.ServeClient`,
+``repro cluster`` runs one :class:`ClusterCoordinator` behind the
+service tier's one HTTP daemon (:func:`coordinator_server`).  The
+coordinator speaks the *same* ``/v1/jobs`` API as a single ``repro
+serve`` shard — through the same route table, bound to this class's
+``submit``/``jobs``/``status``/``result``/``cancel``/``health`` — so
+:class:`~repro.serve.client.ServeClient`,
 ``repro submit``, and ``repro loadgen`` work unchanged against either;
 pointing them at the coordinator just makes the answer come from
 whichever shard owns the job's cache key.
@@ -44,11 +46,9 @@ reaches exactly one terminal state from the client's point of view.
 from __future__ import annotations
 
 import itertools
-import signal
 import sys
 import threading
 from dataclasses import dataclass, field
-from http.server import ThreadingHTTPServer
 
 from .. import __version__
 from ..errors import (
@@ -63,7 +63,13 @@ from ..errors import (
 )
 from ..obs.metrics import Histogram, MetricsRegistry, parse_labeled_name
 from ..obs.prom import prometheus_text
-from ..serve.api import JsonRequestHandler, build_cell
+from ..serve.api import (
+    ApiServer,
+    build_cell,
+    job_routes,
+    make_handler,
+    metrics_route,
+)
 from ..serve.client import ServeClient
 from ..serve.events import ServeEventLog
 from ..serve.queue import TERMINAL_STATES
@@ -251,6 +257,13 @@ class ClusterCoordinator:
         self._m_heartbeats.inc()
         return {"id": shard.id, "state": shard.state,
                 "generation": self.registry.generation}
+
+    def ring_owner(self, key: str | None) -> dict:
+        """``GET /v1/cluster/ring?key=``: the live shard owning ``key``."""
+        if not key:
+            raise InvalidJobError("ring lookup needs a ?key= parameter")
+        shard = self.registry.route(key)
+        return {"key": key, "shard": shard.id, "url": shard.url}
 
     # --- job API (what clients call) ---------------------------------------
     def submit(self, spec: object) -> dict:
@@ -671,142 +684,33 @@ class ClusterCoordinator:
         return prometheus_text(merged)
 
 
-def make_coordinator_handler(coordinator: ClusterCoordinator):
-    """Bind a handler class to one coordinator (same pattern as
-    :func:`~repro.serve.api.make_handler`)."""
-
-    class CoordinatorHandler(JsonRequestHandler):
-        verbose = coordinator.verbose
-
-        def _route(self, parts: list[str]) -> None:
-            method = self.command
-            if parts[:1] != ["v1"]:
-                raise JobNotFoundError(f"no such route: {self.path}")
-            if parts[1:] == ["healthz"] and method == "GET":
-                self._send(200, coordinator.health())
-                return
-            if parts[1:] == ["metrics"] and method == "GET":
-                self._metrics(coordinator.metrics,
-                              coordinator.metrics.snapshot)
-                return
-            if parts[1:] == ["cluster", "register"] and method == "POST":
-                self._send(200, coordinator.register(self._read_json()))
-                return
-            if parts[1:] == ["cluster", "heartbeat"] \
-                    and method == "POST":
-                self._send(200, coordinator.heartbeat(self._read_json()))
-                return
-            if parts[1:] == ["cluster", "shards"] and method == "GET":
-                self._send(200, coordinator.registry.snapshot())
-                return
-            if parts[1:] == ["cluster", "ring"] and method == "GET":
-                key = (self._query.get("key") or [None])[0]
-                if not key:
-                    raise InvalidJobError(
-                        "ring lookup needs a ?key= parameter")
-                shard = coordinator.registry.route(key)
-                self._send(200, {"key": key, "shard": shard.id,
-                                 "url": shard.url})
-                return
-            if parts[1:] == ["cluster", "metrics"] and method == "GET":
-                fmt = (self._query.get("format") or ["json"])[0]
-                if fmt == "json":
-                    self._send(200, coordinator.cluster_metrics())
-                elif fmt == "prom":
-                    self._send_text(
-                        200, coordinator.cluster_metrics_prom(),
-                        "text/plain; version=0.0.4; charset=utf-8")
-                else:
-                    raise InvalidJobError(
-                        f"unknown metrics format {fmt!r}; "
-                        "expected json or prom")
-                return
-            if parts[1:] == ["jobs"]:
-                if method == "POST":
-                    payload = coordinator.submit(self._read_json())
-                    self._send(202, payload)
-                    return
-                if method == "GET":
-                    self._send(200, {"jobs": coordinator.jobs()})
-                    return
-            if len(parts) == 3 and parts[1] == "jobs":
-                if method == "GET":
-                    self._send(200, coordinator.status(parts[2]))
-                    return
-                if method == "DELETE":
-                    self._send(200, coordinator.cancel(parts[2]))
-                    return
-            if len(parts) == 4 and parts[1] == "jobs" \
-                    and parts[3] == "result" and method == "GET":
-                self._send(200, coordinator.result(parts[2]))
-                return
-            raise JobNotFoundError(
-                f"no such route: {method} {self.path}"
-            )
-
-        def _metrics(self, registry, snapshot) -> None:
-            fmt = (self._query.get("format") or ["json"])[0]
-            if fmt == "json":
-                self._send(200, snapshot())
-            elif fmt == "prom":
-                self._send_text(
-                    200, prometheus_text(registry),
-                    "text/plain; version=0.0.4; charset=utf-8")
-            else:
-                raise InvalidJobError(
-                    f"unknown metrics format {fmt!r}; "
-                    "expected json or prom")
-
-    return CoordinatorHandler
-
-
-class CoordinatorServer:
-    """One HTTP daemon bound to one :class:`ClusterCoordinator`."""
-
-    def __init__(self, coordinator: ClusterCoordinator,
-                 host: str = "127.0.0.1", port: int = 0) -> None:
-        self.coordinator = coordinator
-        self.httpd = ThreadingHTTPServer(
-            (host, port), make_coordinator_handler(coordinator))
-        self.httpd.daemon_threads = True
-        self._serve_thread: threading.Thread | None = None
-
-    @property
-    def host(self) -> str:
-        return self.httpd.server_address[0]
-
-    @property
-    def port(self) -> int:
-        return self.httpd.server_address[1]
-
-    def start_background(self) -> None:
-        self._serve_thread = threading.Thread(
-            target=self.httpd.serve_forever, name="cluster-http",
-            daemon=True)
-        self._serve_thread.start()
-
-    def serve_forever(self) -> None:
-        self.httpd.serve_forever()
-
-    def install_signal_handlers(self) -> None:
-        def _graceful(signum, frame) -> None:
-            print(f"[cluster] caught signal {signum}; stopping",
-                  file=sys.stderr)
-            threading.Thread(target=self.shutdown, daemon=True,
-                             name="cluster-stop").start()
-
-        signal.signal(signal.SIGTERM, _graceful)
-        signal.signal(signal.SIGINT, _graceful)
-
-    def shutdown(self) -> None:
-        self.coordinator.stop_maintenance()
-        self.httpd.shutdown()
-
-    def close(self) -> None:
-        self.coordinator.stop_maintenance()
-        self.httpd.server_close()
-        if self._serve_thread is not None:
-            self._serve_thread.join(timeout=5.0)
+def coordinator_server(coordinator: ClusterCoordinator,
+                       host: str = "127.0.0.1",
+                       port: int = 0) -> ApiServer:
+    """The HTTP daemon of ``repro cluster``: the job API plus
+    ``/v1/cluster/*``; shutdown stops the maintenance loop."""
+    routes = job_routes(coordinator, metrics={
+        "json": coordinator.metrics.snapshot,
+        "prom": lambda: prometheus_text(coordinator.metrics),
+    })
+    routes.update({
+        ("POST", "/v1/cluster/register"): lambda request: (
+            200, coordinator.register(request.read_json())),
+        ("POST", "/v1/cluster/heartbeat"): lambda request: (
+            200, coordinator.heartbeat(request.read_json())),
+        ("GET", "/v1/cluster/shards"): lambda request: (
+            200, coordinator.registry.snapshot()),
+        ("GET", "/v1/cluster/ring"): lambda request: (
+            200, coordinator.ring_owner(request.query("key"))),
+        ("GET", "/v1/cluster/metrics"): metrics_route({
+            "json": coordinator.cluster_metrics,
+            "prom": coordinator.cluster_metrics_prom,
+        }),
+    })
+    return ApiServer(make_handler(routes, verbose=coordinator.verbose),
+                     on_stop=lambda timeout: coordinator.stop_maintenance(),
+                     log_prefix="[cluster]", signal_thread="cluster-stop",
+                     host=host, port=port)
 
 
 def run_coordinator(host: str, port: int, seed: int = 0,
@@ -822,19 +726,12 @@ def run_coordinator(host: str, port: int, seed: int = 0,
         seed=seed, vnodes=vnodes, heartbeat_timeout=heartbeat_timeout,
         steal_threshold=steal_threshold, steal_batch=steal_batch,
         events=events, verbose=verbose)
-    server = CoordinatorServer(coordinator, host=host, port=port)
-    server.install_signal_handlers()
+    server = coordinator_server(coordinator, host=host, port=port)
     coordinator.start_maintenance(tick)
-    print(f"[cluster] coordinator listening on "
-          f"http://{server.host}:{server.port} "
-          f"(ring seed {seed}, {vnodes} vnodes, heartbeat timeout "
-          f"{heartbeat_timeout:g}s)", file=sys.stderr)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        server.shutdown()
-    finally:
-        server.close()
+    server.run(f"[cluster] coordinator listening on "
+               f"http://{server.host}:{server.port} "
+               f"(ring seed {seed}, {vnodes} vnodes, heartbeat timeout "
+               f"{heartbeat_timeout:g}s)")
     shards = len(coordinator.registry.alive())
     print(f"[cluster] stopped; {shards} shard(s) were alive",
           file=sys.stderr)

@@ -77,8 +77,14 @@ class JobStateError(ServeError):
 
     Raised e.g. when cancelling a job that is already running or
     terminal, or when fetching the result of a job that has not
-    finished.
+    finished.  ``draining`` marks the one temporary refusal — a
+    draining server turning a submission away — which the HTTP API
+    answers with 503 and ``Retry-After`` instead of 409.
     """
+
+    def __init__(self, message: str, draining: bool = False) -> None:
+        self.draining = draining
+        super().__init__(message)
 
 
 class QueueFullError(ServeError):

@@ -18,7 +18,7 @@ exactly those faults and asserts the recovery invariants.  See
 docs/SERVICE.md.
 """
 
-from .api import JsonRequestHandler, make_handler
+from .api import ApiServer, JsonRequestHandler, make_handler
 from .client import DEFAULT_PORT, ServeClient
 from .events import (
     DEFAULT_EVENTS_DIR,
@@ -48,15 +48,16 @@ from .queue import (
 )
 from .server import (
     WORKER_MODES,
-    ServiceServer,
     SimulationService,
     run_server,
+    shard_server,
 )
 from .supervisor import FleetOptions, Supervisor
 from .worker import WorkerProcess
 
 __all__ = [
     "ACTIVE_STATES",
+    "ApiServer",
     "CANCELLED",
     "DEFAULT_EVENTS_DIR",
     "DEFAULT_JOURNAL_DIR",
@@ -76,7 +77,6 @@ __all__ = [
     "SCHEDULING_FIELDS",
     "ServeClient",
     "ServeEventLog",
-    "ServiceServer",
     "ServiceTracer",
     "SimulationService",
     "Supervisor",
@@ -89,5 +89,6 @@ __all__ = [
     "canonical_trace_lines",
     "make_event",
     "make_handler",
+    "shard_server",
     "validate_event",
 ]

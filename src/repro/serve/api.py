@@ -1,35 +1,53 @@
-"""HTTP/1.1 JSON API of the simulation service.
+"""HTTP/1.1 JSON front door of the service tier, for both roles.
 
-Request/response bodies are JSON; errors are structured payloads
+A ``repro serve`` shard and the ``repro cluster`` coordinator answer
+through the same handler and the same daemon class; each role only
+binds a backend (:class:`~repro.serve.server.SimulationService` or
+:class:`~repro.cluster.coordinator.ClusterCoordinator`), its
+``?format=`` metrics producers, and its own extra routes.  Request and
+response bodies are JSON; errors are structured payloads
 (``{"error": {"type", "message"}}``) with meaningful status codes —
 simulation faults come back as ``FailedRun`` rows inside a 200 result,
 never as 500s.  Routes (see docs/SERVICE.md for the full reference):
 
-====== ============================ =======================================
-POST   /v1/jobs                     submit ``{workload, config, seed}``
-GET    /v1/jobs                     list known jobs
-GET    /v1/jobs/<id>                job status (state machine position)
-GET    /v1/jobs/<id>/result         terminal result (409 until terminal)
-DELETE /v1/jobs/<id>                cancel a queued job
-GET    /v1/healthz                  liveness + drain state
-GET    /v1/metrics                  metrics snapshot incl. p50/p95/p99
-GET    /v1/metrics?format=prom      Prometheus text exposition (0.0.4)
-GET    /v1/metrics?format=state     raw registry live-state (cluster merge)
-GET    /v1/trace                    merged service Chrome trace
-POST   /v1/steal                    revoke queued jobs (cluster rebalance)
-====== ============================ =======================================
+=========== ====== ============================ ==========================
+role        method path                         answer
+=========== ====== ============================ ==========================
+both        POST   /v1/jobs                     submit ``{workload, config,
+                                                seed}``
+both        GET    /v1/jobs                     list known jobs
+both        GET    /v1/jobs/<id>                job status
+both        GET    /v1/jobs/<id>/result         terminal result (409 until
+                                                terminal)
+both        DELETE /v1/jobs/<id>                cancel a queued job
+both        GET    /v1/healthz                  liveness + drain state
+both        GET    /v1/metrics                  ``?format=json|prom``
+                                                (shard also ``state``)
+shard       GET    /v1/trace                    merged service Chrome trace
+shard       POST   /v1/steal                    revoke queued jobs
+coordinator POST   /v1/cluster/register         shard joins the ring
+coordinator POST   /v1/cluster/heartbeat        shard queue depth
+coordinator GET    /v1/cluster/shards           membership table
+coordinator GET    /v1/cluster/ring?key=<k>     owner of one cache key
+coordinator GET    /v1/cluster/metrics          ``?format=json|prom``,
+                                                merged across shards
+=========== ====== ============================ ==========================
 
-The handler is deliberately thin: :func:`build_cell` validates the job
+The handler is deliberately thin: :func:`build_cell` validates a job
 spec (workload name against the registry, config via
-:meth:`SimulatorConfig.from_dict`) and every decision about admission,
-coalescing, backpressure, and drain lives in
-:class:`~repro.serve.server.SimulationService`.
+:meth:`SimulatorConfig.from_dict`), and every decision about
+admission, coalescing, backpressure, routing and drain lives in the
+backend.
 """
 
 from __future__ import annotations
 
 import json
-from http.server import BaseHTTPRequestHandler
+import signal
+import sys
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import Callable
 from urllib.parse import parse_qs, urlsplit
 
 from ..config import SimulatorConfig
@@ -43,13 +61,20 @@ from ..errors import (
     ReproError,
     ShardNotFoundError,
 )
-from ..stats import FailedRun
 from ..sweep import SweepCell
 from ..workloads.registry import WORKLOAD_REGISTRY
-from .queue import Job
 
 #: Largest accepted request body; a job spec is a few KB at most.
 MAX_BODY_BYTES = 1 << 20
+#: Seconds a client should wait before retrying a temporarily
+#: unavailable server (draining shard, cluster without a live shard).
+UNAVAILABLE_RETRY_AFTER = 5
+PROM_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+
+#: A route answers ``(status, payload)``: a dict is sent as JSON, a
+#: str as Prometheus text.  It gets the request and the ``{id}`` path
+#: segment, when its pattern has one.
+Route = Callable[..., tuple[int, "dict | str"]]
 
 
 def build_cell(spec: object) -> SweepCell:
@@ -95,37 +120,69 @@ def build_cell(spec: object) -> SweepCell:
     return SweepCell(workload_spec=dict(workload), config=config)
 
 
-def result_payload(job: Job) -> dict:
-    """The ``GET /v1/jobs/<id>/result`` body for a *terminal* job."""
-    if isinstance(job.result, FailedRun):
-        encoded = {"kind": "failed", "failed": job.result.to_json_dict()}
-    elif job.result is not None:
-        encoded = {"kind": "stats", "stats": job.result.to_json_dict()}
-    else:  # cancelled: terminal without a result
-        encoded = {"kind": "cancelled"}
-    return {
-        "id": job.id,
-        "state": job.state,
-        "cache_hit": job.cache_hit,
-        "result": encoded,
-    }
-
-
 def error_payload(exc: Exception) -> dict:
     return {"error": {"type": type(exc).__name__, "message": str(exc)}}
 
 
-class JsonRequestHandler(BaseHTTPRequestHandler):
-    """Shared JSON-over-HTTP plumbing for service-tier handlers.
+# --- routes ------------------------------------------------------------------
 
-    Subclasses implement ``_route(parts)``; the base maps the library's
-    error family onto status codes uniformly, so a shard and the
-    cluster coordinator disagree on routes but never on error shape.
+def metrics_route(formats: dict[str, Callable[[], "dict | str"]]) -> Route:
+    """The one ``?format=`` dispatch: ``formats`` maps each accepted
+    name (the first is the default) to its producer."""
+    names = list(formats)
+    expected = " or ".join(names) if len(names) < 3 \
+        else f"{', '.join(names[:-1])}, or {names[-1]}"
+
+    def route(request: "JsonRequestHandler") -> tuple[int, dict | str]:
+        fmt = request.query("format") or names[0]
+        if fmt not in formats:
+            raise InvalidJobError(
+                f"unknown metrics format {fmt!r}; expected {expected}")
+        return 200, formats[fmt]()
+
+    return route
+
+
+def job_routes(backend, metrics: dict) -> dict[tuple[str, str], Route]:
+    """The job API both roles serve, bound to one backend.
+
+    ``backend`` provides ``health()``, ``submit(spec)``, ``jobs()``,
+    ``status(id)``, ``cancel(id)`` and ``result(id)``, each returning
+    the response body; ``metrics`` is the role's ``?format=`` map for
+    ``GET /v1/metrics``.
+    """
+    return {
+        ("GET", "/v1/healthz"): lambda request: (200, backend.health()),
+        ("GET", "/v1/metrics"): metrics_route(metrics),
+        ("POST", "/v1/jobs"):
+            lambda request: (202, backend.submit(request.read_json())),
+        ("GET", "/v1/jobs"):
+            lambda request: (200, {"jobs": backend.jobs()}),
+        ("GET", "/v1/jobs/{id}"):
+            lambda request, job_id: (200, backend.status(job_id)),
+        ("DELETE", "/v1/jobs/{id}"):
+            lambda request, job_id: (200, backend.cancel(job_id)),
+        ("GET", "/v1/jobs/{id}/result"):
+            lambda request, job_id: (200, backend.result(job_id)),
+    }
+
+
+# --- the handler -------------------------------------------------------------
+
+class JsonRequestHandler(BaseHTTPRequestHandler):
+    """JSON-over-HTTP plumbing shared by both roles.
+
+    :func:`make_handler` binds a route table; this base matches the
+    request against it and maps the library's error family onto status
+    codes uniformly, so a shard and the coordinator never disagree on
+    error shape.
     """
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve"
-    #: Overridden per bound handler class (``make_handler``-style).
+    #: Bound per role by :func:`make_handler`:
+    #: ``(method, path segments, route)``; ``{id}`` matches any segment.
+    routes: tuple[tuple[str, tuple[str, ...], Route], ...] = ()
     verbose = False
 
     # --- plumbing ----------------------------------------------------
@@ -133,17 +190,13 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
         if self.verbose:
             super().log_message(format, *args)
 
-    def _send(self, code: int, payload: dict,
+    def _send(self, code: int, payload: dict | str,
               headers: dict[str, str] | None = None) -> None:
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        self._send_bytes(code, body, "application/json", headers)
-
-    def _send_text(self, code: int, text: str,
-                   content_type: str) -> None:
-        self._send_bytes(code, text.encode("utf-8"), content_type)
-
-    def _send_bytes(self, code: int, body: bytes, content_type: str,
-                    headers: dict[str, str] | None = None) -> None:
+        if isinstance(payload, str):
+            body, content_type = payload.encode("utf-8"), PROM_CONTENT_TYPE
+        else:
+            body = json.dumps(payload, sort_keys=True).encode("utf-8")
+            content_type = "application/json"
         self.send_response(code)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
@@ -152,7 +205,8 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
-    def _read_json(self) -> object:
+    def read_json(self) -> object:
+        """The request body, parsed (400 when absent or not JSON)."""
         length = int(self.headers.get("Content-Length") or 0)
         if length > MAX_BODY_BYTES:
             raise InvalidJobError(
@@ -168,15 +222,32 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
                 f"request body is not valid JSON: {exc}"
             ) from None
 
-    def _job_id(self, parts: list[str]) -> str:
-        return parts[2]
+    def query(self, name: str) -> str | None:
+        """First non-blank value of one query parameter."""
+        return (self._query.get(name) or [None])[0]
+
+    # --- dispatch ----------------------------------------------------
+    def _route(self, parts: list[str]) -> tuple[int, dict | str]:
+        if parts[:1] != ["v1"]:
+            raise JobNotFoundError(f"no such route: {self.path}")
+        for method, pattern, route in self.routes:
+            if method != self.command or len(pattern) != len(parts):
+                continue
+            pairs = list(zip(pattern, parts))
+            if all(want in ("{id}", part) for want, part in pairs):
+                return route(self, *[part for want, part in pairs
+                                     if want == "{id}"])
+        raise JobNotFoundError(
+            f"no such route: {self.command} {self.path}"
+        )
 
     def _dispatch(self) -> None:
         split = urlsplit(self.path)
         parts = [part for part in split.path.split("/") if part]
         self._query = parse_qs(split.query)
+        unavailable = {"Retry-After": str(UNAVAILABLE_RETRY_AFTER)}
         try:
-            self._route(parts)
+            self._send(*self._route(parts))
         except InvalidJobError as exc:
             self._send(400, error_payload(exc))
         except (JobNotFoundError, ShardNotFoundError) as exc:
@@ -189,130 +260,108 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
                          str(max(1, int(exc.retry_after)))},
             )
         except JobStateError as exc:
-            self._send(409, error_payload(exc))
+            # A draining shard is temporarily unavailable, not in
+            # conflict: tell the client to come back after restart.
+            if exc.draining:
+                self._send(503, error_payload(exc), headers=unavailable)
+            else:
+                self._send(409, error_payload(exc))
         except NoShardAvailableError as exc:
-            # No live shard right now: temporarily unavailable, come
-            # back once one (re)joins.
-            self._send(503, error_payload(exc),
-                       headers={"Retry-After": "5"})
+            # No live shard right now: come back once one (re)joins.
+            self._send(503, error_payload(exc), headers=unavailable)
         except ReproError as exc:
             self._send(400, error_payload(exc))
-
-    def _route(self, parts: list[str]) -> None:
-        raise NotImplementedError
 
     do_GET = _dispatch
     do_POST = _dispatch
     do_DELETE = _dispatch
 
 
-def make_handler(service) -> type[BaseHTTPRequestHandler]:
-    """Bind a handler class to one
-    :class:`~repro.serve.server.SimulationService`."""
+def make_handler(routes: dict[tuple[str, str], Route],
+                 verbose: bool = False) -> type[JsonRequestHandler]:
+    """Bind a handler class to one route table, keyed by ``(method,
+    path)`` with ``{id}`` standing for one path segment."""
+    table = tuple(
+        (method, tuple(part for part in path.split("/") if part), route)
+        for (method, path), route in routes.items()
+    )
+    return type("ApiHandler", (JsonRequestHandler,),
+                {"routes": table, "verbose": verbose})
 
-    class ServeHandler(JsonRequestHandler):
-        verbose = service.verbose
 
-        # --- routing -----------------------------------------------------
-        def _route(self, parts: list[str]) -> None:
-            method = self.command
-            if parts[:1] != ["v1"]:
-                raise JobNotFoundError(f"no such route: {self.path}")
-            if parts[1:] == ["healthz"] and method == "GET":
-                self._send(200, service.health())
-                return
-            if parts[1:] == ["metrics"] and method == "GET":
-                fmt = (self._query.get("format") or ["json"])[0]
-                if fmt == "json":
-                    self._send(200, service.metrics_snapshot())
-                elif fmt == "prom":
-                    self._send_text(
-                        200, service.prometheus_metrics(),
-                        "text/plain; version=0.0.4; charset=utf-8")
-                elif fmt == "state":
-                    self._send(200, service.metrics_state())
-                else:
-                    raise InvalidJobError(
-                        f"unknown metrics format {fmt!r}; "
-                        "expected json, prom, or state")
-                return
-            if parts[1:] == ["trace"] and method == "GET":
-                trace = service.trace_dict()
-                if trace is None:
-                    raise JobNotFoundError(
-                        "service tracing is disabled; start the daemon "
-                        "with --service-trace")
-                self._send(200, trace)
-                return
-            if parts[1:] == ["steal"] and method == "POST":
-                self._steal()
-                return
-            if parts[1:] == ["jobs"]:
-                if method == "POST":
-                    self._submit()
-                    return
-                if method == "GET":
-                    self._send(200, {"jobs": [
-                        job.status_dict() for job in service.queue.jobs()
-                    ]})
-                    return
-            if len(parts) == 3 and parts[1] == "jobs":
-                job_id = self._job_id(parts)
-                if method == "GET":
-                    self._send(200,
-                               service.queue.get(job_id).status_dict())
-                    return
-                if method == "DELETE":
-                    job = service.cancel(job_id)
-                    self._send(200, job.status_dict())
-                    return
-            if len(parts) == 4 and parts[1] == "jobs" \
-                    and parts[3] == "result" and method == "GET":
-                job = service.queue.get(self._job_id(parts))
-                if not job.is_terminal:
-                    raise JobStateError(
-                        f"job {job.id} is {job.state}, not terminal"
-                    )
-                self._send(200, result_payload(job))
-                return
-            raise JobNotFoundError(
-                f"no such route: {method} {self.path}"
-            )
+# --- the daemon --------------------------------------------------------------
 
-        def _submit(self) -> None:
-            cell = build_cell(self._read_json())
-            try:
-                job, coalesced = service.submit(cell)
-            except JobStateError as exc:
-                # A draining server is temporarily unavailable, not in
-                # conflict: tell the client to come back after restart.
-                self._send(503, error_payload(exc),
-                           headers={"Retry-After": "5"})
-                return
-            payload = job.status_dict()
-            payload["coalesced"] = coalesced
-            self._send(202, payload)
+class ApiServer:
+    """One HTTP daemon, for either role.
 
-        def _steal(self) -> None:
-            body = self._read_json()
-            if not isinstance(body, dict):
-                raise InvalidJobError(
-                    f"steal body must be a JSON object, got "
-                    f"{type(body).__name__}"
-                )
-            max_jobs = body.get("max", 1)
-            if not isinstance(max_jobs, int) or max_jobs < 1:
-                raise InvalidJobError(
-                    f"steal 'max' must be a positive integer, got "
-                    f"{max_jobs!r}"
-                )
-            stolen = service.steal_jobs(max_jobs)
-            self._send(200, {"stolen": [
-                {"id": job.id,
-                 "key": job.key,
-                 "workload": job.cell.workload_spec,
-                 "config": job.cell.config.to_dict()}
-                for job in stolen
-            ]})
+    The roles differ only in what the caller passes: ``on_stop`` runs
+    before the listener stops (drain the service, or stop coordinator
+    maintenance) and gets the shutdown timeout; ``log_prefix`` starts
+    its stderr lines; ``signal_thread`` names the thread a
+    SIGTERM/SIGINT starts the shutdown on.
+    """
 
-    return ServeHandler
+    def __init__(self, handler: type[JsonRequestHandler],
+                 on_stop: Callable[[float | None], object],
+                 log_prefix: str, signal_thread: str,
+                 host: str = "127.0.0.1", port: int = 0) -> None:
+        self.httpd = ThreadingHTTPServer((host, port), handler)
+        # A keep-alive connection parked in readline() must not block
+        # interpreter exit after a shutdown.
+        self.httpd.daemon_threads = True
+        self.on_stop = on_stop
+        self.log_prefix = log_prefix
+        self.signal_thread = signal_thread
+        self._serve_thread: threading.Thread | None = None
+
+    @property
+    def host(self) -> str:
+        return self.httpd.server_address[0]
+
+    @property
+    def port(self) -> int:
+        return self.httpd.server_address[1]
+
+    def start_background(self) -> None:
+        """Serve from a daemon thread (the test/embedded mode)."""
+        self._serve_thread = threading.Thread(
+            target=self.httpd.serve_forever, name="api-http",
+            daemon=True)
+        self._serve_thread.start()
+
+    def install_signal_handlers(self) -> None:
+        """SIGTERM/SIGINT run :meth:`shutdown` off the signal frame, so
+        in-flight HTTP responses (and the handler itself) never
+        block."""
+
+        def _graceful(signum, frame) -> None:
+            print(f"{self.log_prefix} caught signal {signum}; "
+                  "shutting down", file=sys.stderr)
+            threading.Thread(target=self.shutdown, daemon=True,
+                             name=self.signal_thread).start()
+
+        signal.signal(signal.SIGTERM, _graceful)
+        signal.signal(signal.SIGINT, _graceful)
+
+    def shutdown(self, timeout: float | None = None) -> None:
+        """Run ``on_stop``, then stop accepting connections."""
+        self.on_stop(timeout)
+        self.httpd.shutdown()
+
+    def close(self) -> None:
+        self.httpd.server_close()
+        if self._serve_thread is not None:
+            self._serve_thread.join(timeout=5.0)
+
+    def run(self, banner: str) -> None:
+        """The foreground life of ``repro serve`` and ``repro cluster``:
+        install the signal handlers, print ``banner`` (the ``listening
+        on`` line), serve until a signal's shutdown returns, close."""
+        self.install_signal_handlers()
+        print(banner, file=sys.stderr)
+        try:
+            self.httpd.serve_forever()
+        except KeyboardInterrupt:
+            self.shutdown()
+        finally:
+            self.close()

@@ -124,24 +124,31 @@ class ServeClient:
 
     @classmethod
     def from_url(cls, url: str, **kwargs) -> "ServeClient":
-        """Build a client from ``http://host:port`` (scheme optional)."""
+        """Build a client from ``http://host:port`` or ``host:port``.
+
+        The one parser of a server address on the command line
+        (``--cluster``, ``--endpoint``, ``--via-server``, ``--join``).
+        The port is required, and ``https://`` is refused: the client
+        speaks plain HTTP only.
+        """
         stripped = url.strip()
-        for prefix in ("http://", "https://"):
-            if stripped.startswith(prefix):
-                stripped = stripped[len(prefix):]
+        if stripped.startswith("https://"):
+            raise ServeClientError(
+                f"server URL must be http://, not https://: {url!r}"
+            )
+        if stripped.startswith("http://"):
+            stripped = stripped[len("http://"):]
         stripped = stripped.rstrip("/")
         host, sep, port_text = stripped.rpartition(":")
         if not sep or not host:
             raise ServeClientError(
                 f"server URL must look like host:port, got {url!r}"
             )
-        try:
-            port = int(port_text)
-        except ValueError:
+        if not port_text.isdigit():
             raise ServeClientError(
                 f"server URL has a non-numeric port: {url!r}"
-            ) from None
-        return cls(host=host, port=port, **kwargs)
+            )
+        return cls(host=host, port=int(port_text), **kwargs)
 
     # --- transport ---------------------------------------------------------
     def _request(self, method: str, path: str,

@@ -193,7 +193,7 @@ class JobQueue:
         with self._cond:
             if self._closed:
                 raise JobStateError("server is draining; not accepting "
-                                    "new jobs")
+                                    "new jobs", draining=True)
             existing = self._active_by_key.get(cell.cache_key())
             if existing is not None:
                 return existing, True

@@ -1,4 +1,4 @@
-"""The long-running simulation service and its HTTP daemon.
+"""The long-running simulation service behind ``repro serve``.
 
 :class:`SimulationService` owns the whole job lifecycle:
 
@@ -21,22 +21,31 @@
   survives a restart (corrupt entries quarantined, never fatal),
 * graceful drain: :meth:`drain` stops admissions, lets running jobs
   finish, and leaves queued jobs journaled for the next generation.
+
+:func:`shard_server` puts it behind the service tier's one HTTP daemon
+(:class:`~repro.serve.api.ApiServer`) with the shard's routes;
+:func:`run_server` is the ``repro serve`` entry point.
 """
 
 from __future__ import annotations
 
-import signal
 import sys
 import threading
-from http.server import ThreadingHTTPServer
 
 from .. import __version__
-from ..errors import QueueFullError, ServeError, WorkerCrashError
+from ..errors import (
+    InvalidJobError,
+    JobNotFoundError,
+    JobStateError,
+    QueueFullError,
+    ServeError,
+    WorkerCrashError,
+)
 from ..obs.metrics import MetricsRegistry
 from ..obs.prom import prometheus_text
 from ..stats import FailedRun
 from ..sweep import RunCache, SweepCell, execute_cell
-from .api import make_handler
+from .api import ApiServer, build_cell, job_routes, make_handler
 from .events import ServeEventLog, ServiceTracer
 from .journal import JobJournal
 from .queue import Job, JobQueue
@@ -48,6 +57,12 @@ WORKER_MODES = ("thread", "process")
 
 class SimulationService:
     """Job admission, execution, metrics, and drain — no HTTP in here.
+
+    The client operations that take and return JSON-able values
+    (:meth:`submit`, :meth:`jobs`, :meth:`status`, :meth:`cancel`,
+    :meth:`result`, :meth:`health`) are the same methods, with the same
+    answers, as the cluster coordinator's, so one route table serves
+    both.
 
     ``worker_mode`` selects what fills the supervisor's slots:
     ``"thread"`` (in-process workers running ``runner``, by default
@@ -86,7 +101,7 @@ class SimulationService:
         self.journal = journal
         self.verbose = verbose
         self.worker_mode = worker_mode
-        self.jobs = jobs
+        self.workers = jobs
         self.events = events
         self.tracer = tracer
         self.queue = JobQueue(capacity=queue_limit)
@@ -276,7 +291,7 @@ class SimulationService:
             self._m_cache_quarantined.inc(count)
 
     # --- client operations --------------------------------------------------
-    def submit(self, cell: SweepCell) -> tuple[Job, bool]:
+    def admit(self, cell: SweepCell) -> tuple[Job, bool]:
         """Admit one validated cell; returns ``(job, coalesced)``.
 
         Journals before acknowledging (write-ahead), so an accepted job
@@ -305,17 +320,35 @@ class SimulationService:
         self.sample_gauges()
         return job, coalesced
 
-    def steal_jobs(self, max_jobs: int) -> list[Job]:
-        """Give up to ``max_jobs`` queued jobs back to the coordinator.
+    def submit(self, spec: object) -> dict:
+        """Validate and admit one JSON job spec; returns the 202 body."""
+        job, coalesced = self.admit(build_cell(spec))
+        payload = job.status_dict()
+        payload["coalesced"] = coalesced
+        return payload
+
+    def steal(self, body: object) -> dict:
+        """Give up to ``body["max"]`` (default 1) queued jobs back to
+        the coordinator; returns their cells.
 
         The work-stealing donor side: each revoked job leaves the queue
         through the ``queued -> cancelled`` edge, is forgotten from the
         journal (the coordinator now owns its fate — double execution
         after a restart would violate the cluster-wide
         no-duplicate-terminal invariant), and is reported as a
-        ``stolen`` event.  Returns the revoked jobs so the HTTP layer
-        can ship their cells.
+        ``stolen`` event.
         """
+        if not isinstance(body, dict):
+            raise InvalidJobError(
+                f"steal body must be a JSON object, got "
+                f"{type(body).__name__}"
+            )
+        max_jobs = body.get("max", 1)
+        if not isinstance(max_jobs, int) or max_jobs < 1:
+            raise InvalidJobError(
+                f"steal 'max' must be a positive integer, got "
+                f"{max_jobs!r}"
+            )
         stolen = self.queue.steal(max_jobs)
         for job in stolen:
             self._m_stolen.inc()
@@ -327,9 +360,42 @@ class SimulationService:
                                          cache=None)
         if stolen:
             self.sample_gauges()
-        return stolen
+        return {"stolen": [
+            {"id": job.id,
+             "key": job.key,
+             "workload": job.cell.workload_spec,
+             "config": job.cell.config.to_dict()}
+            for job in stolen
+        ]}
 
-    def cancel(self, job_id: str) -> Job:
+    def jobs(self) -> list[dict]:
+        return [job.status_dict() for job in self.queue.jobs()]
+
+    def status(self, job_id: str) -> dict:
+        return self.queue.get(job_id).status_dict()
+
+    def result(self, job_id: str) -> dict:
+        """The terminal result body (409 until the job is terminal)."""
+        job = self.queue.get(job_id)
+        if not job.is_terminal:
+            raise JobStateError(
+                f"job {job.id} is {job.state}, not terminal"
+            )
+        if isinstance(job.result, FailedRun):
+            encoded = {"kind": "failed",
+                       "failed": job.result.to_json_dict()}
+        elif job.result is not None:
+            encoded = {"kind": "stats", "stats": job.result.to_json_dict()}
+        else:  # cancelled: terminal without a result
+            encoded = {"kind": "cancelled"}
+        return {
+            "id": job.id,
+            "state": job.state,
+            "cache_hit": job.cache_hit,
+            "result": encoded,
+        }
+
+    def cancel(self, job_id: str) -> dict:
         job = self.queue.cancel(job_id)
         self._m_cancelled.inc()
         self._h_latency.observe(job.service_latency_ns())
@@ -340,7 +406,7 @@ class SimulationService:
         if self.tracer is not None:
             self.tracer.job_terminal(job.id, job.seq, "cancelled")
         self.sample_gauges()
-        return job
+        return job.status_dict()
 
     # --- reporting ----------------------------------------------------------
     def sample_gauges(self) -> None:
@@ -362,7 +428,7 @@ class SimulationService:
             "queue_depth": self.queue.depth,
             "running_jobs": self.queue.running,
             "queue_limit": self.queue.capacity,
-            "workers": self.jobs,
+            "workers": self.workers,
             "cache": str(self.cache.root) if self.cache else None,
         }
         if self.shard_id is not None:
@@ -401,10 +467,12 @@ class SimulationService:
         self._backend.sample_metrics()
         return self.registry.live_state()
 
-    def trace_dict(self) -> dict | None:
-        """The merged service trace, or ``None`` when tracing is off."""
+    def trace(self) -> dict:
+        """The merged service trace (404 when tracing is off)."""
         if self.tracer is None:
-            return None
+            raise JobNotFoundError(
+                "service tracing is disabled; start the daemon "
+                "with --service-trace")
         return self.tracer.trace_dict()
 
     # --- shutdown -----------------------------------------------------------
@@ -426,58 +494,21 @@ class SimulationService:
         return self._drained
 
 
-class ServiceServer:
-    """One HTTP daemon bound to one :class:`SimulationService`."""
-
-    def __init__(self, service: SimulationService,
-                 host: str = "127.0.0.1", port: int = 0) -> None:
-        self.service = service
-        self.httpd = ThreadingHTTPServer((host, port),
-                                         make_handler(service))
-        # A keep-alive connection parked in readline() must not block
-        # interpreter exit after a drain.
-        self.httpd.daemon_threads = True
-        self._serve_thread: threading.Thread | None = None
-
-    @property
-    def host(self) -> str:
-        return self.httpd.server_address[0]
-
-    @property
-    def port(self) -> int:
-        return self.httpd.server_address[1]
-
-    def start_background(self) -> None:
-        """Serve from a daemon thread (the test/embedded mode)."""
-        self._serve_thread = threading.Thread(
-            target=self.httpd.serve_forever, name="serve-http",
-            daemon=True)
-        self._serve_thread.start()
-
-    def serve_forever(self) -> None:
-        self.httpd.serve_forever()
-
-    def install_signal_handlers(self) -> None:
-        """SIGTERM/SIGINT trigger a graceful drain, then stop the
-        listener.  The drain runs off the signal frame so in-flight
-        HTTP responses (and the signal handler itself) never block."""
-
-        def _graceful(signum, frame) -> None:
-            print(f"[serve] caught signal {signum}; draining",
-                  file=sys.stderr)
-            threading.Thread(target=self.shutdown, daemon=True,
-                             name="serve-drain").start()
-
-        signal.signal(signal.SIGTERM, _graceful)
-        signal.signal(signal.SIGINT, _graceful)
-
-    def shutdown(self, timeout: float | None = None) -> None:
-        """Drain the service, then stop accepting connections."""
-        self.service.drain(timeout=timeout)
-        self.httpd.shutdown()
-
-    def close(self) -> None:
-        self.httpd.server_close()
+def shard_server(service: SimulationService, host: str = "127.0.0.1",
+                 port: int = 0) -> ApiServer:
+    """The HTTP daemon of one ``repro serve`` shard: the job API plus
+    ``/v1/trace`` and ``/v1/steal``; shutdown drains ``service``."""
+    routes = job_routes(service, metrics={
+        "json": service.metrics_snapshot,
+        "prom": service.prometheus_metrics,
+        "state": service.metrics_state,
+    })
+    routes[("GET", "/v1/trace")] = lambda request: (200, service.trace())
+    routes[("POST", "/v1/steal")] = \
+        lambda request: (200, service.steal(request.read_json()))
+    return ApiServer(make_handler(routes, verbose=service.verbose),
+                     on_stop=service.drain, log_prefix="[serve]",
+                     signal_thread="serve-drain", host=host, port=port)
 
 
 def run_server(
@@ -511,8 +542,7 @@ def run_server(
                                 fleet=fleet, events=events,
                                 tracer=tracer)
     resumed = service.start()
-    server = ServiceServer(service, host=host, port=port)
-    server.install_signal_handlers()
+    server = shard_server(service, host=host, port=port)
     agent = None
     if join is not None:
         from ..cluster.agent import ShardAgent
@@ -529,17 +559,11 @@ def run_server(
               f"{agent.shard_id!r}", file=sys.stderr)
     resumed_note = f", resumed {resumed} journaled job(s)" if resumed \
         else ""
-    print(f"[serve] listening on http://{server.host}:{server.port} "
-          f"({jobs} {worker_mode} worker(s), queue limit {queue_limit}"
-          f"{resumed_note})", file=sys.stderr)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        server.shutdown()
-    finally:
-        if agent is not None:
-            agent.stop()
-        server.close()
+    server.run(f"[serve] listening on http://{server.host}:{server.port} "
+               f"({jobs} {worker_mode} worker(s), queue limit "
+               f"{queue_limit}{resumed_note})")
+    if agent is not None:
+        agent.stop()
     pending = len(service.queue.pending())
     print(f"[serve] drained; {pending} queued job(s) left journaled",
           file=sys.stderr)

@@ -45,7 +45,7 @@ from .drivers import (
     make_driver,
     make_trial,
 )
-from .evaluate import LocalEvaluator, ServerEvaluator, parse_server_url
+from .evaluate import LocalEvaluator, ServerEvaluator
 from .objective import (
     METRIC_ORDER,
     OBJECTIVES,
@@ -87,7 +87,6 @@ __all__ = [
     "make_trial",
     "metric_vector",
     "pairings_axis",
-    "parse_server_url",
     "pareto_frontier",
     "recommendation_for",
     "recommended_pairing",

@@ -25,9 +25,6 @@ candidate must not abort a tournament.
 
 from __future__ import annotations
 
-from urllib.parse import urlparse
-
-from ..errors import TuneError
 from ..stats import FailedRun, SimStats
 from ..sweep import SweepCell, execute_cells
 
@@ -67,30 +64,3 @@ class ServerEvaluator:
             results.append(result)
         return results
 
-
-def parse_server_url(url: str) -> tuple[str, int]:
-    """``http://host:port`` (or bare ``host:port``) -> ``(host, port)``.
-
-    Raises :class:`~repro.errors.TuneError` on anything unusable, so a
-    typo fails before any simulation is attempted.
-    """
-    text = url.strip()
-    if not text:
-        raise TuneError("server URL must not be empty")
-    if "//" not in text:
-        text = f"http://{text}"
-    parsed = urlparse(text)
-    if parsed.scheme not in ("http", ""):
-        raise TuneError(
-            f"server URL must be http://, got {parsed.scheme!r}"
-        )
-    if not parsed.hostname:
-        raise TuneError(f"server URL {url!r} has no host")
-    try:
-        port = parsed.port
-    except ValueError as exc:
-        raise TuneError(f"server URL {url!r}: {exc}") from None
-    if port is None:
-        from ..serve.client import DEFAULT_PORT
-        port = DEFAULT_PORT
-    return parsed.hostname, port

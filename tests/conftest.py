@@ -7,9 +7,13 @@ so any test exercising the engine doubles as an invariant test.
 
 It also provides the CLI subprocess fixtures (``repro_cli``,
 ``serve_daemon``) that the end-to-end checks of ``repro serve``,
-``repro submit`` and ``repro loadgen`` drive.
+``repro cluster``, ``repro submit`` and ``repro loadgen`` drive, and
+``raw_http`` for checks that pin status codes, headers and bodies on
+the wire.
 """
 
+import http.client
+import json
 import os
 import re
 import signal
@@ -51,14 +55,16 @@ def repro_cli(tmp_path):
 
 
 class ServeDaemon:
-    """One ``repro serve --port 0`` subprocess; stderr lands in a file,
-    and the bound port is read back from its ``listening on`` line."""
+    """One ``repro serve --port 0`` (or ``repro cluster --port 0``)
+    subprocess; stderr lands in a file, and the bound port is read back
+    from its ``listening on`` line."""
 
-    def __init__(self, root: Path, flags: tuple[str, ...]) -> None:
-        self.stderr_path = root / "serve.err"
+    def __init__(self, root: Path, flags: tuple[str, ...],
+                 command: str = "serve") -> None:
+        self.stderr_path = root / f"{command}.err"
         with self.stderr_path.open("w") as stderr:
             self.process = subprocess.Popen(
-                [sys.executable, "-m", "repro", "serve",
+                [sys.executable, "-m", "repro", command,
                  "--host", "127.0.0.1", "--port", "0", *flags],
                 cwd=root, env=_repro_env(), stdout=subprocess.DEVNULL,
                 stderr=stderr)
@@ -70,9 +76,9 @@ class ServeDaemon:
                 self.port = int(match.group(1))
                 return
             assert self.process.poll() is None, \
-                f"repro serve died during startup:\n{self.stderr()}"
+                f"repro {command} died during startup:\n{self.stderr()}"
             assert time.monotonic() < deadline, \
-                f"repro serve never listened:\n{self.stderr()}"
+                f"repro {command} never listened:\n{self.stderr()}"
             time.sleep(0.05)
 
     def stderr(self) -> str:
@@ -91,15 +97,38 @@ class ServeDaemon:
 
 @pytest.fixture()
 def serve_daemon(tmp_path):
-    """``serve_daemon(*flags)`` boots a daemon in ``tmp_path``; any
-    still running at teardown are SIGKILLed."""
+    """``serve_daemon(*flags, command="serve")`` boots a daemon in
+    ``tmp_path``; any still running at teardown are SIGKILLed."""
     daemons: list[ServeDaemon] = []
 
-    def boot(*flags: str) -> ServeDaemon:
-        daemon = ServeDaemon(tmp_path, flags)
+    def boot(*flags: str, command: str = "serve") -> ServeDaemon:
+        daemon = ServeDaemon(tmp_path, flags, command=command)
         daemons.append(daemon)
         return daemon
 
     yield boot
     for daemon in daemons:
         daemon.kill()
+
+
+def http_exchange(port: int, method: str, path: str,
+                  body: object = None) -> tuple[int, dict, bytes]:
+    """One request on a fresh connection; returns ``(status, headers,
+    raw body)`` with no client-side interpretation."""
+    payload = None if body is None else json.dumps(body).encode("utf-8")
+    connection = http.client.HTTPConnection("127.0.0.1", port,
+                                            timeout=30)
+    try:
+        connection.request(method, path, body=payload)
+        response = connection.getresponse()
+        return response.status, dict(response.getheaders()), \
+            response.read()
+    finally:
+        connection.close()
+
+
+@pytest.fixture()
+def raw_http():
+    """``raw_http(port, method, path, body=None)`` -> ``(status,
+    headers, raw body)``."""
+    return http_exchange

@@ -203,7 +203,7 @@ class TestProcessFleet:
 
         service = process_service(tmp_path)
         try:
-            job, _ = service.submit(cell(1))
+            job, _ = service.admit(cell(1))
             assert job.wait(timeout=120)
             assert job.state == DONE
             direct, _ = execute_cell(cell(1))
@@ -220,8 +220,8 @@ class TestProcessFleet:
         profile = ServiceFaultProfile(kill_every_jobs=2)
         service = process_service(tmp_path, profile=profile)
         try:
-            first, _ = service.submit(cell(1))
-            second, _ = service.submit(cell(2))
+            first, _ = service.admit(cell(1))
+            second, _ = service.admit(cell(2))
             assert first.wait(timeout=120) and second.wait(timeout=120)
             assert first.state == DONE and second.state == DONE
             assert second.attempts == 2  # one revoked lease
@@ -240,8 +240,8 @@ class TestProcessFleet:
         service = process_service(tmp_path, profile=profile,
                                   max_attempts=2)
         try:
-            poison, _ = service.submit(cell(1097))
-            healthy, _ = service.submit(cell(1))
+            poison, _ = service.admit(cell(1097))
+            healthy, _ = service.admit(cell(1))
             assert poison.wait(timeout=120)
             assert healthy.wait(timeout=120)
             assert healthy.state == DONE
@@ -265,8 +265,8 @@ class TestProcessFleet:
                                   job_timeout=2.0,
                                   heartbeat_timeout=10.0)
         try:
-            first, _ = service.submit(cell(1))
-            second, _ = service.submit(cell(2))
+            first, _ = service.admit(cell(1))
+            second, _ = service.admit(cell(2))
             assert first.wait(timeout=120) and second.wait(timeout=120)
             assert first.state == DONE and second.state == DONE
             assert service.metrics_snapshot()[

@@ -536,15 +536,15 @@ class TestClusterHTTP:
 
     @pytest.fixture()
     def cluster(self, tmp_path):
-        from repro.cluster import CoordinatorServer
+        from repro.cluster import coordinator_server
         from repro.cluster.agent import ShardAgent
         from repro.serve.client import ServeClient
-        from repro.serve.server import ServiceServer, SimulationService
+        from repro.serve.server import SimulationService, shard_server
         from repro.sweep import RunCache
 
         coordinator = ClusterCoordinator(
             seed=1, heartbeat_timeout=5.0, steal_threshold=2)
-        server = CoordinatorServer(coordinator, port=0)
+        server = coordinator_server(coordinator)
         server.start_background()
         url = f"http://{server.host}:{server.port}"
         shards = []
@@ -553,26 +553,26 @@ class TestClusterHTTP:
                 jobs=1, worker_mode="thread",
                 cache=RunCache(tmp_path / f"cache{index}"),
                 queue_limit=16)
-            shard_server = ServiceServer(service, port=0)
-            shard_server.start_background()
+            daemon = shard_server(service)
+            daemon.start_background()
             service.start()
             agent = ShardAgent(
-                service, url, advertise_host=shard_server.host,
-                advertise_port=shard_server.port,
+                service, url, advertise_host=daemon.host,
+                advertise_port=daemon.port,
                 shard_id=f"s{index}", interval=0.2)
             agent.start()
-            shards.append((service, shard_server, agent))
+            shards.append((service, daemon, agent))
         client = ServeClient.from_url(url, timeout=60.0)
         # Both shards registered synchronously in agent.start().
         assert len(coordinator.registry.alive()) == 2
         try:
             yield url, client, coordinator
         finally:
-            for service, shard_server, agent in shards:
+            for service, daemon, agent in shards:
                 agent.stop()
                 service.drain(timeout=10.0)
-                shard_server.shutdown()
-                shard_server.close()
+                daemon.shutdown()
+                daemon.close()
             server.shutdown()
             server.close()
 
@@ -645,6 +645,146 @@ class TestClusterHTTP:
         assert section["jobs_failed_over"] == 0
         assert sum(section["shard_jobs_submitted"].values()) >= \
             section["jobs_routed"]
+
+
+def wire_body(payload: dict) -> bytes:
+    """The exact bytes the service tier sends for a JSON payload."""
+    return json.dumps(payload, sort_keys=True).encode("utf-8")
+
+
+def error_body(kind: str, message: str) -> bytes:
+    return wire_body({"error": {"type": kind, "message": message}})
+
+
+@pytest.mark.serve
+class TestCoordinatorHttpContract:
+    """Status codes, headers and bodies of the coordinator's HTTP API,
+    pinned byte for byte.  The coordinator starts with no shards; the
+    409 case registers one fake shard (``client_factory``) over HTTP."""
+
+    @pytest.fixture()
+    def coordinator_port(self):
+        from repro.cluster import coordinator_server
+
+        fake = FakeShardServer("s0")
+        coordinator = ClusterCoordinator(
+            seed=1, client_factory=lambda host, port: fake)
+        server = coordinator_server(coordinator)
+        server.start_background()
+        try:
+            yield server.port
+        finally:
+            server.shutdown()
+            server.close()
+
+    def test_unknown_routes_are_404(self, coordinator_port, raw_http):
+        for method, path, message in (
+                ("GET", "/nope", "no such route: /nope"),
+                ("GET", "/v1/nope", "no such route: GET /v1/nope"),
+                ("DELETE", "/v1/jobs",
+                 "no such route: DELETE /v1/jobs"),
+                ("POST", "/v1/cluster/shards",
+                 "no such route: POST /v1/cluster/shards")):
+            status, headers, body = raw_http(coordinator_port, method,
+                                             path)
+            assert status == 404, path
+            assert headers["Content-Type"] == "application/json"
+            assert body == error_body("JobNotFoundError", message)
+
+    def test_unknown_metrics_format_is_400(self, coordinator_port,
+                                           raw_http):
+        for path in ("/v1/metrics?format=xml",
+                     "/v1/cluster/metrics?format=xml"):
+            status, _, body = raw_http(coordinator_port, "GET", path)
+            assert status == 400, path
+            assert body == error_body(
+                "InvalidJobError",
+                "unknown metrics format 'xml'; expected json or prom")
+        status, headers, body = raw_http(
+            coordinator_port, "GET", "/v1/metrics?format=prom")
+        assert status == 200
+        assert headers["Content-Type"] == \
+            "text/plain; version=0.0.4; charset=utf-8"
+        assert b"cluster_jobs_routed" in body
+
+    def test_ring_lookup_needs_a_key(self, coordinator_port, raw_http):
+        status, _, body = raw_http(coordinator_port, "GET",
+                                   "/v1/cluster/ring")
+        assert status == 400
+        assert body == error_body("InvalidJobError",
+                                  "ring lookup needs a ?key= parameter")
+
+    def test_invalid_spec_is_400(self, coordinator_port, raw_http):
+        status, _, body = raw_http(coordinator_port, "POST", "/v1/jobs",
+                                   {"workload": "hotspot", "bogus": 1})
+        assert status == 400
+        assert body == error_body("InvalidJobError",
+                                  "unknown job-spec fields: bogus")
+        status, _, body = raw_http(coordinator_port, "POST", "/v1/jobs")
+        assert status == 400
+        assert body == error_body("InvalidJobError",
+                                  "request body must be JSON")
+
+    def test_no_live_shard_is_503_with_retry_after(
+            self, coordinator_port, raw_http):
+        status, headers, body = raw_http(coordinator_port, "POST",
+                                         "/v1/jobs", spec_for(1))
+        assert status == 503
+        assert headers["Retry-After"] == "5"
+        assert json.loads(body)["error"]["type"] == \
+            "NoShardAvailableError"
+
+    def test_unknown_job_is_404(self, coordinator_port, raw_http):
+        for method, path in (("GET", "/v1/jobs/nope/result"),
+                             ("GET", "/v1/jobs/nope"),
+                             ("DELETE", "/v1/jobs/nope")):
+            status, _, body = raw_http(coordinator_port, method, path)
+            assert status == 404, path
+            assert body == error_body("JobNotFoundError",
+                                      "no such cluster job: nope")
+
+    def test_cancelling_a_terminal_job_is_409(self, coordinator_port,
+                                              raw_http):
+        status, _, body = raw_http(
+            coordinator_port, "POST", "/v1/cluster/register",
+            {"id": "s0", "host": "fake", "port": 9000})
+        assert status == 200
+        assert json.loads(body)["id"] == "s0"
+        status, _, body = raw_http(coordinator_port, "POST", "/v1/jobs",
+                                   spec_for(1))
+        assert status == 202
+        job_id = json.loads(body)["id"]
+        # The fake shard finishes on submit: one status poll caches the
+        # terminal result at the coordinator.
+        status, _, body = raw_http(coordinator_port, "GET",
+                                   f"/v1/jobs/{job_id}")
+        assert status == 200 and json.loads(body)["state"] == "done"
+        status, _, body = raw_http(coordinator_port, "DELETE",
+                                   f"/v1/jobs/{job_id}")
+        assert status == 409
+        assert body == error_body(
+            "JobStateError", f"job {job_id} is already terminal (done)")
+        status, _, body = raw_http(coordinator_port, "GET",
+                                   f"/v1/jobs/{job_id}/result")
+        assert status == 200
+        assert json.loads(body)["shard"] == "s0"
+
+
+@pytest.mark.serve
+class TestCliCluster:
+    """`repro cluster` as users run it: boot line, health, SIGTERM."""
+
+    def test_boots_reports_coordinator_and_stops_on_sigterm(
+            self, serve_daemon, raw_http):
+        daemon = serve_daemon("--no-events", command="cluster")
+        status, _, body = raw_http(daemon.port, "GET", "/v1/healthz")
+        assert status == 200
+        health = json.loads(body)
+        assert health["role"] == "coordinator"
+        assert health["status"] == "no-shards"
+        assert daemon.terminate(timeout=30) == 0, daemon.stderr()
+        assert "[cluster] stopped; 0 shard(s) were alive" in \
+            daemon.stderr().splitlines()
 
 
 # --- full chaos harness (subprocess shards) ----------------------------------

@@ -2,7 +2,9 @@
 
 Unmarked tests are pure unit tests of the seeded plan (arrival
 schedules, zipf mix, catalog), the report shape and its byte-stability
-contract, and the ``top`` renderer — they run in the tier-1 suite.
+contract, the ``top`` renderer, and the server-address checks
+``repro loadgen``/``top``/``jobs`` make before their first connection —
+they run in the tier-1 suite.
 The ``serve``-marked classes run real load against live daemons: a
 thread-mode fast path for the report plumbing, and the determinism
 pair — two same-seed ``pattern="unique"`` runs against fresh 2-worker
@@ -14,10 +16,12 @@ in-process execution of the same cells.  One more drives `repro serve`,
 
 import json
 import re
+import socket
 
 import pytest
 
-from repro.errors import ReproError, ServeClientError
+from repro.cli import main
+from repro.errors import ConfigurationError, ReproError, ServeClientError
 from repro.loadgen import (
     BENCH_FORMAT,
     LoadgenPlan,
@@ -193,13 +197,68 @@ class TestTopRenderer:
         assert "worker  inflight" not in frame
 
 
+class TestCliAddressChecks:
+    """Bad server addresses fail before any connection is tried."""
+
+    @pytest.fixture()
+    def no_connections(self, monkeypatch):
+        attempts = []
+
+        def refuse(address, *args, **kwargs):
+            attempts.append(address)
+            raise AssertionError(f"connection attempted to {address}")
+
+        monkeypatch.setattr(socket, "create_connection", refuse)
+        return attempts
+
+    @staticmethod
+    def closed_port() -> int:
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            return probe.getsockname()[1]
+
+    def test_cluster_with_trace_out_rejected_before_any_connection(
+            self, tmp_path, no_connections):
+        url = f"http://127.0.0.1:{self.closed_port()}"
+        with pytest.raises(ConfigurationError, match="--trace-out"):
+            main(["loadgen", "--cluster", url, "--duration", "1",
+                  "--trace-out", str(tmp_path / "trace.json"),
+                  "--out", str(tmp_path / "report.json")])
+        assert no_connections == []
+        assert not (tmp_path / "report.json").exists()
+
+    def test_cluster_with_trace_out_exits_2_with_one_error_line(
+            self, tmp_path, repro_cli):
+        url = f"http://127.0.0.1:{self.closed_port()}"
+        result = repro_cli("loadgen", "--cluster", url,
+                           "--trace-out", str(tmp_path / "trace.json"))
+        assert result.returncode == 2
+        assert result.stderr.startswith("repro: error: --trace-out")
+        assert len(result.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize("cluster", [False, True])
+    @pytest.mark.parametrize("command", ["top", "jobs"])
+    @pytest.mark.parametrize("endpoint", [
+        "nohost", "127.0.0.1", "127.0.0.1:port", ":8077", "h:-1",
+        "https://127.0.0.1:8077", "http://127.0.0.1",
+    ])
+    def test_malformed_endpoint_rejected(self, command, endpoint,
+                                         cluster, no_connections):
+        argv = [command, "--endpoint", endpoint]
+        if cluster:
+            argv += ["--cluster", f"127.0.0.1:{self.closed_port()}"]
+        with pytest.raises(ServeClientError, match="server URL"):
+            main(argv)
+        assert no_connections == []
+
+
 # ----------------------------------------------------------------- end to end
 
 def _serve_http(service):
-    from repro.serve import ServiceServer
+    from repro.serve import shard_server
 
     service.start()
-    server = ServiceServer(service, port=0)
+    server = shard_server(service)
     server.start_background()
     return server
 

@@ -33,8 +33,8 @@ from repro.serve import (
     JobJournal,
     JobQueue,
     ServeClient,
-    ServiceServer,
     SimulationService,
+    shard_server,
 )
 from repro.serve.api import build_cell
 from repro.serve.queue import CANCELLED, DONE, FAILED, QUEUED, RUNNING
@@ -488,9 +488,15 @@ class TestRetryBudget:
 class TestServeClientFromUrl:
     def test_plain_and_schemed(self):
         for url in ("10.0.0.2:8077", "http://10.0.0.2:8077",
-                    "https://10.0.0.2:8077", "http://10.0.0.2:8077/"):
+                    "http://10.0.0.2:8077/", " 10.0.0.2:8077 "):
             client = ServeClient.from_url(url)
             assert (client.host, client.port) == ("10.0.0.2", 8077)
+
+    def test_https_is_refused(self):
+        # The client speaks plain HTTP; stripping the scheme would send
+        # cleartext to a port meant for TLS.
+        with pytest.raises(ServeClientError, match="https"):
+            ServeClient.from_url("https://10.0.0.2:8077")
 
     def test_kwargs_pass_through(self):
         client = ServeClient.from_url("h:1", timeout=3.0,
@@ -499,7 +505,8 @@ class TestServeClientFromUrl:
         assert client.retry_budget == 1.0
 
     def test_malformed_urls_rejected(self):
-        for url in ("nohost", "http://", "host:port", ":8077"):
+        for url in ("nohost", "http://", "host:port", ":8077", "h:-1",
+                    "h:+80", "http://example.test"):
             with pytest.raises(ServeClientError):
                 ServeClient.from_url(url)
 
@@ -768,9 +775,9 @@ class TestServiceUnit:
         service = SimulationService(jobs=1, queue_limit=8,
                                     journal=journal, runner=runner)
         service.start()
-        first, _ = service.submit(cell(1))
+        first, _ = service.admit(cell(1))
         assert runner.started.wait(30)  # worker holds `first` at the gate
-        second, _ = service.submit(cell(2))
+        second, _ = service.admit(cell(2))
         assert second.state == QUEUED
         drained = threading.Event()
         thread = threading.Thread(
@@ -790,9 +797,9 @@ class TestServiceUnit:
         service = SimulationService(jobs=1, journal=journal,
                                     runner=runner)
         service.start()
-        held, _ = service.submit(cell(1))
+        held, _ = service.admit(cell(1))
         assert runner.started.wait(30)
-        queued, _ = service.submit(cell(2))
+        queued, _ = service.admit(cell(2))
         service.drain(timeout=0.2)  # held job is gated: drain times out
         runner.release()
         assert service.drain(timeout=30)
@@ -817,7 +824,7 @@ class TestServiceUnit:
             snapshot = service.metrics_snapshot()
             for suffix in ("_p50", "_p95", "_p99"):
                 assert "serve.service_latency_ns" + suffix not in snapshot
-            job, _ = service.submit(cell(1))
+            job, _ = service.admit(cell(1))
             assert job.wait(timeout=30)
             snapshot = service.metrics_snapshot()
             for suffix in ("_p50", "_p95", "_p99"):
@@ -831,7 +838,7 @@ class TestServiceUnit:
 
         service = SimulationService(jobs=1, runner=exploding)
         service.start()
-        job, _ = service.submit(cell(1))
+        job, _ = service.admit(cell(1))
         assert job.wait(timeout=30)
         assert job.state == FAILED
         assert isinstance(job.result, FailedRun)
@@ -845,7 +852,7 @@ class TestServiceUnit:
         crashed = SimulationService(jobs=1, journal=journal,
                                     runner=runner)
         crashed.start()
-        held, _ = crashed.submit(cell(1))
+        held, _ = crashed.admit(cell(1))
         assert runner.started.wait(30)  # leased, mid-job
         assert [(entry["id"], entry["attempt"])
                 for entry in journal.load_leases()] == [(held.id, 1)]
@@ -878,8 +885,8 @@ class TestServiceUnit:
         service = SimulationService(jobs=2, runner=runner)
         service.start()
         try:
-            service.submit(cell(1))
-            service.submit(cell(2))
+            service.admit(cell(1))
+            service.admit(cell(2))
             deadline = time.monotonic() + 30
             while runner.calls < 2:  # both slots hold a job
                 assert time.monotonic() < deadline
@@ -900,7 +907,7 @@ class TestServiceUnit:
             jobs=2, runner=lambda c: (SimStats(), False))
         service.start()
         try:
-            job, _ = service.submit(cell(1))
+            job, _ = service.admit(cell(1))
             assert job.wait(timeout=30)
             health = service.health()
             assert health["worker_mode"] == "thread"
@@ -920,7 +927,7 @@ def http_service(tmp_path):
     service = SimulationService(jobs=1, queue_limit=1, journal=journal,
                                 runner=runner)
     service.start()
-    server = ServiceServer(service, port=0)
+    server = shard_server(service)
     server.start_background()
     # Fail-fast client: backpressure tests want to see the raw 429.
     client = ServeClient(port=server.port, timeout=10.0,
@@ -1052,7 +1059,7 @@ class TestHttpApi:
         assert excinfo.value.status == 404
         assert "--service-trace" in str(excinfo.value)
 
-    def test_submit_during_drain_is_503(self, http_service):
+    def test_submit_during_drain_is_503(self, http_service, raw_http):
         service, runner, client = http_service
         runner.release()
         service.drain(timeout=30)
@@ -1060,6 +1067,33 @@ class TestHttpApi:
             client.submit({"name": "hotspot", "scale": SCALE})
         assert excinfo.value.status == 503
         assert client.healthz()["status"] == "draining"
+        status, headers, body = raw_http(
+            client.port, "POST", "/v1/jobs",
+            {"workload": {"name": "hotspot", "scale": SCALE}})
+        assert status == 503
+        assert headers["Retry-After"] == "5"
+        assert json.loads(body)["error"]["type"] == "JobStateError"
+
+    def test_wire_errors_are_pinned(self, http_service, raw_http):
+        _, _, client = http_service
+        for method, path, code, kind, message in (
+                ("GET", "/nope", 404, "JobNotFoundError",
+                 "no such route: /nope"),
+                ("DELETE", "/v1/healthz", 404, "JobNotFoundError",
+                 "no such route: DELETE /v1/healthz"),
+                ("GET", "/v1/metrics?format=xml", 400, "InvalidJobError",
+                 "unknown metrics format 'xml'; expected json, prom, "
+                 "or state"),
+                ("POST", "/v1/steal", 400, "InvalidJobError",
+                 "request body must be JSON"),
+                ("GET", "/v1/jobs/nope/result", 404, "JobNotFoundError",
+                 "no such job: nope")):
+            status, headers, body = raw_http(client.port, method, path)
+            assert status == code, path
+            assert headers["Content-Type"] == "application/json"
+            assert body == json.dumps(
+                {"error": {"type": kind, "message": message}},
+                sort_keys=True).encode("utf-8")
 
 
 @pytest.mark.serve
@@ -1075,7 +1109,7 @@ class TestObservabilityHttp:
             jobs=1, runner=lambda c: (SimStats(), False),
             events=events, tracer=ServiceTracer(workers=1))
         service.start()
-        server = ServiceServer(service, port=0)
+        server = shard_server(service)
         server.start_background()
         client = ServeClient(port=server.port, timeout=10.0)
         try:
@@ -1119,7 +1153,7 @@ class TestEndToEndSimulation:
                                     journal=JobJournal(journal_dir),
                                     runner=counting_runner)
         service.start()
-        server = ServiceServer(service, port=0)
+        server = shard_server(service)
         server.start_background()
         return service, server, executed
 
@@ -1236,15 +1270,15 @@ class TestSigtermDrain:
         service = SimulationService(jobs=1, queue_limit=8,
                                     journal=journal, runner=runner)
         service.start()
-        server = ServiceServer(service, port=0)
+        server = shard_server(service)
         server.start_background()
         previous_term = signal_module.getsignal(signal_module.SIGTERM)
         previous_int = signal_module.getsignal(signal_module.SIGINT)
         server.install_signal_handlers()
         try:
-            held, _ = service.submit(cell(1))
+            held, _ = service.admit(cell(1))
             assert runner.started.wait(30)  # worker holds `held`
-            queued, _ = service.submit(cell(2))
+            queued, _ = service.admit(cell(2))
             assert queued.state == QUEUED
 
             signal_module.raise_signal(signal_module.SIGTERM)

@@ -6,7 +6,8 @@ import re
 import pytest
 
 from repro.cli import main
-from repro.errors import TuneError, WorkloadError
+from repro.errors import ServeClientError, TuneError, WorkloadError
+from repro.serve import ServeClient
 from repro.stats import FailedRun, SimStats
 from repro.sweep import RunCache, sweep_context
 from repro.tune import (
@@ -22,7 +23,6 @@ from repro.tune import (
     make_driver,
     make_trial,
     metric_vector,
-    parse_server_url,
     pareto_frontier,
     recommendation_for,
     recommended_pairing,
@@ -362,20 +362,30 @@ class TestCards:
 
 
 class TestParseServerUrl:
+    """``repro tune --via-server`` parses its URL with
+    :meth:`ServeClient.from_url`, like every other server address."""
+
     @pytest.mark.parametrize("url,expected", [
         ("http://127.0.0.1:8077", ("127.0.0.1", 8077)),
         ("localhost:9000", ("localhost", 9000)),
-        ("http://example.test", ("example.test", 8077)),
     ])
     def test_accepts_urls_and_host_port(self, url, expected):
-        assert parse_server_url(url) == expected
+        client = ServeClient.from_url(url)
+        assert (client.host, client.port) == expected
 
     @pytest.mark.parametrize("url", [
         "", "   ", "https://example.test", "http://", "host:notaport",
+        "http://example.test",
     ])
     def test_rejects_unusable_urls(self, url):
-        with pytest.raises(TuneError):
-            parse_server_url(url)
+        with pytest.raises(ServeClientError):
+            ServeClient.from_url(url)
+
+    def test_cli_rejects_before_tuning(self, tmp_path):
+        with pytest.raises(ServeClientError, match="https"):
+            main(["tune", "gemm", "--via-server", "https://localhost:1",
+                  "--out", str(tmp_path)])
+        assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.serve
@@ -384,8 +394,8 @@ class TestServerBackedTuning:
         from repro.serve import (
             JobJournal,
             ServeClient,
-            ServiceServer,
             SimulationService,
+            shard_server,
         )
         from repro.sweep import execute_cell
         from repro.tune import ServerEvaluator
@@ -397,7 +407,7 @@ class TestServerBackedTuning:
             runner=lambda cell: execute_cell(cell, cache=cache),
         )
         service.start()
-        server = ServiceServer(service, port=0)
+        server = shard_server(service)
         server.start_background()
         try:
             client = ServeClient(port=server.port, timeout=30.0)
