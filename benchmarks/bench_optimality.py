@@ -11,8 +11,8 @@ from repro.analysis.optimal import (
     optimality_gap,
     reference_from_trace,
 )
-from repro.experiments.common import ExperimentResult, combo_config, \
-    run_workload_setting
+from repro.experiments.common import ExperimentResult, combo_config
+from repro.runtime import UvmRuntime
 from repro.workloads.registry import make_workload
 
 from conftest import SCALE, run_once, save_result
@@ -40,7 +40,7 @@ def run_optimality(scale: float = SCALE) -> ExperimentResult:
                 prefetch_under_pressure=False,
                 record_access_trace=True,
             )
-            stats = run_workload_setting(workload, config)
+            stats = UvmRuntime(config).run_workload(workload)
             reference = reference_from_trace(stats.access_trace)
             capacity = config.device_memory_pages
             optimal = belady_misses(reference, capacity)

@@ -5,8 +5,7 @@ validation claim and ``repro bench``.  It runs every :class:`BenchCell`
 under both engines and asserts that ``SimStats.to_json()`` is
 **byte-identical** — not approximately equal, identical — so any
 divergence in fault counts, transfer histograms, kernel times, or
-eviction totals fails loudly.  Engine throughput is measured by
-``perfbench/run.py``, not here.
+eviction totals fails loudly.
 
 Cells are deliberately data (frozen dataclass): the equivalence matrix
 below is the *fixed* seed × workload × pairing × oversubscription grid
@@ -19,9 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .config import SimulatorConfig, oversubscribed
-from .runtime import UvmRuntime
+from .sweep import SweepCell, run_cell
 from .workloads import make_workload
-from .workloads.base import AddressResolver
 
 #: (prefetcher, eviction) pairings cycled through the matrix; every
 #: registered policy family appears at least once.
@@ -159,9 +157,9 @@ def equivalence_matrix(scale: float = 1.0) -> list[BenchCell]:
 
 
 def _run(cell: BenchCell, engine: str) -> str:
-    """Run one cell; returns its canonical stats JSON."""
-    workload = make_workload(cell.workload, scale=cell.scale,
-                             **dict(cell.kwargs))
+    """Run one cell through the sweep runner; returns its canonical
+    stats JSON."""
+    spec = {"name": cell.workload, "scale": cell.scale, **dict(cell.kwargs)}
     overrides: dict = {
         "engine": engine,
         "prefetcher": cell.prefetcher,
@@ -180,17 +178,9 @@ def _run(cell: BenchCell, engine: str) -> str:
     if cell.oversubscription is None:
         config = SimulatorConfig(**overrides)
     else:
-        config = oversubscribed(workload.footprint_bytes,
+        config = oversubscribed(make_workload(**spec).footprint_bytes,
                                 cell.oversubscription, **overrides)
-    runtime = UvmRuntime(config)
-    for spec in workload.allocations():
-        runtime.malloc_managed(spec.name, spec.size_bytes)
-    resolver = AddressResolver(runtime.simulator.allocator)
-    # Materialize every kernel before the first launch.
-    for kernel in list(workload.kernel_specs(resolver)):
-        runtime.launch_kernel(kernel)
-    runtime.device_synchronize()
-    return runtime.stats.to_json()
+    return run_cell(SweepCell(spec, config)).to_json()
 
 
 def compare_engines(cells: list[BenchCell] | None = None,

@@ -83,7 +83,14 @@ from .serve.journal import JOURNAL_FORMAT, JobJournal
 from .serve.queue import FAILED, TERMINAL_STATES
 from .serve.server import SimulationService, shard_server
 from .serve.supervisor import FleetOptions
-from .sweep import RunCache, SweepCell, execute_cell
+from .stats import FailedRun
+from .sweep import (
+    RunCache,
+    SweepCell,
+    decode_result,
+    encode_result,
+    execute_cell,
+)
 from .workloads import make_workload
 
 #: Default wall deadline (seconds) for every job of a wave to go terminal.
@@ -592,33 +599,31 @@ def _check_shared(report: ChaosReport, jobs: list[Submitted],
     for job_id, cell in jobs:
         if job_id not in outcomes:
             continue  # already flagged as lost
-        result = outcomes[job_id][1].get("result") or {}
-        kind = result.get("kind")
-        if kind == "stats":
-            report.jobs_done += 1
-        elif kind == "failed":
+        status, body = outcomes[job_id]
+        result = decode_result(body["result"])
+        if isinstance(result, FailedRun):
             report.jobs_failed += 1
+        elif result is not None:
+            report.jobs_done += 1
         if cell.config.seed in poison_seeds:
             continue  # the target judges its poison jobs
-        if kind == "failed":
-            failed = result["failed"]
+        if isinstance(result, FailedRun):
             report.violations.append(
-                f"non-poison job {job_id} failed: "
-                f"{failed.get('error_type')}: {failed.get('message')}"
-            )
+                f"non-poison job {job_id} failed: {result}")
             continue
-        if kind != "stats":
+        if result is None:
             report.violations.append(
-                f"job {job_id} ended {kind!r}, expected stats")
+                f"job {job_id} ended {status.get('state')!r}, "
+                "expected stats")
             continue
         # Byte-identical to a fresh fault-free in-process run.
         report.parity_checked += 1
         key = cell.cache_key()
         if key not in expected:
             baseline, _ = execute_cell(cell, cache=None)
-            expected[key] = json.dumps(baseline.to_json_dict(),
+            expected[key] = json.dumps(encode_result(baseline),
                                        sort_keys=True)
-        if json.dumps(result["stats"], sort_keys=True) != expected[key]:
+        if json.dumps(body["result"], sort_keys=True) != expected[key]:
             report.violations.append(
                 f"parity broken: job {job_id} served stats differ "
                 "from a fresh fault-free run"

@@ -87,6 +87,7 @@ from .experiments import (
 from .presets import PRESETS, preset_config
 from .runtime import UvmRuntime
 from .serve.client import DEFAULT_PORT as SERVE_DEFAULT_PORT
+from .stats import FailedRun
 from .tune import (
     DRIVERS as TUNE_DRIVERS,
     OBJECTIVES as TUNE_OBJECTIVES,
@@ -106,6 +107,7 @@ from .sweep import (
     DEFAULT_CACHE_DIR,
     RunCache,
     SweepCell,
+    decode_result,
     execute_cells,
     resolve_cache_dir,
     sweep_context,
@@ -689,18 +691,21 @@ def _print_resilience(stats) -> None:
 
 
 def _flags_config(args: argparse.Namespace, workload,
-                  file_fields: dict | None = None) -> SimulatorConfig:
-    """Build the config `run` and `submit` share from the policy flags.
+                  overrides: dict | None = None) -> SimulatorConfig:
+    """Build the config of one run from the policy flags.
 
-    One recipe for both commands, so a cell submitted to a server hashes
-    identically to the same cell run in-process — the cache-hit and
-    coalescing guarantees depend on it.
+    One recipe for `run`, `submit`, `trace` and `report`, so a cell
+    submitted to a server hashes identically to the same cell run
+    in-process — the cache-hit and coalescing guarantees depend on it.
+    Flags a command does not have take their `run` defaults.
+    ``overrides`` (a `--config-file`, or trace settings) win over the
+    policy flags.
     """
     profile = None
     if getattr(args, "fault_profile", None) is not None:
         from .faultinject.profile import FaultProfile
         profile = FaultProfile.load(args.fault_profile, seed=args.seed)
-    if args.preset is not None:
+    if getattr(args, "preset", None) is not None:
         config = preset_config(args.preset, workload)
         if profile is not None:
             config = config.replace(fault_profile=profile)
@@ -710,14 +715,13 @@ def _flags_config(args: argparse.Namespace, workload,
         prefetcher=args.prefetcher,
         eviction=args.eviction,
         disable_prefetch_on_oversubscription=not args.keep_prefetching,
-        lru_reservation_fraction=args.reservation,
-        free_page_buffer_fraction=args.buffer,
+        lru_reservation_fraction=getattr(args, "reservation", 0.0),
+        free_page_buffer_fraction=getattr(args, "buffer", 0.0),
         seed=args.seed,
         fault_profile=profile,
     )
-    if file_fields is not None:
-        # The file is the explicit artifact: its values win.
-        common.update(file_fields)
+    if overrides is not None:
+        common.update(overrides)
     if args.oversubscription is None:
         return SimulatorConfig(**common)
     return oversubscribed(workload.footprint_bytes,
@@ -759,25 +763,8 @@ def _traced_runtime(args: argparse.Namespace,
                     max_events: int = 0):
     """Run one workload with span tracing on; returns (workload, runtime)."""
     workload = make_workload(args.workload, scale=args.scale)
-    profile = None
-    if args.fault_profile is not None:
-        from .faultinject.profile import FaultProfile
-        profile = FaultProfile.load(args.fault_profile, seed=args.seed)
-    common = dict(
-        prefetcher=args.prefetcher,
-        eviction=args.eviction,
-        disable_prefetch_on_oversubscription=not args.keep_prefetching,
-        seed=args.seed,
-        fault_profile=profile,
-        trace=True,
-        trace_max_events=max_events,
-    )
-    if args.oversubscription is None:
-        config = SimulatorConfig(**common)
-    else:
-        config = oversubscribed(workload.footprint_bytes,
-                                args.oversubscription, **common)
-    runtime = UvmRuntime(config)
+    runtime = UvmRuntime(_flags_config(
+        args, workload, {"trace": True, "trace_max_events": max_events}))
     runtime.run_workload(workload)
     return workload, runtime
 
@@ -895,23 +882,27 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_faults(args: argparse.Namespace) -> int:
     """Resilience table: one workload swept across injection rates."""
-    from .errors import ReproError
     from .experiments.extension_resilience import profile_for_rate
 
-    rows = []
-    for rate in args.rates:
-        workload = make_workload(args.workload, scale=args.scale)
-        config = oversubscribed(
-            workload.footprint_bytes, args.oversubscription,
-            prefetcher=args.prefetcher, eviction=args.eviction,
-            disable_prefetch_on_oversubscription=False,
-            seed=args.seed,
-            fault_profile=profile_for_rate(rate, seed=args.seed),
+    workload = make_workload(args.workload, scale=args.scale)
+    cells = [
+        SweepCell(
+            workload_spec={"name": args.workload, "scale": args.scale},
+            config=oversubscribed(
+                workload.footprint_bytes, args.oversubscription,
+                prefetcher=args.prefetcher, eviction=args.eviction,
+                disable_prefetch_on_oversubscription=False,
+                seed=args.seed,
+                fault_profile=profile_for_rate(rate, seed=args.seed),
+            ),
         )
-        try:
-            stats = UvmRuntime(config).run_workload(workload)
-        except ReproError as exc:
-            rows.append([f"{rate:.2f}", f"FAILED({type(exc).__name__})",
+        for rate in args.rates
+    ]
+    rows = []
+    for rate, stats in zip(args.rates,
+                           execute_cells(cells, isolate_failures=True)):
+        if isinstance(stats, FailedRun):
+            rows.append([f"{rate:.2f}", f"FAILED({stats.error_type})",
                          "-", "-", "-", "-", "-"])
             continue
         rows.append([
@@ -1031,7 +1022,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
 def cmd_submit(args: argparse.Namespace) -> int:
     from .serve import ServeClient
-    from .stats import FailedRun
 
     workload = make_workload(args.workload, scale=args.scale)
     config = _flags_config(args, workload)
@@ -1052,7 +1042,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
     print(f"[serve] job {job['id']} {outcome['state']}, "
           f"cache_hit: {'true' if outcome['cache_hit'] else 'false'}",
           file=sys.stderr)
-    result = ServeClient.decode_result(outcome)
+    result = decode_result(outcome["result"])
     if result is None or isinstance(result, FailedRun):
         print(json.dumps(outcome["result"], sort_keys=True, indent=2))
         return 1

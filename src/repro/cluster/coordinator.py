@@ -73,6 +73,7 @@ from ..serve.api import (
 from ..serve.client import ServeClient
 from ..serve.events import ServeEventLog
 from ..serve.queue import TERMINAL_STATES
+from ..sweep import encode_result
 from .registry import DEFAULT_HEARTBEAT_TIMEOUT, ShardInfo, ShardRegistry
 
 #: Heartbeat-reported queue depth at which a shard becomes a donor.
@@ -89,6 +90,16 @@ def _default_client_factory(host: str, port: int) -> ServeClient:
     the retry policy)."""
     return ServeClient(host=host, port=port, timeout=10.0,
                        backpressure_retries=0, connect_retries=0)
+
+
+def _int_field(payload: dict, name: str, default: int | None = None) -> int:
+    """One integer field of a membership body; 400 when it is not one."""
+    value = payload.get(name, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise InvalidJobError(
+            f"{name!r} must be an integer, got {value!r}") from None
 
 
 @dataclass
@@ -237,7 +248,8 @@ class ClusterCoordinator:
             )
         shard = self.registry.register(
             str(payload["id"]), str(payload["host"]),
-            int(payload["port"]), workers=int(payload.get("workers", 1)))
+            _int_field(payload, "port"),
+            workers=_int_field(payload, "workers", 1))
         self._m_registered.inc()
         self._event("shard_joined", shard=shard.id, detail=shard.url)
         self._log(f"shard {shard.id} joined at {shard.url}")
@@ -252,8 +264,8 @@ class ClusterCoordinator:
                 "heartbeat body must be a JSON object with an 'id'")
         shard = self.registry.heartbeat(
             str(payload["id"]),
-            queue_depth=int(payload.get("queue_depth", 0)),
-            running=int(payload.get("running", 0)))
+            queue_depth=_int_field(payload, "queue_depth", 0),
+            running=_int_field(payload, "running", 0))
         self._m_heartbeats.inc()
         return {"id": shard.id, "state": shard.state,
                 "generation": self.registry.generation}
@@ -407,7 +419,7 @@ class ClusterCoordinator:
             job.state = remote.get("state", "cancelled")
             job.result = {"id": job.id, "state": job.state,
                           "cache_hit": None,
-                          "result": {"kind": "cancelled"},
+                          "result": encode_result(None),
                           "shard": job.shard_id}
             if self._active_by_key.get(job.key) is job:
                 del self._active_by_key[job.key]

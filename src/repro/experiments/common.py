@@ -20,9 +20,8 @@ from typing import Hashable, Sequence
 from ..analysis.report import format_table
 from ..config import SimulatorConfig, oversubscribed
 from ..errors import ReproError, WorkloadError
-from ..runtime import UvmRuntime
 from ..stats import FailedRun, SimStats
-from ..sweep import SweepCell, execute_cells
+from ..sweep import SweepCell, execute_cells, run_cell
 from ..workloads.base import Workload
 from ..workloads.registry import (
     SUITE_ORDER,
@@ -127,21 +126,10 @@ def resolve_workload_names(
     return names
 
 
-def run_workload_setting(workload: Workload,
-                         config: SimulatorConfig) -> SimStats:
-    """Run one workload under one config on a fresh runtime."""
-    return UvmRuntime(config).run_workload(workload)
-
-
-def _local_runner(cell: SweepCell) -> SimStats:
-    """In-process cell execution, routed through the patchable seam.
-
-    The module-global :func:`run_workload_setting` is looked up at call
-    time on purpose: fault-injection tests monkeypatch it to make chosen
-    workloads explode.
-    """
-    workload = make_workload(**cell.workload_spec)
-    return run_workload_setting(workload, cell.config)
+#: In-process cell execution.  :func:`run_settings` looks this global up
+#: at call time on purpose: fault-injection tests monkeypatch it to make
+#: chosen workloads explode.
+_local_runner = run_cell
 
 
 def setting_cells(scale: float, names: Sequence[str],

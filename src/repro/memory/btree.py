@@ -145,23 +145,8 @@ class BuddyTree:
     def _grow(self, node: int, amount: int, plan: dict[int, int]) -> None:
         """Add ``amount`` to-be-valid bytes in ``node``'s subtree, keeping
         the subtree balanced (pushed down to children with room)."""
-        if amount <= 0:
-            return
         room = self._capacity(node) - self._valid[node]
-        amount = min(amount, room)
-        if amount <= 0:
-            return
-        self._valid[node] += amount
-        if self._is_leaf(node):
-            block = self._global_block(node)
-            plan[block] = plan.get(block, 0) + amount
-            return
-        left, right = 2 * node + 1, 2 * node + 2
-        vl, vr = self._valid[left], self._valid[right]
-        final_l, final_r = self._split_grow(vl, vr, amount,
-                                            self._capacity(left))
-        self._grow_exact(left, final_l - vl, plan)
-        self._grow_exact(right, final_r - vr, plan)
+        self._grow_exact(node, min(amount, room), plan)
 
     def _grow_exact(self, node: int, amount: int,
                     plan: dict[int, int]) -> None:

@@ -6,12 +6,13 @@ it, and experiment code can point at a remote server instead of
 executing in-process::
 
     from repro.serve.client import ServeClient
+    from repro.sweep import decode_result
 
     client = ServeClient(port=8077)
     job = client.submit({"name": "hotspot", "scale": 0.5},
                         config=config.to_dict())
     outcome = client.wait(job["id"])
-    stats_dict = outcome["result"]["stats"]   # SimStats.to_json_dict()
+    stats = decode_result(outcome["result"])  # SimStats | FailedRun
 
 Transport errors and non-2xx answers raise
 :class:`~repro.errors.ServeClientError`; a 429 raises the more specific
@@ -51,7 +52,6 @@ import json
 import time
 
 from ..errors import BackpressureError, ServeClientError
-from ..stats import FailedRun, SimStats
 
 #: Default port of ``repro serve`` (no meaning beyond "unassigned").
 DEFAULT_PORT = 8077
@@ -368,15 +368,3 @@ class ServeClient:
                     f"{job_id} (state {status['state']!r})"
                 )
             time.sleep(poll_interval)
-
-    # --- conveniences ------------------------------------------------------
-    @staticmethod
-    def decode_result(outcome: dict) -> SimStats | FailedRun | None:
-        """Rebuild the typed result from a :meth:`wait`/:meth:`result`
-        payload (``None`` for a cancelled job)."""
-        result = outcome["result"]
-        if result["kind"] == "stats":
-            return SimStats.from_json_dict(result["stats"])
-        if result["kind"] == "failed":
-            return FailedRun.from_json_dict(result["failed"])
-        return None

@@ -29,7 +29,6 @@ import os
 import sys
 from pathlib import Path
 
-from ..config import SimulatorConfig
 from ..sweep import SweepCell
 from .queue import Job
 
@@ -63,14 +62,10 @@ class JobJournal:
         return self.root / QUARANTINE_DIRNAME
 
     def record(self, job: Job) -> None:
-        """Write one job's replayable identity atomically."""
-        document = {
-            "format": JOURNAL_FORMAT,
-            "id": job.id,
-            "seq": job.seq,
-            "workload": job.cell.workload_spec,
-            "config": job.cell.config.to_dict(),
-        }
+        """Write one job's replayable identity (id, sequence number and
+        the cell's :meth:`SweepCell.to_dict` form) atomically."""
+        document = {"format": JOURNAL_FORMAT, "id": job.id,
+                    "seq": job.seq, **job.cell.to_dict()}
         self._write(self.path_for(job.id), document)
 
     def forget(self, job_id: str) -> None:
@@ -120,11 +115,8 @@ class JobJournal:
                         f"journal format {data.get('format')!r} != "
                         f"{JOURNAL_FORMAT}"
                     )
-                cell = SweepCell(
-                    workload_spec=data["workload"],
-                    config=SimulatorConfig.from_dict(data["config"]),
-                )
-                entries.append((int(data["seq"]), str(data["id"]), cell))
+                entries.append((int(data["seq"]), str(data["id"]),
+                                SweepCell.from_dict(data)))
             except Exception as exc:  # noqa: BLE001 — skip, never crash
                 self._quarantine(path, exc)
         entries.sort(key=lambda item: (item[0], item[1]))

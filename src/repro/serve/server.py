@@ -44,7 +44,7 @@ from ..errors import (
 from ..obs.metrics import MetricsRegistry
 from ..obs.prom import prometheus_text
 from ..stats import FailedRun
-from ..sweep import RunCache, SweepCell, execute_cell
+from ..sweep import RunCache, SweepCell, encode_result, execute_cell
 from .api import ApiServer, build_cell, job_routes, make_handler
 from .events import ServeEventLog, ServiceTracer
 from .journal import JobJournal
@@ -329,7 +329,8 @@ class SimulationService:
 
     def steal(self, body: object) -> dict:
         """Give up to ``body["max"]`` (default 1) queued jobs back to
-        the coordinator; returns their cells.
+        the coordinator; returns their cells, each in the
+        :meth:`SweepCell.to_dict` form (a valid ``POST /v1/jobs`` body).
 
         The work-stealing donor side: each revoked job leaves the queue
         through the ``queued -> cancelled`` edge, is forgotten from the
@@ -360,13 +361,8 @@ class SimulationService:
                                          cache=None)
         if stolen:
             self.sample_gauges()
-        return {"stolen": [
-            {"id": job.id,
-             "key": job.key,
-             "workload": job.cell.workload_spec,
-             "config": job.cell.config.to_dict()}
-            for job in stolen
-        ]}
+        return {"stolen": [{"id": job.id, "key": job.key,
+                            **job.cell.to_dict()} for job in stolen]}
 
     def jobs(self) -> list[dict]:
         return [job.status_dict() for job in self.queue.jobs()]
@@ -381,18 +377,11 @@ class SimulationService:
             raise JobStateError(
                 f"job {job.id} is {job.state}, not terminal"
             )
-        if isinstance(job.result, FailedRun):
-            encoded = {"kind": "failed",
-                       "failed": job.result.to_json_dict()}
-        elif job.result is not None:
-            encoded = {"kind": "stats", "stats": job.result.to_json_dict()}
-        else:  # cancelled: terminal without a result
-            encoded = {"kind": "cancelled"}
         return {
             "id": job.id,
             "state": job.state,
             "cache_hit": job.cache_hit,
-            "result": encoded,
+            "result": encode_result(job.result),
         }
 
     def cancel(self, job_id: str) -> dict:

@@ -8,9 +8,10 @@ over a duplex pipe, executes the cell through the sweep layer's
 single-cell seam (:func:`repro.sweep.execute_cell`, shared run cache,
 per-cell deterministic reseeding — so a result from a worker process is
 byte-identical to the same cell run in-process), and answers
-``("result", outcome)``.  An :class:`InProcessWorker` runs the cell on
-the dispatcher thread itself (``--worker-mode thread``, and the seam
-tests inject runners through).
+``("result", outcome)`` with the result in its
+:func:`~repro.sweep.encode_result` form.  An :class:`InProcessWorker`
+runs the cell on the dispatcher thread itself (``--worker-mode
+thread``, and the seam tests inject runners through).
 
 A worker process has three liveness signals, all consumed by the
 supervisor:
@@ -47,6 +48,13 @@ from dataclasses import dataclass, replace
 
 from ..errors import WorkerCrashError
 from ..stats import FailedRun, SimStats
+from ..sweep import (
+    RunCache,
+    SweepCell,
+    decode_result,
+    encode_result,
+    execute_cell,
+)
 
 #: Seconds between child heartbeats.
 DEFAULT_HEARTBEAT_INTERVAL = 0.5
@@ -81,25 +89,11 @@ def execute_timed(runner, cell, cache=None) -> WorkerOutcome:
                          (exec_start, exec_end))
 
 
-def _encode(outcome: WorkerOutcome) -> WorkerOutcome:
-    """The pipe form: the result as its tagged JSON dict."""
-    kind = "failed" if isinstance(outcome.result, FailedRun) else "stats"
-    return replace(outcome, result=(kind, outcome.result.to_json_dict()))
-
-
-def _decode(outcome: WorkerOutcome) -> WorkerOutcome:
-    kind, payload = outcome.result
-    cls = FailedRun if kind == "failed" else SimStats
-    return replace(outcome, result=cls.from_json_dict(payload))
-
-
 def _worker_main(index: int, conn, cache_dir: str | None,
                  profile_fields: dict | None,
                  heartbeat_interval: float) -> None:
     """Child entry point: serve ``run`` requests until ``stop``/EOF."""
-    from ..config import SimulatorConfig
     from ..faultinject.service import ServiceFaultProfile
-    from ..sweep import RunCache, SweepCell, execute_cell
 
     profile = ServiceFaultProfile.from_dict(profile_fields) \
         if profile_fields else None
@@ -142,12 +136,8 @@ def _worker_main(index: int, conn, cache_dir: str | None,
         if kind != "run":
             continue
 
-        payload = message[1]
         jobs_run += 1
-        cell = SweepCell(
-            workload_spec=payload["workload"],
-            config=SimulatorConfig.from_dict(payload["config"]),
-        )
+        cell = SweepCell.from_dict(message[1])
         if profile is not None:
             if profile.should_kill(jobs_run, cell.config.seed):
                 # An injected crash: no goodbye, no cleanup — exactly
@@ -165,7 +155,8 @@ def _worker_main(index: int, conn, cache_dir: str | None,
             if profile.should_corrupt_store(stores):
                 _truncate_entry(cache.path_for(cell.cache_key()))
 
-        _send(("result", _encode(outcome)))
+        _send(("result", replace(outcome,
+                                 result=encode_result(outcome.result))))
 
 
 def _truncate_entry(path) -> None:
@@ -224,8 +215,6 @@ class WorkerProcess:
     def run(self, cell, job_timeout: float = 0.0,
             heartbeat_timeout: float = 0.0) -> WorkerOutcome:
         """Execute one cell in the child; returns its outcome."""
-        payload = {"workload": cell.workload_spec,
-                   "config": cell.config.to_dict()}
         # Drain heartbeats queued while idle, so staleness is measured
         # from now.
         while self.conn.poll(0):
@@ -235,7 +224,7 @@ class WorkerProcess:
                 raise self._crash("died while idle") from None
         self.last_heartbeat = time.monotonic()
         try:
-            self.conn.send(("run", payload))
+            self.conn.send(("run", cell.to_dict()))
         except (OSError, ValueError) as exc:
             raise self._crash(f"pipe closed on dispatch: {exc}") from None
 
@@ -250,7 +239,9 @@ class WorkerProcess:
                     self.last_heartbeat = time.monotonic()
                     continue
                 if message[0] == "result":
-                    return _decode(message[1])
+                    outcome = message[1]
+                    return replace(outcome,
+                                   result=decode_result(outcome.result))
                 continue
             now = time.monotonic()
             if not self.process.is_alive():
@@ -308,8 +299,7 @@ class InProcessWorker:
         try:
             return self._runner(cell)
         except Exception as exc:  # noqa: BLE001 — keep serving
-            return FailedRun(cell.workload_spec.get("name", "?"),
-                             type(exc).__name__, str(exc)), False
+            return cell.failed(exc), False
 
     def run(self, cell, job_timeout: float = 0.0,
             heartbeat_timeout: float = 0.0) -> WorkerOutcome:

@@ -4,7 +4,9 @@ The paper's evaluation is a large workload x prefetcher x eviction x
 over-subscription cross-product; this package turns each point into a
 declarative :class:`SweepCell`, executes cells over a process pool with
 deterministic per-cell seeding, and memoizes results on disk keyed by
-content hash.  See docs/SWEEP.md.
+content hash.  A cell and its result each have one JSON form
+(:meth:`SweepCell.to_dict`, :func:`encode_result`), which every carrier
+— cache, pool, serve worker pipe, journal, HTTP — uses.  See docs/SWEEP.md.
 """
 
 from .cache import (
@@ -13,12 +15,13 @@ from .cache import (
     RunCache,
     resolve_cache_dir,
 )
-from .cells import CELL_FORMAT, SweepCell
+from .cells import CELL_FORMAT, SweepCell, decode_result, encode_result
 from .executor import (
     SweepReport,
     active_report,
     execute_cell,
     execute_cells,
+    run_cell,
     sweep_context,
 )
 
@@ -30,8 +33,11 @@ __all__ = [
     "SweepCell",
     "SweepReport",
     "active_report",
+    "decode_result",
+    "encode_result",
     "execute_cell",
     "execute_cells",
     "resolve_cache_dir",
+    "run_cell",
     "sweep_context",
 ]

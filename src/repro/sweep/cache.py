@@ -1,8 +1,9 @@
 """Content-addressed on-disk cache of simulation results.
 
 Every executed :class:`~repro.sweep.cells.SweepCell` stores its result —
-a lossless :meth:`SimStats.to_json_dict` payload, or a
-:class:`~repro.stats.FailedRun` for isolated failures — as one JSON file
+a :class:`SimStats` or, for isolated failures, a
+:class:`~repro.stats.FailedRun`, in the tagged form of
+:func:`~repro.sweep.cells.encode_result` — as one JSON file
 under ``<root>/<key[:2]>/<key>.json``, keyed by the cell's content hash.
 Re-running an experiment therefore re-executes only missing or changed
 cells, and an interrupted sweep resumes for free: completed cells are
@@ -24,7 +25,7 @@ from pathlib import Path
 
 from ..errors import ReproError
 from ..stats import FailedRun, SimStats
-from .cells import SweepCell
+from .cells import SweepCell, decode_result, encode_result
 
 #: Default cache root, next to the generated experiment tables.
 DEFAULT_CACHE_DIR = Path("results") / ".runcache"
@@ -139,33 +140,21 @@ class RunCache:
             raise ReproError(
                 f"cache entry {key} has format {data.get('format')!r}"
             )
-        result = data["result"]
-        kind = result["kind"]
-        if kind == "stats":
-            return SimStats.from_json_dict(result["stats"])
-        if kind == "failed":
-            return FailedRun.from_json_dict(result["failed"])
-        raise ReproError(f"cache entry {key} has unknown kind {kind!r}")
+        result = decode_result(data["result"])
+        if result is None:
+            raise ReproError(f"cache entry {key} holds no result")
+        return result
 
     def store(self, key: str, cell: SweepCell,
               result: SimStats | FailedRun) -> None:
         """Persist one executed cell's result atomically.
 
-        The file also embeds the workload spec and the full config dict,
-        so a cache entry is self-describing — ``jq`` can answer "what
-        produced this?" without reverse-engineering hashes.
+        The file also embeds the cell's own form (workload spec and full
+        config dict), so a cache entry is self-describing — ``jq`` can
+        answer "what produced this?" without reverse-engineering hashes.
         """
-        if isinstance(result, FailedRun):
-            encoded = {"kind": "failed", "failed": result.to_json_dict()}
-        else:
-            encoded = {"kind": "stats", "stats": result.to_json_dict()}
-        document = {
-            "format": CACHE_FORMAT,
-            "key": key,
-            "workload": cell.workload_spec,
-            "config": cell.config.to_dict(),
-            "result": encoded,
-        }
+        document = {"format": CACHE_FORMAT, "key": key, **cell.to_dict(),
+                    "result": encode_result(result)}
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")

@@ -9,11 +9,11 @@ of completion order, and every worker re-seeds deterministically per
 cell, so a parallel sweep is byte-identical to a serial one at the same
 seed.
 
-Workers receive plain JSON-able job dicts (workload spec + config dict)
-and return :meth:`SimStats.to_json_dict` payloads — no live simulator
-state ever crosses the process boundary, which keeps the transport
-identical to the cache format: a freshly-executed cell and a cache hit
-are indistinguishable by construction.
+Pool workers receive the cell's :meth:`SweepCell.to_dict` form and
+answer the :func:`~repro.sweep.cells.encode_result` form — no live
+simulator state ever crosses the process boundary, and the transport is
+the cache format's: a freshly-executed cell and a cache hit are
+indistinguishable by construction.
 
 Experiment code does not pass ``jobs``/``cache`` around; the CLI opens a
 :func:`sweep_context` and every :func:`execute_cells` call inside it
@@ -26,15 +26,14 @@ from __future__ import annotations
 
 import random
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
-from ..config import SimulatorConfig
 from ..errors import ReproError, SweepError
 from ..stats import FailedRun, SimStats
 from .cache import RunCache
-from .cells import SweepCell
+from .cells import SweepCell, decode_result, encode_result
 
 
 @dataclass
@@ -86,8 +85,8 @@ def active_report() -> SweepReport:
     return _active.report
 
 
-def _default_local_runner(cell: SweepCell) -> SimStats:
-    """In-process execution of one cell (the ``jobs == 1`` path)."""
+def run_cell(cell: SweepCell) -> SimStats:
+    """Build the cell's workload and run it on a fresh runtime."""
     from ..runtime import UvmRuntime
     from ..workloads.registry import make_workload
 
@@ -95,45 +94,23 @@ def _default_local_runner(cell: SweepCell) -> SimStats:
     return UvmRuntime(cell.config).run_workload(workload)
 
 
-def _run_cell_job(job: dict) -> tuple[str, dict]:
-    """Worker entry point: rebuild the cell's world, run, return JSON.
-
-    Must stay a module-level function (picklable under every
-    multiprocessing start method).  ``ReproError`` failures come back as
-    data — the parent decides whether to isolate or raise — because
-    library exceptions with required constructor arguments do not
-    survive unpickling.
-    """
-    from ..runtime import UvmRuntime
-    from ..workloads.registry import make_workload
-
-    random.seed(job["seed"])
-    config = SimulatorConfig.from_dict(job["config"])
-    workload = make_workload(**job["workload"])
-    try:
-        stats = UvmRuntime(config).run_workload(workload)
-    except ReproError as exc:
-        failed = FailedRun(job["workload"].get("name", "?"),
-                           type(exc).__name__, str(exc))
-        return "failed", failed.to_json_dict()
-    return "stats", stats.to_json_dict()
-
-
 def execute_cell(
     cell: SweepCell,
     cache: RunCache | None = None,
     isolate_failures: bool = True,
+    runner: Callable[[SweepCell], SimStats] | None = None,
 ) -> tuple[SimStats | FailedRun, bool]:
-    """Run one cell in-process; returns ``(result, cache_hit)``.
+    """Run one cell; returns ``(result, cache_hit)``.
 
-    The single-cell seam used by long-running callers (the
-    :mod:`repro.serve` job workers) that need to know whether a result
-    was served from the cache without opening a :func:`sweep_context`:
-    the cache is consulted first, the worker RNG is re-seeded from the
-    cell's content hash exactly as :func:`execute_cells` does, and the
-    executed result is stored back.  With ``isolate_failures`` (the
-    default here — a resident service must not die with a cell) a
-    :class:`ReproError` becomes a :class:`FailedRun` row.
+    The one execution sequence of the package — :func:`execute_cells`
+    (serial loop and pool workers alike) and the :mod:`repro.serve`
+    job workers all go through it: the cache is consulted first, the
+    RNG is re-seeded from the cell's content hash, ``runner`` (default
+    :func:`run_cell`) executes, and the executed result is stored back.
+    With ``isolate_failures`` (the default here — a resident service
+    must not die with a cell) a :class:`ReproError` becomes a
+    :class:`FailedRun` row; without it the original exception
+    propagates.
     """
     key = cell.cache_key()
     if cache is not None:
@@ -142,15 +119,48 @@ def execute_cell(
             return hit, True
     random.seed(cell.derived_seed())
     try:
-        result: SimStats | FailedRun = _default_local_runner(cell)
+        result: SimStats | FailedRun = (runner or run_cell)(cell)
     except ReproError as exc:
         if not isolate_failures:
             raise
-        result = FailedRun(cell.workload_spec.get("name", "?"),
-                           type(exc).__name__, str(exc))
+        result = cell.failed(exc)
     if cache is not None:
         cache.store(key, cell, result)
     return result, False
+
+
+def _pool_job(cell_form: dict) -> dict:
+    """Pool worker entry point: run one cell, answer its result form.
+
+    Must stay a module-level function (picklable under every
+    multiprocessing start method).  ``ReproError`` failures come back as
+    data — the parent decides whether to isolate or raise — because
+    library exceptions with required constructor arguments do not
+    survive unpickling.
+    """
+    result, _ = execute_cell(SweepCell.from_dict(cell_form))
+    return encode_result(result)
+
+
+def _pool_runner(pool: ProcessPoolExecutor, misses: list[SweepCell]
+                 ) -> Callable[[SweepCell], SimStats]:
+    """A runner that answers from ``pool``.
+
+    ``misses`` (the cells without a cache file) start in the pool at
+    once, so the in-order :func:`execute_cell` loop only collects; a
+    cell whose file turns out corrupt is submitted when its load misses.
+    """
+    futures: dict = {}
+
+    def submit(cell: SweepCell):
+        key = cell.cache_key()
+        if key not in futures:
+            futures[key] = pool.submit(_pool_job, cell.to_dict())
+        return futures[key]
+
+    for cell in misses:
+        submit(cell)
+    return lambda cell: decode_result(submit(cell).result())
 
 
 def execute_cells(
@@ -165,13 +175,16 @@ def execute_cells(
     ``jobs``/``cache`` default to the enclosing :func:`sweep_context`
     (serial and uncached when none is open).  ``local_runner`` overrides
     how a cell executes *in this process* — the experiment layer routes
-    it through ``run_workload_setting`` so failure-injection tests can
-    monkeypatch a single seam.
+    it through ``experiments.common._local_runner`` so failure-injection
+    tests can monkeypatch a single seam.
 
-    With ``isolate_failures=True`` a cell whose run raises
-    :class:`ReproError` yields a :class:`FailedRun` row; without it the
-    serial path re-raises the original exception, while parallel/cached
-    failures surface as :class:`~repro.errors.SweepError`.
+    Cells run through :func:`execute_cell` in input order, so results
+    are stored in the cache in cell order whether they were executed
+    here or in a pool worker.  With ``isolate_failures=True`` a cell
+    whose run raises :class:`ReproError` yields a :class:`FailedRun`
+    row; without it the serial path re-raises the original exception,
+    while parallel/cached failures surface as
+    :class:`~repro.errors.SweepError`.
     """
     cells = list(cells)
     options = _active
@@ -180,61 +193,26 @@ def execute_cells(
     if cache is None:
         cache = options.cache
     report = options.report
-    if local_runner is None:
-        local_runner = _default_local_runner
 
-    results: list[SimStats | FailedRun | None] = [None] * len(cells)
-    pending: list[tuple[int, SweepCell, str]] = []
-    for index, cell in enumerate(cells):
-        key = cell.cache_key()
-        if cache is not None:
-            hit = cache.load(key)
-            if hit is not None:
-                results[index] = hit
+    misses: list[SweepCell] = []
+    if jobs > 1:
+        misses = [cell for cell in cells if cache is None
+                  or not cache.path_for(cell.cache_key()).exists()]
+    workers = min(jobs, len(misses))
+    results: list[SimStats | FailedRun] = []
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 \
+            else nullcontext() as pool:
+        runner = local_runner if pool is None \
+            else _pool_runner(pool, misses)
+        for cell in cells:
+            result, hit = execute_cell(cell, cache, isolate_failures,
+                                       runner)
+            if hit:
                 report.cached += 1
-                continue
-        pending.append((index, cell, key))
-
-    if pending and min(jobs, len(pending)) > 1:
-        jobs_payload = [
-            {"workload": cell.workload_spec,
-             "config": cell.config.to_dict(),
-             "seed": cell.derived_seed()}
-            for _, cell, _ in pending
-        ]
-        with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) \
-                as pool:
-            outcomes = list(pool.map(_run_cell_job, jobs_payload,
-                                     chunksize=1))
-        for (index, cell, key), (kind, payload) in zip(pending, outcomes):
-            if kind == "failed":
-                result: SimStats | FailedRun = \
-                    FailedRun.from_json_dict(payload)
-                report.failed += 1
             else:
-                result = SimStats.from_json_dict(payload)
-            report.executed += 1
-            if cache is not None:
-                cache.store(key, cell, result)
-            results[index] = result
-    else:
-        for index, cell, key in pending:
-            random.seed(cell.derived_seed())
-            if isolate_failures:
-                try:
-                    result = local_runner(cell)
-                except ReproError as exc:
-                    result = FailedRun(
-                        cell.workload_spec.get("name", "?"),
-                        type(exc).__name__, str(exc),
-                    )
-                    report.failed += 1
-            else:
-                result = local_runner(cell)  # propagates the original
-            report.executed += 1
-            if cache is not None:
-                cache.store(key, cell, result)
-            results[index] = result
+                report.executed += 1
+                report.failed += isinstance(result, FailedRun)
+            results.append(result)
 
     if not isolate_failures:
         for cell, result in zip(cells, results):
@@ -243,4 +221,4 @@ def execute_cells(
                     f"sweep cell {cell.workload_spec.get('name', '?')!r} "
                     f"failed with {result.error_type}: {result.message}"
                 )
-    return results  # type: ignore[return-value]
+    return results

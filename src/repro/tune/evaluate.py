@@ -26,7 +26,7 @@ candidate must not abort a tournament.
 from __future__ import annotations
 
 from ..stats import FailedRun, SimStats
-from ..sweep import SweepCell, execute_cells
+from ..sweep import SweepCell, decode_result, execute_cells
 
 
 class LocalEvaluator:
@@ -54,7 +54,7 @@ class ServerEvaluator:
         results: list[SimStats | FailedRun] = []
         for cell, job in zip(cells, jobs):
             outcome = self.client.wait(job["id"], timeout=self.timeout)
-            result = self.client.decode_result(outcome)
+            result = decode_result(outcome["result"])
             if result is None:  # cancelled out from under us
                 result = FailedRun(
                     cell.workload_spec.get("name", "?"),

@@ -261,8 +261,9 @@ def _check_learned(checks: list[ClaimCheck], scale: float) -> None:
     training is inside the simulation, so it must be as reproducible
     as the simulation itself.
     """
-    from .experiments.common import combo_config, run_workload_setting
+    from .experiments.common import combo_config
     from .policy import LEARNED_PAIRINGS
+    from .runtime import UvmRuntime
     from .workloads.registry import make_workload
 
     learned_scale = 0.3
@@ -277,7 +278,7 @@ def _check_learned(checks: list[ClaimCheck], scale: float) -> None:
             config = combo_config(workload, prefetcher, eviction,
                                   oversubscription_percent=percent,
                                   prefetch_under_pressure=keep)
-            stats = run_workload_setting(workload, config)
+            stats = UvmRuntime(config).run_workload(workload)
             times[(label, name)] = stats.total_kernel_time_ns
 
     competitive = []
@@ -309,7 +310,7 @@ def _check_learned(checks: list[ClaimCheck], scale: float) -> None:
             config = combo_config(workload, prefetcher, eviction,
                                   oversubscription_percent=percent,
                                   prefetch_under_pressure=keep)
-            runs.append(run_workload_setting(workload, config).to_json())
+            runs.append(UvmRuntime(config).run_workload(workload).to_json())
         if runs[0] != runs[1]:
             mismatched.append(label)
     checks.append(ClaimCheck(

@@ -577,8 +577,7 @@ class TestClusterHTTP:
             server.close()
 
     def test_lifecycle_parity_and_warm_hit(self, cluster):
-        from repro.serve.client import ServeClient
-        from repro.sweep import execute_cell
+        from repro.sweep import decode_result, execute_cell
 
         url, client, coordinator = cluster
         spec = {"name": "hotspot", "scale": 0.05}
@@ -594,7 +593,7 @@ class TestClusterHTTP:
             local, _ = execute_cell(
                 build_cell({"workload": spec, "seed": seed}),
                 cache=None)
-            remote = ServeClient.decode_result(out)
+            remote = decode_result(out["result"])
             assert remote.to_json_dict() == local.to_json_dict()
         # Warm repeat: same key -> same shard -> cache hit.
         job = client.submit(spec, seed=1)
@@ -724,6 +723,21 @@ class TestCoordinatorHttpContract:
         assert status == 400
         assert body == error_body("InvalidJobError",
                                   "request body must be JSON")
+
+    @pytest.mark.parametrize("bad", ["abc", [1]])
+    @pytest.mark.parametrize("path, field", [
+        ("/v1/cluster/register", "port"),
+        ("/v1/cluster/register", "workers"),
+        ("/v1/cluster/heartbeat", "queue_depth"),
+        ("/v1/cluster/heartbeat", "running"),
+    ])
+    def test_non_integer_membership_field_is_400(
+            self, coordinator_port, raw_http, path, field, bad):
+        body = {"id": "s0", "host": "fake", "port": 9000, field: bad}
+        status, _, answer = raw_http(coordinator_port, "POST", path, body)
+        assert status == 400
+        assert answer == error_body(
+            "InvalidJobError", f"{field!r} must be an integer, got {bad!r}")
 
     def test_no_live_shard_is_503_with_retry_after(
             self, coordinator_port, raw_http):

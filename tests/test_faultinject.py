@@ -376,14 +376,14 @@ class TestWatchdog:
 
 class TestSuiteIsolation:
     def _explode_on(self, monkeypatch, bad_name):
-        real = common.run_workload_setting
+        real = common._local_runner
 
-        def wrapped(workload, config):
-            if workload.name == bad_name:
+        def wrapped(cell):
+            if cell.workload_spec["name"] == bad_name:
                 raise SimulationError(f"synthetic failure in {bad_name}")
-            return real(workload, config)
+            return real(cell)
 
-        monkeypatch.setattr(common, "run_workload_setting", wrapped)
+        monkeypatch.setattr(common, "_local_runner", wrapped)
 
     def test_failures_become_rows(self, monkeypatch):
         self._explode_on(monkeypatch, "hotspot")

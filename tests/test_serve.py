@@ -39,7 +39,7 @@ from repro.serve import (
 from repro.serve.api import build_cell
 from repro.serve.queue import CANCELLED, DONE, FAILED, QUEUED, RUNNING
 from repro.stats import FailedRun, SimStats
-from repro.sweep import RunCache, SweepCell, execute_cell
+from repro.sweep import RunCache, SweepCell, decode_result, execute_cell
 
 SCALE = 0.12
 
@@ -1169,7 +1169,7 @@ class TestEndToEndSimulation:
             outcome = client.wait(job["id"], timeout=120)
             assert outcome["state"] == "done"
             assert outcome["cache_hit"] is False
-            served = ServeClient.decode_result(outcome)
+            served = decode_result(outcome["result"])
 
             # Byte-identical to the same cell executed in-process.
             direct, hit = execute_cell(cell(0))
@@ -1182,7 +1182,7 @@ class TestEndToEndSimulation:
             assert again["id"] != job["id"]
             repeat = client.wait(again["id"], timeout=30)
             assert repeat["cache_hit"] is True
-            assert ServeClient.decode_result(repeat) == direct
+            assert decode_result(repeat["result"]) == direct
             assert len(executed) == 1
 
             metrics = client.metrics()
@@ -1216,7 +1216,7 @@ class TestEndToEndSimulation:
                                 config=bad.config.to_dict())
             outcome = client.wait(job["id"], timeout=120)
             assert outcome["state"] == "failed"
-            failed = ServeClient.decode_result(outcome)
+            failed = decode_result(outcome["result"])
             assert isinstance(failed, FailedRun)
         finally:
             server.shutdown(timeout=60)
