@@ -185,11 +185,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list", help="list workloads, policies, experiments")
 
-    def add_cell_flags(p) -> None:
-        """The cell flags `run` and `submit` share; `_flags_config`
-        turns them into the cache key both commands agree on."""
+    def add_setting_flags(p, default_scale: float) -> None:
+        """The workload and setting flags every single-run command
+        declares first; `_flags_config` reads them."""
         p.add_argument("workload", choices=sorted(WORKLOAD_REGISTRY))
-        p.add_argument("--scale", type=float, default=0.5)
+        p.add_argument("--scale", type=float, default=default_scale)
         p.add_argument("--prefetcher", default="tbn",
                        choices=sorted(PREFETCHER_REGISTRY))
         p.add_argument("--eviction", default="lru4k",
@@ -200,6 +200,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--keep-prefetching", action="store_true",
                        help="do not disable the prefetcher under "
                             "over-subscription")
+
+    def add_cell_flags(p) -> None:
+        """The cell flags `run` and `submit` share; `_flags_config`
+        turns them into the cache key both commands agree on."""
+        add_setting_flags(p, default_scale=0.5)
         p.add_argument("--reservation", type=float, default=0.0,
                        help="LRU-head reservation fraction")
         p.add_argument("--buffer", type=float, default=0.0,
@@ -274,18 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_workload_flags(p, default_scale: float) -> None:
         """The shared single-run knobs (trace/report mirror run)."""
-        p.add_argument("workload", choices=sorted(WORKLOAD_REGISTRY))
-        p.add_argument("--scale", type=float, default=default_scale)
-        p.add_argument("--prefetcher", default="tbn",
-                       choices=sorted(PREFETCHER_REGISTRY))
-        p.add_argument("--eviction", default="lru4k",
-                       choices=sorted(EVICTION_REGISTRY))
-        p.add_argument("--oversubscription", type=float, default=None,
-                       metavar="PERCENT",
-                       help="working set as %% of device memory")
-        p.add_argument("--keep-prefetching", action="store_true",
-                       help="do not disable the prefetcher under "
-                            "over-subscription")
+        add_setting_flags(p, default_scale)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--fault-profile", default=None,
                        help="fault-injection profile (as in `run`)")
@@ -337,9 +331,10 @@ def build_parser() -> argparse.ArgumentParser:
                               "results/.servejournal)")
     serve_p.add_argument("--worker-mode", default="process",
                          choices=["process", "thread"],
-                         help="supervised worker processes (crash "
-                              "isolation, the default) or the legacy "
-                              "in-process thread pool")
+                         help="what fills the supervised worker "
+                              "slots: processes (crash isolation, the "
+                              "default) or in-process threads (no "
+                              "crash isolation)")
     serve_p.add_argument("--max-attempts", type=int, default=3,
                          metavar="K",
                          help="lease grants per job before a "

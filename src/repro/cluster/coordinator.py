@@ -71,7 +71,7 @@ from ..serve.api import (
     metrics_route,
 )
 from ..serve.client import ServeClient
-from ..serve.events import ServeEventLog
+from ..serve.events import ServeEventLog, TransitionRecorder
 from ..serve.queue import TERMINAL_STATES
 from ..sweep import encode_result
 from .registry import DEFAULT_HEARTBEAT_TIMEOUT, ShardInfo, ShardRegistry
@@ -82,6 +82,20 @@ DEFAULT_STEAL_THRESHOLD = 4
 DEFAULT_STEAL_BATCH = 4
 #: Maintenance loop period (reap -> failover -> rebalance), seconds.
 DEFAULT_TICK = 0.5
+
+#: The coordinator's kind table: transition record kind -> the counter
+#: it bumps.
+COORDINATOR_COUNTERS = {
+    "routed": ("cluster.jobs_routed", "submissions proxied to a shard"),
+    "stolen": ("cluster.jobs_stolen",
+               "queued jobs moved from a loaded shard to an idle one"),
+    "failover": ("cluster.jobs_failed_over",
+                 "jobs resubmitted after their shard died"),
+    "shard_joined": ("cluster.shards_registered",
+                     "shard register calls (joins and rejoins)"),
+    "shard_dead": ("cluster.shards_dead",
+                   "shards declared dead (silence or refused connection)"),
+}
 
 
 def _default_client_factory(host: str, port: int) -> ServeClient:
@@ -171,7 +185,6 @@ class ClusterCoordinator:
             heartbeat_timeout=heartbeat_timeout)
         self.steal_threshold = steal_threshold
         self.steal_batch = steal_batch
-        self.events = events
         self.verbose = verbose
         self._client_factory = client_factory or _default_client_factory
 
@@ -183,25 +196,13 @@ class ClusterCoordinator:
 
         metrics = MetricsRegistry()
         self.metrics = metrics
-        self._m_routed = metrics.counter(
-            "cluster.jobs_routed", "submissions proxied to a shard")
+        self._record = TransitionRecorder(
+            metrics, COORDINATOR_COUNTERS, events=events).record
         self._m_coalesced = metrics.counter(
             "cluster.jobs_coalesced",
             "submissions answered by an active identical cluster job")
-        self._m_stolen = metrics.counter(
-            "cluster.jobs_stolen",
-            "queued jobs moved from a loaded shard to an idle one")
-        self._m_failed_over = metrics.counter(
-            "cluster.jobs_failed_over",
-            "jobs resubmitted after their shard died")
         self._m_heartbeats = metrics.counter(
             "cluster.heartbeats", "shard heartbeats received")
-        self._m_registered = metrics.counter(
-            "cluster.shards_registered",
-            "shard register calls (joins and rejoins)")
-        self._m_dead = metrics.counter(
-            "cluster.shards_dead",
-            "shards declared dead (silence or refused connection)")
         self._g_alive = metrics.gauge(
             "cluster.shards_alive", "live shards on the ring")
         self._g_depth = metrics.gauge(
@@ -214,17 +215,6 @@ class ClusterCoordinator:
     # --- plumbing ----------------------------------------------------------
     def _client(self, shard: ShardInfo) -> ServeClient:
         return self._client_factory(shard.host, shard.port)
-
-    def _event(self, kind: str, job: RoutedJob | None = None,
-               shard: str | None = None,
-               detail: str | None = None) -> None:
-        if self.events is None:
-            return
-        self.events.emit(
-            kind,
-            job=job.id if job is not None else None,
-            seq=job.seq if job is not None else None,
-            shard=shard, detail=detail)
 
     def _log(self, message: str) -> None:
         if self.verbose:
@@ -250,8 +240,7 @@ class ClusterCoordinator:
             str(payload["id"]), str(payload["host"]),
             _int_field(payload, "port"),
             workers=_int_field(payload, "workers", 1))
-        self._m_registered.inc()
-        self._event("shard_joined", shard=shard.id, detail=shard.url)
+        self._record("shard_joined", shard=shard.id, detail=shard.url)
         self._log(f"shard {shard.id} joined at {shard.url}")
         self._sample_gauges()
         return {"id": shard.id,
@@ -336,8 +325,7 @@ class ClusterCoordinator:
                     job.shard_id = shard.id
                     job.remote_id = answer["id"]
                 job.state = answer.get("state", "queued")
-            self._m_routed.inc()
-            self._event("routed", job, shard=shard.id)
+            self._record("routed", job, shard=shard.id)
             self._log(f"routed {job.id} -> {shard.id} "
                       f"(remote {job.remote_id})")
             return job
@@ -445,9 +433,8 @@ class ClusterCoordinator:
         if not shard.alive:
             return
         self.registry.mark_dead(shard_id)
-        self._m_dead.inc()
-        self._event("shard_dead", shard=shard_id,
-                    detail=reason or "unreachable")
+        self._record("shard_dead", shard=shard_id,
+                     detail=reason or "unreachable")
         self._log(f"shard {shard_id} declared dead "
                   f"({reason or 'unreachable'})")
         self._sample_gauges()
@@ -468,9 +455,8 @@ class ClusterCoordinator:
                 # maintenance tick (or rejoin) retries.
                 break
             job.failovers += 1
-            self._m_failed_over.inc()
-            self._event("failover", job, shard=job.shard_id,
-                        detail=f"from {dead_id}")
+            self._record("failover", job, shard=job.shard_id,
+                         detail=f"from {dead_id}")
             moved += 1
         return moved
 
@@ -478,9 +464,8 @@ class ClusterCoordinator:
         """Reap silent shards; returns the newly dead ids."""
         dead = self.registry.reap(now)
         for shard in dead:
-            self._m_dead.inc()
-            self._event("shard_dead", shard=shard.id,
-                        detail="heartbeat silence")
+            self._record("shard_dead", shard=shard.id,
+                         detail="heartbeat silence")
             self._log(f"shard {shard.id} reaped (heartbeat silence)")
             self._failover(shard.id)
         if dead:
@@ -559,9 +544,8 @@ class ClusterCoordinator:
                 job.remote_id = answer["id"]
                 job.state = answer.get("state", "queued")
                 job.steals += 1
-        self._m_stolen.inc()
-        self._event("stolen", job, shard=donor.id,
-                    detail=f"-> {receiver.id}")
+        self._record("stolen", job, shard=donor.id,
+                     detail=f"-> {receiver.id}")
         self._log(f"stole {key[:12]} from {donor.id} -> {receiver.id}")
         return True
 

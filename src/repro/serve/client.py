@@ -52,6 +52,7 @@ import json
 import time
 
 from ..errors import BackpressureError, ServeClientError
+from .queue import TERMINAL_STATES
 
 #: Default port of ``repro serve`` (no meaning beyond "unassigned").
 DEFAULT_PORT = 8077
@@ -360,7 +361,7 @@ class ServeClient:
         deadline = time.monotonic() + timeout
         while True:
             status = self.status(job_id)
-            if status["state"] in ("done", "failed", "cancelled"):
+            if status["state"] in TERMINAL_STATES:
                 return self.result(job_id)
             if time.monotonic() >= deadline:
                 raise ServeClientError(

@@ -1,8 +1,11 @@
-"""Service-level observability: structured event log + job tracing.
+"""Service-level observability: one transition record, three views.
 
-Two artifacts make a job's life visible end to end (submit → queue →
-lease → worker attempt → terminal), where before only aggregate
-counters existed:
+Each job, worker and shard transition is reported once, through
+:class:`TransitionRecorder`: it builds the transition's record
+(:func:`make_event`, stamped with one clock read), bumps the counter the
+record's kind maps to in its role's kind table, and hands the record to
+the two artifacts that make a job's life visible end to end (submit →
+queue → lease → worker attempt → terminal):
 
 * :class:`ServeEventLog` — a rotating, schema-checked JSONL log under
   ``results/.servelog/`` recording every job state transition with the
@@ -10,9 +13,9 @@ counters existed:
   disposition.  This is the greppable ground truth for chaos/drift
   debugging: ``grep '"kind": "revoked"' results/.servelog/*.jsonl``
   answers "which jobs lost a lease" without reproducing anything.
-* :class:`ServiceTracer` — merges span fragments emitted by the
-  dispatcher threads and the worker *processes* into one Chrome trace
-  on :data:`~repro.obs.tracer.PID_SERVE`: per-job ``queued`` async
+* :class:`ServiceTracer` — folds the records, plus the execution
+  window each worker *process* measures, into one Chrome trace on
+  :data:`~repro.obs.tracer.PID_SERVE`: per-job ``queued`` async
   spans on the queue track, ``attempt-N`` complete spans (with a
   nested ``executing`` span measured inside the worker process) on
   per-slot ``serve/worker-<i>`` tracks, and instants for journaled /
@@ -45,6 +48,7 @@ from ..obs.tracer import (
     TID_WORKER_BASE,
     serve_layout,
 )
+from .queue import TERMINAL_STATES
 
 #: Event-log schema version, stamped into every record.
 EVENT_FORMAT = 1
@@ -86,9 +90,6 @@ EVENT_KINDS = (
     "shard_dead",
 )
 _KIND_RANK = {kind: rank for rank, kind in enumerate(EVENT_KINDS)}
-
-#: Legal ``state`` values on a ``terminal`` event.
-TERMINAL_STATES = ("done", "failed", "cancelled")
 
 _REQUIRED_FIELDS = ("format", "ts", "kind")
 
@@ -176,25 +177,13 @@ class ServeEventLog:
         self._lock = threading.Lock()
         self._path = self.root / self.LIVE_NAME
 
-    @staticmethod
-    def clock() -> float:
-        """Wall-clock epoch seconds — the schema's ``ts`` unit."""
-        return time.time()
-
-    def emit(self, kind: str, job: str | None = None,
-             seq: int | None = None, worker: int | None = None,
-             attempt: int = 0, cache: str | None = None,
-             state: str | None = None, detail: str | None = None,
-             shard: str | None = None) -> dict:
-        """Build, validate, and append one event; returns the record."""
-        event = make_event(kind, self.clock(), job=job, seq=seq,
-                           worker=worker, attempt=attempt, cache=cache,
-                           state=state, detail=detail, shard=shard)
-        problems = validate_event(event)
+    def append(self, record: dict) -> None:
+        """Validate and append one record (a :func:`make_event` dict)."""
+        problems = validate_event(record)
         if problems:
             raise ValueError(
-                f"invalid service event {event!r}: {'; '.join(problems)}")
-        line = json.dumps(event, sort_keys=True)
+                f"invalid service event {record!r}: {'; '.join(problems)}")
+        line = json.dumps(record, sort_keys=True)
         with self._lock:
             try:
                 self._rotate_if_needed(len(line) + 1)
@@ -203,7 +192,6 @@ class ServeEventLog:
                 self.emitted += 1
             except OSError:
                 self.dropped += 1
-        return event
 
     def _rotate_if_needed(self, incoming: int) -> None:
         try:
@@ -283,12 +271,13 @@ def canonical_event_lines(events: list[dict],
 class ServiceTracer:
     """Cross-process job tracing merged onto one Chrome trace.
 
-    Fragments arrive from three places — the admission path (queued
-    spans), dispatcher threads (attempt spans, one per lease), and the
-    worker processes themselves (the ``executing`` window, measured
-    with the child's clock and shipped back inside the result message)
-    — and land on a single :class:`~repro.obs.tracer.SpanTracer` under
-    a lock, with all timestamps rebased to this tracer's epoch.
+    :meth:`observe` folds each transition record into the trace at the
+    record's own timestamp: per-job ``queued`` spans on the queue track
+    and one ``attempt-N`` span per lease on the slot's track.  The only
+    fragment measured elsewhere is the ``executing`` window, timed by
+    the worker *process* with its own clock and passed beside the
+    terminal record; all timestamps are rebased to this tracer's epoch
+    and land under one lock.
 
     Child clocks can disagree with the parent's by scheduling noise;
     the ``executing`` span is clamped into its parent ``attempt-N``
@@ -301,7 +290,11 @@ class ServiceTracer:
         self.tracer = SpanTracer(max_events=max_events)
         self.workers = workers
         self._lock = threading.Lock()
+        #: job -> queued-span start; job -> (start, slot, attempt) of
+        #: the open attempt; job -> (slot, attempt) of the revoked lease.
         self._queue_started: dict[str, float] = {}
+        self._attempts: dict[str, tuple[float, int, int]] = {}
+        self._revoked: dict[str, tuple[int, int]] = {}
         serve_layout(self.tracer, workers)
 
     # --- clocks -------------------------------------------------------------
@@ -313,105 +306,98 @@ class ServiceTracer:
         """Rebase an absolute ``time.time()`` stamp onto the epoch."""
         return max(0.0, (wall_seconds - self.epoch) * 1e9)
 
-    # --- queue-track fragments ----------------------------------------------
-    def job_queued(self, job_id: str, seq: int) -> None:
-        """Open a queued span (emitted only once it closes)."""
-        with self._lock:
-            self._queue_started.setdefault(job_id, self.now_ns())
+    # --- transitions --------------------------------------------------------
+    def observe(self, record: dict,
+                exec_window: tuple | None = None) -> None:
+        """Fold one transition record (:func:`make_event`) into the trace.
 
-    def job_coalesced(self, job_id: str, seq: int) -> None:
+        ``submitted``, ``resumed`` and ``requeued`` open the job's
+        queued span; ``leased`` closes it and opens the attempt span.
+        ``terminal`` (and ``stolen``, a cancel from this shard's point
+        of view) closes both, nests ``exec_window`` in the attempt, and
+        marks the end on the queue track.  ``revoked`` closes the
+        attempt; the ``requeued`` or ``quarantined`` that follows marks
+        the lost lease on its slot's track.  ``coalesced`` and
+        ``journaled`` are queue-track instants; other kinds leave no
+        trace.
+        """
+        kind, job = record["kind"], record.get("job")
+        args = {"job": job, "seq": record.get("seq")}
         with self._lock:
-            self.tracer.instant(
-                PID_SERVE, TID_QUEUE, "coalesced", self.now_ns(),
-                args={"job": job_id, "seq": seq}, cat=CAT_SERVE)
+            now = self.to_ns(record["ts"])
+            if kind in ("coalesced", "journaled"):
+                self.tracer.instant(PID_SERVE, TID_QUEUE, kind, now,
+                                    args=args, cat=CAT_SERVE)
+            elif kind in ("submitted", "resumed"):
+                self._queue_started.setdefault(job, now)
+            elif kind == "leased":
+                self._close_queued(args, now)
+                self._attempts[job] = (now, record["worker"],
+                                       record["attempt"])
+            elif kind == "revoked":
+                self._finish_attempt(args, now, "revoked")
+                self._revoked[job] = (record["worker"], record["attempt"])
+            elif kind in ("requeued", "quarantined"):
+                worker, attempt = self._revoked.pop(job, (None, 0))
+                if worker is not None:
+                    self.tracer.instant(
+                        PID_SERVE, TID_WORKER_BASE + worker,
+                        "revoked" if kind == "requeued" else kind, now,
+                        args={**args, "attempt": attempt}, cat=CAT_SERVE)
+                if kind == "requeued":
+                    self._queue_started[job] = now
+            elif kind in ("terminal", "stolen"):
+                state = record.get("state", "cancelled")
+                cache = record.get("cache")
+                self._finish_attempt(args, now, state, cache, exec_window)
+                self._close_queued(args, now)
+                end = {**args, "state": state}
+                if cache is not None:
+                    end["cache"] = cache
+                self.tracer.instant(PID_SERVE, TID_QUEUE,
+                                    f"terminal:{state}", now, args=end,
+                                    cat=CAT_SERVE)
 
-    def job_journaled(self, job_id: str, seq: int) -> None:
-        with self._lock:
-            self.tracer.instant(
-                PID_SERVE, TID_QUEUE, "journaled", self.now_ns(),
-                args={"job": job_id, "seq": seq}, cat=CAT_SERVE)
-
-    def _close_queued(self, job_id: str, seq: int,
-                      end_ns: float) -> None:
-        start_ns = self._queue_started.pop(job_id, None)
+    def _close_queued(self, args: dict, end_ns: float) -> None:
+        start_ns = self._queue_started.pop(args["job"], None)
         if start_ns is None:
             return
         self.tracer.async_span(
             PID_SERVE, TID_QUEUE, "queued", self.tracer.new_id(),
-            start_ns, max(start_ns, end_ns),
-            args={"job": job_id, "seq": seq}, cat=CAT_SERVE)
+            start_ns, max(start_ns, end_ns), args=args, cat=CAT_SERVE)
 
-    def job_leased(self, job_id: str, seq: int, worker: int,
-                   attempt: int) -> float:
-        """Close the queued span; returns the attempt-span start."""
-        with self._lock:
-            now = self.now_ns()
-            self._close_queued(job_id, seq, now)
-            return now
-
-    def job_terminal(self, job_id: str, seq: int, state: str,
-                     cache: str | None = None) -> None:
-        """Terminal instant on the queue track (+ closes the queued
-        span for jobs cancelled before ever being leased)."""
-        with self._lock:
-            now = self.now_ns()
-            self._close_queued(job_id, seq, now)
-            args = {"job": job_id, "seq": seq, "state": state}
-            if cache is not None:
-                args["cache"] = cache
-            self.tracer.instant(PID_SERVE, TID_QUEUE,
-                                f"terminal:{state}", now, args=args,
-                                cat=CAT_SERVE)
+    def _finish_attempt(self, args: dict, end_ns: float, outcome: str,
+                        cache: str | None = None,
+                        exec_window: tuple | None = None) -> None:
+        """Close the job's open ``attempt-N`` span on its slot's track,
+        with the ``executing`` span nested (and clamped) inside it and
+        the cache-disposition instant at its end."""
+        opened = self._attempts.pop(args["job"], None)
+        if opened is None:
+            return
+        start_ns, worker, attempt = opened
+        tid = TID_WORKER_BASE + worker
+        end_ns = max(start_ns, end_ns)
+        self.tracer.complete(
+            PID_SERVE, tid, f"attempt-{attempt}", start_ns, end_ns,
+            args={**args, "worker": worker, "outcome": outcome},
+            cat=CAT_SERVE)
+        if exec_window is not None:
+            exec_start = min(max(self.to_ns(exec_window[0]), start_ns),
+                             end_ns)
+            exec_end = min(max(self.to_ns(exec_window[1]), exec_start),
+                           end_ns)
+            self.tracer.complete(PID_SERVE, tid, "executing", exec_start,
+                                 exec_end, args=args, cat=CAT_SERVE)
+        if cache is not None:
+            self.tracer.instant(PID_SERVE, tid, f"cache_{cache}", end_ns,
+                                args=args, cat=CAT_SERVE)
 
     def queue_depth(self, depth: int, running: int) -> None:
         with self._lock:
             self.tracer.counter(
                 PID_SERVE, TID_QUEUE, "queue", self.now_ns(),
                 {"depth": depth, "running": running})
-
-    # --- worker-track fragments ---------------------------------------------
-    def attempt_finished(self, job_id: str, seq: int, worker: int,
-                         attempt: int, start_ns: float, outcome: str,
-                         cache: str | None = None,
-                         exec_window: tuple | None = None) -> None:
-        """One complete lease on a worker track: the ``attempt-N``
-        span, the worker-measured ``executing`` span nested (and
-        clamped) inside it, and the cache-disposition instant."""
-        tid = TID_WORKER_BASE + worker
-        with self._lock:
-            end_ns = max(start_ns, self.now_ns())
-            args = {"job": job_id, "seq": seq, "worker": worker,
-                    "outcome": outcome}
-            self.tracer.complete(PID_SERVE, tid, f"attempt-{attempt}",
-                                 start_ns, end_ns, args=args,
-                                 cat=CAT_SERVE)
-            if exec_window is not None:
-                exec_start = min(max(self.to_ns(exec_window[0]),
-                                     start_ns), end_ns)
-                exec_end = min(max(self.to_ns(exec_window[1]),
-                                   exec_start), end_ns)
-                self.tracer.complete(
-                    PID_SERVE, tid, "executing", exec_start, exec_end,
-                    args={"job": job_id, "seq": seq}, cat=CAT_SERVE)
-            if cache is not None:
-                self.tracer.instant(
-                    PID_SERVE, tid, f"cache_{cache}", end_ns,
-                    args={"job": job_id, "seq": seq}, cat=CAT_SERVE)
-
-    def lease_revoked(self, job_id: str, seq: int, worker: int,
-                      attempt: int, requeued: bool) -> None:
-        with self._lock:
-            self.tracer.instant(
-                PID_SERVE, TID_WORKER_BASE + worker,
-                "quarantined" if not requeued else "revoked",
-                self.now_ns(),
-                args={"job": job_id, "seq": seq, "attempt": attempt},
-                cat=CAT_SERVE)
-
-    def job_requeued(self, job_id: str, seq: int) -> None:
-        """Re-open the queued span after a revocation."""
-        with self._lock:
-            self._queue_started[job_id] = self.now_ns()
 
     # --- export -------------------------------------------------------------
     def trace_dict(self) -> dict:
@@ -420,6 +406,73 @@ class ServiceTracer:
         validates)."""
         with self._lock:
             return chrome_trace_dict(self.tracer)
+
+
+class TransitionRecorder:
+    """Reports each job, worker and shard transition once.
+
+    :meth:`record` builds the transition's record and hands it to every
+    view of it:
+
+    * the counter the record's kind maps to in the role's kind table
+      (``"terminal:<state>"`` for a ``terminal`` record), and the
+      record's worker slot's counter in the per-slot table;
+    * the :class:`ServeEventLog`, when one is configured;
+    * :meth:`ServiceTracer.observe`, when tracing is on.
+
+    A kind missing from both tables counts nothing.  The tables map a
+    key to ``(metric name, help text)``; each counter is registered here.
+    """
+
+    def __init__(self, registry, counters: dict[str, tuple[str, str]],
+                 events: ServeEventLog | None = None,
+                 tracer: ServiceTracer | None = None,
+                 slot_counters: dict[str, tuple[str, str]] | None = None,
+                 slots: int = 0) -> None:
+        self.events = events
+        self.tracer = tracer
+        #: Transitions arrive from HTTP and dispatcher threads at once;
+        #: a counter's ``+=`` is not atomic.
+        self._lock = threading.Lock()
+        self.counters = {key: registry.counter(name, help_text)
+                         for key, (name, help_text) in counters.items()}
+        self._slot_counters = {
+            kind: [registry.counter(name, help_text,
+                                    labels={"worker": str(slot)})
+                   for slot in range(slots)]
+            for kind, (name, help_text) in (slot_counters or {}).items()}
+
+    def record(self, kind: str, job=None,
+               exec_window: tuple | None = None, **fields) -> dict:
+        """Report one transition; returns its record.
+
+        ``job`` is anything with an ``id`` and a ``seq`` (None for
+        worker and shard transitions); ``fields`` are the optional
+        fields of :func:`make_event`.  ``exec_window`` is the
+        worker-measured execution window, which only the trace reads.
+        """
+        record = make_event(kind, time.time(),
+                            job=job.id if job is not None else None,
+                            seq=job.seq if job is not None else None,
+                            **fields)
+        state = record.get("state")
+        counter = self.counters.get(
+            kind if state is None else f"{kind}:{state}")
+        with self._lock:
+            if counter is not None:
+                counter.inc()
+            if kind in self._slot_counters:
+                self._slot_counters[kind][record["worker"]].inc()
+        if self.events is not None:
+            self.events.append(record)
+        if self.tracer is not None:
+            self.tracer.observe(record, exec_window)
+        return record
+
+    def sample_queue(self, depth: int, running: int) -> None:
+        """One queue-depth sample on the trace's counter track."""
+        if self.tracer is not None:
+            self.tracer.queue_depth(depth, running)
 
 
 def canonical_trace_lines(trace: dict) -> list[str]:

@@ -16,7 +16,11 @@
 * metrics through a :class:`~repro.obs.metrics.MetricsRegistry`
   (queue depth, running jobs, cache hit/miss, jobs served, worker
   restarts, lease revocations, quarantine counters, p50/p95 service
-  latency) exported verbatim at ``GET /v1/metrics``,
+  latency) exported verbatim at ``GET /v1/metrics``; each job and
+  worker transition is reported once, through a
+  :class:`~repro.serve.events.TransitionRecorder` whose kind tables
+  (:data:`SHARD_COUNTERS`, :data:`WORKER_COUNTERS`) name the counter it
+  bumps, and the same record feeds the event log and the trace,
 * a write-ahead :class:`~repro.serve.journal.JobJournal` so queued work
   survives a restart (corrupt entries quarantined, never fatal),
 * graceful drain: :meth:`drain` stops admissions, lets running jobs
@@ -46,13 +50,50 @@ from ..obs.prom import prometheus_text
 from ..stats import FailedRun
 from ..sweep import RunCache, SweepCell, encode_result, execute_cell
 from .api import ApiServer, build_cell, job_routes, make_handler
-from .events import ServeEventLog, ServiceTracer
+from .events import ServeEventLog, ServiceTracer, TransitionRecorder
 from .journal import JobJournal
 from .queue import Job, JobQueue
 from .supervisor import FleetOptions, Supervisor
 
 #: Execution backends selectable via ``worker_mode``.
 WORKER_MODES = ("thread", "process")
+
+#: The shard's kind table: transition record kind (``terminal:<state>``
+#: for terminal records) -> the counter it bumps.
+SHARD_COUNTERS = {
+    "submitted": ("serve.jobs_submitted", "jobs admitted to the queue"),
+    "coalesced": (
+        "serve.jobs_coalesced",
+        "submissions answered by an already-active identical job"),
+    "resumed": ("serve.jobs_resumed", "journaled jobs replayed at startup"),
+    "terminal:done": ("serve.jobs_done", "jobs finished with stats"),
+    "terminal:failed": (
+        "serve.jobs_failed", "jobs finished with a FailedRun"),
+    "terminal:cancelled": (
+        "serve.jobs_cancelled", "queued jobs cancelled by clients"),
+    "cache_hit": ("serve.cache_hits", "jobs served from the run cache"),
+    "cache_miss": ("serve.cache_misses", "jobs that executed a simulation"),
+    "worker_restart": (
+        "serve.worker_restarts",
+        "worker processes respawned after crash/hang"),
+    "revoked": (
+        "serve.lease_revocations",
+        "job leases revoked because their worker died"),
+    "quarantined": (
+        "serve.jobs_quarantined",
+        "poison jobs failed cleanly after max_attempts worker kills"),
+    "stolen": (
+        "serve.jobs_stolen",
+        "queued jobs revoked by the cluster coordinator for an idle shard"),
+}
+#: The per-slot kind table: the counter labelled with the record's
+#: ``worker`` slot.
+WORKER_COUNTERS = {
+    "leased": ("serve.worker.leases",
+               "job leases granted to this worker slot"),
+    "worker_restart": ("serve.worker.restarts",
+                       "respawns of this worker slot"),
+}
 
 
 class SimulationService:
@@ -102,8 +143,6 @@ class SimulationService:
         self.verbose = verbose
         self.worker_mode = worker_mode
         self.workers = jobs
-        self.events = events
-        self.tracer = tracer
         self.queue = JobQueue(capacity=queue_limit)
         self._started = False
         self._draining = threading.Event()
@@ -116,45 +155,19 @@ class SimulationService:
         # registers its per-worker instruments at construction time.
         registry = MetricsRegistry()
         self.registry = registry
-        self._m_submitted = registry.counter(
-            "serve.jobs_submitted", "jobs admitted to the queue")
-        self._m_coalesced = registry.counter(
-            "serve.jobs_coalesced",
-            "submissions answered by an already-active identical job")
-        self._m_resumed = registry.counter(
-            "serve.jobs_resumed", "journaled jobs replayed at startup")
-        self._m_done = registry.counter(
-            "serve.jobs_done", "jobs finished with stats")
-        self._m_failed = registry.counter(
-            "serve.jobs_failed", "jobs finished with a FailedRun")
-        self._m_cancelled = registry.counter(
-            "serve.jobs_cancelled", "queued jobs cancelled by clients")
+        self.recorder = TransitionRecorder(
+            registry, SHARD_COUNTERS, events=events, tracer=tracer,
+            slot_counters=WORKER_COUNTERS, slots=jobs)
+        self.record = self.recorder.record
         self._m_rejected = registry.counter(
             "serve.jobs_rejected_backpressure",
             "submissions refused with 429 (queue full)")
-        self._m_cache_hits = registry.counter(
-            "serve.cache_hits", "jobs served from the run cache")
-        self._m_cache_misses = registry.counter(
-            "serve.cache_misses", "jobs that executed a simulation")
-        self._m_worker_restarts = registry.counter(
-            "serve.worker_restarts",
-            "worker processes respawned after crash/hang")
-        self._m_lease_revocations = registry.counter(
-            "serve.lease_revocations",
-            "job leases revoked because their worker died")
-        self._m_quarantined = registry.counter(
-            "serve.jobs_quarantined",
-            "poison jobs failed cleanly after max_attempts worker kills")
         self._m_journal_quarantined = registry.counter(
             "serve.journal_entries_quarantined",
             "corrupt journal entries moved aside during replay")
         self._m_cache_quarantined = registry.counter(
             "serve.cache_entries_quarantined",
             "corrupt run-cache entries moved aside and re-executed")
-        self._m_stolen = registry.counter(
-            "serve.jobs_stolen",
-            "queued jobs revoked by the cluster coordinator for an "
-            "idle shard")
         self._g_depth = registry.gauge(
             "serve.queue_depth", "jobs waiting for a worker")
         self._g_running = registry.gauge(
@@ -189,10 +202,7 @@ class SimulationService:
                 if not coalesced:
                     resumed += 1
                     job.attempts = attempts.get(job_id, 0)
-                    self._event("resumed", job, attempt=job.attempts)
-                    if self.tracer is not None:
-                        self.tracer.job_queued(job.id, job.seq)
-            self._m_resumed.inc(resumed)
+                    self.record("resumed", job, attempt=job.attempts)
             self._m_journal_quarantined.inc(self.journal.quarantined)
         self.sample_gauges()
         self._backend.start()
@@ -200,62 +210,31 @@ class SimulationService:
         return resumed
 
     # --- backend callbacks --------------------------------------------------
-    def _event(self, kind: str, job: Job | None = None,
-               worker: int | None = None, attempt: int = 0,
-               cache: str | None = None, state: str | None = None,
-               detail: str | None = None) -> None:
-        """Emit one structured event (no-op when the log is off)."""
-        if self.events is None:
-            return
-        self.events.emit(
-            kind,
-            job=job.id if job is not None else None,
-            seq=job.seq if job is not None else None,
-            worker=worker, attempt=attempt, cache=cache, state=state,
-            detail=detail)
-
-    def note_leased(self, job: Job, worker: int | None = None) -> None:
-        """The supervisor took the job off the queue (attempt already
-        bumped)."""
-        self._event("leased", job, worker=worker, attempt=job.attempts)
-        self._event("executing", job, worker=worker,
-                    attempt=job.attempts)
-
     def finish_job(self, job: Job, result, cache_hit: bool,
-                   worker: int | None = None) -> None:
+                   worker: int | None = None,
+                   exec_window: tuple | None = None) -> None:
         """Publish one job's terminal state.
 
         Forgets *before* publishing the terminal state, so "job is
         terminal" implies "journal entry gone" for every observer.  A
         crash inside this window loses only the unpublished result; the
-        client's resubmission becomes a cache hit.
+        client's resubmission becomes a cache hit.  ``exec_window`` is
+        the worker-measured execution the trace nests in the attempt.
         """
         if self.journal is not None:
             self.journal.forget(job.id)
         self.queue.complete(job, result, cache_hit)
         cache = "hit" if cache_hit else "miss"
-        if isinstance(result, FailedRun):
-            self._m_failed.inc()
-            state = "failed"
-        else:
-            self._m_done.inc()
-            state = "done"
-        if cache_hit:
-            self._m_cache_hits.inc()
-        else:
-            self._m_cache_misses.inc()
         self._h_latency.observe(job.service_latency_ns())
-        self._event("cache_" + cache, job, worker=worker,
+        self.record("cache_" + cache, job, worker=worker,
                     attempt=job.attempts, cache=cache)
-        self._event("terminal", job, worker=worker,
-                    attempt=job.attempts, cache=cache, state=state)
-        if self.tracer is not None:
-            self.tracer.job_terminal(job.id, job.seq, state, cache=cache)
+        self.record("terminal", job, exec_window=exec_window,
+                    worker=worker, attempt=job.attempts, cache=cache,
+                    state=job.state)
 
     def quarantine_job(self, job: Job, attempts: int,
                        crash: WorkerCrashError) -> None:
         """Fail a worker-killing job cleanly instead of retrying it."""
-        self._m_quarantined.inc()
         result = FailedRun(
             job.cell.workload_spec.get("name", "?"),
             "PoisonJobError",
@@ -265,26 +244,9 @@ class SimulationService:
         if self.verbose:
             print(f"[serve] job {job.id} quarantined after "
                   f"{attempts} attempt(s)", file=sys.stderr)
-        self._event("quarantined", job, attempt=attempts,
+        self.record("quarantined", job, attempt=attempts,
                     detail=str(crash))
         self.finish_job(job, result, cache_hit=False)
-
-    def note_worker_restart(self, worker: int | None = None,
-                            detail: str | None = None) -> None:
-        self._m_worker_restarts.inc()
-        self._event("worker_restart", worker=worker, detail=detail)
-
-    def note_lease_revoked(self, job: Job | None = None,
-                           worker: int | None = None,
-                           attempt: int = 0) -> None:
-        self._m_lease_revocations.inc()
-        if job is not None:
-            self._event("revoked", job, worker=worker, attempt=attempt)
-
-    def note_requeued(self, job: Job) -> None:
-        self._event("requeued", job, attempt=job.attempts)
-        if self.tracer is not None:
-            self.tracer.job_requeued(job.id, job.seq)
 
     def note_cache_quarantined(self, count: int) -> None:
         if count:
@@ -303,20 +265,12 @@ class SimulationService:
             self._m_rejected.inc()
             raise
         if coalesced:
-            self._m_coalesced.inc()
-            self._event("coalesced", job, attempt=job.attempts)
-            if self.tracer is not None:
-                self.tracer.job_coalesced(job.id, job.seq)
+            self.record("coalesced", job, attempt=job.attempts)
         else:
-            self._m_submitted.inc()
-            self._event("submitted", job)
-            if self.tracer is not None:
-                self.tracer.job_queued(job.id, job.seq)
+            self.record("submitted", job)
             if self.journal is not None:
                 self.journal.record(job)
-                self._event("journaled", job)
-                if self.tracer is not None:
-                    self.tracer.job_journaled(job.id, job.seq)
+                self.record("journaled", job)
         self.sample_gauges()
         return job, coalesced
 
@@ -352,13 +306,9 @@ class SimulationService:
             )
         stolen = self.queue.steal(max_jobs)
         for job in stolen:
-            self._m_stolen.inc()
             if self.journal is not None:
                 self.journal.forget(job.id)
-            self._event("stolen", job, attempt=job.attempts)
-            if self.tracer is not None:
-                self.tracer.job_terminal(job.id, job.seq, "cancelled",
-                                         cache=None)
+            self.record("stolen", job, attempt=job.attempts)
         if stolen:
             self.sample_gauges()
         return {"stolen": [{"id": job.id, "key": job.key,
@@ -386,14 +336,11 @@ class SimulationService:
 
     def cancel(self, job_id: str) -> dict:
         job = self.queue.cancel(job_id)
-        self._m_cancelled.inc()
         self._h_latency.observe(job.service_latency_ns())
         if self.journal is not None:
             self.journal.forget(job.id)
-        self._event("terminal", job, attempt=job.attempts,
+        self.record("terminal", job, attempt=job.attempts,
                     state="cancelled")
-        if self.tracer is not None:
-            self.tracer.job_terminal(job.id, job.seq, "cancelled")
         self.sample_gauges()
         return job.status_dict()
 
@@ -403,8 +350,7 @@ class SimulationService:
         running = self.queue.running
         self._g_depth.set(depth)
         self._g_running.set(running)
-        if self.tracer is not None:
-            self.tracer.queue_depth(depth, running)
+        self.recorder.sample_queue(depth, running)
 
     @property
     def draining(self) -> bool:
@@ -458,11 +404,11 @@ class SimulationService:
 
     def trace(self) -> dict:
         """The merged service trace (404 when tracing is off)."""
-        if self.tracer is None:
+        if self.recorder.tracer is None:
             raise JobNotFoundError(
                 "service tracing is disabled; start the daemon "
                 "with --service-trace")
-        return self.tracer.trace_dict()
+        return self.recorder.tracer.trace_dict()
 
     # --- shutdown -----------------------------------------------------------
     def drain(self, timeout: float | None = None) -> bool:

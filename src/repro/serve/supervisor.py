@@ -44,7 +44,6 @@ from dataclasses import dataclass
 
 from ..errors import ServeError, WorkerCrashError
 from ..faultinject.service import ServiceFaultProfile
-from ..stats import FailedRun
 from .queue import Job
 from .worker import (
     DEFAULT_HEARTBEAT_INTERVAL,
@@ -104,9 +103,6 @@ class Lease:
 
     job: Job
     attempt: int
-    #: Attempt-span start on the service tracer's clock (None when
-    #: tracing is off); kept here so the crash path can close the span.
-    span_start_ns: float | None = None
 
 
 class Supervisor:
@@ -135,23 +131,15 @@ class Supervisor:
         self._lock = threading.Lock()
         self._idle = threading.Semaphore(0)
         self._drained = False
-        self.restarts = 0
 
-        # Per-worker instruments, labelled by slot (service.registry
-        # exists before the backend — see SimulationService.__init__).
+        # Per-worker gauges, labelled by slot (service.registry exists
+        # before the backend — see SimulationService.__init__; the
+        # per-slot counters are its recorder's).
         registry = service.registry
-        self._m_leases = []
-        self._m_restarts = []
         self._g_inflight = []
         self._g_heartbeat_age = []
         for slot in range(jobs):
             labels = {"worker": str(slot)}
-            self._m_leases.append(registry.counter(
-                "serve.worker.leases",
-                "job leases granted to this worker slot", labels=labels))
-            self._m_restarts.append(registry.counter(
-                "serve.worker.restarts",
-                "respawns of this worker slot", labels=labels))
             self._g_inflight.append(registry.gauge(
                 "serve.worker.inflight",
                 "jobs currently leased to this worker slot (0 or 1)",
@@ -173,7 +161,8 @@ class Supervisor:
         return {
             "worker_mode": self.service.worker_mode,
             "workers_alive": alive,
-            "worker_restarts": self.restarts,
+            "worker_restarts":
+                self.service.recorder.counters["worker_restart"].value,
             "max_attempts": self.options.max_attempts,
         }
 
@@ -207,9 +196,7 @@ class Supervisor:
         return self._spawn(slot)
 
     def _count_restart(self, slot: int, why: str) -> None:
-        self.restarts += 1
-        self._m_restarts[slot].inc()
-        self.service.note_worker_restart(worker=slot, detail=why)
+        self.service.record("worker_restart", worker=slot, detail=why)
         if self.service.verbose:
             print(f"[serve] worker {slot} {why}; respawning",
                   file=sys.stderr)
@@ -241,15 +228,12 @@ class Supervisor:
         service = self.service
         journal = service.journal
         job.attempts += 1
-        lease = Lease(job=job, attempt=job.attempts)
-        if service.tracer is not None:
-            lease.span_start_ns = service.tracer.job_leased(
-                job.id, job.seq, slot, job.attempts)
         with self._lock:
-            self._leases[slot] = lease
-        self._m_leases[slot].inc()
+            self._leases[slot] = Lease(job=job, attempt=job.attempts)
         self._g_inflight[slot].set(1)
-        service.note_leased(job, worker=slot)
+        service.record("leased", job, worker=slot, attempt=job.attempts)
+        service.record("executing", job, worker=slot,
+                       attempt=job.attempts)
         if journal is not None:
             journal.record_lease(slot, job, job.attempts)
         try:
@@ -269,17 +253,8 @@ class Supervisor:
         if journal is not None:
             journal.forget_lease(slot, job.id)
         service.note_cache_quarantined(outcome.cache_quarantined)
-        if service.tracer is not None \
-                and lease.span_start_ns is not None:
-            service.tracer.attempt_finished(
-                job.id, job.seq, slot, job.attempts,
-                lease.span_start_ns,
-                outcome="failed" if isinstance(outcome.result, FailedRun)
-                else "done",
-                cache="hit" if outcome.cache_hit else "miss",
-                exec_window=outcome.exec_window)
         service.finish_job(job, outcome.result, outcome.cache_hit,
-                           worker=slot)
+                           worker=slot, exec_window=outcome.exec_window)
 
     def _revoke(self, slot: int, crash: WorkerCrashError) -> None:
         """The crash path: replay the dead worker's WAL, requeue or
@@ -309,24 +284,13 @@ class Supervisor:
 
         service = self.service
         for job, attempt in owed:
-            service.note_lease_revoked(job, worker=slot,
-                                       attempt=attempt)
-            quarantine = attempt >= self.options.max_attempts
-            if service.tracer is not None:
-                if lease is not None and lease.job is job \
-                        and lease.span_start_ns is not None:
-                    service.tracer.attempt_finished(
-                        job.id, job.seq, slot, attempt,
-                        lease.span_start_ns, outcome="revoked")
-                service.tracer.lease_revoked(
-                    job.id, job.seq, slot, attempt,
-                    requeued=not quarantine)
-            if quarantine:
+            service.record("revoked", job, worker=slot, attempt=attempt)
+            if attempt >= self.options.max_attempts:
                 service.quarantine_job(job, attempt, crash)
             else:
                 time.sleep(self.options.backoff_for(attempt))
                 service.queue.requeue(job)
-                service.note_requeued(job)
+                service.record("requeued", job, attempt=job.attempts)
         self._spawn(slot)
 
     def _match_lease(self, entry: dict, lease: Lease | None) -> Job | None:

@@ -10,7 +10,7 @@ cells, and an interrupted sweep resumes for free: completed cells are
 already on disk (writes are atomic via rename).
 
 Anything unreadable — corrupt JSON, a stale schema version, a truncated
-write — is treated as a cache miss, never trusted.  Corrupt entries are
+write, an entry whose ``key`` is not the one asked for — is treated as a cache miss, never trusted.  Corrupt entries are
 additionally **quarantined**: moved to ``<root>/quarantine/`` and
 counted, so a bad file is inspectable after the fact, can never be
 served twice, and the healthy re-execution overwrites a clean slot.
@@ -107,12 +107,12 @@ class RunCache:
         """The cached result for ``key``, or None on any miss.
 
         A missing file is a plain miss.  A present-but-unreadable entry
-        (torn write, malformed payload, stale schema version) is
-        quarantined — moved to ``quarantine/``, counted, reported on
-        stderr — and *also* treated as a miss: the cell simply
-        re-executes and stores a healthy replacement.  Corruption is
-        therefore self-healing and can never raise into a sweep or a
-        serving worker.
+        (torn write, malformed payload, stale schema version, an entry
+        written for another key) is quarantined — moved to
+        ``quarantine/``, counted, reported on stderr — and *also*
+        treated as a miss: the cell simply re-executes and stores a
+        healthy replacement.  Corruption is therefore self-healing and
+        can never raise into a sweep or a serving worker.
         """
         path = self.path_for(key)
         try:
@@ -140,6 +140,9 @@ class RunCache:
             raise ReproError(
                 f"cache entry {key} has format {data.get('format')!r}"
             )
+        if data.get("key") != key:
+            raise ReproError(
+                f"cache entry {key} holds key {data.get('key')!r}")
         result = decode_result(data["result"])
         if result is None:
             raise ReproError(f"cache entry {key} holds no result")

@@ -618,18 +618,56 @@ class TestServeEvents:
         assert kinds == [k for k in EVENT_KINDS if k in kinds]
 
 
+class TestTransitionRecorder:
+    def test_concurrent_records_lose_no_count(self):
+        import sys
+
+        from repro.obs.metrics import MetricsRegistry
+        from repro.serve.events import TransitionRecorder
+        from repro.serve.server import SHARD_COUNTERS, WORKER_COUNTERS
+
+        registry = MetricsRegistry()
+        recorder = TransitionRecorder(registry, SHARD_COUNTERS,
+                                      slot_counters=WORKER_COUNTERS,
+                                      slots=1)
+        threads, per_thread = 8, 2000
+
+        def restart_many():
+            for _ in range(per_thread):
+                recorder.record("worker_restart", worker=0)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=restart_many)
+                       for _ in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+                assert not worker.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        snapshot = registry.snapshot()
+        assert snapshot["serve.worker_restarts"] == threads * per_thread
+        assert snapshot['serve.worker.restarts{worker="0"}'] == \
+            threads * per_thread
+
+
 class TestServeEventLog:
     def test_emit_read_round_trip_and_volatile_strip(self, tmp_path):
         from repro.serve import (
             ServeEventLog,
             canonical_event_lines,
+            make_event,
         )
 
         log = ServeEventLog(tmp_path / "servelog")
-        log.emit("submitted", job="j000001-abc", seq=1)
-        log.emit("leased", job="j000001-abc", seq=1, worker=0, attempt=1)
-        log.emit("terminal", job="j000001-abc", seq=1, state="done",
-                 cache="miss")
+        log.append(make_event("submitted", 1.0, job="j000001-abc", seq=1))
+        log.append(make_event("leased", 2.0, job="j000001-abc", seq=1,
+                              worker=0, attempt=1))
+        log.append(make_event("terminal", 3.0, job="j000001-abc", seq=1,
+                              state="done", cache="miss"))
         stored = ServeEventLog.read(tmp_path / "servelog")
         assert [event["kind"] for event in stored] == \
             ["submitted", "leased", "terminal"]
@@ -639,20 +677,21 @@ class TestServeEventLog:
             assert "ts" not in record and "worker" not in record
 
     def test_invalid_event_raises(self, tmp_path):
-        from repro.serve import ServeEventLog
+        from repro.serve import ServeEventLog, make_event
 
         log = ServeEventLog(tmp_path / "servelog")
         with pytest.raises(ValueError):
-            log.emit("not-a-kind")
+            log.append(make_event("not-a-kind", 0.0))
         assert log.emitted == 0
 
     def test_rotation_prunes_beyond_keep(self, tmp_path):
-        from repro.serve import ServeEventLog
+        from repro.serve import ServeEventLog, make_event
 
         root = tmp_path / "servelog"
         log = ServeEventLog(root, max_bytes=200, keep=2)
         for seq in range(40):
-            log.emit("submitted", job=f"j{seq:06d}-deadbeef", seq=seq)
+            log.append(make_event("submitted", float(seq),
+                                  job=f"j{seq:06d}-deadbeef", seq=seq))
         rotated = sorted(p.name for p in root.glob("events-*.jsonl"))
         assert len(rotated) == 2  # older rotations pruned
         assert (root / ServeEventLog.LIVE_NAME).exists()
@@ -662,11 +701,11 @@ class TestServeEventLog:
         assert all(event["seq"] >= 0 for event in ServeEventLog.read(root))
 
     def test_torn_lines_are_skipped_not_fatal(self, tmp_path):
-        from repro.serve import ServeEventLog
+        from repro.serve import ServeEventLog, make_event
 
         root = tmp_path / "servelog"
         log = ServeEventLog(root)
-        log.emit("submitted", job="j000001-abc", seq=1)
+        log.append(make_event("submitted", 1.0, job="j000001-abc", seq=1))
         with (root / ServeEventLog.LIVE_NAME).open("a") as handle:
             handle.write('{"format": 1, "ts": 2.0, "kind": "lea')
         assert [e["kind"] for e in ServeEventLog.read(root)] == \
@@ -674,19 +713,26 @@ class TestServeEventLog:
 
 
 class TestServiceTracer:
+    @staticmethod
+    def observe(tracer, kind, offset, exec_window=None, **fields):
+        """Feed ``tracer`` one record of job j1, ``offset`` seconds
+        after its epoch."""
+        from repro.serve import make_event
+
+        tracer.observe(make_event(kind, tracer.epoch + offset, job="j1",
+                                  seq=1, **fields), exec_window)
+
     def test_full_lifecycle_validates_and_canonicalizes(self):
         from repro.obs import validate_chrome_trace
         from repro.serve import ServiceTracer, canonical_trace_lines
 
         tracer = ServiceTracer(workers=2)
-        tracer.job_queued("j1", 1)
-        tracer.job_journaled("j1", 1)
-        start = tracer.job_leased("j1", 1, worker=0, attempt=1)
-        tracer.attempt_finished(
-            "j1", 1, worker=0, attempt=1, start_ns=start,
-            outcome="done", cache="miss",
-            exec_window=(tracer.epoch, tracer.epoch + 1e-4))
-        tracer.job_terminal("j1", 1, "done", cache="miss")
+        self.observe(tracer, "submitted", 0.0)
+        self.observe(tracer, "journaled", 1e-6)
+        self.observe(tracer, "leased", 2e-6, worker=0, attempt=1)
+        self.observe(tracer, "terminal", 4e-4,
+                     exec_window=(tracer.epoch, tracer.epoch + 1e-4),
+                     worker=0, attempt=1, state="done", cache="miss")
         tracer.queue_depth(0, 0)
         trace = tracer.trace_dict()
         validate_chrome_trace(trace)
@@ -705,13 +751,12 @@ class TestServiceTracer:
         from repro.serve import ServiceTracer
 
         tracer = ServiceTracer(workers=1)
-        tracer.job_queued("j1", 1)
-        start = tracer.job_leased("j1", 1, worker=0, attempt=1)
+        self.observe(tracer, "submitted", 0.0)
+        self.observe(tracer, "leased", 1e-6, worker=0, attempt=1)
         # A skewed child clock reports a window outside the attempt.
-        tracer.attempt_finished(
-            "j1", 1, worker=0, attempt=1, start_ns=start,
-            outcome="done",
-            exec_window=(tracer.epoch - 10.0, tracer.epoch + 1e9))
+        self.observe(tracer, "terminal", 1e-3,
+                     exec_window=(tracer.epoch - 10.0, tracer.epoch + 1e9),
+                     worker=0, attempt=1, state="done", cache="miss")
         trace = tracer.trace_dict()
         validate_chrome_trace(trace)
         spans = {e["name"]: e for e in trace["traceEvents"]
@@ -726,8 +771,8 @@ class TestServiceTracer:
         from repro.serve import ServiceTracer
 
         tracer = ServiceTracer(workers=1)
-        tracer.job_queued("j1", 1)
-        tracer.job_terminal("j1", 1, "cancelled")
+        self.observe(tracer, "submitted", 0.0)
+        self.observe(tracer, "terminal", 1e-3, state="cancelled")
         trace = tracer.trace_dict()
         validate_chrome_trace(trace)
         phases = [e["ph"] for e in trace["traceEvents"]
@@ -760,6 +805,47 @@ class TestMetricsDocSync:
             if instrument.base_name.startswith("serve.")
         }
         assert documented == registered
+
+
+class TestEventKindsDocSync:
+    """docs/OBSERVABILITY.md's kind table is the complete reference of
+    the transition records: every kind in ``EVENT_KINDS`` has a row and
+    every row is a kind, and each row names exactly the counters that
+    the code's kind tables bump for it."""
+
+    @staticmethod
+    def rows() -> list[tuple[str, str]]:
+        doc = (pathlib.Path(__file__).resolve().parent.parent
+               / "docs" / "OBSERVABILITY.md").read_text(encoding="utf-8")
+        rows = re.findall(
+            r"^\| `([a-z_]+)` \| (?:shard|coordinator)[a-z, ]* \| "
+            r"([^|]+) \|$", doc, re.MULTILINE)
+        assert rows, "docs/OBSERVABILITY.md lost its kind table"
+        return rows
+
+    def test_kind_table_matches_event_kinds(self):
+        from repro.serve import EVENT_KINDS
+
+        kinds = [kind for kind, _ in self.rows()]
+        assert len(kinds) == len(set(kinds)), "duplicate table rows"
+        assert set(kinds) == set(EVENT_KINDS)
+
+    def test_kind_table_names_the_bumped_counters(self):
+        from repro.cluster.coordinator import COORDINATOR_COUNTERS
+        from repro.serve.server import SHARD_COUNTERS, WORKER_COUNTERS
+
+        bumped: dict[str, set] = {}
+        for table in (SHARD_COUNTERS, WORKER_COUNTERS,
+                      COORDINATOR_COUNTERS):
+            for key, (name, _) in table.items():
+                bumped.setdefault(key.split(":")[0], set()).add(name)
+        documented = {
+            kind: set(re.findall(r"`((?:serve|cluster)\.[a-z_.]+)`",
+                                 counters))
+            for kind, counters in self.rows()}
+        assert documented == {kind: bumped.get(kind, set())
+                              for kind in documented}
+        assert set(bumped) <= set(documented)
 
 
 class TestServiceUnit:

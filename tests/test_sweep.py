@@ -1,6 +1,7 @@
 """Tests for the sweep executor, run cache, and lossless stats JSON."""
 
 import json
+import shutil
 
 import pytest
 
@@ -172,6 +173,17 @@ class TestRunCache:
         with sweep_context(cache=cache) as report:
             execute_cells(cells)
         assert report.executed == 1
+
+    def test_entry_under_another_key_is_a_quarantined_miss(self, tmp_path):
+        cache = RunCache(tmp_path)
+        first, second = tiny_cells()[:2]
+        cache.store(first.cache_key(), first, SimStats())
+        target = cache.path_for(second.cache_key())
+        target.parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy(cache.path_for(first.cache_key()), target)
+        assert cache.load(second.cache_key()) is None
+        assert (cache.hits, cache.misses, cache.quarantined) == (0, 1, 1)
+        assert not target.exists()
 
     def test_entries_are_self_describing(self, tmp_path):
         cache = RunCache(tmp_path)
