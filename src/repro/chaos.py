@@ -42,9 +42,9 @@ Single daemon only:
    ``poison_seeds``) ends ``failed`` with a ``PoisonJobError`` after
    exactly ``max_attempts`` lease grants; nothing crash-loops.
 5. **Clean journal** — after the drain the journal owes nothing: no
-   main entries, no lease WAL entries; every pre-planted corrupt
-   journal file (``truncate_journal_entries``) was quarantined at boot;
-   and a profile that corrupts every cache store tripped the cache's
+   entries; every pre-planted corrupt journal file
+   (``truncate_journal_entries``) was quarantined at boot; and a
+   profile that corrupts every cache store tripped the cache's
    self-healing in the warm wave.
 
 Cluster only:
@@ -341,12 +341,6 @@ class _ServiceTarget:
         if leftover:
             report.violations.append(
                 f"journal not clean after drain: {sorted(leftover)}")
-        leases = journal.load_leases()
-        if leases:
-            report.violations.append(
-                f"lease WAL not clean after drain: "
-                f"{sorted(entry['id'] for entry in leases)}"
-            )
         quarantined = report.metrics.get(
             "serve.journal_entries_quarantined", 0)
         if quarantined < report.planted_journal_corruption:

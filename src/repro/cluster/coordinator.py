@@ -61,7 +61,12 @@ from ..errors import (
     QueueFullError,
     ServeClientError,
 )
-from ..obs.metrics import Histogram, MetricsRegistry, parse_labeled_name
+from ..obs.metrics import (
+    Histogram,
+    MetricsRegistry,
+    labeled_name,
+    parse_labeled_name,
+)
 from ..obs.prom import prometheus_text
 from ..serve.api import (
     ApiServer,
@@ -635,11 +640,7 @@ class ClusterCoordinator:
         if latency_states:
             latency = Histogram.merge(latency_states,
                                       name="serve.service_latency_ns")
-            for q, suffix in ((0.50, "_p50"), (0.95, "_p95"),
-                              (0.99, "_p99")):
-                value = latency.quantile(q)
-                if value is not None:
-                    merged[f"serve.service_latency_ns{suffix}"] = value
+            merged.update(latency.quantile_snapshot())
             merged["serve.service_latency_ns_count"] = latency.count
         hits = merged.get("serve.cache_hits", 0)
         misses = merged.get("serve.cache_misses", 0)
@@ -659,24 +660,12 @@ class ClusterCoordinator:
         merged.restore_live_state(self.metrics.live_state())
         for shard_id, state in sorted(
                 self.shard_metric_states().items()):
+            relabeled = {}
             for name, instrument in state.items():
                 base, labels = parse_labeled_name(name)
-                labels = dict(labels)
-                labels["shard"] = shard_id
-                kind = instrument.get("kind")
-                help_text = instrument.get("help", "")
-                if kind == "counter":
-                    target = merged.counter(base, help_text,
-                                            labels=labels)
-                elif kind == "gauge":
-                    target = merged.gauge(base, help_text, labels=labels)
-                elif kind == "histogram":
-                    target = merged.histogram(
-                        base, instrument.get("bounds"), help_text,
-                        labels=labels)
-                else:
-                    continue
-                target.load_state(instrument)
+                relabeled[labeled_name(
+                    base, {**labels, "shard": shard_id})] = instrument
+            merged.restore_live_state(relabeled)
         return prometheus_text(merged)
 
 

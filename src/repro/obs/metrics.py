@@ -230,6 +230,16 @@ class Histogram:
                 return min(max(bound, self.min), self.max)
         return self.max
 
+    def quantile_snapshot(self) -> dict:
+        """``{"<name>_p50": …, "<name>_p95": …, "<name>_p99": …}``, empty
+        while nothing was observed (see :meth:`quantile`)."""
+        out = {}
+        for q, suffix in ((0.50, "_p50"), (0.95, "_p95"), (0.99, "_p99")):
+            value = self.quantile(q)
+            if value is not None:
+                out[f"{self.name}{suffix}"] = value
+        return out
+
     def bucket_dict(self) -> dict:
         """``{"<=bound": count, ..., ">bound": overflow}``."""
         out = {}
@@ -285,14 +295,13 @@ class Histogram:
                 merged.counts[index] += int(count)
             merged.count += state["count"]
             merged.sum += state["sum"]
-            for extreme in (state["min"],):
-                if extreme is not None and (merged.min is None
-                                            or extreme < merged.min):
-                    merged.min = extreme
-            for extreme in (state["max"],):
-                if extreme is not None and (merged.max is None
-                                            or extreme > merged.max):
-                    merged.max = extreme
+            low, high = state["min"], state["max"]
+            if low is not None and (merged.min is None
+                                    or low < merged.min):
+                merged.min = low
+            if high is not None and (merged.max is None
+                                     or high > merged.max):
+                merged.max = high
         return merged
 
     def load_state(self, state: dict) -> None:

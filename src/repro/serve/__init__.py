@@ -7,13 +7,14 @@ seam (sharing the content-addressed run cache, so identical
 submissions coalesce and repeats return without simulating), a full
 queue pushes back with HTTP 429, and SIGTERM drains gracefully —
 running jobs finish, queued jobs persist in a journal and resume on
-restart.
+restart.  The journal keeps one entry per owed job, written before a
+worker can take it and carrying its attempt count.
 
 The fleet survives its own workers: a crashed or wedged process is
 detected (pipe EOF, heartbeat silence, job deadline), its job lease is
 revoked and the job requeued with bounded backoff, and a job that
 keeps killing workers is quarantined as a clean failure after
-``max_attempts`` tries.  ``repro chaos`` (:mod:`repro.chaos`) injects
+``max_attempts`` tries, counted across daemon restarts.  ``repro chaos`` (:mod:`repro.chaos`) injects
 exactly those faults and asserts the recovery invariants.  See
 docs/SERVICE.md.
 """

@@ -75,13 +75,16 @@ class Job:
     cell: SweepCell
     #: Monotonic submission sequence number (journal replay order).
     seq: int
+    #: Content hash identifying the simulation (coalescing key),
+    #: computed once at admission.
+    key: str
     state: str = QUEUED
     #: Set once terminal: the run's stats, or the failure row.
     result: SimStats | FailedRun | None = None
     #: Whether the result came from the run cache without executing.
     cache_hit: bool | None = None
-    #: Worker-process lease grants this job has consumed (0 until the
-    #: supervisor first leases it; survives restarts via the lease WAL).
+    #: Worker lease grants this job has consumed (0 until the
+    #: supervisor first leases it; survives restarts in the journal).
     attempts: int = 0
     #: ``time.monotonic()`` timestamps for service-latency metrics.
     submitted_at: float = field(default_factory=time.monotonic)
@@ -91,11 +94,6 @@ class Job:
     #: the wall clock.
     _terminal: threading.Event = field(default_factory=threading.Event,
                                        repr=False)
-
-    @property
-    def key(self) -> str:
-        """Content hash identifying the simulation (coalescing key)."""
-        return self.cell.cache_key()
 
     @property
     def is_terminal(self) -> bool:
@@ -177,11 +175,12 @@ class JobQueue:
         #: cell key -> active (queued/running) job, the coalescing map.
         self._active_by_key: dict[str, Job] = {}
         self._seq = itertools.count(1)
+        self._running = 0
         self._closed = False
 
     # --- submission --------------------------------------------------------
-    def submit(self, cell: SweepCell,
-               job_id: str | None = None) -> tuple[Job, bool]:
+    def submit(self, cell: SweepCell, job_id: str | None = None,
+               write_ahead=None) -> tuple[Job, bool]:
         """Admit one cell; returns ``(job, coalesced)``.
 
         An identical active cell coalesces (``coalesced=True``, the
@@ -189,12 +188,16 @@ class JobQueue:
         :class:`QueueFullError`; a closed (draining) queue raises
         :class:`JobStateError`.  ``job_id`` pins the id during journal
         replay so clients can keep polling across a restart.
+        ``write_ahead`` (the journal's ``record``) is called with a new
+        job under the lock, before :meth:`take` can return it; if it
+        raises, the job is not admitted.
         """
+        key = cell.cache_key()
         with self._cond:
             if self._closed:
                 raise JobStateError("server is draining; not accepting "
                                     "new jobs", draining=True)
-            existing = self._active_by_key.get(cell.cache_key())
+            existing = self._active_by_key.get(key)
             if existing is not None:
                 return existing, True
             if len(self._waiting) >= self.capacity:
@@ -204,8 +207,10 @@ class JobQueue:
                 )
             seq = next(self._seq)
             if job_id is None:
-                job_id = f"j{seq:06d}-{cell.cache_key()[:12]}"
-            job = Job(id=job_id, cell=cell, seq=seq)
+                job_id = f"j{seq:06d}-{key[:12]}"
+            job = Job(id=job_id, cell=cell, seq=seq, key=key)
+            if write_ahead is not None:
+                write_ahead(job)
             self._waiting.append(job)
             self._jobs[job.id] = job
             self._active_by_key[job.key] = job
@@ -239,6 +244,7 @@ class JobQueue:
                 return None
             job = self._waiting.popleft()
             job.advance(RUNNING)
+            self._running += 1
             return job
 
     def requeue(self, job: Job) -> None:
@@ -254,6 +260,7 @@ class JobQueue:
         """
         with self._cond:
             job.advance(QUEUED)
+            self._running -= 1
             self._waiting.appendleft(job)
             self._cond.notify()
 
@@ -288,6 +295,7 @@ class JobQueue:
             job.result = result
             job.cache_hit = cache_hit
             job.advance(FAILED if isinstance(result, FailedRun) else DONE)
+            self._running -= 1
             self._active_by_key.pop(job.key, None)
             self._cond.notify_all()
 
@@ -328,9 +336,9 @@ class JobQueue:
 
     @property
     def running(self) -> int:
+        """Number of running (taken, not yet finished) jobs."""
         with self._cond:
-            return sum(1 for job in self._jobs.values()
-                       if job.state == RUNNING)
+            return self._running
 
     # --- shutdown ----------------------------------------------------------
     def close(self) -> None:

@@ -5,12 +5,12 @@
 * admission through the bounded, coalescing
   :class:`~repro.serve.queue.JobQueue` (full queue -> 429 upstream),
 * one execution backend, the :class:`~repro.serve.supervisor.Supervisor`:
-  per-slot job leases with write-ahead lease WALs replayed on daemon
-  restart, and — with worker *processes* in the slots, the default for
-  ``repro serve`` — crash/hang detection via heartbeats and job
-  deadlines, leases revoked and requeued with bounded backoff when a
-  worker dies, poison jobs quarantined after ``max_attempts``
-  worker-killing executions.  ``worker_mode="thread"`` fills the slots
+  per-slot job leases whose attempt counts land in the journal, and —
+  with worker *processes* in the slots, the default for ``repro
+  serve`` — crash/hang detection via heartbeats and job deadlines,
+  leases revoked and requeued with bounded backoff when a worker dies,
+  poison jobs quarantined after ``max_attempts`` worker-killing
+  executions.  ``worker_mode="thread"`` fills the slots
   with in-process workers instead (shared imports, injectable runners,
   no crash isolation),
 * metrics through a :class:`~repro.obs.metrics.MetricsRegistry`
@@ -21,8 +21,10 @@
   :class:`~repro.serve.events.TransitionRecorder` whose kind tables
   (:data:`SHARD_COUNTERS`, :data:`WORKER_COUNTERS`) name the counter it
   bumps, and the same record feeds the event log and the trace,
-* a write-ahead :class:`~repro.serve.journal.JobJournal` so queued work
-  survives a restart (corrupt entries quarantined, never fatal),
+* a write-ahead :class:`~repro.serve.journal.JobJournal`, one entry per
+  owed job, on disk before a worker can take the job, so queued and
+  running work survives a restart with its attempt count (corrupt
+  entries quarantined, never fatal),
 * graceful drain: :meth:`drain` stops admissions, lets running jobs
   finish, and leaves queued jobs journaled for the next generation.
 
@@ -184,25 +186,21 @@ class SimulationService:
 
     # --- lifecycle ---------------------------------------------------------
     def start(self) -> int:
-        """Replay the journal (and lease WALs) and start the backend;
-        returns the number of resumed jobs.
+        """Replay the journal and start the backend; returns the number
+        of resumed jobs.
 
-        Lease entries persisted by a previous generation restore each
-        replayed job's attempt count — a poison job that took the whole
-        daemon down resumes with its strikes intact — and are then
-        cleared (their worker processes are gone).
+        Each replayed job keeps the attempt count its entry holds — a
+        poison job that took the whole daemon down resumes with its
+        strikes intact.
         """
         resumed = 0
         if self.journal is not None:
-            attempts = {entry["id"]: entry["attempt"]
-                        for entry in self.journal.load_leases()}
-            self.journal.clear_leases()
-            for job_id, cell in self.journal.load():
+            for job_id, cell, attempts in self.journal.load():
                 job, coalesced = self.queue.submit(cell, job_id=job_id)
                 if not coalesced:
                     resumed += 1
-                    job.attempts = attempts.get(job_id, 0)
-                    self.record("resumed", job, attempt=job.attempts)
+                    job.attempts = attempts
+                    self.record("resumed", job, attempt=attempts)
             self._m_journal_quarantined.inc(self.journal.quarantined)
         self.sample_gauges()
         self._backend.start()
@@ -256,11 +254,15 @@ class SimulationService:
     def admit(self, cell: SweepCell) -> tuple[Job, bool]:
         """Admit one validated cell; returns ``(job, coalesced)``.
 
-        Journals before acknowledging (write-ahead), so an accepted job
-        survives a crash between the 202 and its execution.
+        Journals before the job can be taken (write-ahead, under the
+        queue lock), so an accepted job survives a crash between the 202
+        and its execution, and a job that finishes at once leaves no
+        entry behind.
         """
+        journal = self.journal
         try:
-            job, coalesced = self.queue.submit(cell)
+            job, coalesced = self.queue.submit(
+                cell, write_ahead=journal.record if journal else None)
         except QueueFullError:
             self._m_rejected.inc()
             raise
@@ -268,8 +270,7 @@ class SimulationService:
             self.record("coalesced", job, attempt=job.attempts)
         else:
             self.record("submitted", job)
-            if self.journal is not None:
-                self.journal.record(job)
+            if journal is not None:
                 self.record("journaled", job)
         self.sample_gauges()
         return job, coalesced
@@ -376,11 +377,7 @@ class SimulationService:
         self.sample_gauges()
         self._backend.sample_metrics()
         snapshot = self.registry.snapshot()
-        for q, suffix in ((0.50, "_p50"), (0.95, "_p95"),
-                          (0.99, "_p99")):
-            value = self._h_latency.quantile(q)
-            if value is not None:
-                snapshot[f"serve.service_latency_ns{suffix}"] = value
+        snapshot.update(self._h_latency.quantile_snapshot())
         return snapshot
 
     def prometheus_metrics(self) -> str:

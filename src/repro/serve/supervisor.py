@@ -5,23 +5,22 @@ The :class:`Supervisor` is the one execution backend of
 slots and N dispatcher threads; each dispatcher loops::
 
     job = queue.take()            # blocks; None on drain
-    lease = grant(job, worker)    # write-ahead lease WAL entry
+    lease(job, worker)            # attempts += 1, journal entry rewritten
     outcome = worker.run(cell)    # crash/hang detection inside
     finish(job, outcome)          # journal forget + terminal state
 
 ``worker_mode`` only decides what fills a slot: a
 :class:`~repro.serve.worker.WorkerProcess` (``"process"``) or an
-:class:`~repro.serve.worker.InProcessWorker` (``"thread"``).  Leases,
-WALs and per-slot metrics apply to both; only a process can crash, so
-only process mode ever takes the revoke path below.
+:class:`~repro.serve.worker.InProcessWorker` (``"thread"``).  Leases
+and per-slot metrics apply to both; only a process can crash, so only
+process mode ever takes the revoke path below.
 
 **Job leases.**  Before a job is handed to a worker the supervisor
-writes a lease entry to the journal's per-worker WAL
-(``worker-<i>/<job>.json``) carrying the attempt count.  When the
-worker dies or wedges, the lease is revoked: the supervisor replays
-that worker's WAL, requeues the job (front of the queue, original id)
-after a capped-exponential wall-clock backoff — the service-layer twin
-of PR 1's simulated-time retry policy — and respawns the worker.
+counts the attempt and rewrites the job's journal entry with it.  When
+the worker dies or wedges, the lease is revoked: the supervisor
+requeues the job (front of the queue, original id) after a
+capped-exponential wall-clock backoff — the service-layer twin of the
+simulator's simulated-time retry policy — and respawns the worker.
 
 **Poison quarantine.**  A job whose lease has been revoked
 ``max_attempts`` times is failing its workers, not the other way
@@ -29,8 +28,8 @@ around: instead of crash-looping the fleet it is completed cleanly as
 ``failed`` with a :class:`~repro.errors.PoisonJobError` payload and
 counted in ``serve.jobs_quarantined``.
 
-**Restart.**  Lease WALs also survive the daemon itself: on boot the
-service folds persisted attempt counts back into the replayed jobs
+**Restart.**  The journal entry outlives the daemon itself: on boot
+the service replays each owed job with its persisted attempt count
 (see ``SimulationService.start``), so a poison job cannot reset its
 strike count by taking the whole server down with it.
 """
@@ -97,14 +96,6 @@ class FleetOptions:
         return min(raw, self.backoff_cap)
 
 
-@dataclass
-class Lease:
-    """One worker's claim on one job (in-memory view of the WAL entry)."""
-
-    job: Job
-    attempt: int
-
-
 class Supervisor:
     """Spawn, watch, and replace the workers; never die.
 
@@ -127,7 +118,8 @@ class Supervisor:
                              name=f"serve-dispatch-{slot}", daemon=True)
             for slot in range(jobs)
         ]
-        self._leases: dict[int, Lease] = {}
+        #: slot -> the job leased to it.
+        self._leases: dict[int, Job] = {}
         self._lock = threading.Lock()
         self._idle = threading.Semaphore(0)
         self._drained = False
@@ -226,16 +218,15 @@ class Supervisor:
 
     def _run_leased(self, slot: int, job: Job) -> None:
         service = self.service
-        journal = service.journal
         job.attempts += 1
         with self._lock:
-            self._leases[slot] = Lease(job=job, attempt=job.attempts)
+            self._leases[slot] = job
         self._g_inflight[slot].set(1)
         service.record("leased", job, worker=slot, attempt=job.attempts)
         service.record("executing", job, worker=slot,
                        attempt=job.attempts)
-        if journal is not None:
-            journal.record_lease(slot, job, job.attempts)
+        if service.journal is not None:
+            service.journal.record(job)
         try:
             worker = self._ensure_worker(slot)
             outcome = worker.run(
@@ -244,63 +235,40 @@ class Supervisor:
                 heartbeat_timeout=self.options.heartbeat_timeout,
             )
         except WorkerCrashError as crash:
-            self._revoke(slot, crash)
+            self._revoke(slot, job, crash)
             return
         finally:
             with self._lock:
                 self._leases.pop(slot, None)
             self._g_inflight[slot].set(0)
-        if journal is not None:
-            journal.forget_lease(slot, job.id)
         service.note_cache_quarantined(outcome.cache_quarantined)
         service.finish_job(job, outcome.result, outcome.cache_hit,
                            worker=slot, exec_window=outcome.exec_window)
 
-    def _revoke(self, slot: int, crash: WorkerCrashError) -> None:
-        """The crash path: replay the dead worker's WAL, requeue or
-        quarantine its job, respawn the worker."""
-        journal = self.service.journal
+    def _revoke(self, slot: int, job: Job,
+                crash: WorkerCrashError) -> None:
+        """The crash path: requeue or quarantine the dead worker's job,
+        respawn the worker.  The job's journal entry already holds this
+        attempt, so a restart before the retry keeps the strike."""
         with self._lock:
             worker = self._workers[slot]
             self._workers[slot] = None
-            lease = self._leases.pop(slot, None)
+            self._leases.pop(slot, None)
         if worker is not None:
             worker.kill()
         self._count_restart(
             slot, "wedged and was killed" if crash.hang else "crashed")
 
-        # The WAL is the authority on what the worker owed; the
-        # in-memory lease must agree (one job per worker today, but the
-        # replay loop keeps this correct if that ever changes).
-        owed: list[tuple[Job, int]] = []
-        if journal is not None:
-            for entry in journal.load_leases(slot):
-                job = self._match_lease(entry, lease)
-                if job is not None:
-                    owed.append((job, entry["attempt"]))
-                journal.forget_lease(slot, entry["id"])
-        if not owed and lease is not None:
-            owed.append((lease.job, lease.attempt))
-
         service = self.service
-        for job, attempt in owed:
-            service.record("revoked", job, worker=slot, attempt=attempt)
-            if attempt >= self.options.max_attempts:
-                service.quarantine_job(job, attempt, crash)
-            else:
-                time.sleep(self.options.backoff_for(attempt))
-                service.queue.requeue(job)
-                service.record("requeued", job, attempt=job.attempts)
+        attempt = job.attempts
+        service.record("revoked", job, worker=slot, attempt=attempt)
+        if attempt >= self.options.max_attempts:
+            service.quarantine_job(job, attempt, crash)
+        else:
+            time.sleep(self.options.backoff_for(attempt))
+            service.queue.requeue(job)
+            service.record("requeued", job, attempt=job.attempts)
         self._spawn(slot)
-
-    def _match_lease(self, entry: dict, lease: Lease | None) -> Job | None:
-        """Resolve one WAL entry to the live Job object."""
-        if lease is not None and lease.job.id == entry["id"]:
-            return lease.job
-        try:
-            return self.service.queue.get(entry["id"])
-        except Exception:  # noqa: BLE001 — stale WAL rows are skipped
-            return None
 
     # --- shutdown -----------------------------------------------------------
     def drain(self, timeout: float | None = None) -> bool:

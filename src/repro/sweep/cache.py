@@ -10,10 +10,16 @@ cells, and an interrupted sweep resumes for free: completed cells are
 already on disk (writes are atomic via rename).
 
 Anything unreadable — corrupt JSON, a stale schema version, a truncated
-write, an entry whose ``key`` is not the one asked for — is treated as a cache miss, never trusted.  Corrupt entries are
-additionally **quarantined**: moved to ``<root>/quarantine/`` and
-counted, so a bad file is inspectable after the fact, can never be
-served twice, and the healthy re-execution overwrites a clean slot.
+write, an entry whose ``key`` is not the one asked for — is treated as a
+cache miss, never trusted.  Corrupt entries are additionally
+**quarantined**: moved to ``<root>/quarantine/`` and counted, so a bad
+file is inspectable after the fact, can never be served twice, and the
+healthy re-execution overwrites a clean slot.
+
+:func:`write_atomic` and :func:`quarantine_entry` are the one atomic
+write and the one quarantine move of every durable JSON file the
+project keeps: cache entries, the service's job journal and the tuner's
+recommendation cards.
 """
 
 from __future__ import annotations
@@ -57,6 +63,37 @@ CACHE_FORMAT = 1
 QUARANTINE_DIRNAME = "quarantine"
 
 
+def write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` through a temp file and a rename, so a
+    reader sees the old file or the new one, never a torn write."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    tmp.write_text(text)
+    tmp.replace(path)
+
+
+def quarantine_entry(path: Path, quarantine_dir: Path, reason: object,
+                     tag: str) -> None:
+    """Move one unreadable entry into ``quarantine_dir`` and say so on
+    stderr.
+
+    The bad bytes stay inspectable there.  If the move fails
+    (permissions, a concurrent heal) the entry is unlinked instead: a
+    corpse left in place would be tripped over, and quarantined again,
+    by every later reader.
+    """
+    try:
+        quarantine_dir.mkdir(parents=True, exist_ok=True)
+        path.replace(quarantine_dir / path.name)
+    except OSError:
+        try:
+            path.unlink()
+        except OSError:
+            pass
+    print(f"[{tag}] quarantined corrupt entry {path.name}: {reason}",
+          file=sys.stderr)
+
+
 class RunCache:
     """Load/store sweep-cell results by content hash.
 
@@ -80,28 +117,15 @@ class RunCache:
     def quarantine_dir(self) -> Path:
         return self.root / QUARANTINE_DIRNAME
 
-    def _quarantine(self, path: Path, key: str,
-                    reason: Exception) -> None:
+    def _quarantine(self, path: Path, reason: Exception) -> None:
         """Move one corrupt entry aside so it can never be served.
 
         Self-healing: the caller treats the load as a miss, re-executes
         the cell, and the store writes a fresh entry into the (now
-        empty) slot.  The bad bytes stay inspectable under
-        ``quarantine/`` instead of being silently overwritten.
+        empty) slot.
         """
         self.quarantined += 1
-        try:
-            self.quarantine_dir.mkdir(parents=True, exist_ok=True)
-            path.replace(self.quarantine_dir / path.name)
-        except OSError:
-            # Cannot move (permissions, concurrent heal): drop it so the
-            # fresh result can land; losing the corpse beats serving it.
-            try:
-                path.unlink()
-            except OSError:
-                pass
-        print(f"[cache] quarantined corrupt entry {key[:12]}…: {reason}",
-              file=sys.stderr)
+        quarantine_entry(path, self.quarantine_dir, reason, "cache")
 
     def load(self, key: str) -> SimStats | FailedRun | None:
         """The cached result for ``key``, or None on any miss.
@@ -121,14 +145,14 @@ class RunCache:
             self.misses += 1
             return None
         except OSError as exc:
-            self._quarantine(path, key, exc)
+            self._quarantine(path, exc)
             self.misses += 1
             return None
         try:
             result = self._decode(json.loads(text), key)
         except (ReproError, AttributeError, KeyError, TypeError,
                 ValueError) as exc:
-            self._quarantine(path, key, exc)
+            self._quarantine(path, exc)
             self.misses += 1
             return None
         self.hits += 1
@@ -158,8 +182,4 @@ class RunCache:
         """
         document = {"format": CACHE_FORMAT, "key": key, **cell.to_dict(),
                     "result": encode_result(result)}
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        tmp.write_text(json.dumps(document, sort_keys=True))
-        tmp.replace(path)
+        write_atomic(self.path_for(key), json.dumps(document, sort_keys=True))

@@ -18,10 +18,10 @@ clock) is ever embedded.  ``repro tune`` writes them atomically;
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
 from ..errors import TuneError
+from ..sweep.cache import write_atomic
 
 #: Version of the card schema; bumped on incompatible layout changes.
 CARD_FORMAT = 1
@@ -43,10 +43,7 @@ def card_path(workload: str, cards_dir: str | Path | None = None) -> Path:
 def write_card(card: dict, cards_dir: str | Path | None = None) -> Path:
     """Persist one card atomically; returns its path."""
     path = card_path(card["workload"], cards_dir)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    tmp.write_text(card_json(card))
-    tmp.replace(path)
+    write_atomic(path, card_json(card))
     return path
 
 

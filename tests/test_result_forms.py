@@ -114,8 +114,8 @@ def test_golden_journal_entry_replays(tmp_path):
     journal = JobJournal(tmp_path)
     job_id = f"j000001-{tiny_cell(1).cache_key()[:12]}"
     shutil.copy(GOLDEN / "journal.json", journal.path_for(job_id))
-    [(replayed_id, cell)] = journal.load()
-    assert replayed_id == job_id
+    [(replayed_id, cell, attempts)] = journal.load()
+    assert replayed_id == job_id and attempts == 0
     assert cell.cache_key() == tiny_cell(1).cache_key()
     assert journal.quarantined == 0
 

@@ -12,7 +12,10 @@ fake runners instead of timing games, and no wall-clock assertions.
 
 import json
 import pathlib
+import random
 import re
+import shutil
+import sys
 import threading
 
 import pytest
@@ -30,9 +33,11 @@ from repro.errors import (
 )
 from repro.obs.metrics import Histogram
 from repro.serve import (
+    FleetOptions,
     JobJournal,
     JobQueue,
     ServeClient,
+    ServeEventLog,
     SimulationService,
     shard_server,
 )
@@ -129,6 +134,43 @@ class TestJobStateMachine:
 
 
 class TestJobQueue:
+    def test_running_count_follows_a_seeded_model(self):
+        # The count is kept by take/requeue/complete; a model that
+        # tracks the running ids itself must agree after every step,
+        # and so must the states of the jobs the queue retains.
+        rng = random.Random(25)
+        queue = JobQueue(capacity=6, history=12)
+        running: list = []
+        for _ in range(3000):
+            op = rng.choice(("submit", "take", "requeue", "complete",
+                             "cancel", "steal"))
+            if op == "submit":
+                try:
+                    queue.submit(cell(rng.randrange(30)))
+                except QueueFullError:
+                    pass
+            elif op == "take" and queue.depth:
+                running.append(queue.take(timeout=1))
+            elif op in ("requeue", "complete") and running:
+                job = running.pop(rng.randrange(len(running)))
+                if op == "requeue":
+                    queue.requeue(job)
+                else:
+                    queue.complete(job, SimStats(), cache_hit=False)
+            elif op == "cancel" and queue.depth:
+                queue.cancel(rng.choice(queue.pending()).id)
+            elif op == "steal":
+                queue.steal(rng.randrange(1, 3))
+            assert queue.running == len(running) == sum(
+                1 for job in queue.jobs() if job.state == RUNNING)
+
+    def test_key_is_computed_once_at_admission(self, monkeypatch):
+        queue = JobQueue()
+        job, _ = queue.submit(cell(1))
+        key = job.key
+        monkeypatch.setattr(SweepCell, "cache_key", lambda self: "never")
+        assert job.key == key and job.status_dict()["key"] == key
+
     def test_fifo_order(self):
         queue = JobQueue()
         first, _ = queue.submit(cell(1))
@@ -223,9 +265,9 @@ class TestJournal:
         for job in jobs:
             journal.record(job)
         replayed = journal.load()
-        assert [job_id for job_id, _ in replayed] == \
+        assert [job_id for job_id, _, _ in replayed] == \
             [job.id for job in jobs]
-        assert [c.cache_key() for _, c in replayed] == \
+        assert [c.cache_key() for _, c, _ in replayed] == \
             [job.cell.cache_key() for job in jobs]
 
     def test_forget_is_idempotent(self, tmp_path):
@@ -246,46 +288,42 @@ class TestJournal:
         (journal.root / "zz-corrupt.json").write_text("{not json")
         (journal.root / "zz-stale.json").write_text(
             json.dumps({"format": -1}))
-        assert [job_id for job_id, _ in journal.load()] == [job.id]
+        assert [job_id for job_id, _, _ in journal.load()] == [job.id]
         assert journal.quarantined == 2
         assert "quarantined" in capsys.readouterr().err
         # The bad files were moved aside, so a second replay is clean:
         # same result, no re-quarantine, corpses inspectable on disk.
-        assert [job_id for job_id, _ in journal.load()] == [job.id]
+        assert [job_id for job_id, _, _ in journal.load()] == [job.id]
         assert journal.quarantined == 2
         assert sorted(p.name for p in journal.quarantine_dir.iterdir()) \
             == ["zz-corrupt.json", "zz-stale.json"]
 
-    def test_lease_wal_round_trip(self, tmp_path):
-        journal = JobJournal(tmp_path / "journal")
-        queue = JobQueue()
-        first, _ = queue.submit(cell(1))
-        second, _ = queue.submit(cell(2))
-        journal.record_lease(0, first, attempt=2)
-        journal.record_lease(1, second, attempt=1)
-        assert [(e["id"], e["worker"], e["attempt"])
-                for e in journal.load_leases()] == \
-            [(first.id, 0, 2), (second.id, 1, 1)]
-        assert [e["id"] for e in journal.load_leases(0)] == [first.id]
-        journal.forget_lease(0, first.id)
-        journal.forget_lease(0, first.id)  # idempotent
-        assert journal.load_leases(0) == []
-        journal.clear_leases()
-        assert journal.load_leases() == []
-
-    def test_corrupt_lease_entries_are_quarantined(
-            self, tmp_path, capsys):
+    def test_attempts_round_trip_and_are_omitted_while_zero(
+            self, tmp_path):
         journal = JobJournal(tmp_path / "journal")
         queue = JobQueue()
         job, _ = queue.submit(cell(1))
-        journal.record_lease(0, job, attempt=1)
-        (journal.worker_dir(0) / "zz-torn.json").write_text('{"id": "x')
-        assert [e["id"] for e in journal.load_leases(0)] == [job.id]
+        journal.record(job)
+        assert "attempts" not in json.loads(
+            journal.path_for(job.id).read_text())
+        job.attempts = 2
+        journal.record(job)  # the supervisor's rewrite on a lease
+        assert [(job_id, attempts)
+                for job_id, _, attempts in journal.load()] == [(job.id, 2)]
+
+    def test_unmovable_corrupt_entry_is_unlinked(self, tmp_path,
+                                                 capsys):
+        journal = JobJournal(tmp_path / "journal")
+        journal.root.mkdir(parents=True)
+        (journal.root / "zz-corrupt.json").write_text("{not json")
+        # A file where the quarantine dir should be makes the move fail;
+        # the corpse must still leave the replay set.
+        journal.quarantine_dir.write_text("")
+        assert journal.load() == []
         assert journal.quarantined == 1
-        assert "quarantined" in capsys.readouterr().err
-        # Quarantined under a worker-prefixed name: no collision with a
-        # same-named main-journal corpse.
-        assert (journal.quarantine_dir / "worker-0-zz-torn.json").is_file()
+        assert "quarantined corrupt entry" in capsys.readouterr().err
+        assert not (journal.root / "zz-corrupt.json").exists()
+        assert journal.load() == [] and journal.quarantined == 1
 
 
 class TestBuildCell:
@@ -874,7 +912,7 @@ class TestServiceUnit:
         assert drained.is_set()
         assert first.state == DONE
         assert second.state == QUEUED  # left for the next generation
-        assert [job_id for job_id, _ in journal.load()] == [second.id]
+        assert [job_id for job_id, _, _ in journal.load()] == [second.id]
 
     def test_restart_resumes_journaled_jobs_under_original_ids(
             self, tmp_path):
@@ -931,7 +969,7 @@ class TestServiceUnit:
         assert job.result.error_type == "RuntimeError"
         service.drain(timeout=30)
 
-    def test_thread_mode_restart_restores_attempts_from_lease_wal(
+    def test_thread_mode_restart_restores_attempts_from_journal(
             self, tmp_path):
         journal = JobJournal(tmp_path / "journal")
         runner = GatedRunner()
@@ -940,8 +978,8 @@ class TestServiceUnit:
         crashed.start()
         held, _ = crashed.admit(cell(1))
         assert runner.started.wait(30)  # leased, mid-job
-        assert [(entry["id"], entry["attempt"])
-                for entry in journal.load_leases()] == [(held.id, 1)]
+        assert [(job_id, attempts)
+                for job_id, _, attempts in journal.load()] == [(held.id, 1)]
 
         # The next generation boots over the same journal while the
         # first still holds the job, as after a daemon crash.
@@ -953,11 +991,11 @@ class TestServiceUnit:
             assert reborn_runner.started.wait(30)
             job = reborn.queue.get(held.id)
             assert job.attempts == 2  # the restored strike + this lease
-            assert [(entry["id"], entry["attempt"])
-                    for entry in journal.load_leases()] == [(held.id, 2)]
+            assert [(job_id, attempts) for job_id, _, attempts
+                    in journal.load()] == [(held.id, 2)]
             reborn_runner.release()
             assert job.wait(timeout=30) and job.state == DONE
-            assert journal.load_leases() == []
+            assert journal.load() == []
         finally:
             reborn_runner.release()
             reborn.drain(timeout=30)
@@ -1003,6 +1041,102 @@ class TestServiceUnit:
             assert health["max_attempts"] == 3
         finally:
             service.drain(timeout=30)
+
+
+class TestJournalIsTheOnlyJobRecord:
+    def test_no_entry_outlives_its_job(self, tmp_path):
+        # An instant runner finishes a job as soon as a worker takes
+        # it; an entry written after the job became takeable could land
+        # after the job's terminal forget and be owed forever.  More
+        # slots than cores and a short switch interval make the
+        # interleavings (and a lost update of the running count) likely.
+        journal = JobJournal(tmp_path / "journal")
+        service = SimulationService(
+            jobs=4, queue_limit=512, journal=journal,
+            runner=lambda job_cell: (SimStats(), False))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            service.start()
+            jobs = [service.admit(cell(seed))[0] for seed in range(500)]
+            assert all(job.wait(timeout=60) for job in jobs)
+        finally:
+            sys.setswitchinterval(interval)
+            assert service.drain(timeout=60)
+        assert all(job.is_terminal for job in jobs)
+        assert service.queue.running == 0
+        owed = sorted(path.stem for path in journal.root.glob("*.json"))
+        assert owed == []
+
+    def test_revoked_strike_survives_a_restart(self, tmp_path):
+        from tests.test_transitions import (
+            FLAKY,
+            _runner,
+            scripted_worker,
+            shard_cell,
+        )
+
+        journal = JobJournal(tmp_path / "journal")
+        with scripted_worker() as worker:
+            crashed = SimulationService(
+                jobs=1, journal=journal, runner=_runner(),
+                fleet=FleetOptions(backoff_base=0.0))
+            crashed.start()
+            flaky, _ = crashed.admit(shard_cell(FLAKY))
+            assert worker.entered.acquire(timeout=30)
+            # Stop hand-outs so the revoked job stays queued, as when
+            # the daemon dies right after the revoke.
+            crashed.queue.close()
+            worker.gate.release()  # the worker crashes
+            assert crashed.drain(timeout=30)
+            assert flaky.state == QUEUED and flaky.attempts == 1
+
+        runner = GatedRunner()
+        events = ServeEventLog(tmp_path / "servelog")
+        reborn = SimulationService(jobs=1, journal=journal,
+                                   runner=runner, events=events)
+        try:
+            assert reborn.start() == 1
+            assert runner.started.wait(30)
+            [resumed] = [event for event in ServeEventLog.read(
+                tmp_path / "servelog") if event["kind"] == "resumed"]
+            assert resumed["job"] == flaky.id
+            assert resumed["attempt"] == 1
+            assert reborn.queue.get(flaky.id).attempts == 2
+        finally:
+            runner.release()
+            reborn.drain(timeout=30)
+
+    def test_journal_with_old_lease_dir_still_boots(self, tmp_path):
+        # Older versions kept attempt counts in worker-<i>/ lease files
+        # next to the entries; the entry replays, the lease dir is
+        # neither read nor removed.
+        golden = pathlib.Path(__file__).parent / "data" / "forms" \
+            / "journal.json"
+        entry = json.loads(golden.read_text())
+        journal = JobJournal(tmp_path / "journal")
+        journal.root.mkdir(parents=True)
+        shutil.copy(golden, journal.path_for(entry["id"]))
+        lease = journal.root / "worker-0" / f"{entry['id']}.json"
+        lease.parent.mkdir()
+        lease.write_text(json.dumps(
+            {"attempt": 2, "format": 1, "id": entry["id"],
+             "key": "0" * 64, "seq": entry["seq"], "worker": 0},
+            sort_keys=True))
+        lease_bytes = lease.read_bytes()
+        runner = GatedRunner()
+        runner.release()
+        service = SimulationService(jobs=1, journal=journal,
+                                    runner=runner)
+        try:
+            assert service.start() == 1
+            job = service.queue.get(entry["id"])
+            assert job.wait(timeout=30) and job.state == DONE
+            assert job.attempts == 1
+        finally:
+            service.drain(timeout=30)
+        assert journal.load() == [] and journal.quarantined == 0
+        assert lease.read_bytes() == lease_bytes
 
 
 @pytest.fixture()
@@ -1384,7 +1518,7 @@ class TestSigtermDrain:
 
             # Queued job survived: still queued, still journaled.
             assert queued.state == QUEUED
-            assert [job_id for job_id, _ in journal.load()] == \
+            assert [job_id for job_id, _, _ in journal.load()] == \
                 [queued.id]
 
             # Next generation replays it under the original id.

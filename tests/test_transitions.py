@@ -167,7 +167,8 @@ def _shard_history(root: Path, worker) -> dict:
                                  fleet=fleet)
     first, _ = previous.admit(shard_cell(REPLAYED[0]))
     previous.admit(shard_cell(REPLAYED[1]))
-    journal.record_lease(0, first, 1)
+    first.attempts = 1
+    journal.record(first)
 
     service = SimulationService(jobs=1, journal=journal, events=events,
                                 tracer=tracer, runner=_runner(),
