@@ -18,7 +18,6 @@ from ..memory.addressing import AddressSpace
 from ..memory.allocator import ManagedAllocator
 from ..memory.btree import BuddyTree
 from ..memory.frames import FramePool
-from ..memory.page import PageState
 from ..memory.page_table import GpuPageTable
 from ..stats import SimStats
 
@@ -93,15 +92,13 @@ class UvmContext:
         Blocks lying wholly in an allocation's tree padding (rounded but
         never requested) yield an empty list.
         """
-        alloc = self.allocator.allocation_of_reserved(
+        requested = self.allocator.allocation_of_reserved(
             self.space.block_address(block)
-        )
-        first, last = alloc.page_range[0], alloc.page_range[-1]
-        return [
-            page for page in self.space.pages_in_block(block)
-            if first <= page <= last
-            and self.page_table.state_of(page) is PageState.INVALID
-        ]
+        ).page_range
+        pages = self.space.pages_in_block(block)
+        return self.page_table.invalid_pages_in_range(
+            max(pages.start, requested.start),
+            min(pages.stop, requested.stop))
 
     def allocation_name_of_page(self, page: int) -> str:
         """Name of the allocation owning ``page`` (chunk-cached)."""
@@ -126,10 +123,8 @@ class UvmContext:
         (Section 4.2): a block that 4 KB-granularity eviction left partially
         valid is not a prefetch candidate.
         """
-        for page in self.space.pages_in_block(block):
-            if self.page_table.state_of(page) is not PageState.INVALID:
-                return False
-        return True
+        pages = self.space.pages_in_block(block)
+        return not self.page_table.resident_count(pages.start, pages.stop)
 
     def requested_pages_in_large_page(self, page: int) -> range:
         """Pages of the allocation's requested extent that share ``page``'s

@@ -8,7 +8,6 @@ baseline beyond the paper's main four.
 
 from __future__ import annotations
 
-from ...memory.page import PageState
 from ..context import UvmContext
 from ..plans import MigrationPlan, split_runs_at_faults
 from .base import Prefetcher, register_prefetcher
@@ -32,10 +31,6 @@ class ZhengLocalityPrefetcher(Prefetcher):
             alloc = ctx.allocator.allocation_of_page(page)
             last = alloc.page_range[-1]
             end = min(page + self.WINDOW_PAGES, last + 1)
-            for candidate in range(page, end):
-                if candidate in planned:
-                    continue
-                if page_table.state_of(candidate) is PageState.INVALID:
-                    planned.add(candidate)
+            planned.update(page_table.invalid_pages_in_range(page, end))
         groups = split_runs_at_faults(sorted(planned), fault_set)
         return MigrationPlan(groups=groups)

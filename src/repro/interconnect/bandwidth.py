@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .. import constants
 from ..errors import ConfigurationError
 
@@ -61,14 +59,15 @@ class BandwidthModel:
         The fit is weighted by 1/size so small transfers, whose latency is
         dominated by the activation overhead, are not drowned out.
         """
-        sizes_arr = np.array(sizes, dtype=float)
-        latencies_ns = sizes_arr / np.array(bandwidths, dtype=float) * 1e9
-        weights = 1.0 / sizes_arr
-        design = np.stack([np.ones_like(sizes_arr), sizes_arr], axis=1)
-        scaled = design * weights[:, None]
-        target = latencies_ns * weights
-        (alpha, inv_beta), *_ = np.linalg.lstsq(scaled, target, rcond=None)
-        return float(max(alpha, 0.0)), float(max(inv_beta, 1e-12))
+        # Weighted rows are (1/s, 1) against latency/s = 1e9/b, so the 2x2
+        # normal equations need only n and four sums.
+        n, inv = len(sizes), [1.0 / s for s in sizes]
+        y = [1e9 / b for b in bandwidths]
+        s1, s2 = math.fsum(inv), math.fsum(w * w for w in inv)
+        t1, t2 = math.fsum(y), math.fsum(a * w for a, w in zip(y, inv))
+        det = n * s2 - s1 * s1
+        return (max((n * t2 - s1 * t1) / det, 0.0),
+                max((s2 * t1 - s1 * t2) / det, 1e-12))
 
     @property
     def peak_bandwidth_gbps(self) -> float:

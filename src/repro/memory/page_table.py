@@ -10,8 +10,7 @@ latency belongs to the page walker (:mod:`repro.memory.radix_walker`).
 from __future__ import annotations
 
 from array import array
-
-import numpy as np
+from itertools import compress
 
 from ..errors import PageTableError
 from .page import PageState, grown_window
@@ -19,6 +18,8 @@ from .page import PageState, grown_window
 #: State codes stored per page; ``_STATES[code]`` is the public state.
 _INVALID, _MIGRATING, _VALID = 0, 1, 2
 _STATES = (PageState.INVALID, PageState.MIGRATING, PageState.VALID)
+#: ``bytes.translate`` table mapping an INVALID code to 1, any other to 0.
+_INVALID_MASK = bytes([1]) + bytes(255)
 
 
 class GpuPageTable:
@@ -27,11 +28,10 @@ class GpuPageTable:
     Three flat arrays indexed by ``page - base`` hold everything a page
     needs: its state code, its dirty bit, and how many migrations it has
     completed.  They are a ``bytearray`` / ``array("q")`` so the scalar
-    per-access path indexes them at plain-Python speed; the vector path
-    (:meth:`invalid_pages_in_range`) takes an ``np.frombuffer`` view per
-    call.  Growth replaces the arrays, so a view or an index must never
-    be held across a growth.  Pages outside the window are INVALID and
-    were never migrated.
+    per-access path indexes them at plain-Python speed and the range
+    queries run as C-level ``bytearray`` scans.  Growth replaces the
+    arrays, so an index must never be held across a growth.  Pages
+    outside the window are INVALID and were never migrated.
     """
 
     def __init__(self) -> None:
@@ -144,9 +144,9 @@ class GpuPageTable:
         hi = min(stop, base + len(self._state))
         if lo >= hi:
             return list(range(first, stop))
-        state = np.frombuffer(self._state, dtype=np.uint8)
-        free = np.flatnonzero(state[lo - base:hi - base] == _INVALID) + lo
-        return [*range(first, lo), *free.tolist(), *range(hi, stop)]
+        free = self._state[lo - base:hi - base].translate(_INVALID_MASK)
+        return [*range(first, lo), *compress(range(lo, hi), free),
+                *range(hi, stop)]
 
     def resident_count(self, first: int, stop: int) -> int:
         """VALID or MIGRATING pages of ``[first, stop)``: the to-be-valid

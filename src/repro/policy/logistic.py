@@ -11,17 +11,16 @@ remembers the feature vector of its eviction decision; if the page
 migrates back while still remembered (``on_validated``), that decision
 trains toward "reused" (label 1), and decisions whose pages age out of
 the memory window without returning train toward "not reused" (label
-0).  All updates are plain SGD on a fixed-size numpy weight vector;
-feature hashing uses explicit Knuth multiplicative mixing (never
-Python's salted ``hash``), so same-seed runs are byte-identical.
+0) by plain SGD on a list of weights.  A score is an exactly rounded
+``math.fsum`` over a sparse ``{index: value}`` feature vector, and the
+hashing is explicit Knuth multiplicative mixing (never Python's salted
+``hash``), so same-seed runs are byte-identical.
 """
 
 from __future__ import annotations
 
 import math
 from collections import OrderedDict
-
-import numpy as np
 
 from ..core.context import UvmContext
 from ..core.evict.base import BlockLruEviction, register_eviction
@@ -61,9 +60,9 @@ class LogisticEvictor(BlockLruEviction):
 
     def reset(self) -> None:
         super().reset()
-        self._weights = np.zeros(self.DIM, dtype=np.float64)
+        self._weights = [0.0] * self.DIM
         #: Evicted page -> feature vector of the eviction decision.
-        self._recent: OrderedDict[int, np.ndarray] = OrderedDict()
+        self._recent: OrderedDict[int, dict[int, float]] = OrderedDict()
         #: Blocks faulted in the last few batches (neighbourhood signal).
         self._hot_blocks: OrderedDict[int, None] = OrderedDict()
 
@@ -85,8 +84,8 @@ class LogisticEvictor(BlockLruEviction):
 
     # --- model -------------------------------------------------------------
     def _features(self, rank: int, block: int,
-                  ctx: UvmContext) -> np.ndarray:
-        """Hashed feature vector of one candidate block."""
+                  ctx: UvmContext) -> dict[int, float]:
+        """Sparse hashed features of one block, in index order."""
         pages_per_block = ctx.config.pages_per_block
         valid = sum(
             1 for page in ctx.space.pages_in_block(block)
@@ -99,24 +98,27 @@ class LogisticEvictor(BlockLruEviction):
         near_fault = int(block in self._hot_blocks
                          or block - 1 in self._hot_blocks
                          or block + 1 in self._hot_blocks)
-        x = np.zeros(self.DIM, dtype=np.float64)
-        x[_feature_index(0, 0, self.DIM)] += 1.0  # bias
-        x[_feature_index(1, rank, self.DIM)] += 1.0  # recency rank
-        x[_feature_index(2, density_bucket, self.DIM)] += 1.0
-        x[_feature_index(3, near_fault, self.DIM)] += 1.0
-        return x
+        x: dict[int, float] = {}
+        for index in (_feature_index(0, 0, self.DIM),  # bias
+                      _feature_index(1, rank, self.DIM),  # recency rank
+                      _feature_index(2, density_bucket, self.DIM),
+                      _feature_index(3, near_fault, self.DIM)):
+            x[index] = x.get(index, 0.0) + 1.0
+        return dict(sorted(x.items()))
 
-    def _score(self, x: np.ndarray) -> float:
+    def _score(self, x: dict[int, float]) -> float:
         """P(reuse) under the current weights."""
-        z = float(self._weights @ x)
+        z = math.fsum(self._weights[i] * v for i, v in x.items())
         if z >= 0:
             return 1.0 / (1.0 + math.exp(-z))
         ez = math.exp(z)
         return ez / (1.0 + ez)
 
-    def _train(self, x: np.ndarray, label: float) -> None:
-        gradient = self._score(x) - label
-        self._weights -= self.LEARNING_RATE * gradient * x
+    def _train(self, x: dict[int, float], label: float) -> None:
+        step = self.LEARNING_RATE * (self._score(x) - label)
+        weights = self._weights
+        for i, v in x.items():
+            weights[i] -= step * v
 
     # --- planning ----------------------------------------------------------
     def _evict_next(self, lru: HierarchicalLRU,
@@ -127,7 +129,7 @@ class LogisticEvictor(BlockLruEviction):
         return [pages]
 
     def _pick_block(self, lru: HierarchicalLRU,
-                    ctx: UvmContext) -> tuple[int, np.ndarray]:
+                    ctx: UvmContext) -> tuple[int, dict[int, float]]:
         """The candidate block with the lowest predicted reuse.
 
         Ties resolve to the oldest candidate (strict ``<``), so an
@@ -145,7 +147,8 @@ class LogisticEvictor(BlockLruEviction):
                     block, features, score
         return best_block, best_features
 
-    def _remember(self, pages: list[int], features: np.ndarray) -> None:
+    def _remember(self, pages: list[int],
+                  features: dict[int, float]) -> None:
         """Track an eviction decision; expire old ones as label 0."""
         for page in pages:
             self._recent.pop(page, None)

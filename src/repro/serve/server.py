@@ -197,10 +197,13 @@ class SimulationService:
         if self.journal is not None:
             for job_id, cell, attempts in self.journal.load():
                 job, coalesced = self.queue.submit(cell, job_id=job_id)
-                if not coalesced:
-                    resumed += 1
-                    job.attempts = attempts
-                    self.record("resumed", job, attempt=attempts)
+                if coalesced:
+                    # A duplicate entry: left, it would re-run the cell.
+                    self.journal.forget(job_id)
+                    continue
+                resumed += 1
+                job.attempts = attempts
+                self.record("resumed", job, attempt=attempts)
             self._m_journal_quarantined.inc(self.journal.quarantined)
         self.sample_gauges()
         self._backend.start()

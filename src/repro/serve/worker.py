@@ -21,7 +21,8 @@ supervisor:
 * **heartbeats** — a daemon thread in the child sends ``("hb", ...)``
   every ``heartbeat_interval`` seconds even while the main thread
   simulates; silence past the heartbeat timeout means the process is
-  wedged hard (stopped, deadlocked) and gets killed;
+  wedged hard (stopped, deadlocked) and gets killed.  A heartbeat the
+  pipe refuses means the parent is gone, and the child exits at once;
 * **job deadline** — a result overdue past ``job_timeout`` seconds
   means the job itself is stuck (or an injected stall); the worker is
   killed and the job's lease revoked.
@@ -110,7 +111,9 @@ def _worker_main(index: int, conn, cache_dir: str | None,
             try:
                 _send(("hb", index))
             except OSError:
-                return
+                # The parent is gone: a rebooted daemon replays the job,
+                # so simulating on would run it twice.
+                os._exit(1)
 
     threading.Thread(target=_beat, name=f"worker-{index}-hb",
                      daemon=True).start()

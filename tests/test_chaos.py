@@ -25,6 +25,7 @@ from repro.errors import ConfigurationError, ServeError, WorkloadError
 from repro.faultinject import ServiceFaultProfile
 from repro.serve import FleetOptions, JobJournal, SimulationService
 from repro.serve.queue import DONE, FAILED
+from repro.serve.worker import WorkerProcess
 from repro.stats import FailedRun, SimStats
 from repro.sweep import RunCache, SweepCell
 
@@ -273,6 +274,26 @@ class TestProcessFleet:
                 "serve.worker_restarts"] >= 1
         finally:
             service.drain(timeout=60)
+
+    def test_orphaned_worker_exits_on_a_failed_heartbeat(self):
+        # The child stalls 30s on its job; once the parent's end of the
+        # pipe is gone (as when the daemon is SIGKILLed), the next
+        # heartbeat fails and the child must exit, not keep simulating.
+        profile = ServiceFaultProfile(stall_every_jobs=1,
+                                      stall_seconds=30.0)
+        worker = WorkerProcess(0, profile_fields=profile.to_dict(),
+                               heartbeat_interval=0.1)
+        try:
+            worker.conn.send(("ping",))
+            while worker.conn.recv()[0] != "pong":
+                pass
+            worker.conn.send(("run", cell(1).to_dict()))
+            worker.conn.close()
+            worker.process.join(timeout=3.0)
+            assert not worker.is_alive()
+        finally:
+            worker.kill()
+
 
 
 #: The harness's fault mix: worker kills, a poison seed, every cache

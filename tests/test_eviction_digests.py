@@ -20,6 +20,7 @@ import pytest
 
 from repro.config import oversubscribed
 from repro.core.evict import EVICTION_REGISTRY
+from repro.experiments.common import combo_config
 from repro.policy.registry import pair_supports_fastpath
 from repro.runtime import UvmRuntime
 from repro.workloads import make_workload
@@ -105,3 +106,16 @@ def test_golden_digest(input_name, eviction):
     for engine in engines:
         assert _digest(input_name, eviction, engine) == \
             GOLDEN[(input_name, eviction)], engine
+
+
+def test_logistic_score_is_summation_order_free():
+    """The logistic evictor's score must not depend on the order its
+    products are summed in: a left-to-right ``sum`` moves this cell's
+    digest while every pin above stays put."""
+    workload = make_workload("bfs", scale=0.2)
+    config = combo_config(workload, "ngram", "logistic",
+                          oversubscription_percent=150.0,
+                          prefetch_under_pressure=True)
+    stats = UvmRuntime(config).run_workload(workload)
+    assert hashlib.sha256(stats.to_json().encode()).hexdigest() == \
+        "ffe8a51b5f40a0a2aa2f78641961183420403216cf61b890762ba00b16810ddc"

@@ -281,7 +281,7 @@ class TestLogisticEvictor:
         weights_before = logistic._weights.copy()
         # The evicted pages migrate straight back: thrash (label 1).
         validate_pages(ctx, logistic, evicted, access=False)
-        assert (logistic._weights != weights_before).any()
+        assert logistic._weights != weights_before
 
     def test_reset_zeroes_model_and_bookkeeping(self):
         ctx, alloc = make_ctx()
@@ -291,7 +291,7 @@ class TestLogisticEvictor:
         logistic.plan_eviction(1, ctx)
         logistic.reset()
         assert logistic.evictable_pages() == 0
-        assert not logistic._weights.any()
+        assert not any(logistic._weights)
         assert not logistic._recent
 
 

@@ -939,6 +939,24 @@ class TestServiceUnit:
         assert journal.load() == []
         reborn.drain(timeout=30)
 
+    def test_replayed_duplicate_entry_is_forgotten(self, tmp_path):
+        journal = JobJournal(tmp_path / "journal")
+        job, _ = JobQueue().submit(cell(1))
+        journal.record(job)
+        duplicate = json.loads(journal.path_for(job.id).read_text())
+        duplicate["id"] = "zz-duplicate"
+        journal.path_for("zz-duplicate").write_text(json.dumps(duplicate))
+
+        runner = GatedRunner()
+        runner.release()
+        service = SimulationService(jobs=1, journal=journal,
+                                    runner=runner)
+        assert service.start() == 1  # the copy coalesced into the job
+        assert service.queue.get(job.id).wait(timeout=30)
+        assert service.drain(timeout=30)
+        assert runner.calls == 1
+        assert list(journal.root.glob("*.json")) == []
+
     def test_snapshot_omits_quantiles_until_first_completion(self):
         runner = GatedRunner()
         runner.release()
