@@ -1,21 +1,14 @@
-"""Shared benchmark helpers.
+"""Shared benchmark settings.
 
-Every benchmark regenerates one table/figure of the paper via its runner in
-``repro.experiments``, asserts the qualitative *shape* the paper reports
-(who wins, roughly by how much, where crossovers fall), and writes the full
-table to ``results/<experiment>.txt`` for inspection.
-
-``REPRO_BENCH_SCALE`` scales workload footprints (default 0.4 — large
-enough for the paper's orderings, small enough that the whole harness runs
-in a couple of minutes).
+``REPRO_BENCH_SCALE`` scales workload footprints for
+``bench_paper.py`` (default 0.4 — large enough for the paper's
+orderings, small enough that the whole harness runs in about a minute).
 """
 
 from __future__ import annotations
 
 import os
 import pathlib
-
-import pytest
 
 from repro.workloads.registry import validate_scale
 
@@ -26,21 +19,3 @@ SCALE = validate_scale(os.environ.get("REPRO_BENCH_SCALE", "0.4"),
                        "REPRO_BENCH_SCALE")
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
-
-
-def save_result(result) -> None:
-    """Write an ExperimentResult's table under results/."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    filename = (result.name.lower().replace(":", "")
-                .replace(" ", "_") + ".txt")
-    (RESULTS_DIR / filename).write_text(result.to_table() + "\n")
-
-
-def run_once(benchmark, runner, **kwargs):
-    """Run an experiment exactly once under pytest-benchmark timing."""
-    return benchmark.pedantic(runner, kwargs=kwargs, rounds=1, iterations=1)
-
-
-@pytest.fixture
-def scale() -> float:
-    return SCALE

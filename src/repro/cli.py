@@ -7,6 +7,7 @@
         --oversubscription 110 --scale 0.5
     python -m repro experiment fig11 --scale 0.4
     python -m repro experiment all --out results/ --jobs 4
+    python -m repro experiment fig11 fig13 --scale 1.0 --out results_s1
     python -m repro sweep srad --percents 105 110 125 --jobs 2
     python -m repro run hotspot --fault-profile moderate
     python -m repro faults bfs --rates 0 0.05 0.2
@@ -14,13 +15,15 @@
     python -m repro report bfs --oversubscription 110 --top 10
 
 ``run`` executes one workload under one setting and prints the counters;
-``experiment`` regenerates the paper's tables/figures; ``sweep`` is the
-over-subscription sensitivity matrix for one workload; ``faults`` sweeps
-a workload across fault-injection rates and prints a resilience table
-(see docs/ROBUSTNESS.md); ``trace`` runs a workload with span tracing on
-and exports a Perfetto-loadable Chrome trace plus a flat metrics JSON;
-``report`` prints the human-readable run report — stall attribution and
-the slowest fault batches (see docs/OBSERVABILITY.md).
+``experiment`` regenerates the paper's tables/figures (any number of
+registry names, or ``all``; ``--out`` writes one ``<name>.txt`` each);
+``sweep`` is the over-subscription sensitivity matrix for one workload;
+``faults`` sweeps a workload across fault-injection rates and prints a
+resilience table (see docs/ROBUSTNESS.md); ``trace`` runs a workload
+with span tracing on and exports a Perfetto-loadable Chrome trace plus a
+flat metrics JSON; ``report`` prints the human-readable run report —
+stall attribution and the slowest fault batches (see
+docs/OBSERVABILITY.md).
 
 ``experiment`` and ``sweep`` accept ``--jobs N`` to fan simulations out
 over a process pool and consult an on-disk run cache under
@@ -61,29 +64,8 @@ from .config import SimulatorConfig, oversubscribed
 from .errors import ConfigurationError
 from .core.evict import EVICTION_REGISTRY
 from .core.prefetch import PREFETCHER_REGISTRY
-from .experiments import (
-    ablations,
-    extension_adaptive,
-    extension_autotune,
-    extension_colocation,
-    extension_learned,
-    extension_resilience,
-    fig2_microbench,
-    fig3_prefetch_time,
-    fig4_bandwidth,
-    fig5_farfaults,
-    fig6_oversub_sensitivity,
-    fig7_transfer_counts,
-    fig9_eviction,
-    fig10_evicted_pages,
-    fig11_combinations,
-    fig12_nw_pattern,
-    fig13_oversub_scaling,
-    fig14_reservation,
-    fig15_tbne_vs_2mb,
-    fig16_thrashing,
-    table1_pcie,
-)
+from .experiments import extension_autotune
+from .experiments.registry import EXPERIMENTS, write_result
 from .presets import PRESETS, preset_config
 from .runtime import UvmRuntime
 from .serve.client import DEFAULT_PORT as SERVE_DEFAULT_PORT
@@ -114,47 +96,6 @@ from .sweep import (
 )
 from .workloads.registry import SUITE_ORDER, WORKLOAD_REGISTRY, \
     make_workload, validate_scale
-
-#: Experiment name -> zero-or-scale-argument runner.
-EXPERIMENTS = {
-    "table1": lambda scale: table1_pcie.run(),
-    "fig2": lambda scale: fig2_microbench.run(),
-    "fig3": lambda scale: fig3_prefetch_time.run(scale=scale),
-    "fig4": lambda scale: fig4_bandwidth.run(scale=scale),
-    "fig5": lambda scale: fig5_farfaults.run(scale=scale),
-    "fig6": lambda scale: fig6_oversub_sensitivity.run(scale=scale),
-    "fig7": lambda scale: fig7_transfer_counts.run(scale=scale),
-    "fig9": lambda scale: fig9_eviction.run(scale=scale),
-    "fig10": lambda scale: fig10_evicted_pages.run(scale=scale),
-    "fig11": lambda scale: fig11_combinations.run(scale=scale),
-    "fig12": lambda scale: fig12_nw_pattern.run(scale=scale),
-    "fig13": lambda scale: fig13_oversub_scaling.run(scale=scale),
-    "fig14": lambda scale: fig14_reservation.run(scale=scale),
-    "fig15": lambda scale: fig15_tbne_vs_2mb.run(scale=scale),
-    "fig16": lambda scale: fig16_thrashing.run(scale=scale),
-    "ablation-batching": lambda scale: ablations.run_fault_batching(
-        scale=scale),
-    "ablation-threshold": lambda scale: ablations.run_tbn_threshold(
-        scale=scale),
-    "ablation-lru": lambda scale: ablations.run_lru_insertion(scale=scale),
-    "ablation-walk": lambda scale: ablations.run_page_walk_model(
-        scale=scale),
-    "ablation-buffer": lambda scale: ablations.run_fault_buffer(
-        scale=scale),
-    "ablation-latency": lambda scale: ablations.run_fault_latency(
-        scale=scale),
-    "ext-adaptive": lambda scale: extension_adaptive.run(scale=scale),
-    # Pinned to the validated tuning regime: the pairing interplay is
-    # scale-sensitive, and the autotune table demonstrates search
-    # recovery at the operating point where the ground truth is known.
-    "ext-autotune": lambda scale: extension_autotune.run(),
-    "ext-colocation": lambda scale: extension_colocation.run(scale=scale),
-    # Pinned for the same reason as ext-autotune: the learned policies'
-    # epoch/window knobs are sized for the validated 0.3 regime.
-    "ext-learned": lambda scale: extension_learned.run(),
-    "ext-resilience": lambda scale: extension_resilience.run(scale=scale),
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -235,8 +176,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "byte-for-byte with `repro submit` output)")
 
     exp_p = sub.add_parser("experiment",
-                           help="regenerate a paper table/figure")
-    exp_p.add_argument("name", choices=sorted(EXPERIMENTS) + ["all"])
+                           help="regenerate paper tables/figures")
+    exp_p.add_argument("names", nargs="+", metavar="name",
+                       choices=sorted(EXPERIMENTS) + ["all"],
+                       help="experiments to run, in order "
+                            "(all = every one)")
     exp_p.add_argument("--scale", type=float, default=0.4)
     exp_p.add_argument("--chart", action="store_true",
                        help="also render an ASCII bar chart")
@@ -822,7 +766,8 @@ def _check_jobs(jobs: int) -> None:
 
 def cmd_experiment(args: argparse.Namespace) -> int:
     _check_jobs(args.jobs)
-    names = sorted(EXPERIMENTS) if args.name == "all" else [args.name]
+    names = (sorted(EXPERIMENTS) if "all" in args.names
+             else list(dict.fromkeys(args.names)))
     with sweep_context(jobs=args.jobs, cache=_run_cache(args)) as report:
         for name in names:
             if name == "ext-autotune" and args.include_learned:
@@ -835,9 +780,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
                 print(grouped_bars(result))
             print()
             if args.out is not None:
-                args.out.mkdir(parents=True, exist_ok=True)
-                (args.out / f"{name}.txt").write_text(
-                    result.to_table() + "\n")
+                write_result(name, result, args.out)
     # Stderr on purpose: stdout must stay byte-identical across
     # --jobs/cache settings so runs can be diffed.
     print(f"[sweep] {report.summary()}", file=sys.stderr)

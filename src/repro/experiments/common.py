@@ -48,6 +48,9 @@ class ExperimentResult:
     headers: list[str]
     rows: list[list[object]] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
+    #: Data behind the rows that a claim of :mod:`repro.validation`
+    #: reads but the table does not print.
+    detail: dict[str, object] = field(default_factory=dict)
 
     def add_row(self, *values: object) -> None:
         self.rows.append(list(values))

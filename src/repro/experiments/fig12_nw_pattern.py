@@ -66,6 +66,7 @@ def run(scale: float = 0.5,
             trace.mean_gap_pages,
             trace.mean_touches_per_page,
         )
+    result.detail["page_sets"] = [trace.distinct_pages for trace in traces]
     return result
 
 

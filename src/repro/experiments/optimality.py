@@ -1,4 +1,4 @@
-"""Bench: eviction policies against the Belady (MIN) lower bound.
+"""Eviction policies against the Belady (MIN) lower bound.
 
 Complements Figures 9/10: for the same eviction-in-isolation setting, how
 far is each policy's migration traffic from the clairvoyant minimum on its
@@ -6,22 +6,23 @@ own reference string?  The paper's "random beats LRU for iterative
 workloads" claim appears here as a smaller optimality gap.
 """
 
-from repro.analysis.optimal import (
+from __future__ import annotations
+
+from ..analysis.optimal import (
     belady_misses,
     optimality_gap,
     reference_from_trace,
 )
-from repro.experiments.common import ExperimentResult, combo_config
-from repro.runtime import UvmRuntime
-from repro.workloads.registry import make_workload
-
-from conftest import SCALE, run_once, save_result
+from ..runtime import UvmRuntime
+from ..workloads.registry import make_workload
+from .common import ExperimentResult, combo_config
 
 WORKLOADS = ("srad", "hotspot", "bfs")
 POLICIES = ("lru4k", "random")
 
 
-def run_optimality(scale: float = SCALE) -> ExperimentResult:
+def run(scale: float = 0.4) -> ExperimentResult:
+    """Migrations / MIN misses per policy, at 110% with TBNp until full."""
     result = ExperimentResult(
         name="Optimality gap",
         description="migrations / Belady-MIN misses, eviction in "
@@ -50,15 +51,9 @@ def run_optimality(scale: float = SCALE) -> ExperimentResult:
     return result
 
 
-def test_optimality_gap(benchmark):
-    result = run_once(benchmark, run_optimality, scale=SCALE)
-    save_result(result)
-    for row in result.rows:
-        name, lru_gap, random_gap, min_misses = row
-        # No policy beats clairvoyance on its own reference string.
-        assert lru_gap >= 1.0 and random_gap >= 1.0
-        assert min_misses > 0
-    by_name = {row[0]: row for row in result.rows}
-    # srad is the paper's strongest LRU-thrash case: random's traffic is
-    # closer to optimal than LRU's.
-    assert by_name["srad"][2] < by_name["srad"][1]
+def main() -> None:
+    print(run().to_table())
+
+
+if __name__ == "__main__":
+    main()

@@ -5,10 +5,11 @@ import json
 import pytest
 
 from repro.analysis.charts import grouped_bars, horizontal_bars
-from repro.cli import EXPERIMENTS, build_parser, main
+from repro.cli import build_parser, main
 from repro.config import SimulatorConfig
 from repro.errors import WorkloadError
 from repro.experiments.common import ExperimentResult
+from repro.experiments.registry import EXPERIMENTS
 from repro.memory.allocator import ManagedAllocator
 from repro.runtime import run_workload
 from repro.workloads.base import AddressResolver
@@ -72,6 +73,16 @@ class TestCli:
         out = capsys.readouterr().out
         assert "Table 1" in out
         assert (tmp_path / "table1.txt").exists()
+
+    def test_experiment_takes_several_names(self, capsys, tmp_path):
+        code = main(["experiment", "fig2", "table1", "fig2",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out.index("Figure 2") < out.index("Table 1")
+        assert out.count("Figure 2:") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) \
+            == ["fig2.txt", "table1.txt"]
 
     def test_sweep(self, capsys):
         code = main(["sweep", "pathfinder", "--scale", "0.1",

@@ -16,7 +16,8 @@ from repro.errors import (
     WatchdogTimeout,
 )
 from repro.experiments import FailedRun, common, run_suite_setting
-from repro.experiments import extension_resilience
+from repro.experiments import extension_resilience, registry
+from repro.experiments.common import ExperimentResult
 from repro.faultinject import (
     PROFILES,
     ClusterFaultProfile,
@@ -25,7 +26,7 @@ from repro.faultinject import (
 )
 from repro.gpu.kernel import KernelSpec, ThreadBlockSpec, WarpSpec
 from repro.runtime import run_workload
-from repro.validation import ClaimCheck
+from repro.validation import Claim
 from repro.workloads.registry import make_workload
 
 MIB = constants.MIB
@@ -407,15 +408,17 @@ class TestSuiteIsolation:
 
 class TestValidationIsolation:
     def test_crashing_section_becomes_failed_claim(self, monkeypatch):
-        def good(checks, scale):
-            checks.append(ClaimCheck("ok", "fine", "x", "x", True))
-
-        def bad(checks, scale):
+        def bad(scale):
             raise SimulationError("section exploded")
 
-        monkeypatch.setattr(validation, "_SECTIONS", (
-            ("good", "a healthy section", good),
-            ("bad", "a crashing section", bad),
+        monkeypatch.setattr(registry, "EXPERIMENTS", {
+            "good": lambda scale: ExperimentResult("good", "d", ["x"]),
+            "bad": bad,
+        })
+        monkeypatch.setattr(validation, "CLAIMS", (
+            Claim("ok", ("good",), "fine", "x", lambda r: ("x", True)),
+            Claim("bad", ("bad",), "a crashing experiment", "x",
+                  lambda r: ("x", True)),
         ))
         checks = validation.validate_claims(scale=0.1)
         assert [c.claim_id for c in checks] == ["ok", "bad-error"]

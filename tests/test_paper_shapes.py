@@ -1,8 +1,9 @@
 """Fast assertions of the paper's qualitative results.
 
-These mirror the benchmark-level shape checks at a small footprint scale so
-the plain test suite already guards the reproduction, not only the
-benchmark harness.
+These restate a few of the claims of ``repro.validation`` on single runs
+at a small footprint scale, so the plain test suite already guards the
+reproduction without running whole experiments; ``repro validate`` and
+``benchmarks/bench_paper.py`` check every claim on the full tables.
 """
 
 import pytest

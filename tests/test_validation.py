@@ -1,14 +1,33 @@
 """Tests for the claim-validation module and its CLI command."""
 
+import json
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
-from repro.errors import WorkloadError
-from repro.validation import ClaimCheck, format_report, validate_claims
+from repro.errors import ReproError, WorkloadError
+from repro.experiments import registry
+from repro.validation import (
+    CLAIMS,
+    ClaimCheck,
+    format_report,
+    validate_claims,
+)
 
 #: Tiny scale keeps this fast; some scale-sensitive claims may not hold
 #: down here, so structural properties are what these tests check.
 SCALE = 0.15
+
+ROOT = Path(__file__).resolve().parent.parent
+
+#: (claim_id, passed, measured) of the claims ``validate_claims(0.15)``
+#: made before the claims became one table, recorded with that code.
+PINNED = ROOT / "tests" / "data" / "validate" / "claims_0.15.json"
 
 
 @pytest.fixture(scope="module")
@@ -20,12 +39,29 @@ class TestValidateClaims:
     def test_covers_all_claim_ids(self, checks):
         ids = [check.claim_id for check in checks]
         assert ids == [
-            "table1", "fig3-prefetch", "fig3-ordering", "fig5-faults",
-            "fig6-oversub", "fig6-buffer", "fig11-combos",
-            "fig13-scaling", "fig15-2mb", "fig16-thrash",
+            "table1", "table1-monotone", "fig2-signatures",
+            "fig3-prefetch", "fig3-ordering", "fig3-every",
+            "fig4-ondemand", "fig4-blocks",
+            "fig5-faults", "fig5-ordering",
+            "fig6-oversub", "fig6-buffer", "fig6-reuse", "fig7-4kb",
+            "fig9-random", "fig10-correlation",
+            "fig11-combos", "fig11-nw", "fig12-sparse", "fig12-moves",
+            "fig13-scaling", "fig13-reuse",
+            "fig14-streaming", "fig14-helps", "fig14-hurts",
+            "fig15-2mb", "fig15-floor", "fig16-thrash", "fig16-pressure",
+            "ablation-batching", "ablation-threshold", "ablation-lru",
+            "ablation-walk", "ablation-buffer",
+            "ext-adaptive", "ext-autotune", "ext-colocation",
+            "optimality-bound", "optimality-srad",
             "tune-recover", "fastpath-equiv",
             "learned-competitive", "learned-deterministic",
         ]
+
+    def test_pinned_claims_unchanged(self, checks):
+        pinned = [tuple(entry) for entry in json.loads(PINNED.read_text())]
+        by_id = {check.claim_id: check for check in checks}
+        assert [(claim_id, by_id[claim_id].passed, by_id[claim_id].measured)
+                for claim_id, _, _ in pinned] == pinned
 
     def test_every_check_is_populated(self, checks):
         for check in checks:
@@ -52,12 +88,72 @@ class TestValidateClaims:
         assert sum(1 for check in checks if check.passed) >= 7
 
 
+class TestClaimTable:
+    """Structure of the claim table; nothing here simulates."""
+
+    def test_claims_read_registry_experiments(self):
+        for claim in CLAIMS:
+            for name in claim.experiments:
+                assert name in registry.EXPERIMENTS, (claim.claim_id, name)
+
+    def test_each_experiment_runs_once(self, monkeypatch):
+        calls = Counter()
+
+        def stub(name):
+            def run(scale):
+                calls[name] += 1
+                raise ReproError(f"stub {name}")
+            return run
+
+        monkeypatch.setattr(registry, "EXPERIMENTS",
+                            {name: stub(name)
+                             for name in registry.EXPERIMENTS})
+        monkeypatch.setattr("repro.validation.CLAIMS",
+                            tuple(c for c in CLAIMS if c.experiments))
+        checks = validate_claims(scale=SCALE)
+        read = {name for claim in CLAIMS for name in claim.experiments}
+        assert calls == Counter({name: 1 for name in read})
+        assert all(check.claim_id.endswith("-error") and not check.passed
+                   for check in checks)
+
+    def test_bench_paper_runs_every_claimed_experiment(self):
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "benchmarks/bench_paper.py",
+             "--collect-only", "-p", "no:cacheprovider"],
+            cwd=ROOT, capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+        assert done.returncode == 0, done.stdout + done.stderr
+        params = [line.split("[", 1)[1].rstrip("]")
+                  for line in done.stdout.splitlines() if "::" in line]
+        claimed = {name for claim in CLAIMS for name in claim.experiments}
+        assert sorted(params) == sorted(claimed)
+
+    def test_importing_experiments_leaves_the_registry_out(self):
+        code = ("import sys, repro.experiments; "
+                "print('repro.experiments.registry' in sys.modules)")
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            timeout=60, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+        assert done.stdout.strip() == "False", done.stderr
+
+
 class TestFormatReport:
     def test_report_mentions_every_claim(self, checks):
         report = format_report(checks)
         for check in checks:
             assert check.claim_id in report
         assert "claims reproduced" in report
+
+    def test_columns_align_on_the_longest_id(self):
+        report = format_report([
+            ClaimCheck("x", "d", "p", "short", True),
+            ClaimCheck("learned-deterministic", "d", "p", "long", False),
+        ])
+        lines = report.splitlines()
+        assert lines[2].index("PASS") == lines[5].index("FAIL") \
+            == lines[0].index("ok")
+        assert lines[2].index("short") == lines[5].index("long") \
+            == lines[0].index("measured")
 
     def test_report_marks_failures(self):
         failing = [ClaimCheck("x", "d", "p", "m", False)]
