@@ -1,8 +1,8 @@
 """Shared state handed to prefetch and eviction policies.
 
 The :class:`UvmContext` is the GMMU-side view of the world: page table,
-allocations, frame pool, the per-large-page buddy trees, configuration, RNG,
-and statistics.  Policies read and (for the tree-based ones) update it; the
+allocations, frame pool, per-step buddy-tree views, configuration, RNG, and
+statistics.  Policies read it (the tree-based ones balance the views); the
 driver owns the transfer scheduling around it.
 """
 
@@ -35,44 +35,55 @@ class UvmContext:
         self.frames = frames
         self.stats = stats
         self.rng = random.Random(config.seed)
-        #: block index -> BuddyTree, lazily built per tree region.
-        self._tree_by_block: dict[int, BuddyTree] = {}
-        self._trees: list[BuddyTree] = []
+        #: block index -> the tree view covering it, for one driver step.
+        self._views: dict[int, BuddyTree] = {}
         #: 2MB chunk index -> allocation name (allocations are 2MB aligned
         #: with guard gaps, so a chunk belongs to at most one allocation).
         self._alloc_name_by_chunk: dict[int, str] = {}
 
     # --- buddy trees ---------------------------------------------------------
     def tree_for_block(self, block: int) -> BuddyTree:
-        """The buddy tree covering basic block ``block`` (lazily built)."""
-        tree = self._tree_by_block.get(block)
+        """The buddy-tree view covering basic block ``block``.
+
+        A view of the page table's to-be-valid (VALID or MIGRATING) pages
+        that lasts for one driver step: built on first use, changed only
+        by the tree-based planners, dropped once the step's plan applies.
+        """
+        tree = self._views.get(block)
         if tree is not None:
             return tree
         addr = self.space.block_address(block)
         alloc = self.allocator.allocation_of_reserved(addr)
-        region = alloc.tree_for(addr)
-        tree = BuddyTree(region, threshold=self.config.tbn_threshold,
+        tree = BuddyTree(alloc.tree_for(addr),
+                         threshold=self.config.tbn_threshold,
                          page_size=self.config.page_size)
-        for covered in range(tree.first_block,
-                             tree.first_block + tree.num_blocks):
-            self._tree_by_block[covered] = tree
-        self._trees.append(tree)
+        blocks = range(tree.first_block, tree.first_block + tree.num_blocks)
+        n = self.space.pages_per_block
+        count = self.page_table.resident_count
+        tree.fill([count(b * n, b * n + n) * self.config.page_size
+                   for b in blocks])
+        for covered in blocks:
+            self._views[covered] = tree
         return tree
 
     def tree_for_page(self, page: int) -> BuddyTree:
-        """The buddy tree covering 4 KB page ``page``."""
+        """The buddy-tree view covering 4 KB page ``page``."""
         return self.tree_for_block(self.space.block_of_page(page))
 
     def all_trees(self) -> list[BuddyTree]:
-        """Every tree instantiated so far (diagnostics/tests)."""
-        return list(self._trees)
+        """Every tree view alive in this step (diagnostics/tests)."""
+        return list(dict.fromkeys(self._views.values()))
+
+    def drop_tree_views(self) -> None:
+        """Forget every view: the page table now holds the step's plan."""
+        self._views.clear()
 
     def adjust_trees_for_pages(self, pages: list[int], sign: int) -> None:
-        """Apply a +/- validity change for ``pages`` to their trees.
+        """Add (+1) or remove (-1) ``pages`` in their trees' views.
 
-        Called by the driver for migrations/evictions that were *not*
-        planned by a tree-based policy (whose balancing already updated the
-        trees).
+        The page-level writer the tree-based planners use for the
+        blocks they chose: TBNp adds a faulted block, TBNe removes its
+        victim.
         """
         if sign not in (1, -1):
             raise PolicyError("sign must be +1 or -1")

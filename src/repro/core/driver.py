@@ -293,19 +293,12 @@ class UvmDriver:
             )
         budget = available - demand
         kept: list[TransferGroup] = []
-        dropped_pages: list[int] = []
         for group in plan.ordered_groups():
             if group.has_fault:
                 kept.append(group)
             elif len(group.pages) <= budget:
                 kept.append(group)
                 budget -= len(group.pages)
-            else:
-                dropped_pages.extend(group.pages)
-        if dropped_pages and plan.trees_preadjusted:
-            # The tree-based prefetcher counted the dropped pages as
-            # to-be-valid; credit them back.
-            self.ctx.adjust_trees_for_pages(dropped_pages, -1)
         plan.groups = kept
 
     def _execute_migration(self, plan: MigrationPlan, now_ns: float,
@@ -321,13 +314,11 @@ class UvmDriver:
         ctx = self.ctx
         config = ctx.config
         page_size = config.page_size
-        all_pages = plan.all_pages()
-        for page in all_pages:
+        for page in plan.all_pages():
             ctx.page_table.begin_migration(page)
             if not self.mshr.outstanding(page):
                 self.mshr.register(page, None, now_ns)
-        if not plan.trees_preadjusted:
-            ctx.adjust_trees_for_pages(all_pages, +1)
+        ctx.drop_tree_views()  # the page table now holds the plan
 
         frames = ctx.frames
         latency = handling_latency_ns if handling_latency_ns is not None \
@@ -496,8 +487,6 @@ class UvmDriver:
             return 0
         stats.eviction_events += 1
         evicted_pages = plan.all_pages()
-        if not plan.trees_preadjusted:
-            ctx.adjust_trees_for_pages(evicted_pages, -1)
         # Nothing below reads a TLB, so one shootdown for the whole round
         # is exact.  Dirty flags reset on invalidation: read them first.
         self.engine.tlb_shootdown(evicted_pages)
@@ -536,6 +525,7 @@ class UvmDriver:
                     ctx.frames.release(1, transfer.end_ns)
                 stats.pages_written_back += len(unit_dirty)
                 written_back += len(unit_dirty)
+        ctx.drop_tree_views()
         stats.pages_evicted += freed
         for name, count in ctx.allocation_page_counts(evicted_pages).items():
             stats.allocation(name).pages_evicted += count
@@ -599,7 +589,6 @@ class UvmDriver:
             self.eviction.on_invalidated_externally(page, ctx)
         for name, count in ctx.allocation_page_counts(resident).items():
             stats.allocation(name).pages_evicted += count
-        ctx.adjust_trees_for_pages(resident, -1)
         stats.pages_evicted += len(resident)
         # Dirty data rides the write channel in contiguous runs (frames
         # free when the transfer lands); clean pages drop immediately (the

@@ -493,22 +493,14 @@ class Simulator:
                         f"SM {sm.sm_id} TLB maps page {page} in state "
                         f"{state}"
                     )
-        page_size = self.config.page_size
-        pages_per_block = self.space.pages_per_block
-        resident_count = self.page_table.resident_count
-        for tree in self.ctx.all_trees():
-            tree.check_consistency()
-            # Leaves count to-be-valid bytes: VALID plus in-flight pages.
-            for block in range(tree.first_block,
-                               tree.first_block + tree.num_blocks):
-                first = block * pages_per_block
-                resident = resident_count(first, first + pages_per_block)
-                if tree.leaf_valid_bytes(block) != resident * page_size:
-                    raise SimulationError(
-                        f"tree leaf of block {block} holds "
-                        f"{tree.leaf_valid_bytes(block)} bytes but "
-                        f"{resident} of its pages are valid or migrating"
-                    )
+        # Buddy trees are views of the page table that last for one driver
+        # step; one still alive between events would plan from stale state.
+        leaked = self.ctx.all_trees()
+        if leaked:
+            raise SimulationError(
+                f"{len(leaked)} buddy-tree view(s) outlived their driver "
+                f"step (first at block {leaked[0].first_block})"
+            )
 
 
 def make_simulator(config: SimulatorConfig, *,

@@ -13,9 +13,7 @@ Contract:
 * planned pages are removed from the policy's own bookkeeping before the
   plan is returned;
 * pre-eviction policies may plan *more* pages than requested (that is the
-  point: freeing locality-sized chunks ahead of demand);
-* if ``plan.trees_preadjusted`` is True the policy already applied the
-  deltas to the buddy trees.
+  point: freeing locality-sized chunks ahead of demand).
 """
 
 from __future__ import annotations
@@ -95,9 +93,6 @@ class BlockLruEviction(EvictionPolicy):
     ``__init__``.
     """
 
-    #: Whether ``_evict_next`` already applied its deltas to the trees.
-    trees_preadjusted = False
-
     def __init__(self) -> None:
         self.reset()
 
@@ -140,8 +135,7 @@ class BlockLruEviction(EvictionPolicy):
             for pages in self._evict_next(lru, ctx):
                 units.append(EvictionUnit(pages, unit_writeback=True))
                 freed += len(pages)
-        return EvictionPlan(units=units,
-                            trees_preadjusted=self.trees_preadjusted)
+        return EvictionPlan(units=units)
 
     @abstractmethod
     def _evict_next(self, lru: HierarchicalLRU,

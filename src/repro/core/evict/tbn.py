@@ -22,7 +22,6 @@ class TreeBasedNeighborhoodPreEviction(BlockLruEviction):
     """Adaptive block-granular pre-eviction driven by tree balance."""
 
     name = "tbn"
-    trees_preadjusted = True
     #: Whether the tree cascade follows the victim block (a subclass may
     #: throttle it per instance).
     cascading = True
@@ -52,7 +51,7 @@ class TreeBasedNeighborhoodPreEviction(BlockLruEviction):
         tree = ctx.tree_for_block(victim_block)
         pages = lru.remove_block(victim_block)
         evicted = {victim_block: pages}
-        tree.adjust_block(victim_block, -len(pages) * page_size)
+        ctx.adjust_trees_for_pages(pages, -1)
         if not self.cascading:
             return evicted
         cascade = tree.balance_after_evict(victim_block)

@@ -3,8 +3,7 @@
 Prefetchers produce :class:`MigrationPlan`\\ s (what to pull over the read
 channel, grouped into contiguous transfers) and eviction policies produce
 :class:`EvictionPlan`\\ s (what to push out over the write channel, grouped
-into write-back units).  ``trees_preadjusted`` marks plans produced by the
-tree-based policies, whose balancing already updated the buddy trees.
+into write-back units).
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ class MigrationPlan:
     """All transfer groups planned for one fault batch."""
 
     groups: list[TransferGroup] = field(default_factory=list)
-    trees_preadjusted: bool = False
 
     @property
     def total_pages(self) -> int:
@@ -85,7 +83,6 @@ class EvictionPlan:
     """All eviction units planned for one frame-shortage episode."""
 
     units: list[EvictionUnit] = field(default_factory=list)
-    trees_preadjusted: bool = False
 
     @property
     def total_pages(self) -> int:

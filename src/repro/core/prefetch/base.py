@@ -9,9 +9,7 @@ Contract:
 
 * every faulted page appears in exactly one group;
 * every planned page is INVALID in the page table at planning time;
-* groups are contiguous page runs;
-* if ``plan.trees_preadjusted`` is True the policy has already applied the
-  to-be-valid deltas to the buddy trees; otherwise the driver does it.
+* groups are contiguous page runs.
 """
 
 from __future__ import annotations

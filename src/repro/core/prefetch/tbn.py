@@ -26,7 +26,6 @@ class TreeBasedNeighborhoodPrefetcher(Prefetcher):
              ctx: UvmContext) -> MigrationPlan:
         fault_set = set(faulted_pages)
         planned: set[int] = set()
-        page_size = ctx.config.page_size
         fault_blocks: list[int] = []
         seen_blocks: set[int] = set()
         for page in faulted_pages:
@@ -41,14 +40,14 @@ class TreeBasedNeighborhoodPrefetcher(Prefetcher):
                 if p not in planned
             ]
             planned.update(block_pages)
-            tree.adjust_block(block, len(block_pages) * page_size)
+            ctx.adjust_trees_for_pages(block_pages, +1)
             balance_plan = tree.balance_after_fill(block)
             for pf_block, nbytes in balance_plan.items():
                 self._claim_prefetch_pages(
                     pf_block, nbytes, planned, tree, ctx
                 )
         groups = split_runs_at_faults(sorted(planned), fault_set)
-        return MigrationPlan(groups=groups, trees_preadjusted=True)
+        return MigrationPlan(groups=groups)
 
     @staticmethod
     def _claim_prefetch_pages(block: int, nbytes: int, planned: set[int],

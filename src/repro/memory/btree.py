@@ -16,8 +16,8 @@ Two balancing acts run over the same structure:
   down to the children till the leaf level: the subtree's remaining valid
   blocks are evicted, freeing a maximal contiguous invalid range.
 
-The tree stores byte counts only; mapping a planned (block, bytes) to actual
-pages is the driver's job (it consults the page table).
+The tree stores byte counts only; the planners map a planned (block, bytes)
+to pages through the page table, of which each simulator tree is a view.
 """
 
 from __future__ import annotations
@@ -97,11 +97,21 @@ class BuddyTree:
                 raise PolicyError(f"tree node {node} out of range")
 
     # --- plain adjustments ----------------------------------------------------
+    def fill(self, leaf_bytes: list[int]) -> None:
+        """Set every leaf's to-be-valid bytes, in block order, and re-sum
+        the nodes above them."""
+        if len(leaf_bytes) != self.num_blocks:
+            raise PolicyError("fill takes one value per leaf")
+        valid = self._valid
+        valid[self._leaf_base:] = leaf_bytes
+        for node in range(self._leaf_base - 1, -1, -1):
+            valid[node] = valid[2 * node + 1] + valid[2 * node + 2]
+
     def adjust_block(self, global_block: int, delta_bytes: int) -> None:
         """Apply an externally-decided validity change to one block.
 
-        Used for fault migrations, SLp/Rp prefetches, LRU-chosen evictions —
-        anything not originated by this tree's own balancing.
+        Used for TBNp's faulted blocks and TBNe's LRU victims — anything
+        not originated by this tree's own balancing.
         """
         node = self._leaf_node(global_block)
         if not 0 <= self._valid[node] + delta_bytes <= self.block_size:

@@ -11,12 +11,14 @@ of the EXPERIMENTS.md scoreboard.
 
 from __future__ import annotations
 
+import tempfile
 from dataclasses import dataclass
 from typing import Callable
 
 from .analysis.metrics import geomean
 from .errors import ReproError
 from .experiments.common import ExperimentResult
+from .sweep import RunCache, sweep_context
 
 #: Workloads treated as streaming (no reuse) in claim checks.
 STREAMING = ("backprop", "pathfinder")
@@ -808,9 +810,11 @@ def check_claim(claim: Claim,
 def validate_claims(scale: float = 0.3) -> list[ClaimCheck]:
     """Check every claim; ``scale`` trades fidelity for speed.
 
-    Each experiment runs once, however many claims read it.  Claims are
-    isolated: one crashing experiment fails the claims that read it, and
-    the rest still run.
+    Each experiment runs once, however many claims read it, and each
+    simulation cell once, however many experiments share it: they run
+    against a run cache in a temporary directory, removed on return.
+    Claims are isolated: one crashing experiment fails the claims that
+    read it, and the rest still run.
     """
     from .experiments import registry
 
@@ -826,7 +830,9 @@ def validate_claims(scale: float = 0.3) -> list[ClaimCheck]:
             raise results[name]
         return results[name]
 
-    return [check_claim(claim, result_of, scale) for claim in CLAIMS]
+    with tempfile.TemporaryDirectory(prefix="repro-validate-") as root, \
+            sweep_context(cache=RunCache(root)):
+        return [check_claim(claim, result_of, scale) for claim in CLAIMS]
 
 
 def format_report(checks: list[ClaimCheck]) -> str:

@@ -56,6 +56,22 @@ class TestConstruction:
         assert not tree.covers_block(first + 8)
 
 
+class TestFill:
+    def test_equals_the_same_adjustments(self):
+        leaves = [KB64, 0, KB64 // 2, KB64, 0, 0, 4096, KB64]
+        filled = make_tree()
+        filled.fill(leaves)
+        adjusted = make_tree()
+        for block, nbytes in enumerate(leaves):
+            adjusted.adjust_block(block, nbytes)
+        filled.check_consistency()
+        assert filled._valid == adjusted._valid
+
+    def test_rejects_wrong_leaf_count(self):
+        with pytest.raises(PolicyError):
+            make_tree().fill([0] * 4)
+
+
 class TestAdjustBlock:
     def test_updates_leaf_and_root(self):
         tree = make_tree()

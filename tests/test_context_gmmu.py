@@ -59,11 +59,36 @@ class TestTreeManagement:
         ctx = make_ctx()
         alloc = ctx.allocator.get("a")
         pages = list(alloc.page_range[:20])
-        ctx.adjust_trees_for_pages(pages, +1)
+        for page in pages:
+            ctx.page_table.begin_migration(page)
         tree = ctx.tree_for_page(pages[0])
         assert tree.root_valid_bytes == 20 * 4096
         ctx.adjust_trees_for_pages(pages, -1)
         assert tree.root_valid_bytes == 0
+        ctx.adjust_trees_for_pages(pages, +1)
+        assert tree.root_valid_bytes == 20 * 4096
+        # The page table is unchanged: a fresh view reads it again.
+        ctx.drop_tree_views()
+        ctx.adjust_trees_for_pages(pages[:4], -1)
+        assert ctx.tree_for_page(pages[0]).root_valid_bytes == 16 * 4096
+
+    def test_view_reads_the_page_table(self):
+        """Leaves count VALID and MIGRATING pages; a view lasts until it
+        is dropped, and the next one reads the page table again."""
+        ctx = make_ctx()
+        base = ctx.allocator.get("a").page_range[0]
+        ctx.page_table.begin_migration(base)
+        ctx.page_table.begin_migration(base + 1)
+        ctx.page_table.complete_migration(base + 1)
+        ctx.page_table.begin_migration(base + 16)
+        tree = ctx.tree_for_page(base)
+        tree.check_consistency()
+        assert tree.leaf_valid_bytes(tree.first_block) == 2 * 4096
+        assert tree.leaf_valid_bytes(tree.first_block + 1) == 4096
+        assert ctx.all_trees() == [tree]
+        ctx.drop_tree_views()
+        assert ctx.all_trees() == []
+        assert ctx.tree_for_page(base) is not tree
 
     def test_adjust_rejects_bad_sign(self):
         ctx = make_ctx()

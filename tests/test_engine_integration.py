@@ -295,9 +295,10 @@ class TestInvariantsAcrossPolicies:
             sim.check_invariants()
 
     @pytest.mark.parametrize("engine", ["reference", "fast"])
-    def test_tree_leaf_drift_from_page_table_is_caught(self, engine):
-        """A leaf whose bytes disagree with its block's VALID/MIGRATING
-        pages is caught even while every node still sums its children."""
+    def test_tree_view_leaked_past_its_step_is_caught(self, engine):
+        """Buddy trees are views that last for one driver step; one built
+        outside a step (here by a direct ``tree_for_block`` call) is
+        reported between events."""
         sim = make_simulator(oversubscribed(
             2 * MIB, 120.0, num_sms=4, engine=engine, prefetcher="tbn",
             eviction="tbn",
@@ -306,14 +307,10 @@ class TestInvariantsAcrossPolicies:
         sim.launch_kernel(scan_kernel(alloc.page_range[0], alloc.num_pages))
         sim.synchronize()
         sim.check_invariants()
-        tree = sim.ctx.all_trees()[0]
-        block = next(
-            block for block in range(tree.first_block,
-                                     tree.first_block + tree.num_blocks)
-            if tree.leaf_valid_bytes(block) > 0
-        )
-        tree.adjust_block(block, -constants.PAGE_SIZE)
-        tree.check_consistency()
+        block = sim.ctx.space.block_of_page(alloc.page_range[0])
+        tree = sim.ctx.tree_for_block(block)
         with pytest.raises(SimulationError,
-                           match=f"tree leaf of block {block} holds"):
+                           match=f"1 buddy-tree view\\(s\\) outlived "
+                                 f"their driver step \\(first at block "
+                                 f"{tree.first_block}\\)"):
             sim.check_invariants()

@@ -12,6 +12,13 @@ cells evict with; these pins catch a refactor of any policy's
 bookkeeping or victim selection that moves a single counter.  They are
 a behaviour contract: re-record them only for a deliberate model change,
 and say so in the change log.
+
+Every pin of that matrix prefetches with TBNp, so none of them would
+notice a non-tree prefetcher's planned pages reaching TBNe's buddy
+trees.  ``TREE_PATHS`` pins the other ways pages reach or leave the
+trees: non-tree prefetchers, threshold pre-eviction outside a batch, the
+on-demand fallback behind a closed prefetch gate, retried and degraded
+migrations, and the user-prefetch and host-invalidation paths.
 """
 
 import hashlib
@@ -21,9 +28,11 @@ import pytest
 from repro.config import oversubscribed
 from repro.core.evict import EVICTION_REGISTRY
 from repro.experiments.common import combo_config
+from repro.faultinject import FaultProfile
 from repro.policy.registry import pair_supports_fastpath
 from repro.runtime import UvmRuntime
 from repro.workloads import make_workload
+from repro.workloads.base import AddressResolver
 from repro.workloads.synthetic import CyclicScanWorkload
 
 PREFETCHER = "tbn"
@@ -74,20 +83,111 @@ GOLDEN = {
 }
 
 
-def _digest(input_name: str, eviction: str, engine: str) -> str:
-    workload = INPUTS[input_name]()
+def _run_with_host_calls(runtime: UvmRuntime, workload):
+    """Run ``workload`` with a ``cudaMemPrefetchAsync`` of one allocation
+    before every third kernel and a host read or write of another after
+    every odd one."""
+    names = []
+    for spec in workload.allocations():
+        runtime.malloc_managed(spec.name, spec.size_bytes)
+        names.append(spec.name)
+    resolver = AddressResolver(runtime.simulator.allocator)
+    for index, kernel in enumerate(workload.kernel_specs(resolver)):
+        if index % 3 == 0:
+            runtime.mem_prefetch_async(names[index % len(names)])
+        runtime.launch_kernel(kernel)
+        if index % 2:
+            runtime.cpu_access(names[(index + 1) % len(names)],
+                               is_write=index % 4 == 1)
+    runtime.device_synchronize()
+    return runtime.stats
+
+
+def _run(runtime: UvmRuntime, workload):
+    return runtime.run_workload(workload)
+
+
+def _bfs():
+    return make_workload("bfs", scale=0.2)
+
+
+#: label -> (input, prefetcher, eviction, over-subscription %, config
+#: overrides, run).
+TREE_PATHS = {
+    "none+tbn": (INPUTS["hotspot"], "none", "tbn", PERCENT, {}, _run),
+    "sequential-local+adaptive": (INPUTS["hotspot"], "sequential-local",
+                                  "adaptive", PERCENT, {}, _run),
+    "zheng512+tbn": (INPUTS["hotspot"], "zheng512", "tbn", PERCENT, {},
+                     _run),
+    "random+tbn": (INPUTS["hotspot"], "random", "tbn", PERCENT, {}, _run),
+    "tbn+tbn-free-page-buffer": (
+        INPUTS["hotspot"], "tbn", "tbn", PERCENT,
+        {"free_page_buffer_fraction": 0.1}, _run),
+    "tbn+tbn-gate-closed": (
+        INPUTS["hotspot"], "tbn", "tbn", PERCENT,
+        {"disable_prefetch_on_oversubscription": True}, _run),
+    "tbn+tbn-faults": (
+        _bfs, "tbn", "tbn", 125.0,
+        {"fault_profile": FaultProfile(
+            transfer_fault_rate=0.2, fault_drop_rate=0.05,
+            degrade_after_failures=3, seed=3)}, _run),
+    "tbn+tbn-host-calls": (INPUTS["hotspot"], "tbn", "tbn", PERCENT, {},
+                           _run_with_host_calls),
+}
+
+TREE_GOLDEN = {
+    "none+tbn":
+        "f734793312f0f05c3f02a95e0c22ac4fdee6745063d3787bb9c87e211fbaab77",
+    "sequential-local+adaptive":
+        "0689ad22b383af3c00904ed7870b2efa066127dbb862038b8686ae07a6ce91ae",
+    "zheng512+tbn":
+        "d154d7ec7f73f74f94e4559cdb64326b75fc7e77217cb75cf22881109a62645a",
+    "random+tbn":
+        "6c2a5da7bce1a965ffd8123a86ced784ec6ffaaa8f99c6fdc0a9bcff84ec7a58",
+    "tbn+tbn-free-page-buffer":
+        "54c32c4541d866a4790e08fc8ce7c11ffe025be541fe4c892c22cde893957579",
+    "tbn+tbn-gate-closed":
+        "0ba8b093c3c8aff9fe0b3acaad03afe46b9725d934daf89be22aab739bfd9fbd",
+    "tbn+tbn-faults":
+        "bdf9dce8066eecd574f1866c27527396b24820d27bf9812016d99db3f099feca",
+    "tbn+tbn-host-calls":
+        "ec85b739824af31d43d4f97548415d551a149eadbb9058b279963fd4593aaf12",
+}
+
+#: Input name of the ``TREE_PATHS`` cells in the parametrized test.
+TREE_INPUT = "tree-paths"
+
+
+def _cell(input_name: str, name: str):
+    """(input, prefetcher, eviction, percent, overrides, run) of a pin."""
+    if input_name == TREE_INPUT:
+        return TREE_PATHS[name]
+    return INPUTS[input_name], PREFETCHER, name, PERCENT, {}, _run
+
+
+def _digest(input_name: str, name: str, engine: str) -> str:
+    make, prefetcher, eviction, percent, overrides, run = \
+        _cell(input_name, name)
+    workload = make()
     config = oversubscribed(
-        workload.footprint_bytes, PERCENT,
-        num_sms=4, prefetcher=PREFETCHER, eviction=eviction, engine=engine,
-        disable_prefetch_on_oversubscription=False,
+        workload.footprint_bytes, percent,
+        num_sms=4, prefetcher=prefetcher, eviction=eviction, engine=engine,
+        **{"disable_prefetch_on_oversubscription": False, **overrides},
     )
-    stats = UvmRuntime(config).run_workload(workload)
+    stats = run(UvmRuntime(config), workload)
     return hashlib.sha256(stats.to_json().encode()).hexdigest()
+
+
+def _golden(input_name: str, name: str) -> str:
+    if input_name == TREE_INPUT:
+        return TREE_GOLDEN[name]
+    return GOLDEN[(input_name, name)]
 
 
 def test_every_registered_policy_is_pinned():
     assert {ev for _, ev in GOLDEN} == set(EVICTION_REGISTRY)
     assert {name for name, _ in GOLDEN} == set(INPUTS)
+    assert set(TREE_GOLDEN) == set(TREE_PATHS)
 
 
 def test_adaptive_switch_fires_on_both_inputs():
@@ -98,14 +198,17 @@ def test_adaptive_switch_fires_on_both_inputs():
             GOLDEN[(input_name, "tbn")]
 
 
-@pytest.mark.parametrize("input_name,eviction", sorted(GOLDEN))
-def test_golden_digest(input_name, eviction):
+@pytest.mark.parametrize(
+    "input_name,name",
+    sorted(GOLDEN) + [(TREE_INPUT, label) for label in sorted(TREE_GOLDEN)])
+def test_golden_digest(input_name, name):
+    _, prefetcher, eviction, *_ = _cell(input_name, name)
     engines = ["reference"]
-    if pair_supports_fastpath(PREFETCHER, eviction):
+    if pair_supports_fastpath(prefetcher, eviction):
         engines.append("fast")
     for engine in engines:
-        assert _digest(input_name, eviction, engine) == \
-            GOLDEN[(input_name, eviction)], engine
+        assert _digest(input_name, name, engine) == \
+            _golden(input_name, name), engine
 
 
 def test_logistic_score_is_summation_order_free():

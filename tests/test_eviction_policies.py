@@ -39,6 +39,13 @@ def validate_pages(ctx, policy, pages, access=True, time=None):
             policy.on_accessed(page, ctx)
 
 
+def apply_eviction(ctx, plan):
+    """Invalidate the plan's pages and end the step, as the driver does."""
+    for page in plan.all_pages():
+        ctx.page_table.invalidate(page)
+    ctx.drop_tree_views()
+
+
 class TestRegistry:
     def test_all_expected_names(self):
         assert set(EVICTION_REGISTRY) >= {
@@ -170,7 +177,6 @@ class TestTbne:
         base = alloc.page_range[0]
         all_pages = list(alloc.page_range)
         validate_pages(ctx, policy, all_pages)
-        ctx.adjust_trees_for_pages(all_pages, +1)
 
         def block_pages(index):
             start = base + index * PAGES_PER_BLOCK
@@ -194,6 +200,7 @@ class TestTbne:
         evicted_blocks = []
         for _ in range(4):
             plan = policy.plan_eviction(1, ctx)
+            apply_eviction(ctx, plan)
             evicted_blocks.append(sorted(
                 {ctx.space.block_of_page(p) - base // PAGES_PER_BLOCK
                  for p in plan.all_pages()}
@@ -210,7 +217,6 @@ class TestTbne:
         policy = make_eviction_policy("tbn")
         pages = list(alloc.page_range)
         validate_pages(ctx, policy, pages)
-        ctx.adjust_trees_for_pages(pages, +1)
         base = alloc.page_range[0]
         # Evict blocks 4..7 one by one: leaves 0..3 valid; evicting 0
         # cascades into 1..3 which are contiguous -> single unit.
@@ -231,7 +237,6 @@ class TestTbne:
         policy = make_eviction_policy("tbn")
         pages = list(alloc.page_range)
         validate_pages(ctx, policy, pages)
-        ctx.adjust_trees_for_pages(pages, +1)
         total = len(pages)
         while policy.evictable_pages():
             plan = policy.plan_eviction(1, ctx)
@@ -239,6 +244,7 @@ class TestTbne:
             tree = ctx.tree_for_page(pages[0])
             assert tree.root_valid_bytes == total * 4096
             tree.check_consistency()
+            apply_eviction(ctx, plan)
 
 
 class TestLru2Mb:

@@ -237,8 +237,6 @@ class TestBanditPolicy:
         bandit = BanditPolicy()
         pages = list(alloc.page_range[:PAGES_PER_BLOCK])
         validate_pages(ctx, bandit, pages)
-        # The TBNe arm pre-adjusts buddy trees when planning.
-        ctx.adjust_trees_for_pages(pages, +1)
         for arm in bandit._arms:
             assert arm.eviction.evictable_pages() == len(pages)
         plan = bandit.plan_eviction(1, ctx)

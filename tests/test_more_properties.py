@@ -104,15 +104,11 @@ class TestTbnpTransferBounds:
         alloc = allocator.get("a")
         base = alloc.page_range[0]
         pre_valid = pre_valid - {fault_block}
-        valid_pages = []
         for block in pre_valid:
             for page in range(base + block * PAGES_PER_BLOCK,
                               base + (block + 1) * PAGES_PER_BLOCK):
                 ctx.page_table.begin_migration(page)
                 ctx.page_table.complete_migration(page)
-                valid_pages.append(page)
-        if valid_pages:
-            ctx.adjust_trees_for_pages(valid_pages, +1)
         fault = base + fault_block * PAGES_PER_BLOCK
         plan = make_prefetcher("tbn").plan([fault], ctx)
         assert 0 < plan.total_pages <= PAGES_PER_CHUNK
@@ -122,6 +118,9 @@ class TestTbnpTransferBounds:
                 assert not ctx.page_table.is_valid(page)
         tree = ctx.tree_for_page(fault)
         tree.check_consistency()
+        # The plan's view holds the seeded pages plus what it planned.
+        assert tree.root_valid_bytes == \
+            (len(pre_valid) * PAGES_PER_BLOCK + plan.total_pages) * 4096
 
 
 class TestStallAccounting:

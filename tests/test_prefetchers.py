@@ -1,6 +1,7 @@
 """Tests for the prefetcher policies (repro.core.prefetch)."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -34,10 +35,12 @@ def make_ctx(alloc_bytes=4 * constants.MIB, seed=0):
 
 
 def validate(ctx, pages):
-    """Mark pages resident so prefetchers must skip them."""
+    """Mark pages resident so prefetchers must skip them, and end the
+    step as the driver does once it applies a plan."""
     for page in pages:
         ctx.page_table.begin_migration(page)
         ctx.page_table.complete_migration(page)
+    ctx.drop_tree_views()
 
 
 def assert_plan_well_formed(plan, faulted, ctx):
@@ -258,12 +261,19 @@ class TestTbnPrefetcher:
         sizes = sorted(len(g.pages) for g in plan.groups)
         assert sizes == [1, 63]  # 4KB fault + 252KB prefetch
 
-    def test_trees_preadjusted_flag(self):
+    def test_plan_fills_the_tree_view(self):
+        """The step's tree view holds the planned pages; the page table
+        holds none of them until the driver applies the plan."""
         ctx, alloc = make_ctx()
         plan = make_prefetcher("tbn").plan([alloc.page_range[0]], ctx)
-        assert plan.trees_preadjusted
         tree = ctx.tree_for_page(alloc.page_range[0])
         assert tree.root_valid_bytes == plan.total_pages * 4096
+        per_block = Counter(ctx.space.block_of_page(p)
+                            for p in plan.all_pages())
+        for block, count in per_block.items():
+            assert tree.leaf_valid_bytes(block) == count * 4096
+        ctx.drop_tree_views()
+        assert ctx.tree_for_page(alloc.page_range[0]).root_valid_bytes == 0
 
     def test_skips_partially_valid_prefetch_blocks(self):
         """Section 4.2: prefetch wants fully invalid 64KB blocks."""
@@ -271,7 +281,6 @@ class TestTbnPrefetcher:
         base = alloc.page_range[0]
         # Make block 1 partially valid (simulates 4KB eviction debris).
         validate(ctx, [base + PAGES_PER_BLOCK])
-        ctx.adjust_trees_for_pages([base + PAGES_PER_BLOCK], +1)
         plan = make_prefetcher("tbn").plan([base], ctx)
         planned_blocks = {ctx.space.block_of_page(p) for p in
                           plan.all_pages()}

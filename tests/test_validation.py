@@ -1,5 +1,6 @@
 """Tests for the claim-validation module and its CLI command."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -115,6 +116,45 @@ class TestClaimTable:
         assert calls == Counter({name: 1 for name in read})
         assert all(check.claim_id.endswith("-error") and not check.passed
                    for check in checks)
+
+    def test_each_distinct_cell_executes_once(self, monkeypatch):
+        """Experiments that share cells simulate each one once per call;
+        the run cache behind that is removed on return."""
+        from repro.experiments import common
+        from repro.stats import SimStats
+        from repro.sweep import executor
+
+        runs = Counter()
+        roots = set()
+
+        def runner(cell):
+            runs[cell.cache_key()] += 1
+            roots.add(executor._active.cache.root)
+            return SimStats()
+
+        def experiment(names):
+            def run(scale):
+                common.run_settings(scale, names, [
+                    ("tbn", {"prefetcher": "tbn", "eviction": "tbn"}),
+                    ("sl", {"prefetcher": "sequential-local",
+                            "eviction": "sequential-local"}),
+                ])
+                raise ReproError("stub")
+            return run
+
+        monkeypatch.setattr(common, "_local_runner", runner)
+        monkeypatch.setattr(registry, "EXPERIMENTS", {
+            "first": experiment(["bfs", "hotspot"]),
+            "second": experiment(["hotspot", "srad"]),
+        })
+        monkeypatch.setattr("repro.validation.CLAIMS", tuple(
+            dataclasses.replace(CLAIMS[0], claim_id=name,
+                                experiments=(name,))
+            for name in ("first", "second")))
+        validate_claims(scale=SCALE)
+        assert len(runs) == 6
+        assert set(runs.values()) == {1}
+        assert len(roots) == 1 and not roots.pop().exists()
 
     def test_bench_paper_runs_every_claimed_experiment(self):
         done = subprocess.run(
