@@ -3,10 +3,13 @@
 Unlike the experiment benches (one-shot, shape-asserting), these use
 pytest-benchmark's normal multi-round timing: they guard the hot paths the
 whole-simulation runtime depends on — tree balancing, hierarchical LRU
-maintenance, MSHR traffic, TLB lookups, and the bandwidth model.
+maintenance, MSHR traffic, page-table run transitions, TLB lookups, and
+the bandwidth model.
 """
 
 import random
+
+import pytest
 
 from repro import constants
 from repro.interconnect.bandwidth import BandwidthModel
@@ -14,6 +17,7 @@ from repro.memory.allocation import TreeRegion
 from repro.memory.btree import BuddyTree
 from repro.memory.lru import FlatLRU, HierarchicalLRU
 from repro.memory.mshr import FarFaultMSHR
+from repro.memory.page_table import GpuPageTable
 from repro.memory.tlb import Tlb
 
 KB64 = constants.BASIC_BLOCK_SIZE
@@ -88,6 +92,48 @@ def test_perf_mshr_register_complete(benchmark):
         return woken
 
     assert benchmark(traffic) == 512
+
+
+def test_perf_mshr_bulk_register_complete(benchmark):
+    """One 512-page plan: bulk register past 16 faulted entries, then
+    complete it as 32 sixteen-page groups."""
+    faulted = range(0, 512, 32)
+    plan = list(range(512))
+    groups = [plan[i:i + 16] for i in range(0, 512, 16)]
+
+    def traffic():
+        mshr = FarFaultMSHR(1024)
+        for page in faulted:
+            mshr.register(page, "warp", 0.0)
+        mshr.register_many(plan, 0.0)
+        woken = 0
+        for group in groups:
+            woken += len(mshr.complete_many(group))
+        return woken
+
+    assert benchmark(traffic) == 16
+
+
+@pytest.mark.parametrize("run_pages", [1, 8, 512])
+def test_perf_page_table_run_transitions(benchmark, run_pages):
+    """Begin, complete and invalidate 512 pages as runs of ``run_pages``
+    (1 is a one-page transfer group, the on-demand srad case)."""
+    first = 1 << 20
+    runs = [(page, page + run_pages)
+            for page in range(first, first + 512, run_pages)]
+    pt = GpuPageTable()
+
+    def cycle():
+        pt.begin_migration_runs(runs)
+        thrashed = 0
+        for start, stop in runs:
+            thrashed += pt.complete_migration_run(start, stop)
+        for start, stop in runs:
+            pt.invalidate_pages(list(range(start, stop)))
+        return thrashed
+
+    benchmark(cycle)
+    assert pt.valid_count == 0
 
 
 def test_perf_tlb_lookup_storm(benchmark):

@@ -162,11 +162,7 @@ class UvmDriver:
             self._pending = []
         # dict.fromkeys dedups while keeping arrival order: duplicate
         # deliveries (fault injection) must not migrate a page twice.
-        state_of = page_table.state_of
-        batch = [
-            page for page in dict.fromkeys(drained)
-            if state_of(page) is PageState.INVALID
-        ]
+        batch = page_table.invalid_among(list(dict.fromkeys(drained)))
         if not batch:
             if self._pending:
                 self._service(now_ns)
@@ -277,13 +273,14 @@ class UvmDriver:
         frames = self.ctx.frames
         if frames.unbounded:
             return
-        demand = sum(len(g.pages) for g in plan.groups if g.has_fault)
+        demand = sum(len(g.pages) for g in plan.groups if g.fault_pages)
         available = frames.free_now + frames.pending_release
-        if plan.total_pages > available:
-            self._evict(plan.total_pages - available, now_ns)
+        total = plan.total_pages
+        if total > available:
+            self._evict(total - available, now_ns)
             available = frames.free_now + frames.pending_release
         if demand > available:
-            fault_pages = [p for g in plan.groups if g.has_fault
+            fault_pages = [p for g in plan.groups if g.fault_pages
                            for p in g.fault_pages]
             raise SimulationError(
                 f"device memory cannot hold the {demand} faulted pages of "
@@ -294,7 +291,7 @@ class UvmDriver:
         budget = available - demand
         kept: list[TransferGroup] = []
         for group in plan.ordered_groups():
-            if group.has_fault:
+            if group.fault_pages:
                 kept.append(group)
             elif len(group.pages) <= budget:
                 kept.append(group)
@@ -314,10 +311,12 @@ class UvmDriver:
         ctx = self.ctx
         config = ctx.config
         page_size = config.page_size
-        for page in plan.all_pages():
-            ctx.page_table.begin_migration(page)
-            if not self.mshr.outstanding(page):
-                self.mshr.register(page, None, now_ns)
+        ctx.page_table.begin_migration_runs(
+            [(group.pages[0], group.pages[0] + len(group.pages))
+             for group in plan.groups])
+        # Faulted pages hold their entries already; the rest get one
+        # with no waiter.
+        self.mshr.register_many(plan.all_pages(), now_ns)
         ctx.drop_tree_views()  # the page table now holds the plan
 
         frames = ctx.frames
@@ -326,7 +325,7 @@ class UvmDriver:
         faults_handled = 0
         tracing = self.tracer.enabled
         for group in plan.ordered_groups():
-            if batched_handling or not group.has_fault:
+            if batched_handling or not group.fault_pages:
                 handled_at = batch_start_ns + latency
             else:
                 faults_handled += len(group.fault_pages)
@@ -338,7 +337,7 @@ class UvmDriver:
             note = None
             if tracing:
                 note = {"pages": len(group.pages),
-                        "prefetch": not group.has_fault}
+                        "prefetch": not group.fault_pages}
                 if frames_ready > handled_at:
                     note["eviction_stall_ns"] = frames_ready - handled_at
             transfer = self.link.migrate(
@@ -440,35 +439,20 @@ class UvmDriver:
                         args={"page": page,
                               "waiters": len(entry.waiters)},
                     )
-        complete_migration = ctx.page_table.complete_migration
-        on_validated = self.eviction.on_validated
-        complete_entry = self.mshr.complete
-        fault_pages = group.fault_pages
-        name_of = ctx.allocation_name_of_page
-        #: allocation name -> [migrated, thrashed, prefetched], in the
-        #: first-seen order per_allocation records are created in.
-        per_alloc: dict[str, list[int]] = {}
-        waiters: list[object] = []
-        for page in pages:
-            name = name_of(page)
-            record = per_alloc.get(name)
-            if record is None:
-                record = per_alloc[name] = [0, 0, 0]
-            record[0] += 1
-            if complete_migration(page) > 1:
-                record[1] += 1
-            if page not in fault_pages:
-                record[2] += 1
-            on_validated(page, ctx)
-            waiters.extend(complete_entry(page))
-        for name, (migrated, thrashed, prefetched) in per_alloc.items():
-            per = stats.allocation(name)
-            per.pages_migrated += migrated
-            per.pages_thrashed += thrashed
-            per.pages_prefetched += prefetched
-            stats.pages_migrated += migrated
-            stats.pages_thrashed += thrashed
-            stats.pages_prefetched += prefetched
+        # A group is one run inside one allocation (see TransferGroup).
+        thrashed = ctx.page_table.complete_migration_run(
+            pages[0], pages[0] + len(pages))
+        self.eviction.on_validated_many(pages, ctx)
+        waiters = self.mshr.complete_many(pages)
+        migrated = len(pages)
+        prefetched = migrated - len(group.fault_pages)
+        per = stats.allocation(ctx.allocation_name_of_page(pages[0]))
+        per.pages_migrated += migrated
+        per.pages_thrashed += thrashed
+        per.pages_prefetched += prefetched
+        stats.pages_migrated += migrated
+        stats.pages_thrashed += thrashed
+        stats.pages_prefetched += prefetched
         if waiters:
             self.engine.wake_warps(waiters, now_ns)
 
@@ -491,14 +475,18 @@ class UvmDriver:
         # is exact.  Dirty flags reset on invalidation: read them first.
         self.engine.tlb_shootdown(evicted_pages)
         dirty = set(ctx.page_table.dirty_pages(evicted_pages))
-        invalidate = ctx.page_table.invalidate
+        ctx.page_table.invalidate_pages(evicted_pages)
         tracing = self.tracer.enabled
+        name_of = ctx.allocation_name_of_page
+        #: allocation name -> pages evicted, in first-seen order.  A unit
+        #: lies in one allocation: a block, a 2 MB chunk or one page.
+        per_alloc: dict[str, int] = {}
         freed = 0
         written_back = 0
         dropped_clean = 0
         for unit in plan.units:
-            for page in unit.pages:
-                invalidate(page)
+            name = name_of(unit.pages[0])
+            per_alloc[name] = per_alloc.get(name, 0) + len(unit.pages)
             freed += len(unit.pages)
             if unit.unit_writeback:
                 # SLe/TBNe/2MB: the whole unit goes back as one transfer,
@@ -513,11 +501,7 @@ class UvmDriver:
                 written_back += len(unit.pages)
             else:
                 unit_dirty = sorted(dirty.intersection(unit.pages))
-                clean = len(unit.pages) - len(unit_dirty)
-                if clean:
-                    ctx.frames.release(clean, now_ns)
-                    stats.pages_dropped_clean += clean
-                    dropped_clean += clean
+                dropped_clean += len(unit.pages) - len(unit_dirty)
                 note = {"pages": 1, "eviction": True} if tracing else None
                 for page in unit_dirty:
                     transfer = self.link.write_back(page_size, now_ns,
@@ -525,9 +509,13 @@ class UvmDriver:
                     ctx.frames.release(1, transfer.end_ns)
                 stats.pages_written_back += len(unit_dirty)
                 written_back += len(unit_dirty)
+        if dropped_clean:
+            # Clean 4 KB pages free at once: one release for the round.
+            ctx.frames.release(dropped_clean, now_ns)
+            stats.pages_dropped_clean += dropped_clean
         ctx.drop_tree_views()
         stats.pages_evicted += freed
-        for name, count in ctx.allocation_page_counts(evicted_pages).items():
+        for name, count in per_alloc.items():
             stats.allocation(name).pages_evicted += count
         # Observation hooks (no-ops for the built-ins): the fully applied
         # plan, pages now invalid.  Combined policies get the event once.
@@ -579,13 +567,13 @@ class UvmDriver:
         ctx = self.ctx
         page_size = ctx.config.page_size
         stats = ctx.stats
-        resident = [p for p in pages if ctx.page_table.is_valid(p)]
+        resident = ctx.page_table.valid_among(pages)
         if not resident:
             return
         dirty = set(ctx.page_table.dirty_pages(resident))
         self.engine.tlb_shootdown(resident)
+        ctx.page_table.invalidate_pages(resident)
         for page in resident:
-            ctx.page_table.invalidate(page)
             self.eviction.on_invalidated_externally(page, ctx)
         for name, count in ctx.allocation_page_counts(resident).items():
             stats.allocation(name).pages_evicted += count
@@ -624,9 +612,7 @@ class UvmDriver:
         """
         from .plans import split_runs_at_faults
 
-        page_table = self.ctx.page_table
-        todo = [p for p in pages
-                if page_table.state_of(p) is PageState.INVALID]
+        todo = self.ctx.page_table.invalid_among(pages)
         if not todo:
             return
         groups: list[TransferGroup] = []

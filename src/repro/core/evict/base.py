@@ -10,6 +10,7 @@ them only the choice of victims.
 Contract:
 
 * every planned page is VALID at planning time and appears exactly once;
+* each unit's pages lie in one allocation;
 * planned pages are removed from the policy's own bookkeeping before the
   plan is returned;
 * pre-eviction policies may plan *more* pages than requested (that is the
@@ -109,6 +110,13 @@ class BlockLruEviction(EvictionPolicy):
     def on_validated(self, page: int, ctx: UvmContext) -> None:
         # Section 5.3 design choice: LRU membership starts at validation.
         self._structure(ctx).insert(page)
+
+    def on_validated_many(self, pages, ctx: UvmContext) -> None:
+        if type(self).on_validated is not BlockLruEviction.on_validated:
+            # A subclass extends the per-page hook: keep calling it.
+            super().on_validated_many(pages, ctx)
+            return
+        self._structure(ctx).insert_run(pages[0], pages[0] + len(pages))
 
     def on_accessed(self, page: int, ctx: UvmContext) -> None:
         self._structure(ctx).touch(page)

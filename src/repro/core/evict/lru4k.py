@@ -43,6 +43,14 @@ class Lru4kEviction(EvictionPolicy):
         else:
             self._unaccessed[page] = None
 
+    def on_validated_many(self, pages, ctx: UvmContext) -> None:
+        if self.insert_on_validation \
+                or type(self).on_validated is not Lru4kEviction.on_validated:
+            # The ablation, or a subclass extending the per-page hook.
+            super().on_validated_many(pages, ctx)
+        else:
+            self._unaccessed.update(dict.fromkeys(pages))
+
     def on_accessed(self, page: int, ctx: UvmContext) -> None:
         self._unaccessed.pop(page, None)
         self._lru.insert(page)

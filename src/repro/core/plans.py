@@ -18,21 +18,35 @@ from ..memory.addressing import contiguous_runs
 class TransferGroup:
     """One PCI-e read transaction: a contiguous, sorted run of pages.
 
-    ``fault_pages`` are the pages some warp is actually blocked on; groups
-    containing fault pages are scheduled ahead of pure-prefetch groups so
-    warps resume as early as possible.
+    ``fault_pages`` are the pages some warp is actually blocked on (a
+    subset of ``pages``); groups containing fault pages are scheduled
+    ahead of pure-prefetch groups so warps resume as early as possible.
+
+    Allocations are 2 MB aligned with a guard large page between them, so
+    a group is one run inside one allocation: the driver applies it with
+    one page-table, MSHR and eviction-hook call.
     """
 
     pages: list[int]
     fault_pages: frozenset[int] = frozenset()
 
     def __post_init__(self) -> None:
-        if not self.pages:
+        pages = self.pages
+        if not pages:
             raise PolicyError("transfer group cannot be empty")
-        runs = contiguous_runs(self.pages)
-        if len(runs) != 1:
+        first = pages[0]
+        if pages != list(range(first, first + len(pages))):
             raise PolicyError(
-                f"transfer group must be contiguous, got runs {runs}"
+                f"transfer group must be contiguous, got runs "
+                f"{contiguous_runs(pages)}"
+            )
+        fault_pages = self.fault_pages
+        if fault_pages and not (first <= min(fault_pages)
+                                and max(fault_pages) < first + len(pages)):
+            raise PolicyError(
+                f"transfer group fault pages "
+                f"{sorted(fault_pages - set(pages))[:8]} lie outside its "
+                f"pages [{first}, {first + len(pages)})"
             )
 
     @property
@@ -55,8 +69,8 @@ class MigrationPlan:
 
     def ordered_groups(self) -> list[TransferGroup]:
         """Fault-bearing groups first, then pure prefetch groups."""
-        with_fault = [g for g in self.groups if g.has_fault]
-        without = [g for g in self.groups if not g.has_fault]
+        with_fault = [g for g in self.groups if g.fault_pages]
+        without = [g for g in self.groups if not g.fault_pages]
         return with_fault + without
 
 
@@ -68,6 +82,8 @@ class EvictionUnit:
     unit back as a single transfer regardless of dirtiness (SLe/TBNe/2MB,
     Section 5.1); False writes back only dirty pages, one 4 KB transfer
     each, and drops clean pages for free (4 KB-granularity policies).
+    A unit's pages lie in one allocation (a block, a 2 MB chunk or a
+    page): the driver attributes the unit to its first page's allocation.
     """
 
     pages: list[int]

@@ -10,7 +10,6 @@ landed.  Included as an extra baseline beyond the paper's main four.
 
 from __future__ import annotations
 
-from ...memory.page import PageState
 from ..context import UvmContext
 from ..plans import MigrationPlan, split_runs_at_faults
 from .base import Prefetcher, register_prefetcher
@@ -47,15 +46,17 @@ class ZhengSequentialPrefetcher(Prefetcher):
         for alloc in touched_allocs:
             first = alloc.page_range[0]
             cursor = self._cursors.get(alloc.name, 0)
-            taken = 0
-            while taken < self.WINDOW_PAGES and cursor < alloc.num_pages:
-                candidate = first + cursor
-                cursor += 1
-                if candidate in planned:
-                    continue
-                if page_table.state_of(candidate) is PageState.INVALID:
-                    planned.add(candidate)
-                    taken += 1
+            wanted = self.WINDOW_PAGES
+            # The cursor passes every page it considers and stops just
+            # past the window's last taken page.
+            while wanted and cursor < alloc.num_pages:
+                stop = min(cursor + self.WINDOW_PAGES, alloc.num_pages)
+                fresh = [page for page in page_table.invalid_pages_in_range(
+                    first + cursor, first + stop) if page not in planned]
+                taken = fresh[:wanted]
+                planned.update(taken)
+                wanted -= len(taken)
+                cursor = taken[-1] + 1 - first if not wanted else stop
             self._cursors[alloc.name] = cursor
         groups = split_runs_at_faults(sorted(planned), fault_set)
         return MigrationPlan(groups=groups)

@@ -12,18 +12,35 @@ be simulated; module-level helpers use the paper's defaults.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .. import constants
 
 
 @dataclass(frozen=True)
 class AddressSpace:
-    """Page/block/large-page geometry and the index math over it."""
+    """Page/block/large-page geometry and the index math over it.
+
+    The three size ratios are computed once, at construction; they are
+    derived, so they take no part in equality, hashing or ``repr``.
+    """
 
     page_size: int = constants.PAGE_SIZE
     block_size: int = constants.BASIC_BLOCK_SIZE
     large_page_size: int = constants.LARGE_PAGE_SIZE
+    pages_per_block: int = field(init=False, repr=False, compare=False)
+    blocks_per_large_page: int = field(init=False, repr=False,
+                                       compare=False)
+    pages_per_large_page: int = field(init=False, repr=False,
+                                      compare=False)
+
+    def __post_init__(self) -> None:
+        derive = object.__setattr__  # the dataclass is frozen
+        derive(self, "pages_per_block", self.block_size // self.page_size)
+        derive(self, "blocks_per_large_page",
+               self.large_page_size // self.block_size)
+        derive(self, "pages_per_large_page",
+               self.large_page_size // self.page_size)
 
     # --- byte address -> index ---------------------------------------------
     def page_of(self, addr: int) -> int:
@@ -39,18 +56,6 @@ class AddressSpace:
         return addr // self.large_page_size
 
     # --- index conversions ---------------------------------------------------
-    @property
-    def pages_per_block(self) -> int:
-        return self.block_size // self.page_size
-
-    @property
-    def blocks_per_large_page(self) -> int:
-        return self.large_page_size // self.block_size
-
-    @property
-    def pages_per_large_page(self) -> int:
-        return self.large_page_size // self.page_size
-
     def block_of_page(self, page: int) -> int:
         """Basic-block index containing page index ``page``."""
         return page // self.pages_per_block

@@ -142,6 +142,41 @@ class HierarchicalLRU:
             block_pages[page] = None
             self._page_count += 1
 
+    def insert_run(self, first: int, stop: int) -> None:
+        """:meth:`insert` for each page of ``[first, stop)``, ascending.
+
+        Consecutive inserts into one block move its chunk and block to
+        the MRU end once, so the run takes one chunk and block lookup per
+        block it covers.
+        """
+        chunks = self._chunks
+        per_block = self._pages_per_block
+        page = first
+        while page < stop:
+            block_id = page // per_block
+            end = min(stop, block_id * per_block + per_block)
+            chunk_id = page // self._pages_per_large_page
+            chunk = chunks.get(chunk_id)
+            if chunk is None:
+                chunk = chunks[chunk_id] = _ChunkEntry()
+            else:
+                chunks.move_to_end(chunk_id)
+            block_pages = chunk.blocks.get(block_id)
+            if block_pages is None:
+                chunk.blocks[block_id] = OrderedDict.fromkeys(
+                    range(page, end))
+                self._page_count += end - page
+            else:
+                chunk.blocks.move_to_end(block_id)
+                before = len(block_pages)
+                block_pages.update(dict.fromkeys(range(page, end)))
+                self._page_count += len(block_pages) - before
+                if len(block_pages) - before != end - page:
+                    # Some were present: they move to the MRU end too.
+                    for present in range(page, end):
+                        block_pages.move_to_end(present)
+            page = end
+
     def touch(self, page: int) -> None:
         """Refresh a resident page's position on access.
 

@@ -14,17 +14,22 @@ reports the outcome to the GMMU, which arranges redelivery.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, filterfalse, repeat
+from operator import attrgetter
 
 from ..errors import SimulationError
 
 
-@dataclass
+@dataclass(slots=True)
 class MshrEntry:
     """Outstanding far-fault for one page and the warps blocked on it."""
 
     page: int
     first_fault_ns: float
     waiters: list[object] = field(default_factory=list)
+
+
+_WAITERS = attrgetter("waiters")
 
 
 class FarFaultMSHR:
@@ -69,6 +74,26 @@ class FarFaultMSHR:
         self._insert(page, waiter, now_ns)
         return True
 
+    def register_many(self, pages: list[int], now_ns: float) -> None:
+        """Waiter-less entries for the ``pages`` that have none: the
+        prefetched pages of one migration plan.
+
+        Equivalent to :meth:`register` ``(page, None, now_ns)`` for each
+        page without an outstanding entry, with one capacity check; an
+        overflow raises at the same page, with the same entries before
+        it, as the per-page calls would.
+        """
+        entries = self._entries
+        new = list(filterfalse(entries.__contains__, pages))
+        if len(entries) + len(new) > self.capacity:
+            # Page by page, so the overflow raises where it would have.
+            for page in new:
+                if page not in entries:
+                    self._insert(page, None, now_ns)
+            return
+        entries.update(zip(new, map(MshrEntry, new, repeat(now_ns))))
+        self.peak_occupancy = max(self.peak_occupancy, len(entries))
+
     def register_fault(self, page: int, waiter: object,
                        now_ns: float) -> str:
         """Fault-path registration with injection; the GMMU entry point.
@@ -110,6 +135,22 @@ class FarFaultMSHR:
                 f"({len(self._entries)} entries outstanding)"
             )
         return entry.waiters
+
+    def complete_many(self, pages: list[int]) -> list[object]:
+        """:meth:`complete` for each of ``pages``; returns their waiters
+        in page order."""
+        pop = self._entries.pop
+        if len(pages) == 1:
+            entry = pop(pages[0], None)
+            if entry is not None:
+                return entry.waiters
+        try:
+            done = list(map(pop, pages))
+        except KeyError as missing:
+            # The pages before it are retired, as per-page calls would.
+            self.complete(missing.args[0])  # no entry: raises
+            raise
+        return list(chain.from_iterable(map(_WAITERS, done)))
 
     def __len__(self) -> int:
         return len(self._entries)

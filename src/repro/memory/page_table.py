@@ -10,7 +10,9 @@ latency belongs to the page walker (:mod:`repro.memory.radix_walker`).
 from __future__ import annotations
 
 from array import array
+from collections.abc import Iterable
 from itertools import compress
+from typing import NoReturn
 
 from ..errors import PageTableError
 from .page import PageState, grown_window
@@ -18,8 +20,11 @@ from .page import PageState, grown_window
 #: State codes stored per page; ``_STATES[code]`` is the public state.
 _INVALID, _MIGRATING, _VALID = 0, 1, 2
 _STATES = (PageState.INVALID, PageState.MIGRATING, PageState.VALID)
-#: ``bytes.translate`` table mapping an INVALID code to 1, any other to 0.
-_INVALID_MASK = bytes([1]) + bytes(255)
+_MIGRATING_CODE, _VALID_CODE = bytes([_MIGRATING]), bytes([_VALID])
+_PLUS_ONE = (1).__add__
+#: ``bytes.translate`` tables mapping one code to 1 and any other to 0.
+_INVALID_MASK = bytes(code == _INVALID for code in range(256))
+_VALID_MASK = bytes(code == _VALID for code in range(256))
 
 
 class GpuPageTable:
@@ -32,6 +37,13 @@ class GpuPageTable:
     queries run as C-level ``bytearray`` scans.  Growth replaces the
     arrays, so an index must never be held across a growth.  Pages
     outside the window are INVALID and were never migrated.
+
+    Each transition has a scalar form (one page) and a run form (a
+    driver step's pages at once).  The run forms check and apply with
+    ``bytearray`` ``count`` and slice assignment; an illegal run is
+    replayed through the scalar form, so it raises the same
+    :class:`PageTableError` at the same page, with the legal pages before
+    it already transitioned, as page-by-page calls would.
     """
 
     def __init__(self) -> None:
@@ -127,6 +139,85 @@ class GpuPageTable:
         self._dirty[index] = 0
         self._valid_count -= 1
 
+    def begin_migration_runs(self, runs: Iterable[tuple[int, int]]) -> None:
+        """:meth:`begin_migration` for every page of each ``[first, stop)``
+        run, in order: one call for a whole migration plan."""
+        for first, stop in runs:
+            lo = first - self._base
+            hi = stop - self._base
+            if lo < 0 or hi > len(self._state):
+                self._index(stop - 1)
+                lo = self._index(first)  # growth moves the base: index last
+                hi = lo + stop - first
+            state = self._state
+            if hi - lo == 1:
+                if state[lo] == _INVALID:
+                    state[lo] = _MIGRATING
+                    continue
+            elif state.count(_INVALID, lo, hi) == hi - lo:
+                state[lo:hi] = _MIGRATING_CODE * (hi - lo)
+                continue
+            self._replay(self.begin_migration, first, stop)
+
+    def complete_migration_run(self, first: int, stop: int) -> int:
+        """:meth:`complete_migration` for every page of ``[first, stop)``.
+
+        Returns how many of the pages had migrated before: the run's
+        thrashed pages.
+        """
+        state = self._state
+        migrations = self._migrations
+        lo = first - self._base
+        hi = stop - self._base
+        if hi - lo == 1:
+            if 0 <= lo < len(state) and state[lo] == _MIGRATING:
+                state[lo] = _VALID
+                self._valid_count += 1
+                count = migrations[lo]
+                migrations[lo] = count + 1
+                return 1 if count else 0
+        elif 0 <= lo and hi <= len(state) \
+                and state.count(_MIGRATING, lo, hi) == hi - lo:
+            state[lo:hi] = _VALID_CODE * (hi - lo)
+            self._valid_count += hi - lo
+            before = migrations[lo:hi]
+            migrations[lo:hi] = array("q", map(_PLUS_ONE, before))
+            return hi - lo - before.count(0)
+        self._replay(self.complete_migration, first, stop)
+
+    def invalidate_pages(self, pages: list[int]) -> None:
+        """:meth:`invalidate` for each of ``pages``, in order: one call
+        for a whole eviction round."""
+        state = self._state
+        dirty = self._dirty
+        base = self._base
+        size = len(state)
+        n = len(pages)
+        if n > 1 and pages[-1] - pages[0] == n - 1:
+            lo = pages[0] - base
+            hi = lo + n
+            if 0 <= lo and hi <= size and state.count(_VALID, lo, hi) == n \
+                    and pages == list(range(pages[0], pages[0] + n)):
+                state[lo:hi] = dirty[lo:hi] = bytes(n)
+                self._valid_count -= n
+                return
+        for done, page in enumerate(pages):
+            index = page - base
+            if not (0 <= index < size and state[index] == _VALID):
+                self._valid_count -= done
+                self.invalidate(page)  # raises
+            state[index] = _INVALID
+            dirty[index] = 0
+        self._valid_count -= n
+
+    @staticmethod
+    def _replay(transition, first: int, stop: int) -> NoReturn:
+        """Apply a scalar ``transition`` page by page over an illegal run:
+        the legal prefix transitions, then the offending page raises."""
+        for page in range(first, stop):
+            transition(page)
+        raise AssertionError(f"run [{first}, {stop}) replayed legally")
+
     def mark_access(self, page: int, is_write: bool) -> None:
         """Record an access to a VALID page (writes set its dirty bit)."""
         state = self._state
@@ -157,6 +248,25 @@ class GpuPageTable:
         if lo >= hi:
             return 0
         return hi - lo - self._state.count(_INVALID, lo, hi)
+
+    def invalid_among(self, pages: list[int]) -> list[int]:
+        """The INVALID pages of ``pages``, in order."""
+        return list(compress(pages, self._codes(pages).translate(
+            _INVALID_MASK)))
+
+    def valid_among(self, pages: list[int]) -> list[int]:
+        """The VALID pages of ``pages``, in order."""
+        return list(compress(pages, self._codes(pages).translate(
+            _VALID_MASK)))
+
+    def _codes(self, pages: list[int]) -> bytes:
+        """State codes of ``pages``, gathered at C level when the window
+        covers them all."""
+        base = self._base
+        state = self._state
+        if pages and base <= min(pages) and max(pages) < base + len(state):
+            return bytes(map(state.__getitem__, map(base.__rsub__, pages)))
+        return bytes(map(self._code, pages))
 
     def dirty_pages(self, pages: list[int]) -> list[int]:
         """Subset of ``pages`` whose dirty flag is set."""

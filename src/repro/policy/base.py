@@ -14,8 +14,10 @@ the hooks at well-defined points:
     gate routes to the on-demand fallback, so learned policies keep
     observing the fault stream while disabled.
 
-``on_validated(page, ctx)``
-    A page's valid flag was just set (its migration completed).
+``on_validated(page, ctx)`` / ``on_validated_many(pages, ctx)``
+    A page's valid flag was just set (its migration completed); the
+    batch form receives one transfer group's pages: a contiguous,
+    ascending run.
 
 ``on_accessed(page, ctx)`` / ``on_accessed_many(pages, ctx)``
     A valid page was read or written; the batch form receives an access
@@ -69,6 +71,12 @@ class Policy:
 
     def on_validated(self, page: int, ctx) -> None:
         """A page's valid flag was just set (migration completed)."""
+
+    def on_validated_many(self, pages, ctx) -> None:
+        """Batch form of :meth:`on_validated`: one transfer group's pages,
+        a contiguous ascending run."""
+        for page in pages:
+            self.on_validated(page, ctx)
 
     def on_accessed(self, page: int, ctx) -> None:
         """A valid page was read or written."""

@@ -34,6 +34,15 @@ class TestAddressSpace:
         assert SPACE.blocks_per_large_page == 32
         assert SPACE.pages_per_large_page == 512
 
+    def test_ratios_are_derived_not_compared(self):
+        small = AddressSpace(8192, 32768, 1 << 20)
+        assert (small.pages_per_block, small.blocks_per_large_page,
+                small.pages_per_large_page) == (4, 32, 128)
+        assert small == AddressSpace(8192, 32768, 1 << 20)
+        assert hash(SPACE) == hash(AddressSpace())
+        assert repr(SPACE) == ("AddressSpace(page_size=4096, "
+                               "block_size=65536, large_page_size=2097152)")
+
     def test_block_of_page(self):
         assert SPACE.block_of_page(0) == 0
         assert SPACE.block_of_page(15) == 0

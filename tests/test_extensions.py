@@ -1,6 +1,8 @@
 """Tests for the extension features: radix page-walk model, finite fault
 buffer, the Zheng sequential prefetcher, and the adaptive eviction policy."""
 
+import random
+
 import pytest
 
 from repro import constants
@@ -10,6 +12,7 @@ from repro.core.evict import make_eviction_policy
 from repro.core.prefetch import make_prefetcher
 from repro.errors import ConfigurationError
 from repro.gpu.kernel import KernelSpec, ThreadBlockSpec, WarpSpec
+from repro.memory.page import PageState
 from repro.memory.radix_walker import (
     FixedWalker,
     PageWalkCache,
@@ -169,6 +172,54 @@ class TestZhengSequential:
         # Second batch: cursor moved past the first window.
         plan2 = prefetcher.plan([base + 501], ctx)
         assert base + 64 in set(plan2.all_pages())
+
+    @staticmethod
+    def _per_page_window(prefetcher, ctx, alloc, cursor, planned):
+        """The cursor scan page by page, as a reference."""
+        taken = []
+        while len(taken) < prefetcher.WINDOW_PAGES \
+                and cursor < alloc.num_pages:
+            candidate = alloc.page_range[0] + cursor
+            cursor += 1
+            if candidate not in planned and \
+                    ctx.page_table.state_of(candidate) is PageState.INVALID:
+                taken.append(candidate)
+        return taken, cursor
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_window_matches_per_page_scan(self, seed):
+        """Range queries skip resident and faulted pages exactly as a
+        per-page ``state_of`` scan does, and leave the same cursor."""
+        from repro.core.context import UvmContext
+        from repro.memory.addressing import AddressSpace
+        from repro.memory.allocator import ManagedAllocator
+        from repro.memory.frames import FramePool
+        from repro.memory.page_table import GpuPageTable
+        from repro.stats import SimStats
+
+        rng = random.Random(seed)
+        space = AddressSpace()
+        allocator = ManagedAllocator(space)
+        allocator.malloc_managed("a", MIB)  # 256 pages: the scan ends
+        ctx = UvmContext(SimulatorConfig(), space, allocator,
+                         GpuPageTable(), FramePool(None), SimStats())
+        alloc = allocator.get("a")
+        for page in alloc.page_range:
+            if rng.random() < 0.4:
+                ctx.page_table.begin_migration(page)
+                if rng.random() < 0.5:
+                    ctx.page_table.complete_migration(page)
+        prefetcher = make_prefetcher("zheng-sequential")
+        cursor = 0
+        while cursor < alloc.num_pages:
+            faults = sorted(rng.sample(
+                ctx.page_table.invalid_pages_in_range(
+                    alloc.page_range[0], alloc.page_range[-1] + 1), 2))
+            expected, cursor = self._per_page_window(
+                prefetcher, ctx, alloc, cursor, set(faults))
+            plan = prefetcher.plan(faults, ctx)
+            assert sorted(plan.all_pages()) == sorted(faults + expected)
+            assert prefetcher._cursors["a"] == cursor
 
     def test_runs_end_to_end(self):
         stats = run_workload(

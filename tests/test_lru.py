@@ -216,6 +216,30 @@ class TestHierarchicalLRU:
             assert touched.blocks_in_order() == inserted.blocks_in_order()
             assert self._order(touched) == self._order(inserted)
 
+    @given(st.lists(st.tuples(st.sampled_from(["run", "del", "touch"]),
+                              st.integers(min_value=0, max_value=1100),
+                              st.integers(min_value=1, max_value=40)),
+                    max_size=40))
+    @settings(max_examples=100, deadline=None)
+    def test_insert_run_orders_like_inserts(self, ops):
+        """Runs across block and chunk edges, over present pages too."""
+        by_run = HierarchicalLRU()
+        by_page = HierarchicalLRU()
+        for op, page, length in ops:
+            if op == "run":
+                by_run.insert_run(page, page + length)
+                for each in range(page, page + length):
+                    by_page.insert(each)
+            elif page in by_page:
+                for lru in (by_run, by_page):
+                    if op == "del":
+                        lru.remove(page)
+                    else:
+                        lru.touch(page)
+            assert len(by_run) == len(by_page)
+            assert by_run.blocks_in_order() == by_page.blocks_in_order()
+            assert self._order(by_run) == self._order(by_page)
+
     def test_touch_absent_raises_at_every_level(self):
         lru = HierarchicalLRU()
         lru.insert(0)

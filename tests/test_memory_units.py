@@ -11,6 +11,7 @@ from repro.errors import (
     PageTableError,
     SimulationError,
 )
+from repro.memory.addressing import contiguous_runs
 from repro.memory.frames import FramePool
 from repro.memory.mshr import FarFaultMSHR
 from repro.memory.page import PageState
@@ -169,6 +170,147 @@ class TestPageTableModel:
         assert pt._base + len(pt._state) > self.CENTER + self.SPREAD // 2
 
 
+#: Random page-state arrays cover pages ``[_CENTER, _CENTER + _SPAN)``.
+_CENTER = 1 << 20
+_SPAN = 96
+
+
+class TestRunTransitions:
+    """The run forms of the page-table transitions against the scalar
+    forms applied page by page, on random page-state arrays."""
+
+    @classmethod
+    def _table(cls, rows):
+        """A table whose page ``_CENTER + i`` has ``rows[i]``'s state,
+        dirty bit and completed-migration count."""
+        pt = GpuPageTable()
+        for offset, (state, dirty, migrations) in enumerate(rows):
+            page = _CENTER + offset
+            for _ in range(migrations):
+                pt.begin_migration(page)
+                pt.complete_migration(page)
+                pt.invalidate(page)
+            if state is not PageState.INVALID:
+                pt.begin_migration(page)
+            if state is PageState.VALID:
+                pt.complete_migration(page)
+                pt.mark_access(page, is_write=dirty)
+        return pt
+
+    @classmethod
+    def _snapshot(cls, pt):
+        pages = range(_CENTER - 8, _CENTER + _SPAN + 8)
+        counts = []
+        for page in pages:
+            index = page - pt._base
+            inside = 0 <= index < len(pt._state)
+            counts.append(pt._migrations[index] if inside else 0)
+        return ([pt.state_of(p) for p in pages], pt.dirty_pages(list(pages)),
+                counts, pt.valid_count)
+
+    @staticmethod
+    def _outcome(call):
+        try:
+            return "ok", call()
+        except PageTableError as error:
+            return "raised", str(error)
+
+    # Stretches of pages sharing one state, so that whole runs are legal
+    # as often as not.
+    rows = st.lists(
+        st.tuples(st.sampled_from(list(PageState)), st.booleans(),
+                  st.integers(0, 2), st.integers(1, 16)),
+        min_size=_SPAN // 4, max_size=_SPAN,
+    ).map(lambda stretches: [
+        (state, dirty and index % 3 != 0, migrations + index % 2)
+        for state, dirty, migrations, length in stretches
+        for index in range(length)][:_SPAN])
+    run = st.tuples(st.integers(-4, _SPAN), st.integers(1, 24)).map(
+        lambda r: (_CENTER + r[0], _CENTER + r[0] + r[1]))
+
+    def _check(self, rows, by_run, by_page):
+        run_pt, page_pt = self._table(rows), self._table(rows)
+        assert self._outcome(lambda: by_run(run_pt)) \
+            == self._outcome(lambda: by_page(page_pt))
+        assert self._snapshot(run_pt) == self._snapshot(page_pt)
+        run_pt.check_valid_count()
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=rows, runs=st.lists(run, min_size=1, max_size=4))
+    def test_begin_runs_match_scalar(self, rows, runs):
+        def by_page(pt):
+            for first, stop in runs:
+                for page in range(first, stop):
+                    pt.begin_migration(page)
+
+        self._check(rows, lambda pt: pt.begin_migration_runs(runs), by_page)
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=rows, run=run)
+    def test_complete_run_matches_scalar(self, rows, run):
+        def by_page(pt):
+            return sum(pt.complete_migration(page) > 1
+                       for page in range(*run))
+
+        self._check(rows, lambda pt: pt.complete_migration_run(*run),
+                    by_page)
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=rows, data=st.data())
+    def test_invalidate_pages_matches_scalar(self, rows, data):
+        valid = [_CENTER + i for i, row in enumerate(rows)
+                 if row[0] is PageState.VALID]
+        stretches = [list(range(first, first + count))
+                     for first, count in contiguous_runs(valid)]
+        # Mostly legal rounds (contiguous, shuffled or sparse), some with
+        # illegal or repeated pages.
+        pages = data.draw(st.one_of(
+            st.sampled_from(stretches or [[]]),
+            self.run.map(lambda r: list(range(*r))),
+            st.permutations(valid).flatmap(
+                lambda perm: st.integers(0, len(perm)).map(
+                    lambda n: perm[:n])),
+            st.lists(st.integers(_CENTER - 4, _CENTER + _SPAN),
+                     max_size=12),
+        ))
+
+        def by_page(pt):
+            for page in pages:
+                pt.invalidate(page)
+
+        self._check(rows, lambda pt: pt.invalidate_pages(pages), by_page)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=rows, pages=st.lists(
+        st.integers(_CENTER - (1 << 17), _CENTER + (1 << 17)), max_size=24))
+    def test_state_filters_match_scalar(self, rows, pages):
+        pt = self._table(rows)
+        pages = pages + [_CENTER + i for i in range(0, _SPAN, 7)]
+        assert pt.invalid_among(pages) == [
+            p for p in pages if pt.state_of(p) is PageState.INVALID]
+        assert pt.valid_among(pages) == [p for p in pages if pt.is_valid(p)]
+
+    def test_illegal_run_raises_at_first_offender(self):
+        pt = GpuPageTable()
+        pt.begin_migration_runs([(10, 14)])
+        assert pt.complete_migration_run(10, 12) == 0
+        # 10, 11 VALID; 12, 13 MIGRATING.  Each illegal run applies its
+        # legal prefix, then raises at the offending page.
+        with pytest.raises(PageTableError, match="page 13 cannot start"):
+            pt.begin_migration_runs([(5, 8), (13, 16)])
+        assert pt.state_of(7) is PageState.MIGRATING
+        assert pt.state_of(14) is PageState.INVALID
+        with pytest.raises(PageTableError,
+                           match="page 14 finished migration while"):
+            pt.complete_migration_run(12, 16)
+        assert pt.valid_count == 4
+        with pytest.raises(PageTableError, match="cannot evict page 14"):
+            pt.invalidate_pages([10, 11, 14])
+        assert pt.state_of(11) is PageState.INVALID
+        assert pt.valid_count == 2
+        pt.check_valid_count()
+
+
 class TestTlb:
     def test_hit_and_miss_counting(self):
         tlb = Tlb(4)
@@ -253,6 +395,73 @@ class TestMshr:
         mshr.complete(1)
         mshr.register(3, None, 0.0)
         assert mshr.peak_occupancy == 2
+
+    @staticmethod
+    def _state(mshr):
+        return ({page: (e.first_fault_ns, list(e.waiters))
+                 for page, e in mshr._entries.items()},
+                mshr.peak_occupancy, mshr.merges)
+
+    @settings(max_examples=150, deadline=None)
+    @given(capacity=st.integers(1, 24),
+           faulted=st.lists(st.integers(0, 40), max_size=12, unique=True),
+           pages=st.lists(st.integers(0, 40), max_size=30))
+    def test_register_many_matches_per_page(self, capacity, faulted, pages):
+        """Same overflow edge, entries and peak as per-page registration
+        of the pages without an entry."""
+        bulk, single = FarFaultMSHR(capacity), FarFaultMSHR(capacity)
+        for mshr in (bulk, single):
+            for page in faulted[:capacity]:
+                mshr.register(page, f"warp-{page}", 0.0)
+            if faulted:
+                mshr.complete(faulted[0])  # peak above occupancy
+
+        def per_page():
+            for page in pages:
+                if not single.outstanding(page):
+                    single.register(page, None, 5.0)
+
+        outcomes = []
+        for call in (lambda: bulk.register_many(pages, 5.0), per_page):
+            try:
+                call()
+                outcomes.append(None)
+            except SimulationError as error:
+                outcomes.append(str(error))
+        assert outcomes[0] == outcomes[1]
+        assert self._state(bulk) == self._state(single)
+
+    def test_register_many_overflows_at_capacity_edge(self):
+        mshr = FarFaultMSHR(4)
+        mshr.register(1, "warp", 0.0)
+        mshr.register_many([1, 2, 3, 4], 1.0)  # page 1 already outstanding
+        assert mshr.peak_occupancy == 4
+        with pytest.raises(SimulationError, match="registering page 6"):
+            FarFaultMSHR(4).register_many([3, 4, 5, 2, 6, 7], 0.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(waits=st.lists(st.integers(0, 3), min_size=1, max_size=20),
+           missing=st.booleans())
+    def test_complete_many_matches_per_page(self, waits, missing):
+        bulk, single = FarFaultMSHR(64), FarFaultMSHR(64)
+        for mshr in (bulk, single):
+            for page, count in enumerate(waits):
+                mshr.register(page, None, 0.0)
+                for warp in range(count):
+                    mshr.register(page, (page, warp), 0.0)
+        pages = list(range(len(waits)))
+        if missing:
+            pages.insert(len(pages) // 2, 99)
+        outcomes = []
+        for call in (lambda: bulk.complete_many(pages),
+                     lambda: [w for page in pages
+                              for w in single.complete(page)]):
+            try:
+                outcomes.append(call())
+            except SimulationError as error:
+                outcomes.append(str(error))
+        assert outcomes[0] == outcomes[1]
+        assert self._state(bulk) == self._state(single)
 
 
 class TestFramePool:

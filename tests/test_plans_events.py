@@ -24,6 +24,11 @@ class TestTransferGroup:
         with pytest.raises(PolicyError):
             TransferGroup([1, 3])
 
+    @pytest.mark.parametrize("fault_pages", [{0}, {4}, {1, 4}])
+    def test_rejects_fault_pages_outside_pages(self, fault_pages):
+        with pytest.raises(PolicyError, match="outside its pages"):
+            TransferGroup([1, 2, 3], fault_pages=frozenset(fault_pages))
+
     def test_has_fault(self):
         assert TransferGroup([1], fault_pages=frozenset({1})).has_fault
         assert not TransferGroup([1]).has_fault

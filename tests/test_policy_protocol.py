@@ -185,3 +185,22 @@ def test_reused_policy_instance_equals_fresh_instance(prefetcher,
     workload, cfg = config()
     fresh = run_workload(workload, cfg).to_json()
     assert reused == fresh
+
+
+@pytest.mark.parametrize("name", sorted(EVICTION_REGISTRY))
+def test_validated_many_equals_per_page_hook(name):
+    """The driver's one ``on_validated_many`` call per transfer group
+    leaves every policy as per-page ``on_validated`` calls would (the
+    checking wrapper keeps the default per-page loop)."""
+    def run(eviction):
+        # Re-migrations feed the thrash-tracking hooks of adaptive and
+        # logistic: bfs at 150% thrashes.
+        workload = make_workload("bfs", scale=0.2)
+        config = combo_config(workload, "tbn", name,
+                              oversubscription_percent=150.0,
+                              prefetch_under_pressure=True)
+        return run_workload(workload, config, check_invariants=True,
+                            eviction=eviction).to_json()
+
+    assert run(make_eviction_policy(name)) \
+        == run(CheckedEviction(make_eviction_policy(name)))
