@@ -3,8 +3,8 @@
 Unlike the experiment benches (one-shot, shape-asserting), these use
 pytest-benchmark's normal multi-round timing: they guard the hot paths the
 whole-simulation runtime depends on — tree balancing, hierarchical LRU
-maintenance, MSHR traffic, page-table run transitions, TLB lookups, and
-the bandwidth model.
+maintenance, MSHR traffic, page-table run transitions, TLB lookups, the
+reference engine's per-access tail, and the bandwidth model.
 """
 
 import random
@@ -12,6 +12,8 @@ import random
 import pytest
 
 from repro import constants
+from repro.config import SimulatorConfig
+from repro.core.engine import Simulator
 from repro.interconnect.bandwidth import BandwidthModel
 from repro.memory.allocation import TreeRegion
 from repro.memory.btree import BuddyTree
@@ -152,6 +154,49 @@ def test_perf_tlb_lookup_storm(benchmark):
         return hits
 
     assert benchmark(storm) >= 0
+
+
+@pytest.mark.parametrize("eviction", ["tbn", "lru4k"])
+@pytest.mark.parametrize("tail", ["calls", "hook"])
+def test_perf_access_tail(benchmark, eviction, tail):
+    """What the reference engine does per retired access, 2K accesses
+    (30% writes) over 4K valid pages: ``calls`` is ``mark_access`` plus
+    ``on_accessed``; ``hook`` marks through the page table's access view
+    and touches through the policy's ``access_hook``.  ``tbn`` runs the
+    hierarchical LRU, ``lru4k`` the flat one."""
+    sim = Simulator(SimulatorConfig(eviction=eviction))
+    ctx = sim.ctx
+    table = sim.page_table
+    policy = sim.driver.eviction
+    pages = list(range(4096))
+    table.begin_migration_runs([(0, 4096)])
+    table.complete_migration_run(0, 4096)
+    policy.on_validated_many(pages, ctx)
+    rng = random.Random(2)
+    stream = [(rng.choice(pages), rng.random() < 0.3) for _ in range(2000)]
+    mark_access = table.mark_access
+
+    def calls():
+        on_accessed = policy.on_accessed
+        for page, is_write in stream:
+            mark_access(page, is_write)
+            on_accessed(page, ctx)
+
+    def hook():
+        base, state, dirty, valid = table.access_view()
+        size = len(state)
+        touch = policy.access_hook(ctx)
+        for page, is_write in stream:
+            index = page - base
+            if 0 <= index < size and state[index] == valid:
+                if is_write:
+                    dirty[index] = 1
+            else:
+                mark_access(page, is_write)
+            touch(page)
+
+    benchmark(calls if tail == "calls" else hook)
+    assert policy.evictable_pages() == 4096
 
 
 def test_perf_bandwidth_model(benchmark):

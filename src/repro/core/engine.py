@@ -141,6 +141,8 @@ class Simulator:
         self._ns_per_cycle = constants.NS_PER_CYCLE
         self._kernel_done = True
         self._kernel_end = 0.0
+        #: Each SM's step-event callback, built on its first schedule.
+        self._sm_steps: dict = {}
 
     # ------------------------------------------------------------- runtime API
     def malloc_managed(self, name: str, size_bytes: int) -> ManagedAllocation:
@@ -297,10 +299,14 @@ class Simulator:
         if sm.scheduled:
             return
         sm.scheduled = True
-        callback = lambda now, sm=sm: self._sm_step(sm, now)  # noqa: E731
-        # Marks the one event kind that may leave deferred accesses behind
-        # (see Simulator._flush_pending); every other callback flushes.
-        callback.is_sm_step = True
+        callback = self._sm_steps.get(sm)
+        if callback is None:
+            callback = lambda now, sm=sm: self._sm_step(sm, now)  # noqa: E731
+            # Marks the one event kind that may leave deferred accesses
+            # behind (see Simulator._flush_pending); every other callback
+            # flushes.
+            callback.is_sm_step = True
+            self._sm_steps[sm] = callback
         self.events.push(time_ns, callback)
 
     def _sm_step(self, sm: StreamingMultiprocessor, now_ns: float) -> None:
@@ -308,7 +314,9 @@ class Simulator:
         sm.scheduled = False
         sm.time_ns = max(sm.time_ns, now_ns)
         self._issue_quantum(sm, self.SM_QUANTUM)
-        finished = sm.reap_finished_blocks()
+        # A block can only have finished if a warp retired (or a block
+        # was placed already done) since the last reap.
+        finished = sm.reap_finished_blocks() if sm.reap_pending else None
         if finished:
             # No flush needed: on_blocks_finished only refills scheduler
             # queues and places blocks; it observes no recency state.
@@ -316,7 +324,10 @@ class Simulator:
             self.scheduler.on_blocks_finished(sm, finished)
             if self.scheduler.kernel_done:
                 self._kernel_done = True
-        if sm.next_ready_warp() is not None:
+        # next_ready_warp() runs first, always: its rotation advance is
+        # part of the schedule every digest records.  A refill that placed
+        # only finished blocks leaves no ready warp but must be reaped.
+        if sm.next_ready_warp() is not None or sm.reap_pending:
             self._schedule_sm(sm, sm.time_ns)
 
     def _flush_pending(self) -> None:
@@ -340,8 +351,13 @@ class Simulator:
         round-robin order.  Both engines run this loop; they differ only
         in its tail.  With no access log (the reference engine) each
         retired access marks the page table and touches the eviction
-        policy at once; with one (the fast engine) the warp's own
-        ``(page, is_write)`` tuple is appended to the log and
+        policy at once: the dirty bit is set through the page table's
+        :meth:`~repro.memory.page_table.GpuPageTable.access_view` (a page
+        outside it or not VALID goes through ``mark_access``, which
+        raises), and the policy is touched through the one-argument
+        :meth:`~repro.policy.base.Policy.access_hook` bound for this
+        quantum.  With a log (the fast engine) the warp's own
+        ``(page, is_write)`` tuple is appended to it and
         :meth:`_flush_pending` applies it later.  The TLB refresh, every
         miss, page walk, fault, fill, L2 access and access-trace sample
         run eagerly in both engines.
@@ -350,9 +366,10 @@ class Simulator:
         :meth:`StreamingMultiprocessor.next_ready_warp`, the hit path of
         :meth:`Tlb.lookup` and the cursor bump of :meth:`Warp.advance`,
         and writes the SM clock, the rotation index and the hit counters
-        back once per quantum.  Nothing it calls reads them: the GMMU
-        gets the clock as an argument and the driver only schedules
-        events.  Every call that carries semantics (page walk, GMMU miss
+        back once per quantum; a warp that retires its last access sets
+        the SM's ``reap_pending`` as :meth:`Warp.advance` does.  Nothing
+        it calls reads them: the GMMU gets the clock as an argument and
+        the driver only schedules events.  Every call that carries semantics (page walk, GMMU miss
         handling, warp blocking, L2, dirty marks, the eviction hook, the
         access-trace sampler) keeps its order.
         """
@@ -371,11 +388,19 @@ class Simulator:
         l2_miss_ns = config.l2_miss_cycles * ns_per_cycle
         walker = self.walker
         gmmu = self.gmmu
-        mark_access = self.page_table.mark_access
-        on_accessed = self.driver.eviction.on_accessed
-        ctx = self.ctx
         log = self._access_log
-        defer = log.append if log is not None else None
+        if log is None:
+            defer = None
+            # Both hold for this quantum only: the page table replaces its
+            # arrays when a driver event grows it, and a policy replaces
+            # the structures its hook binds on reset().
+            page_table = self.page_table
+            mark_access = page_table.mark_access
+            pt_base, pt_state, pt_dirty, pt_valid = page_table.access_view()
+            pt_size = len(pt_state)
+            touch = self.driver.eviction.access_hook(self.ctx)
+        else:
+            defer = log.append
         tlb = sm.tlb
         entries = tlb._entries
         refresh = entries.move_to_end
@@ -425,8 +450,13 @@ class Simulator:
                 if l2 is not None and not l2.access(page):
                     time += l2_miss_ns
             if defer is None:
-                mark_access(page, is_write)
-                on_accessed(page, ctx)
+                index = page - pt_base
+                if 0 <= index < pt_size and pt_state[index] == pt_valid:
+                    if is_write:
+                        pt_dirty[index] = 1
+                else:
+                    mark_access(page, is_write)
+                touch(page)
             else:
                 defer(access)
             if trace:
@@ -448,6 +478,7 @@ class Simulator:
             warp.cursor = cursor
             if cursor >= len(warp.accesses):
                 warp.state = done
+                sm.reap_pending = True
 
         sm.time_ns = time
         sm._rr_index = rr

@@ -121,6 +121,12 @@ class BlockLruEviction(EvictionPolicy):
     def on_accessed(self, page: int, ctx: UvmContext) -> None:
         self._structure(ctx).touch(page)
 
+    def access_hook(self, ctx: UvmContext) -> Callable[[int], None]:
+        if type(self).on_accessed is not BlockLruEviction.on_accessed:
+            # A subclass extends the per-page hook: keep calling it.
+            return super().access_hook(ctx)
+        return self._structure(ctx).touch
+
     def on_accessed_many(self, pages, ctx: UvmContext) -> None:
         touch = self._structure(ctx).touch
         for page in pages:

@@ -11,6 +11,7 @@ than deadlocking.
 from __future__ import annotations
 
 from collections import OrderedDict
+from typing import Callable
 
 from ...memory.lru import FlatLRU
 from ..context import UvmContext
@@ -54,6 +55,23 @@ class Lru4kEviction(EvictionPolicy):
     def on_accessed(self, page: int, ctx: UvmContext) -> None:
         self._unaccessed.pop(page, None)
         self._lru.insert(page)
+
+    def access_hook(self, ctx: UvmContext) -> Callable[[int], None]:
+        if type(self).on_accessed is not Lru4kEviction.on_accessed:
+            # A subclass extends the per-page hook: keep calling it.
+            return super().access_hook(ctx)
+        unaccessed_pop = self._unaccessed.pop
+        # FlatLRU.insert inlined: storing a present key keeps its place,
+        # so the move puts every accessed page at the MRU end.
+        lru_pages = self._lru._pages
+        move_to_end = lru_pages.move_to_end
+
+        def accessed(page: int) -> None:
+            unaccessed_pop(page, None)
+            lru_pages[page] = None
+            move_to_end(page)
+
+        return accessed
 
     def on_accessed_many(self, pages, ctx: UvmContext) -> None:
         # Inlined loop over the compressed window (hot path).

@@ -9,6 +9,7 @@ from the whole address space rarely lands on the page about to be reused.
 from __future__ import annotations
 
 import random
+from typing import Callable
 
 from ...memory.lru import RandomMembership
 from ..context import UvmContext
@@ -40,6 +41,12 @@ class RandomEviction(EvictionPolicy):
 
     def on_accessed(self, page: int, ctx: UvmContext) -> None:
         self._membership(ctx).insert(page)  # membership only; no recency
+
+    def access_hook(self, ctx: UvmContext) -> Callable[[int], None]:
+        if type(self).on_accessed is not RandomEviction.on_accessed:
+            # A subclass extends the per-page hook: keep calling it.
+            return super().access_hook(ctx)
+        return self._membership(ctx).insert
 
     def on_invalidated_externally(self, page: int,
                                   ctx: UvmContext) -> None:

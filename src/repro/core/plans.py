@@ -8,6 +8,7 @@ into write-back units).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from ..errors import PolicyError
@@ -117,26 +118,25 @@ def split_runs_at_faults(
     cut at fault/non-fault boundaries so contiguous faulted pages form
     *page-fault groups* and the rest form *prefetch groups* (the paper's
     split, Sections 3.2-3.3).  Fault groups complete — and wake their warps
-    — without waiting for neighbouring prefetch bytes.
+    — without waiting for neighbouring prefetch bytes.  The cuts come from
+    bisecting the sorted fault pages, so the cost grows with runs and
+    faults, not with planned pages.
     """
     groups: list[TransferGroup] = []
+    faults = sorted(fault_pages)
     for start, count in contiguous_runs(sorted(set(pages))):
-        run: list[int] = []
-        run_is_fault = False
-        for page in range(start, start + count):
-            is_fault = page in fault_pages
-            if run and is_fault != run_is_fault:
-                groups.append(TransferGroup(
-                    run,
-                    fault_pages=frozenset(run) if run_is_fault
-                    else frozenset(),
-                ))
-                run = []
-            run.append(page)
-            run_is_fault = is_fault
-        if run:
-            groups.append(TransferGroup(
-                run,
-                fault_pages=frozenset(run) if run_is_fault else frozenset(),
-            ))
+        stop = start + count
+        # The run's fault pages, themselves cut into contiguous runs.
+        lo = bisect_left(faults, start)
+        hi = bisect_left(faults, stop, lo)
+        cursor = start
+        for first, length in contiguous_runs(faults[lo:hi]):
+            if cursor < first:
+                groups.append(TransferGroup(list(range(cursor, first))))
+            cursor = first + length
+            fault_run = list(range(first, cursor))
+            groups.append(TransferGroup(fault_run,
+                                        fault_pages=frozenset(fault_run)))
+        if cursor < stop:
+            groups.append(TransferGroup(list(range(cursor, stop))))
     return groups

@@ -8,6 +8,10 @@ faulty page belongs" (Section 3.1).
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from itertools import compress, islice
+from random import Random
+
 from ..context import UvmContext
 from ..plans import MigrationPlan, split_runs_at_faults
 from .base import Prefetcher, register_prefetcher
@@ -22,24 +26,38 @@ class RandomPrefetcher(Prefetcher):
     def plan(self, faulted_pages: list[int],
              ctx: UvmContext) -> MigrationPlan:
         fault_set = set(faulted_pages)
+        faults = sorted(fault_set)
         planned: set[int] = set(fault_set)
+        #: Per chunk: its INVALID pages not yet planned (a byte mask).
+        free_by_chunk: dict[int, bytearray] = {}
         for page in faulted_pages:
-            candidate = self._pick_candidate(page, planned, ctx)
+            chunk = ctx.requested_pages_in_large_page(page)
+            free = free_by_chunk.get(chunk.start)
+            if free is None:
+                free = ctx.page_table.invalid_mask(chunk.start, chunk.stop)
+                for fault in faults[bisect_left(faults, chunk.start):
+                                    bisect_left(faults, chunk.stop)]:
+                    free[fault - chunk.start] = 0
+                free_by_chunk[chunk.start] = free
+            candidate = self._pick_candidate(chunk, free, ctx.rng)
             if candidate is not None:
                 planned.add(candidate)
         groups = split_runs_at_faults(sorted(planned), fault_set)
         return MigrationPlan(groups=groups)
 
     @staticmethod
-    def _pick_candidate(page: int, planned: set[int],
-                        ctx: UvmContext) -> int | None:
-        """A uniformly random INVALID page of the same 2 MB large page."""
-        chunk = ctx.requested_pages_in_large_page(page)
-        pool = [
-            p for p in ctx.page_table.invalid_pages_in_range(
-                chunk.start, chunk.stop)
-            if p not in planned
-        ]
-        if not pool:
+    def _pick_candidate(chunk: range, free: bytearray,
+                        rng: Random) -> int | None:
+        """A uniformly random page of ``chunk`` whose ``free`` byte is
+        set, cleared before it is returned.
+
+        ``rng.randrange(n)`` draws exactly as ``rng.choice`` over the
+        list of the ``n`` free pages would: both take ``_randbelow(n)``.
+        """
+        n = free.count(1)
+        if not n:
             return None
-        return ctx.rng.choice(pool)
+        index = next(islice(compress(range(len(free)), free),
+                            rng.randrange(n), None))
+        free[index] = 0
+        return chunk.start + index

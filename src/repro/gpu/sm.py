@@ -43,6 +43,10 @@ class StreamingMultiprocessor:
         #: the resident set changes.
         self._warps: list[Warp] = []
         self._rr_index = 0
+        #: True when a resident block may have finished since the last
+        #: :meth:`reap_finished_blocks`: set when a warp retires its last
+        #: access and when a block is placed already done.
+        self.reap_pending = False
 
     # --- residency ---------------------------------------------------------
     def add_thread_block(self, tb_id: int, spec: ThreadBlockSpec,
@@ -53,9 +57,12 @@ class StreamingMultiprocessor:
             warp.sm = self
         self._blocks.append(block)
         self._warps = self._warps + block.warps
+        if block.done:
+            self.reap_pending = True
 
     def reap_finished_blocks(self) -> list[int]:
         """Remove completed thread blocks; returns their ids."""
+        self.reap_pending = False
         finished = [b.tb_id for b in self._blocks if b.done]
         if finished:
             self._blocks = [b for b in self._blocks if not b.done]

@@ -61,6 +61,8 @@ class Warp:
         self.cursor += 1
         if self.cursor >= len(self.accesses):
             self.state = WarpState.DONE
+            if self.sm is not None:
+                self.sm.reap_pending = True
 
     def block_on(self, page: int) -> None:
         """Stall until ``page`` is migrated; the access will be replayed."""

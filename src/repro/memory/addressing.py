@@ -13,6 +13,8 @@ be simulated; module-level helpers use the paper's defaults.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress, islice
+from operator import sub
 
 from .. import constants
 
@@ -108,18 +110,14 @@ def contiguous_runs(pages: list[int]) -> list[tuple[int, int]]:
     address space into single PCI-e transfers (Section 3.3: "as GMMU finds
     four consecutive basic blocks, it groups them together").
     """
-    runs: list[tuple[int, int]] = []
     if not pages:
-        return runs
-    start = prev = pages[0]
-    for page in pages[1:]:
-        if page == prev + 1:
-            prev = page
-            continue
-        runs.append((start, prev - start + 1))
-        start = prev = page
-    runs.append((start, prev - start + 1))
-    return runs
+        return []
+    # Run boundaries: the indices whose page does not follow its
+    # predecessor, found by C-level iterators over the page differences.
+    steps = map(sub, islice(pages, 1, None), pages)
+    cuts = [0, *compress(range(1, len(pages)), map((1).__ne__, steps)),
+            len(pages)]
+    return [(pages[lo], hi - lo) for lo, hi in zip(cuts, cuts[1:])]
 
 
 def round_up_pow2_blocks(size: int, block_size: int) -> int:

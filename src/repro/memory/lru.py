@@ -181,19 +181,20 @@ class HierarchicalLRU:
         """Refresh a resident page's position on access.
 
         Same order as :meth:`insert` of a present page, in one lookup
-        pass; an absent page raises before anything moves.
+        pass; an absent page raises before anything moves.  The page
+        moves first: the three moves touch different dicts, and only the
+        page's can fail once its chunk and block were found.
         """
         chunk_id = page // self._pages_per_large_page
-        chunk = self._chunks.get(chunk_id)
-        if chunk is not None:
-            block_id = page // self._pages_per_block
-            block_pages = chunk.blocks.get(block_id)
-            if block_pages is not None and page in block_pages:
-                self._chunks.move_to_end(chunk_id)
-                chunk.blocks.move_to_end(block_id)
-                block_pages.move_to_end(page)
-                return
-        raise PolicyError(f"page {page} not in hierarchical LRU")
+        block_id = page // self._pages_per_block
+        try:
+            blocks = self._chunks[chunk_id].blocks
+            blocks[block_id].move_to_end(page)
+        except KeyError:
+            raise PolicyError(
+                f"page {page} not in hierarchical LRU") from None
+        self._chunks.move_to_end(chunk_id)
+        blocks.move_to_end(block_id)
 
     def remove(self, page: int) -> None:
         """Drop one page, pruning empty blocks/chunks."""

@@ -21,6 +21,8 @@ from .page import PageState, grown_window
 _INVALID, _MIGRATING, _VALID = 0, 1, 2
 _STATES = (PageState.INVALID, PageState.MIGRATING, PageState.VALID)
 _MIGRATING_CODE, _VALID_CODE = bytes([_MIGRATING]), bytes([_VALID])
+#: A one-page :meth:`GpuPageTable.invalid_mask` of an INVALID page.
+_MASK_ON = b"\x01"
 _PLUS_ONE = (1).__add__
 #: ``bytes.translate`` tables mapping one code to 1 and any other to 0.
 _INVALID_MASK = bytes(code == _INVALID for code in range(256))
@@ -227,17 +229,37 @@ class GpuPageTable:
         if is_write:
             self._dirty[index] = 1
 
+    def access_view(self) -> tuple[int, bytearray, bytearray, int]:
+        """``(base, state, dirty, valid_code)``: the arrays behind
+        :meth:`mark_access`, for an issue loop that marks accesses inline.
+
+        Page ``p`` is VALID when ``0 <= p - base < len(state)`` and
+        ``state[p - base] == valid_code``; setting ``dirty[p - base] = 1``
+        then does what ``mark_access(p, True)`` does.  Any other page
+        must go through :meth:`mark_access`, which raises.  The arrays
+        are replaced only when the window grows, and it grows only in
+        :meth:`begin_migration` / :meth:`begin_migration_runs` (driver
+        events), so a view fetched at the start of an SM step holds for
+        that step and no longer.
+        """
+        return self._base, self._state, self._dirty, _VALID
+
     # --- policy queries -------------------------------------------------------
     def invalid_pages_in_range(self, first: int, stop: int) -> list[int]:
         """INVALID pages of ``[first, stop)`` in ascending order."""
+        return list(compress(range(first, stop),
+                             self.invalid_mask(first, stop)))
+
+    def invalid_mask(self, first: int, stop: int) -> bytearray:
+        """One byte per page of ``[first, stop)``: 1 when the page is
+        INVALID, else 0 (a selector for ``itertools.compress``)."""
         base = self._base
-        lo = max(first, base)
-        hi = min(stop, base + len(self._state))
-        if lo >= hi:
-            return list(range(first, stop))
-        free = self._state[lo - base:hi - base].translate(_INVALID_MASK)
-        return [*range(first, lo), *compress(range(lo, hi), free),
-                *range(hi, stop)]
+        lo = min(max(first, base), stop)
+        hi = max(min(stop, base + len(self._state)), lo)
+        mask = bytearray(_MASK_ON * (lo - first))
+        mask += self._state[lo - base:hi - base].translate(_INVALID_MASK)
+        mask += _MASK_ON * (stop - hi)
+        return mask
 
     def resident_count(self, first: int, stop: int) -> int:
         """VALID or MIGRATING pages of ``[first, stop)``: the to-be-valid

@@ -24,6 +24,14 @@ the hooks at well-defined points:
     window compressed to one entry per distinct page in last-access
     order (the fast engine's deferred flush).
 
+``access_hook(ctx)``
+    Not an event: the reference engine asks for it once per SM step and
+    calls the returned one-argument callable with each page the step
+    retires, in place of ``on_accessed(page, ctx)``.  The default wraps
+    ``on_accessed``, so overriding ``on_accessed`` is enough; built-in
+    evictors return their structure's own bound method so an access
+    costs one call.  A hook must not outlive the step it was made for.
+
 ``on_invalidated_externally(page, ctx)``
     A valid page was invalidated outside the policy's own plans (e.g. a
     host access migrated it back).  Must be a no-op for untracked pages.
@@ -54,6 +62,9 @@ caring about its role.  Class attributes declare capabilities:
 
 from __future__ import annotations
 
+from functools import partial
+from typing import Callable
+
 
 class Policy:
     """Base class of every prefetch/eviction policy (see module docs)."""
@@ -80,6 +91,11 @@ class Policy:
 
     def on_accessed(self, page: int, ctx) -> None:
         """A valid page was read or written."""
+
+    def access_hook(self, ctx) -> Callable[[int], None]:
+        """A one-argument callable equivalent to ``on_accessed(page, ctx)``
+        for the accesses of one SM step (see the module docs)."""
+        return partial(self.on_accessed, ctx=ctx)
 
     def on_accessed_many(self, pages, ctx) -> None:
         """Batch form of :meth:`on_accessed` (fast-engine flush).

@@ -91,6 +91,18 @@ class TestContiguousRuns:
                    for p in range(start, start + count)]
         assert covered == pages
 
+    @given(st.lists(st.integers(min_value=0, max_value=60)))
+    def test_matches_per_page_walk(self, pages):
+        """Equal to a per-page walk on any input, unsorted and repeated
+        pages included (each break in +1 steps starts a run)."""
+        expected = []
+        for page in pages:
+            if expected and page == sum(expected[-1]):
+                expected[-1] = (expected[-1][0], expected[-1][1] + 1)
+            else:
+                expected.append((page, 1))
+        assert contiguous_runs(pages) == expected
+
     @given(st.lists(st.integers(min_value=0, max_value=500), min_size=2,
                     unique=True))
     def test_runs_are_maximal(self, pages):

@@ -261,3 +261,61 @@ class TestLru2Mb:
         assert len(plan.units) == 1
         assert plan.units[0].unit_writeback
         assert set(plan.all_pages()) == set(first_chunk)
+
+
+class TestAccessHook:
+    """``access_hook(ctx)(page)`` is ``on_accessed(page, ctx)``: the same
+    accesses through either leave every registered policy planning the
+    same evictions."""
+
+    @staticmethod
+    def _evictions(name, use_hook):
+        import random
+
+        ctx, alloc = make_ctx()
+        policy = make_eviction_policy(name)
+        pages = list(alloc.page_range)
+        validate_pages(ctx, policy, pages, access=False)
+        draw = random.Random(7)
+        accesses = [draw.choice(pages[:600]) for _ in range(1500)]
+        if use_hook:
+            touch = policy.access_hook(ctx)
+            for page in accesses:
+                touch(page)
+        else:
+            for page in accesses:
+                policy.on_accessed(page, ctx)
+        planned = []
+        while policy.evictable_pages():
+            plan = policy.plan_eviction(40, ctx)
+            planned.append(plan.all_pages())
+            apply_eviction(ctx, plan)
+        return planned
+
+    @pytest.mark.parametrize("name", sorted(EVICTION_REGISTRY))
+    def test_hook_plans_like_on_accessed(self, name):
+        assert self._evictions(name, True) == self._evictions(name, False)
+
+    def test_block_lru_subclass_extending_on_accessed_keeps_it(self):
+        from repro.core.evict.tbn import TreeBasedNeighborhoodPreEviction
+
+        class Counting(TreeBasedNeighborhoodPreEviction):
+            def reset(self):
+                super().reset()
+                self.seen = []
+
+            def on_accessed(self, page, ctx):
+                self.seen.append(page)
+                super().on_accessed(page, ctx)
+
+        ctx, alloc = make_ctx()
+        policy = Counting()
+        pages = list(alloc.page_range)[:32]
+        validate_pages(ctx, policy, pages, access=False)
+        hook = policy.access_hook(ctx)
+        hook(pages[3])
+        hook(pages[5])
+        assert policy.seen == [pages[3], pages[5]]
+        # The built-in form binds the LRU's own method instead.
+        plain = TreeBasedNeighborhoodPreEviction()
+        assert plain.access_hook(ctx) == plain._structure(ctx).touch

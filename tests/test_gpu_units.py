@@ -222,3 +222,46 @@ class TestSmStepRotationSkip:
         sim._sm_step(sm, sim.now)
         # Plain round-robin would resume at warp 2: [4, 3, 3].
         assert [w.cursor for w in warps] == [4, 4, 2]
+
+
+class TestEmptyBlocksRetire:
+    """A thread block whose warps have empty access streams is done at
+    placement.  The SM step reaps only after a warp retires or such a
+    block is placed, so both cases must reach ``reap_finished_blocks``;
+    a refill that places only finished blocks must still be reaped."""
+
+    def test_placed_done_block_is_marked_for_reaping(self):
+        sm = StreamingMultiprocessor(0, 16)
+        assert not sm.reap_pending
+        sm.add_thread_block(0, ThreadBlockSpec([warp_spec([1])]),
+                            first_warp_id=0)
+        assert not sm.reap_pending
+        sm.add_thread_block(1, ThreadBlockSpec([warp_spec([])]),
+                            first_warp_id=1)
+        assert sm.reap_pending
+        assert sm.reap_finished_blocks() == [1]
+        assert not sm.reap_pending
+        sm.next_ready_warp().advance()
+        assert sm.reap_pending
+        assert sm.reap_finished_blocks() == [0]
+
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    def test_kernel_of_empty_blocks_completes(self, engine):
+        from repro.config import SimulatorConfig
+        from repro.core.engine import make_simulator
+
+        sim = make_simulator(SimulatorConfig(
+            engine=engine, num_sms=2, max_thread_blocks_per_sm=2))
+        alloc = sim.malloc_managed("a", 8 * sim.config.page_size)
+        base = alloc.page_range[0]
+        empty = ThreadBlockSpec([warp_spec([]), warp_spec([])])
+        sim.launch_kernel(KernelSpec("empty", [empty] * 9))
+        # Empty blocks between, before and after blocks that fault.
+        busy = ThreadBlockSpec([warp_spec(range(base, base + 8))])
+        sim.launch_kernel(KernelSpec(
+            "mixed", [empty, busy, empty, empty, busy, empty, empty]))
+        sim.synchronize()
+        sim.check_invariants()
+        assert sim.scheduler.kernel_done
+        assert all(sm.resident_blocks == 0 for sm in sim.sms)
+        assert sim.stats.pages_migrated == 8

@@ -12,13 +12,18 @@ and LRU order).
 
 The tier-1 matrix runs four workloads at a small scale under the four
 fig11 pairings, unbounded and at 110%, with the default and a 16-entry
-TLB, plus dedicated L2, access-trace and fault-profile cells.  The same
-matrix at a larger scale and the remaining workloads are ``slow``.
+TLB, plus dedicated L2, access-trace and fault-profile cells.  Policy
+cells cover every other registered eviction policy, the learned
+prefetcher, and a block-LRU evictor that extends ``on_accessed``: the
+engine calls each through its ``access_hook`` where the oracle calls
+``on_accessed``.  The same matrix at a larger scale and the remaining
+workloads are ``slow``.
 """
 
 import pytest
 
 from repro.core.engine import Simulator
+from repro.core.evict.tbn import TreeBasedNeighborhoodPreEviction
 from repro.experiments.common import COMBINATIONS, combo_config
 from repro.faultinject.profile import FaultProfile
 from repro.gpu.sm import StreamingMultiprocessor
@@ -86,6 +91,32 @@ SLOW_SCALE = 0.25
 OVERSUBS = (None, 110.0)
 #: None keeps the config default (512 entries).
 TLB_SIZES = (None, 16)
+#: Pairings for the eviction policies outside fig11 (and the learned
+#: prefetcher), in COMBINATIONS' (label, prefetcher, eviction,
+#: keep_prefetching) form.
+POLICY_COMBOS = (
+    ("lru2mb", "tbn", "lru2mb", True),
+    ("lru4k-validated", "tbn", "lru4k-validated", False),
+    ("adaptive", "tbn", "adaptive", True),
+    ("logistic", "tbn", "logistic", True),
+    ("ngram", "ngram", "lru4k", True),
+    ("bandit", "bandit", "bandit", True),
+)
+POLICY_WORKLOADS = ("hotspot", "bfs")
+
+
+class EveryOtherTouchTbne(TreeBasedNeighborhoodPreEviction):
+    """TBNe that refreshes recency on every other access only: an
+    ``on_accessed`` override whose effect shows in which blocks go."""
+
+    def reset(self):
+        super().reset()
+        self.accesses = 0
+
+    def on_accessed(self, page, ctx):
+        self.accesses += 1
+        if self.accesses % 2:
+            super().on_accessed(page, ctx)
 
 
 def _run(cls, name: str, scale: float, **overrides):
@@ -93,10 +124,11 @@ def _run(cls, name: str, scale: float, **overrides):
     workload = make_workload(name, scale=scale)
     combo = overrides.pop("combo", COMBINATIONS[-1])
     _, prefetcher, eviction, keep_prefetching = combo
+    policy_class = overrides.pop("eviction_class", None)
     config = combo_config(workload, prefetcher, eviction,
                           overrides.pop("oversubscription", 110.0),
                           keep_prefetching, **overrides)
-    sim = cls(config)
+    sim = cls(config, eviction=policy_class() if policy_class else None)
     for spec in workload.allocations():
         sim.malloc_managed(spec.name, spec.size_bytes)
     resolver = AddressResolver(sim.allocator)
@@ -155,6 +187,17 @@ class TestIssueLoopOracle:
             "hotspot", TIER1_SCALE,
             fault_profile=FaultProfile.load("moderate", seed=3),
         )
+
+    @pytest.mark.parametrize("name", POLICY_WORKLOADS)
+    @pytest.mark.parametrize("combo", POLICY_COMBOS,
+                             ids=[combo[0] for combo in POLICY_COMBOS])
+    def test_policy(self, combo, name):
+        _assert_matches_oracle(name, TIER1_SCALE, combo=combo)
+
+    @pytest.mark.parametrize("name", POLICY_WORKLOADS)
+    def test_block_lru_subclass_extending_on_accessed(self, name):
+        _assert_matches_oracle(name, TIER1_SCALE,
+                               eviction_class=EveryOtherTouchTbne)
 
 
 @pytest.mark.slow

@@ -13,6 +13,7 @@ from repro.core.plans import (
     split_runs_at_faults,
 )
 from repro.errors import PolicyError, SimulationError
+from repro.memory.addressing import contiguous_runs
 
 
 class TestTransferGroup:
@@ -107,6 +108,38 @@ class TestSplitRunsAtFaults:
             in_faults = page_set & faults
             assert in_faults in (set(), page_set)
             assert group.fault_pages == frozenset(in_faults)
+
+    @given(st.sets(st.integers(min_value=0, max_value=300)),
+           st.sets(st.integers(min_value=-20, max_value=320)))
+    def test_matches_per_page_walk(self, pages, faults):
+        """The bisect-based split equals the per-page walk it replaced,
+        fault pages outside the planned pages included."""
+        pages = sorted(pages)
+        assert split_runs_at_faults(pages, faults) == \
+            _split_page_by_page(pages, faults)
+
+
+def _split_page_by_page(pages, fault_pages):
+    """The per-page reference: walk each run, cutting wherever a page's
+    faultiness differs from its predecessor's."""
+    groups = []
+    for start, count in contiguous_runs(sorted(set(pages))):
+        run = []
+        run_is_fault = False
+        for page in range(start, start + count):
+            is_fault = page in fault_pages
+            if run and is_fault != run_is_fault:
+                groups.append(TransferGroup(
+                    run, fault_pages=frozenset(run) if run_is_fault
+                    else frozenset()))
+                run = []
+            run.append(page)
+            run_is_fault = is_fault
+        if run:
+            groups.append(TransferGroup(
+                run, fault_pages=frozenset(run) if run_is_fault
+                else frozenset()))
+    return groups
 
 
 class TestEventQueue:

@@ -185,6 +185,35 @@ class TestRandomPoolMatchesScan:
         assert table.invalid_pages_in_range(span.start, span.stop) \
             == scan_invalid(table, span)
 
+    def test_crowded_chunks_match_the_list_pick(self):
+        """Many faults per chunk, chunks that run out of candidates
+        mid-batch and repeated fault pages: the count-based draw from
+        each chunk's free mask picks what ``rng.choice`` over the
+        scanned list picks, and leaves the stream in the same state."""
+        ctx, small, pair, far = self._ctx(5)
+        table = ctx.page_table
+        draw = random.Random(5)
+        prefetcher = make_prefetcher("random")
+        pages = [*small.page_range, *pair.page_range, *far.page_range]
+        for page in draw.sample(pages, len(pages) // 2):
+            table.begin_migration(page)
+            if draw.random() < 0.5:
+                table.complete_migration(page)
+        # 300 of small's 300 pages are one chunk: 150-odd candidates.
+        for rounds in range(20):
+            invalid = scan_invalid(table, pages)
+            faulted = draw.sample(invalid, min(len(invalid),
+                                               draw.randint(20, 200)))
+            faulted += faulted[:5]
+            before = ctx.rng.getstate()
+            expected = scan_random_plan(faulted, ctx)
+            expected_state = ctx.rng.getstate()
+            ctx.rng.setstate(before)
+            assert prefetcher.plan(faulted, ctx).groups == expected
+            assert ctx.rng.getstate() == expected_state
+            for page in draw.sample(invalid, len(invalid) // 4):
+                table.begin_migration(page)
+
 
 class TestSequentialLocal:
     def test_migrates_whole_block(self):
