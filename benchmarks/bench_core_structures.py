@@ -4,7 +4,8 @@ Unlike the experiment benches (one-shot, shape-asserting), these use
 pytest-benchmark's normal multi-round timing: they guard the hot paths the
 whole-simulation runtime depends on — tree balancing, hierarchical LRU
 maintenance, MSHR traffic, page-table run transitions, TLB lookups, the
-reference engine's per-access tail, and the bandwidth model.
+reference engine's per-access tail, the block evictors' recency stamps
+and victim query, and the bandwidth model.
 """
 
 import random
@@ -15,6 +16,7 @@ from repro import constants
 from repro.config import SimulatorConfig
 from repro.core.engine import Simulator
 from repro.interconnect.bandwidth import BandwidthModel
+from repro.memory.addressing import AddressSpace
 from repro.memory.allocation import TreeRegion
 from repro.memory.btree import BuddyTree
 from repro.memory.lru import FlatLRU, HierarchicalLRU
@@ -23,6 +25,7 @@ from repro.memory.page_table import GpuPageTable
 from repro.memory.tlb import Tlb
 
 KB64 = constants.BASIC_BLOCK_SIZE
+SPACE = AddressSpace()
 
 
 def test_perf_tree_fill_and_balance(benchmark):
@@ -162,8 +165,9 @@ def test_perf_access_tail(benchmark, eviction, tail):
     """What the reference engine does per retired access, 2K accesses
     (30% writes) over 4K valid pages: ``calls`` is ``mark_access`` plus
     ``on_accessed``; ``hook`` marks through the page table's access view
-    and touches through the policy's ``access_hook``.  ``tbn`` runs the
-    hierarchical LRU, ``lru4k`` the flat one."""
+    and touches through the policy's ``access_hook``, or stamps inline
+    where the hook opts into stamps.  ``tbn`` runs the hierarchical LRU
+    (stamped inline), ``lru4k`` the flat one."""
     sim = Simulator(SimulatorConfig(eviction=eviction))
     ctx = sim.ctx
     table = sim.page_table
@@ -186,6 +190,12 @@ def test_perf_access_tail(benchmark, eviction, tail):
         base, state, dirty, valid = table.access_view()
         size = len(state)
         touch = policy.access_hook(ctx)
+        if touch is None:
+            stamps = table.stamps
+            stamp, block_stamp, chunk_stamp = \
+                stamps.page, stamps.block, stamps.chunk
+            block_shift, chunk_shift = stamps.block_shift, stamps.chunk_shift
+            seq = stamps.clock
         for page, is_write in stream:
             index = page - base
             if 0 <= index < size and state[index] == valid:
@@ -193,10 +203,71 @@ def test_perf_access_tail(benchmark, eviction, tail):
                     dirty[index] = 1
             else:
                 mark_access(page, is_write)
-            touch(page)
+            if touch is None:
+                if not stamp[index]:
+                    raise AssertionError(page)
+                seq += 1
+                stamp[index] = block_stamp[index >> block_shift] = \
+                    chunk_stamp[index >> chunk_shift] = seq
+            else:
+                touch(page)
+        if touch is None:
+            stamps.clock = seq
 
     benchmark(calls if tail == "calls" else hook)
     assert policy.evictable_pages() == 4096
+
+
+@pytest.mark.parametrize("tail", ["stamps", "touch"])
+def test_perf_recency_tail(benchmark, tail):
+    """The block evictors' recency per access, 2K accesses over 4K
+    resident pages: ``stamps`` is the issue loop's three inline list
+    stores, ``touch`` the checked ``HierarchicalLRU.touch`` call."""
+    table = GpuPageTable()
+    table.begin_migration_runs([(0, 4096)])
+    table.complete_migration_run(0, 4096)
+    lru = HierarchicalLRU(stamps=table.claim_stamps(SPACE))
+    lru.insert_run(0, 4096)
+    rng = random.Random(3)
+    stream = [rng.randrange(4096) for _ in range(2000)]
+
+    def stamps():
+        base = table.access_view()[0]
+        store = table.stamps
+        stamp, block_stamp, chunk_stamp = \
+            store.page, store.block, store.chunk
+        block_shift, chunk_shift = store.block_shift, store.chunk_shift
+        seq = store.clock
+        for page in stream:
+            index = page - base
+            if not stamp[index]:
+                raise AssertionError(page)
+            seq += 1
+            stamp[index] = block_stamp[index >> block_shift] = \
+                chunk_stamp[index >> chunk_shift] = seq
+        store.clock = seq
+
+    def touch():
+        touch = lru.touch
+        for page in stream:
+            touch(page)
+
+    benchmark(stamps if tail == "stamps" else touch)
+    assert len(lru) == 4096
+
+
+def test_perf_victim_block_full_device(benchmark):
+    """The LRU victim of a full device: every page of a 4 GB device
+    (1M pages, 2,048 chunks) resident, recency spread by 20K accesses."""
+    pages = (4 << 30) // constants.PAGE_SIZE
+    lru = HierarchicalLRU()
+    lru.insert_run(0, pages)
+    rng = random.Random(4)
+    for _ in range(20_000):
+        lru.touch(rng.randrange(pages))
+
+    victim = benchmark(lru.victim_block)
+    assert victim == lru.blocks_in_order()[0]
 
 
 def test_perf_bandwidth_model(benchmark):

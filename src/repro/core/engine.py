@@ -18,7 +18,7 @@ from __future__ import annotations
 from .. import config as config_mod
 from .. import constants
 from ..config import SimulatorConfig
-from ..errors import SimulationError
+from ..errors import PolicyError, SimulationError
 from ..faultinject.injector import FaultInjector
 from ..faultinject.watchdog import Watchdog
 from ..gpu.kernel import KernelSpec
@@ -356,7 +356,12 @@ class Simulator:
         outside it or not VALID goes through ``mark_access``, which
         raises), and the policy is touched through the one-argument
         :meth:`~repro.policy.base.Policy.access_hook` bound for this
-        quantum.  With a log (the fast engine) the warp's own
+        quantum.  A hook of None means the policy's recency is the page
+        table's stamps: the access then stamps the page, its block and
+        its chunk from a local copy of the stamps' clock (one index
+        serves the dirty bit and the stamps), raising ``PolicyError``
+        for a page the LRU does not hold, and the clock is written back
+        once per quantum.  With a log (the fast engine) the warp's own
         ``(page, is_write)`` tuple is appended to it and
         :meth:`_flush_pending` applies it later.  The TLB refresh, every
         miss, page walk, fault, fill, L2 access and access-trace sample
@@ -369,9 +374,10 @@ class Simulator:
         back once per quantum; a warp that retires its last access sets
         the SM's ``reap_pending`` as :meth:`Warp.advance` does.  Nothing
         it calls reads them: the GMMU gets the clock as an argument and
-        the driver only schedules events.  Every call that carries semantics (page walk, GMMU miss
-        handling, warp blocking, L2, dirty marks, the eviction hook, the
-        access-trace sampler) keeps its order.
+        the driver only schedules events.  Every call that carries
+        semantics (page walk, GMMU miss handling, warp blocking, L2,
+        dirty marks, the eviction hook or stamps, the access-trace
+        sampler) keeps its order.
         """
         warps = sm.all_warps()
         n = len(warps)
@@ -399,6 +405,16 @@ class Simulator:
             pt_base, pt_state, pt_dirty, pt_valid = page_table.access_view()
             pt_size = len(pt_state)
             touch = self.driver.eviction.access_hook(self.ctx)
+            if touch is None:
+                # The policy's recency is the page table's stamps: an
+                # access stamps page, block and chunk from one clock.
+                stamps = page_table.stamps
+                stamp = stamps.page
+                block_stamp = stamps.block
+                chunk_stamp = stamps.chunk
+                block_shift = stamps.block_shift
+                chunk_shift = stamps.chunk_shift
+                seq = stamps.clock
         else:
             defer = log.append
         tlb = sm.tlb
@@ -456,7 +472,15 @@ class Simulator:
                         pt_dirty[index] = 1
                 else:
                     mark_access(page, is_write)
-                touch(page)
+                if touch is None:
+                    if not stamp[index]:
+                        raise PolicyError(
+                            f"page {page} not in hierarchical LRU")
+                    seq += 1
+                    stamp[index] = block_stamp[index >> block_shift] = \
+                        chunk_stamp[index >> chunk_shift] = seq
+                else:
+                    touch(page)
             else:
                 defer(access)
             if trace:
@@ -484,6 +508,8 @@ class Simulator:
         sm._rr_index = rr
         tlb.hits += hits
         stats.tlb_hits += hits
+        if defer is None and touch is None:
+            stamps.clock = seq
 
     # ---------------------------------------------------------------- inspection
     def residency_map(self, allocation_name: str) -> list:

@@ -84,10 +84,16 @@ class BlockLruEviction(EvictionPolicy):
 
     The base owns LRU membership and recency: a page joins the list when
     its valid flag is set (prefetched-but-unaccessed pages included),
-    every access touches it, and an external invalidation drops it.
+    every access stamps it, and an external invalidation drops it.
     ``plan_eviction`` removes victims until the shortage is covered;
     each subclass only says, in :meth:`_evict_next`, which pages the
     next victim takes with it and how they group into write-back units.
+
+    The LRU keeps its recency in the page table's stamps when it is the
+    first to claim them (:meth:`GpuPageTable.claim_stamps`).  Then
+    :meth:`access_hook` returns None and the reference issue loop stamps
+    each access inline; a subclass that overrides ``on_accessed`` keeps
+    its hook, and so never mixes the two paths.
 
     ``reset`` runs from ``__init__``, so a subclass with state of its own
     extends ``reset`` (calling ``super().reset()``) and needs no
@@ -104,7 +110,8 @@ class BlockLruEviction(EvictionPolicy):
 
     def _structure(self, ctx: UvmContext) -> HierarchicalLRU:
         if self._lru is None:
-            self._lru = HierarchicalLRU(ctx.space)
+            self._lru = HierarchicalLRU(
+                ctx.space, ctx.page_table.claim_stamps(ctx.space))
         return self._lru
 
     def on_validated(self, page: int, ctx: UvmContext) -> None:
@@ -121,16 +128,18 @@ class BlockLruEviction(EvictionPolicy):
     def on_accessed(self, page: int, ctx: UvmContext) -> None:
         self._structure(ctx).touch(page)
 
-    def access_hook(self, ctx: UvmContext) -> Callable[[int], None]:
+    def access_hook(self, ctx: UvmContext) -> Callable[[int], None] | None:
         if type(self).on_accessed is not BlockLruEviction.on_accessed:
             # A subclass extends the per-page hook: keep calling it.
             return super().access_hook(ctx)
-        return self._structure(ctx).touch
+        lru = self._structure(ctx)
+        stamps = lru.stamps
+        if stamps is ctx.page_table.stamps and stamps.block_shift is not None:
+            return None  # the issue loop stamps the page table inline
+        return lru.touch
 
     def on_accessed_many(self, pages, ctx: UvmContext) -> None:
-        touch = self._structure(ctx).touch
-        for page in pages:
-            touch(page)
+        self._structure(ctx).touch_many(pages)
 
     def on_invalidated_externally(self, page: int,
                                   ctx: UvmContext) -> None:

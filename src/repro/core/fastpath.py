@@ -11,6 +11,15 @@ touching the eviction policy once per access, it appends the warp's own
 touches of a page between two observation points then cost one list
 append each, and the page table and policy see each page once.
 
+Since the block evictors keep recency as last-access stamps, the
+reference engine's tail for them is three inline list stores (see
+:meth:`~repro.policy.base.Policy.access_hook`), so the log pays only
+where a page is touched many times between flushes.  The fast engine
+never stamps inline: its flush hands the compressed order to
+``on_accessed_many``, which for the block evictors is
+:meth:`~repro.memory.lru.HierarchicalLRU.touch_many`, one stamp per
+distinct page in last-access order.
+
 Flush
 =====
 

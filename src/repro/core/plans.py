@@ -129,6 +129,10 @@ def split_runs_at_faults(
         # The run's fault pages, themselves cut into contiguous runs.
         lo = bisect_left(faults, start)
         hi = bisect_left(faults, stop, lo)
+        if lo == hi:
+            # A prefetch-only run: one prefetch group.
+            groups.append(TransferGroup(list(range(start, stop))))
+            continue
         cursor = start
         for first, length in contiguous_runs(faults[lo:hi]):
             if cursor < first:

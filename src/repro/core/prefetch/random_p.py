@@ -28,17 +28,21 @@ class RandomPrefetcher(Prefetcher):
         fault_set = set(faulted_pages)
         faults = sorted(fault_set)
         planned: set[int] = set(fault_set)
-        #: Per chunk: its INVALID pages not yet planned (a byte mask).
-        free_by_chunk: dict[int, bytearray] = {}
+        pages_per_chunk = ctx.space.pages_per_large_page
+        #: Per large page: its requested pages and, as a byte mask, those
+        #: of them INVALID and not yet planned.
+        free_by_chunk: dict[int, tuple[range, bytearray]] = {}
         for page in faulted_pages:
-            chunk = ctx.requested_pages_in_large_page(page)
-            free = free_by_chunk.get(chunk.start)
-            if free is None:
+            entry = free_by_chunk.get(page // pages_per_chunk)
+            if entry is None:
+                chunk = ctx.requested_pages_in_large_page(page)
                 free = ctx.page_table.invalid_mask(chunk.start, chunk.stop)
                 for fault in faults[bisect_left(faults, chunk.start):
                                     bisect_left(faults, chunk.stop)]:
                     free[fault - chunk.start] = 0
-                free_by_chunk[chunk.start] = free
+                entry = free_by_chunk[page // pages_per_chunk] = \
+                    (chunk, free)
+            chunk, free = entry
             candidate = self._pick_candidate(chunk, free, ctx.rng)
             if candidate is not None:
                 planned.add(candidate)

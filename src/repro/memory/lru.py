@@ -20,9 +20,13 @@ from __future__ import annotations
 import itertools
 import random
 from collections import OrderedDict
+from heapq import heapify, heappop
 
 from ..errors import PolicyError
 from .addressing import AddressSpace, DEFAULT_ADDRESS_SPACE
+from .page_table import PageStamps
+
+_MISSING = object()
 
 
 class FlatLRU:
@@ -75,159 +79,221 @@ class FlatLRU:
         return list(self._pages)
 
 
-class _ChunkEntry:
-    """Per-2MB-chunk ordering of basic blocks and their pages."""
-
-    __slots__ = ("blocks",)
-
-    def __init__(self) -> None:
-        #: block index -> ordered set of resident pages in that block;
-        #: OrderedDict order of *blocks* is LRU -> MRU.
-        self.blocks: OrderedDict[int, OrderedDict[int, None]] = OrderedDict()
-
-    @property
-    def page_count(self) -> int:
-        return sum(len(pages) for pages in self.blocks.values())
-
-
-_MISSING = object()
-
-
 class HierarchicalLRU:
     """Two-level LRU: 2 MB chunks ordered globally, 64 KB blocks within.
 
     The eviction candidate is the LRU block of the LRU chunk; the reservation
     skip is counted in *pages* from the LRU end, matching the paper's
     "reserve a percentage of pages from the top of LRU list".
+
+    Recency is kept as stamps (:class:`~repro.memory.page_table.PageStamps`):
+    every insert or access stamps the page, its block and its chunk with
+    the next value of one clock, so an access is three list stores.  The
+    order is derived only when a victim is asked for: resident chunks
+    sorted by chunk stamp, each chunk's blocks by block stamp, a block's
+    pages by page stamp.  That is the order of a list kept by last access,
+    as GPGPU-Sim's ``page_manager`` keeps it: a chunk or block moves to
+    the MRU end whenever one of its pages is inserted or accessed, and
+    removing pages moves nothing.  Block and chunk stamps are never
+    cleared; a block or chunk that empties and comes back is stamped
+    anew, past every live stamp.
+
+    Membership is a dict of chunk -> block -> resident-page count; a page
+    is a member exactly when its stamp is non-zero.  The stamps are the
+    page table's when ``stamps`` is given (the issue loop may then stamp
+    them inline, see :meth:`~repro.policy.base.Policy.access_hook`),
+    else a store of this LRU's own.
     """
 
-    def __init__(self, space: AddressSpace | None = None) -> None:
+    def __init__(self, space: AddressSpace | None = None,
+                 stamps: PageStamps | None = None) -> None:
         self.space = space or DEFAULT_ADDRESS_SPACE
+        self.stamps = stamps if stamps is not None \
+            else PageStamps(self.space)
         # Geometry as plain ints: insert/touch run once per access.
         self._pages_per_block = self.space.pages_per_block
         self._pages_per_large_page = self.space.pages_per_large_page
-        self._chunks: OrderedDict[int, _ChunkEntry] = OrderedDict()
+        self._blocks_per_large_page = self.space.blocks_per_large_page
+        #: chunk -> block -> resident pages of the block.
+        self._chunks: dict[int, dict[int, int]] = {}
         self._page_count = 0
 
     def __len__(self) -> int:
         return self._page_count
 
     def __contains__(self, page: int) -> bool:
-        chunk = self._chunks.get(page // self._pages_per_large_page)
-        if chunk is None:
-            return False
-        block_pages = chunk.blocks.get(page // self._pages_per_block)
-        return block_pages is not None and page in block_pages
+        stamps = self.stamps
+        index = page - stamps.base
+        return 0 <= index < len(stamps.page) and stamps.page[index] != 0
 
     # --- mutation ---------------------------------------------------------
+    def _join(self, chunk_id: int, block_id: int, count: int) -> None:
+        """Count ``count`` new member pages in a block."""
+        blocks = self._chunks.get(chunk_id)
+        if blocks is None:
+            self._chunks[chunk_id] = {block_id: count}
+        else:
+            blocks[block_id] = blocks.get(block_id, 0) + count
+        self._page_count += count
+
     def insert(self, page: int) -> None:
         """Add a freshly validated page; refreshes chunk and block order."""
+        stamps = self.stamps
+        index = page - stamps.base
+        if not 0 <= index < len(stamps.page):
+            stamps.cover(page)
+            index = page - stamps.base
         chunk_id = page // self._pages_per_large_page
         block_id = page // self._pages_per_block
-        chunk = self._chunks.get(chunk_id)
-        if chunk is None:
-            chunk = _ChunkEntry()
-            self._chunks[chunk_id] = chunk
-        else:
-            self._chunks.move_to_end(chunk_id)
-        block_pages = chunk.blocks.get(block_id)
-        if block_pages is None:
-            block_pages = OrderedDict()
-            chunk.blocks[block_id] = block_pages
-        else:
-            chunk.blocks.move_to_end(block_id)
-        if page in block_pages:
-            block_pages.move_to_end(page)
-        else:
-            block_pages[page] = None
-            self._page_count += 1
+        if not stamps.page[index]:
+            self._join(chunk_id, block_id, 1)
+        clock = stamps.clock = stamps.clock + 1
+        stamps.page[index] = stamps.block[block_id - stamps.block_base] = \
+            stamps.chunk[chunk_id - stamps.chunk_base] = clock
 
     def insert_run(self, first: int, stop: int) -> None:
         """:meth:`insert` for each page of ``[first, stop)``, ascending.
 
-        Consecutive inserts into one block move its chunk and block to
-        the MRU end once, so the run takes one chunk and block lookup per
-        block it covers.
+        The pages take consecutive stamps; the block and chunk of each
+        block-sized piece take its last one, so the run costs a slice
+        store per block it covers.
         """
-        chunks = self._chunks
+        stamps = self.stamps
+        if not (0 <= first - stamps.base
+                and stop - stamps.base <= len(stamps.page)):
+            stamps.cover(first)
+            stamps.cover(stop - 1)
         per_block = self._pages_per_block
+        per_chunk = self._pages_per_large_page
+        page_stamps = stamps.page
+        block_stamps = stamps.block
+        chunk_stamps = stamps.chunk
+        base = stamps.base
+        block_base = stamps.block_base
+        chunk_base = stamps.chunk_base
+        clock = stamps.clock
         page = first
         while page < stop:
             block_id = page // per_block
             end = min(stop, block_id * per_block + per_block)
-            chunk_id = page // self._pages_per_large_page
-            chunk = chunks.get(chunk_id)
-            if chunk is None:
-                chunk = chunks[chunk_id] = _ChunkEntry()
-            else:
-                chunks.move_to_end(chunk_id)
-            block_pages = chunk.blocks.get(block_id)
-            if block_pages is None:
-                chunk.blocks[block_id] = OrderedDict.fromkeys(
-                    range(page, end))
-                self._page_count += end - page
-            else:
-                chunk.blocks.move_to_end(block_id)
-                before = len(block_pages)
-                block_pages.update(dict.fromkeys(range(page, end)))
-                self._page_count += len(block_pages) - before
-                if len(block_pages) - before != end - page:
-                    # Some were present: they move to the MRU end too.
-                    for present in range(page, end):
-                        block_pages.move_to_end(present)
+            lo = page - base
+            hi = end - base
+            new = page_stamps[lo:hi].count(0)
+            if new:
+                self._join(page // per_chunk, block_id, new)
+            page_stamps[lo:hi] = range(clock + 1, clock + 1 + hi - lo)
+            clock += hi - lo
+            block_stamps[block_id - block_base] = \
+                chunk_stamps[page // per_chunk - chunk_base] = clock
             page = end
+        stamps.clock = clock
 
     def touch(self, page: int) -> None:
         """Refresh a resident page's position on access.
 
-        Same order as :meth:`insert` of a present page, in one lookup
-        pass; an absent page raises before anything moves.  The page
-        moves first: the three moves touch different dicts, and only the
-        page's can fail once its chunk and block were found.
+        Same order as :meth:`insert` of a present page; an absent page
+        raises before anything is stamped.
         """
-        chunk_id = page // self._pages_per_large_page
-        block_id = page // self._pages_per_block
-        try:
-            blocks = self._chunks[chunk_id].blocks
-            blocks[block_id].move_to_end(page)
-        except KeyError:
-            raise PolicyError(
-                f"page {page} not in hierarchical LRU") from None
-        self._chunks.move_to_end(chunk_id)
-        blocks.move_to_end(block_id)
+        stamps = self.stamps
+        index = page - stamps.base
+        if not (0 <= index < len(stamps.page) and stamps.page[index]):
+            raise PolicyError(f"page {page} not in hierarchical LRU")
+        clock = stamps.clock = stamps.clock + 1
+        stamps.page[index] = \
+            stamps.block[page // self._pages_per_block - stamps.block_base] \
+            = stamps.chunk[page // self._pages_per_large_page
+                           - stamps.chunk_base] = clock
+
+    def touch_many(self, pages) -> None:
+        """:meth:`touch` for each of ``pages``, in order: the fast
+        engine's flush, in last-access order."""
+        stamps = self.stamps
+        page_stamps = stamps.page
+        block_stamps = stamps.block
+        chunk_stamps = stamps.chunk
+        base = stamps.base
+        size = len(page_stamps)
+        block_base = stamps.block_base
+        chunk_base = stamps.chunk_base
+        per_block = self._pages_per_block
+        per_chunk = self._pages_per_large_page
+        clock = stamps.clock
+        for page in pages:
+            index = page - base
+            if not (0 <= index < size and page_stamps[index]):
+                stamps.clock = clock
+                raise PolicyError(f"page {page} not in hierarchical LRU")
+            clock += 1
+            page_stamps[index] = block_stamps[page // per_block - block_base] \
+                = chunk_stamps[page // per_chunk - chunk_base] = clock
+        stamps.clock = clock
 
     def remove(self, page: int) -> None:
         """Drop one page, pruning empty blocks/chunks."""
+        if page not in self:
+            raise PolicyError(f"page {page} not in hierarchical LRU")
+        stamps = self.stamps
+        stamps.page[page - stamps.base] = 0
         chunk_id = page // self._pages_per_large_page
         block_id = page // self._pages_per_block
-        chunk = self._chunks.get(chunk_id)
-        if chunk is None:
-            raise PolicyError(f"page {page} not in hierarchical LRU")
-        block_pages = chunk.blocks.get(block_id)
-        if block_pages is None or block_pages.pop(page, _MISSING) is _MISSING:
-            raise PolicyError(f"page {page} not in hierarchical LRU")
+        blocks = self._chunks[chunk_id]
+        left = blocks[block_id] - 1
+        if left:
+            blocks[block_id] = left
+        else:
+            del blocks[block_id]
+            if not blocks:
+                del self._chunks[chunk_id]
         self._page_count -= 1
-        if not block_pages:
-            del chunk.blocks[block_id]
-        if not chunk.blocks:
-            del self._chunks[chunk_id]
 
     def remove_block(self, block_id: int) -> list[int]:
-        """Drop every page of a basic block; returns the removed pages."""
-        chunk_id = block_id // self.space.blocks_per_large_page
-        chunk = self._chunks.get(chunk_id)
-        if chunk is None:
+        """Drop every page of a basic block; returns the removed pages,
+        least recently used first."""
+        chunk_id = block_id // self._blocks_per_large_page
+        blocks = self._chunks.get(chunk_id)
+        if blocks is None or block_id not in blocks:
             return []
-        block_pages = chunk.blocks.pop(block_id, None)
-        if block_pages is None:
-            return []
-        removed = list(block_pages)
-        self._page_count -= len(removed)
-        if not chunk.blocks:
+        self._page_count -= blocks.pop(block_id)
+        if not blocks:
             del self._chunks[chunk_id]
+        removed, lo, hi = self._block_pages(block_id)
+        self.stamps.page[lo:hi] = [0] * (hi - lo)
         return removed
 
+    def _block_pages(self, block_id: int) -> tuple[list[int], int, int]:
+        """A member block's pages in stamp order, and the ``[lo, hi)``
+        slice of the page stamps that holds the block."""
+        stamps = self.stamps
+        first = block_id * self._pages_per_block
+        lo = max(first - stamps.base, 0)
+        hi = min(first + self._pages_per_block - stamps.base,
+                 len(stamps.page))
+        by_stamp = dict(zip(stamps.page[lo:hi],
+                            range(stamps.base + lo, stamps.base + hi)))
+        by_stamp.pop(0, None)
+        return [by_stamp[stamp] for stamp in sorted(by_stamp)], lo, hi
+
     # --- candidate selection -------------------------------------------------
+    def _blocks_lru_first(self):
+        """``(block, resident pages)`` from the LRU end: chunks by chunk
+        stamp, each chunk's blocks by block stamp (stamps are unique).
+
+        The chunks come off a heap, so the first victim costs one pass
+        over the resident chunks, not a sort of them.
+        """
+        stamps = self.stamps
+        chunk_stamps, chunk_base = stamps.chunk, stamps.chunk_base
+        block_stamps, block_base = stamps.block, stamps.block_base
+        chunks = [(chunk_stamps[chunk - chunk_base], blocks)
+                  for chunk, blocks in self._chunks.items()]
+        heapify(chunks)
+        while chunks:
+            blocks = heappop(chunks)[1]
+            for _, block_id, count in sorted(
+                    [(block_stamps[block - block_base], block, count)
+                     for block, count in blocks.items()]):
+                yield block_id, count
+
     def victim_block(self, skip_pages: int = 0) -> int:
         """LRU basic block after skipping ``skip_pages`` protected pages.
 
@@ -251,13 +317,12 @@ class HierarchicalLRU:
             )
         remaining = skip_pages
         boundary: int | None = None
-        for chunk in self._chunks.values():
-            for block_id, block_pages in chunk.blocks.items():
-                if remaining <= 0:
-                    return block_id
-                if boundary is None and remaining < len(block_pages):
-                    boundary = block_id
-                remaining -= len(block_pages)
+        for block_id, count in self._blocks_lru_first():
+            if remaining <= 0:
+                return block_id
+            if boundary is None and remaining < count:
+                boundary = block_id
+            remaining -= count
         assert boundary is not None  # skip_pages < page_count guarantees it
         return boundary
 
@@ -266,23 +331,22 @@ class HierarchicalLRU:
         if skip_pages < 0:
             raise PolicyError("skip_pages must be non-negative")
         remaining = skip_pages
-        for chunk in self._chunks.values():
-            for block_pages in chunk.blocks.values():
-                if remaining < len(block_pages):
-                    return next(
-                        itertools.islice(block_pages, remaining, None)
-                    )
-                remaining -= len(block_pages)
+        for block_id, count in self._blocks_lru_first():
+            if remaining < count:
+                return self._block_pages(block_id)[0][remaining]
+            remaining -= count
         raise PolicyError(
             f"cannot skip {skip_pages} of {self._page_count} LRU pages"
         )
 
     def blocks_in_order(self) -> list[int]:
         """LRU-to-MRU block ids across all chunks (test helper)."""
-        out: list[int] = []
-        for chunk in self._chunks.values():
-            out.extend(chunk.blocks)
-        return out
+        return [block_id for block_id, _ in self._blocks_lru_first()]
+
+    def pages_in_order(self) -> list[int]:
+        """LRU-to-MRU page list (test helper)."""
+        return [page for block_id, _ in self._blocks_lru_first()
+                for page in self._block_pages(block_id)[0]]
 
 
 class RandomMembership:

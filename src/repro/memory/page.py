@@ -21,7 +21,7 @@ class PageState(Enum):
 
 #: Per-page windows grow in chunks of this many pages so neighbouring
 #: allocations share one window.
-_WINDOW_ALIGN = 1 << 16
+WINDOW_ALIGN = 1 << 16
 
 
 def grown_window(base: int, size: int, page: int) -> tuple[int, int, int]:
@@ -36,12 +36,12 @@ def grown_window(base: int, size: int, page: int) -> tuple[int, int, int]:
     ``[offset, offset + size)`` of the new array.
     """
     if size == 0:
-        return (page // _WINDOW_ALIGN) * _WINDOW_ALIGN, _WINDOW_ALIGN, 0
+        return (page // WINDOW_ALIGN) * WINDOW_ALIGN, WINDOW_ALIGN, 0
     index = page - base
     grow_low = grow_high = 0
     if index < 0:
-        grow_low = -(-max(size, -index) // _WINDOW_ALIGN) * _WINDOW_ALIGN
+        grow_low = -(-max(size, -index) // WINDOW_ALIGN) * WINDOW_ALIGN
     elif index >= size:
-        grow_high = -(-max(size, index - size + 1) // _WINDOW_ALIGN) \
-            * _WINDOW_ALIGN
+        grow_high = -(-max(size, index - size + 1) // WINDOW_ALIGN) \
+            * WINDOW_ALIGN
     return base - grow_low, grow_low + size + grow_high, grow_low

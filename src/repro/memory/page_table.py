@@ -15,7 +15,8 @@ from itertools import compress
 from typing import NoReturn
 
 from ..errors import PageTableError
-from .page import PageState, grown_window
+from .addressing import AddressSpace
+from .page import WINDOW_ALIGN, PageState, grown_window
 
 #: State codes stored per page; ``_STATES[code]`` is the public state.
 _INVALID, _MIGRATING, _VALID = 0, 1, 2
@@ -29,6 +30,86 @@ _INVALID_MASK = bytes(code == _INVALID for code in range(256))
 _VALID_MASK = bytes(code == _VALID for code in range(256))
 
 
+class PageStamps:
+    """Last-access stamps per page, basic block and large page.
+
+    Three plain lists of int stamps, all drawn from one :attr:`clock`:
+    ``page[p - base]`` for page ``p``, ``block[b - block_base]`` for
+    block ``b`` and ``chunk[c - chunk_base]`` for large page ``c``.  A
+    stamp is the clock value of the last insert or access; 0 means the
+    page is not a member of the LRU that owns the stamps.  Stamps are
+    unique, so they order pages, blocks and chunks exactly as a list
+    kept in last-access order would (see
+    :class:`~repro.memory.lru.HierarchicalLRU`).
+
+    They are ``list`` s, not ``array("q")``: an item store into a list
+    is the cheapest store the issue loop can make.  The window grows like
+    the page table's and replaces the lists, so a list must never be
+    held across a growth.  A store that belongs to a
+    :class:`GpuPageTable` (:meth:`GpuPageTable.claim_stamps`) shares the
+    table's window, so ``page`` indexes like the table's per-page
+    arrays; a store of its own grows on demand.
+
+    When both page ratios are powers of two that divide the window
+    alignment (65,536 pages), the window base is large-page aligned, and
+    ``block[i >> block_shift]`` and ``chunk[i >> chunk_shift]`` are the
+    block and chunk of ``page[i]``; otherwise both shifts are None.
+    """
+
+    __slots__ = ("pages_per_block", "pages_per_large_page",
+                 "block_shift", "chunk_shift", "base", "block_base",
+                 "chunk_base", "page", "block", "chunk", "clock", "_cover")
+
+    def __init__(self, space: AddressSpace, cover=None) -> None:
+        self.pages_per_block = per_block = space.pages_per_block
+        self.pages_per_large_page = per_chunk = space.pages_per_large_page
+        self.block_shift = self.chunk_shift = None
+        if not (per_block & (per_block - 1) or per_chunk & (per_chunk - 1)
+                or WINDOW_ALIGN % per_chunk):
+            self.block_shift = per_block.bit_length() - 1
+            self.chunk_shift = per_chunk.bit_length() - 1
+        self.base = self.block_base = self.chunk_base = 0
+        self.page: list[int] = []
+        self.block: list[int] = []
+        self.chunk: list[int] = []
+        self.clock = 0
+        #: Grows the window to cover a page: the owning table's, or None.
+        self._cover = cover
+
+    def cover(self, page: int) -> None:
+        """Grow the window so it covers ``page``."""
+        if 0 <= page - self.base < len(self.page):
+            return
+        if self._cover is not None:
+            self._cover(page)  # the table calls regrid()
+        else:
+            base, size, _ = grown_window(self.base, len(self.page), page)
+            self.regrid(base, size)
+
+    def regrid(self, base: int, size: int) -> None:
+        """Move to the window ``[base, base + size)``, which contains the
+        current one, keeping every stamp."""
+        per_block = self.pages_per_block
+        per_chunk = self.pages_per_large_page
+        block_base = base // per_block
+        chunk_base = base // per_chunk
+        self.page = _moved(self.page, self.base - base, size)
+        self.block = _moved(self.block, self.block_base - block_base,
+                            -(-(base + size) // per_block) - block_base)
+        self.chunk = _moved(self.chunk, self.chunk_base - chunk_base,
+                            -(-(base + size) // per_chunk) - chunk_base)
+        self.base, self.block_base, self.chunk_base = \
+            base, block_base, chunk_base
+
+
+def _moved(old: list[int], offset: int, size: int) -> list[int]:
+    """A zeroed list of ``size`` holding ``old`` from ``offset`` on."""
+    new = [0] * size
+    if old:
+        new[offset:offset + len(old)] = old
+    return new
+
+
 class GpuPageTable:
     """Per-page state with transition checking.
 
@@ -38,7 +119,9 @@ class GpuPageTable:
     per-access path indexes them at plain-Python speed and the range
     queries run as C-level ``bytearray`` scans.  Growth replaces the
     arrays, so an index must never be held across a growth.  Pages
-    outside the window are INVALID and were never migrated.
+    outside the window are INVALID and were never migrated.  The
+    recency stamps of one LRU (:meth:`claim_stamps`) share the window
+    and grow with it.
 
     Each transition has a scalar form (one page) and a run form (a
     driver step's pages at once).  The run forms check and apply with
@@ -56,6 +139,8 @@ class GpuPageTable:
         #: Completed migrations per page; more than one means thrashing.
         self._migrations = array("q")
         self._valid_count = 0
+        #: The recency stamps of the one LRU that claimed them, or None.
+        self.stamps: PageStamps | None = None
 
     def _index(self, page: int) -> int:
         """Index of ``page``, growing the window to cover it."""
@@ -73,6 +158,8 @@ class GpuPageTable:
         migrations[offset:stop] = self._migrations
         self._state, self._dirty, self._migrations = state, dirty, migrations
         self._base = base
+        if self.stamps is not None:
+            self.stamps.regrid(base, new_size)
         return page - base
 
     def _code(self, page: int) -> int:
@@ -243,6 +330,23 @@ class GpuPageTable:
         that step and no longer.
         """
         return self._base, self._state, self._dirty, _VALID
+
+    def claim_stamps(self, space: AddressSpace) -> PageStamps | None:
+        """The table's :class:`PageStamps` for the first caller, None for
+        any later one.
+
+        One LRU owns the table's stamps, and the issue loop may stamp
+        them inline next to the dirty bit (they share the window, so one
+        index serves both).  A second LRU over the same table (the
+        bandit's passive arm) keeps a store of its own.
+        """
+        if self.stamps is not None:
+            return None
+        stamps = PageStamps(space, cover=self._index)
+        if self._state:
+            stamps.regrid(self._base, len(self._state))
+        self.stamps = stamps
+        return stamps
 
     # --- policy queries -------------------------------------------------------
     def invalid_pages_in_range(self, first: int, stop: int) -> list[int]:

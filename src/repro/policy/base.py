@@ -28,9 +28,17 @@ the hooks at well-defined points:
     Not an event: the reference engine asks for it once per SM step and
     calls the returned one-argument callable with each page the step
     retires, in place of ``on_accessed(page, ctx)``.  The default wraps
-    ``on_accessed``, so overriding ``on_accessed`` is enough; built-in
-    evictors return their structure's own bound method so an access
+    ``on_accessed``, so overriding ``on_accessed`` is enough; LRU4K and
+    Re return their structure's own method or a closure, so an access
     costs one call.  A hook must not outlive the step it was made for.
+
+    A policy may instead return None: its recency *is* the page table's
+    stamps (:meth:`~repro.memory.page_table.GpuPageTable.claim_stamps`),
+    and the step stamps each retired page, its 64 KB block and its 2 MB
+    chunk inline from the stamps' clock, then writes the clock back once
+    per step.  The block evictors (``BlockLruEviction``) do so when
+    their LRU owns the table's stamps; a subclass that overrides ``on_accessed`` keeps a callable hook and is
+    never stamped inline, so the two paths never share a step.
 
 ``on_invalidated_externally(page, ctx)``
     A valid page was invalidated outside the policy's own plans (e.g. a
@@ -92,9 +100,10 @@ class Policy:
     def on_accessed(self, page: int, ctx) -> None:
         """A valid page was read or written."""
 
-    def access_hook(self, ctx) -> Callable[[int], None]:
+    def access_hook(self, ctx) -> Callable[[int], None] | None:
         """A one-argument callable equivalent to ``on_accessed(page, ctx)``
-        for the accesses of one SM step (see the module docs)."""
+        for the accesses of one SM step, or None when the step is to stamp
+        the page table's recency stamps inline (see the module docs)."""
         return partial(self.on_accessed, ctx=ctx)
 
     def on_accessed_many(self, pages, ctx) -> None:

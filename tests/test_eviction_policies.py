@@ -263,10 +263,27 @@ class TestLru2Mb:
         assert set(plan.all_pages()) == set(first_chunk)
 
 
+def inline_stamp(table):
+    """What the issue loop does per access when ``access_hook`` returns
+    None: stamp the page, its block and its chunk in the page table."""
+    stamps = table.stamps
+    base = table.access_view()[0]
+
+    def stamp(page):
+        index = page - base
+        assert stamps.page[index], page
+        stamps.clock += 1
+        stamps.page[index] = stamps.block[index >> stamps.block_shift] = \
+            stamps.chunk[index >> stamps.chunk_shift] = stamps.clock
+
+    return stamp
+
+
 class TestAccessHook:
-    """``access_hook(ctx)(page)`` is ``on_accessed(page, ctx)``: the same
-    accesses through either leave every registered policy planning the
-    same evictions."""
+    """``access_hook(ctx)(page)`` is ``on_accessed(page, ctx)``, or, for a
+    hook of None, the issue loop's inline stamps: the same accesses
+    through either leave every registered policy planning the same
+    evictions."""
 
     @staticmethod
     def _evictions(name, use_hook):
@@ -279,7 +296,7 @@ class TestAccessHook:
         draw = random.Random(7)
         accesses = [draw.choice(pages[:600]) for _ in range(1500)]
         if use_hook:
-            touch = policy.access_hook(ctx)
+            touch = policy.access_hook(ctx) or inline_stamp(ctx.page_table)
             for page in accesses:
                 touch(page)
         else:
@@ -316,6 +333,12 @@ class TestAccessHook:
         hook(pages[3])
         hook(pages[5])
         assert policy.seen == [pages[3], pages[5]]
-        # The built-in form binds the LRU's own method instead.
+        # The built-in form binds the LRU's own method instead: here the
+        # page table's stamps are taken, so its LRU keeps its own.
         plain = TreeBasedNeighborhoodPreEviction()
         assert plain.access_hook(ctx) == plain._structure(ctx).touch
+        # Owning the table's stamps, it opts into the inline stamps.
+        owner = TreeBasedNeighborhoodPreEviction()
+        fresh, _ = make_ctx()
+        assert owner.access_hook(fresh) is None
+        assert owner._structure(fresh).stamps is fresh.page_table.stamps

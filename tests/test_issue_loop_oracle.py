@@ -119,8 +119,14 @@ class EveryOtherTouchTbne(TreeBasedNeighborhoodPreEviction):
             super().on_accessed(page, ctx)
 
 
-def _run(cls, name: str, scale: float, **overrides):
-    """Stats JSON and per-SM loop state after one workload run."""
+def _lru_order(sim) -> list[int] | None:
+    """The eviction policy's LRU-to-MRU page order, when it keeps one."""
+    lru = getattr(sim.driver.eviction, "_lru", None)
+    return None if lru is None else lru.pages_in_order()
+
+
+def _simulate(cls, name: str, scale: float, **overrides):
+    """The engine of class ``cls`` after one workload run."""
     workload = make_workload(name, scale=scale)
     combo = overrides.pop("combo", COMBINATIONS[-1])
     _, prefetcher, eviction, keep_prefetching = combo
@@ -136,9 +142,15 @@ def _run(cls, name: str, scale: float, **overrides):
         sim.launch_kernel(kernel)
     sim.synchronize()
     sim.check_invariants()
+    return sim
+
+
+def _run(cls, name: str, scale: float, **overrides):
+    """Stats JSON, per-SM loop state and LRU order after one run."""
+    sim = _simulate(cls, name, scale, **overrides)
     per_sm = [(sm.time_ns, sm._rr_index, sm.tlb.hits, sm.tlb.misses,
                list(sm.tlb._entries)) for sm in sim.sms]
-    return sim.stats.to_json(), per_sm
+    return sim.stats.to_json(), per_sm, _lru_order(sim)
 
 
 def _assert_matches_oracle(name: str, scale: float, **overrides) -> None:
@@ -146,6 +158,7 @@ def _assert_matches_oracle(name: str, scale: float, **overrides) -> None:
     actual = _run(Simulator, name, scale, **dict(overrides))
     assert actual[0] == expected[0]
     assert actual[1] == expected[1]
+    assert actual[2] == expected[2]
 
 
 def _matrix(workloads):
@@ -198,6 +211,65 @@ class TestIssueLoopOracle:
     def test_block_lru_subclass_extending_on_accessed(self, name):
         _assert_matches_oracle(name, TIER1_SCALE,
                                eviction_class=EveryOtherTouchTbne)
+
+
+#: Block-LRU evictors whose recency the issue loop stamps inline, at an
+#: over-subscription that evicts throughout the run.
+STAMP_COMBOS = (
+    ("lru2mb", "tbn", "lru2mb", True),
+    ("sequential-local", "sequential-local", "sequential-local", True),
+    ("adaptive", "tbn", "adaptive", True),
+    ("logistic", "tbn", "logistic", True),
+)
+
+
+class ClockCheckingSimulator(Simulator):
+    """The reference engine, checking the stamp clock after each quantum.
+
+    Every stamp also lands in its chunk's stamp, and chunk stamps are
+    never cleared, so the clock must equal the largest chunk stamp: an
+    inline quantum that failed to write its clock back, or wrote back a
+    stale one over stamps a hook took, breaks that.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.quanta = 0
+        self.inline_quanta = 0
+
+    def _issue_quantum(self, sm, budget: int) -> None:
+        inline = self.driver.eviction.access_hook(self.ctx) is None
+        super()._issue_quantum(sm, budget)
+        lru = self.driver.eviction._lru
+        if lru is not None:  # the hook path builds it on first validation
+            stamps = self.page_table.stamps
+            assert stamps is lru.stamps
+            assert stamps.clock == max(stamps.chunk, default=0)
+        self.quanta += 1
+        self.inline_quanta += inline
+
+
+class TestStampedRecency:
+    """The inline stamp tail against the oracle's ``on_accessed`` calls."""
+
+    @pytest.mark.parametrize("oversubscription", [125.0, 150.0])
+    @pytest.mark.parametrize("name", POLICY_WORKLOADS)
+    @pytest.mark.parametrize("combo", STAMP_COMBOS,
+                             ids=[combo[0] for combo in STAMP_COMBOS])
+    def test_victims_read_from_stamps(self, combo, name, oversubscription):
+        _assert_matches_oracle(name, TIER1_SCALE, combo=combo,
+                               oversubscription=oversubscription)
+
+    @pytest.mark.parametrize("eviction_class,inline", [
+        (TreeBasedNeighborhoodPreEviction, True),
+        (EveryOtherTouchTbne, False),
+    ], ids=["inline", "hook"])
+    def test_engine_clock_is_the_lru_clock(self, eviction_class, inline):
+        sim = _simulate(ClockCheckingSimulator, "hotspot", TIER1_SCALE,
+                        eviction_class=eviction_class)
+        assert sim.quanta > 0
+        assert sim.inline_quanta == (sim.quanta if inline else 0)
+        assert sim.page_table.stamps.clock > 0
 
 
 @pytest.mark.slow

@@ -9,10 +9,25 @@ from hypothesis import strategies as st
 from repro.errors import PolicyError
 from repro.memory.addressing import AddressSpace
 from repro.memory.lru import FlatLRU, HierarchicalLRU, RandomMembership
+from repro.memory.page_table import GpuPageTable
+from tests.ordered_lru import OrderedHierarchicalLRU
 
 SPACE = AddressSpace()
 PAGES_PER_BLOCK = SPACE.pages_per_block          # 16
 PAGES_PER_CHUNK = SPACE.pages_per_large_page     # 512
+
+
+def own_stamps():
+    """An LRU over a stamp store of its own."""
+    return HierarchicalLRU(SPACE)
+
+
+def table_stamps():
+    """An LRU over a page table's stamps (the engine's inline path)."""
+    return HierarchicalLRU(SPACE, GpuPageTable().claim_stamps(SPACE))
+
+
+LRU_FACTORIES = (own_stamps, table_stamps)
 
 
 class TestFlatLRU:
@@ -68,105 +83,118 @@ class TestFlatLRU:
 
 
 class TestHierarchicalLRU:
+    """Each test runs over a stamp store of the LRU's own and over a page
+    table's stamps."""
+
     def test_membership_and_count(self):
-        lru = HierarchicalLRU()
-        lru.insert(0)
-        lru.insert(17)  # block 1
-        assert 0 in lru and 17 in lru and 5 not in lru
-        assert len(lru) == 2
+        for make in LRU_FACTORIES:
+            lru = make()
+            lru.insert(0)
+            lru.insert(17)  # block 1
+            assert 0 in lru and 17 in lru and 5 not in lru
+            assert len(lru) == 2
 
     def test_victim_block_is_lru_block_of_lru_chunk(self):
-        lru = HierarchicalLRU()
-        # Chunk 0: blocks 0 and 1; chunk 1: block 32.
-        lru.insert(0)                       # chunk 0, block 0
-        lru.insert(PAGES_PER_BLOCK)         # chunk 0, block 1
-        lru.insert(PAGES_PER_CHUNK)         # chunk 1, block 32
-        # Chunk 1 is most recent; victim comes from chunk 0, block 0.
-        assert lru.victim_block() == 0
-        lru.touch(0)                        # chunk 0 now MRU, block 0 MRU
-        assert lru.victim_block() == PAGES_PER_CHUNK // PAGES_PER_BLOCK
+        for make in LRU_FACTORIES:
+            lru = make()
+            # Chunk 0: blocks 0 and 1; chunk 1: block 32.
+            lru.insert(0)                       # chunk 0, block 0
+            lru.insert(PAGES_PER_BLOCK)         # chunk 0, block 1
+            lru.insert(PAGES_PER_CHUNK)         # chunk 1, block 32
+            # Chunk 1 is most recent; victim comes from chunk 0, block 0.
+            assert lru.victim_block() == 0
+            lru.touch(0)                        # chunk 0 now MRU, block 0 MRU
+            assert lru.victim_block() == PAGES_PER_CHUNK // PAGES_PER_BLOCK
 
     def test_chunk_recency_dominates_block_recency(self):
-        lru = HierarchicalLRU()
-        lru.insert(0)                       # chunk 0
-        lru.insert(PAGES_PER_CHUNK)         # chunk 1
-        lru.touch(0)                        # chunk 0 MRU
-        # Chunk 1's only block is older at chunk level even though the
-        # page in chunk 0 block 0 was inserted first.
-        assert lru.victim_block() == PAGES_PER_CHUNK // PAGES_PER_BLOCK
+        for make in LRU_FACTORIES:
+            lru = make()
+            lru.insert(0)                       # chunk 0
+            lru.insert(PAGES_PER_CHUNK)         # chunk 1
+            lru.touch(0)                        # chunk 0 MRU
+            # Chunk 1's only block is older at chunk level even though the
+            # page in chunk 0 block 0 was inserted first.
+            assert lru.victim_block() == PAGES_PER_CHUNK // PAGES_PER_BLOCK
 
     def test_remove_block_returns_all_pages(self):
-        lru = HierarchicalLRU()
-        pages = [0, 1, 2, 5]
-        for page in pages:
-            lru.insert(page)
-        removed = lru.remove_block(0)
-        assert sorted(removed) == pages
-        assert len(lru) == 0
-        assert lru.remove_block(0) == []
+        for make in LRU_FACTORIES:
+            lru = make()
+            pages = [0, 1, 2, 5]
+            for page in pages:
+                lru.insert(page)
+            removed = lru.remove_block(0)
+            assert sorted(removed) == pages
+            assert len(lru) == 0
+            assert lru.remove_block(0) == []
 
     def test_remove_single_page(self):
-        lru = HierarchicalLRU()
-        lru.insert(3)
-        lru.remove(3)
-        assert len(lru) == 0
-        with pytest.raises(PolicyError):
+        for make in LRU_FACTORIES:
+            lru = make()
+            lru.insert(3)
             lru.remove(3)
+            assert len(lru) == 0
+            with pytest.raises(PolicyError):
+                lru.remove(3)
 
     def test_victim_block_with_page_skip(self):
-        lru = HierarchicalLRU()
-        # Block 0 holds 3 pages, block 1 holds 2 pages.
-        for page in (0, 1, 2):
-            lru.insert(page)
-        for page in (16, 17):
-            lru.insert(page)
-        assert lru.victim_block(skip_pages=0) == 0
-        # A reservation boundary falling mid-block protects the whole
-        # block: eviction removes entire blocks, so returning block 0
-        # here (the pre-fix behaviour) would evict pages 0-2 even though
-        # the skip promised to keep two of them.
-        assert lru.victim_block(skip_pages=2) == 1
-        assert lru.victim_block(skip_pages=3) == 1
-        with pytest.raises(PolicyError):
-            lru.victim_block(skip_pages=5)
+        for make in LRU_FACTORIES:
+            lru = make()
+            # Block 0 holds 3 pages, block 1 holds 2 pages.
+            for page in (0, 1, 2):
+                lru.insert(page)
+            for page in (16, 17):
+                lru.insert(page)
+            assert lru.victim_block(skip_pages=0) == 0
+            # A reservation boundary falling mid-block protects the whole
+            # block: eviction removes entire blocks, so returning block 0
+            # here (the pre-fix behaviour) would evict pages 0-2 even though
+            # the skip promised to keep two of them.
+            assert lru.victim_block(skip_pages=2) == 1
+            assert lru.victim_block(skip_pages=3) == 1
+            with pytest.raises(PolicyError):
+                lru.victim_block(skip_pages=5)
 
     def test_victim_block_skip_into_last_block_falls_back(self):
-        # When the reservation cuts into the last block no block is fully
-        # unprotected; the boundary block is returned anyway (documented
-        # fallback: partial protection of the MRU-most block beats
-        # deadlocking the eviction path).
-        lru = HierarchicalLRU()
-        for page in (0, 1, 2):
-            lru.insert(page)
-        for page in (16, 17):
-            lru.insert(page)
-        assert lru.victim_block(skip_pages=4) == 1
+        for make in LRU_FACTORIES:
+            # When the reservation cuts into the last block no block is fully
+            # unprotected; the boundary block is returned anyway (documented
+            # fallback: partial protection of the MRU-most block beats
+            # deadlocking the eviction path).
+            lru = make()
+            for page in (0, 1, 2):
+                lru.insert(page)
+            for page in (16, 17):
+                lru.insert(page)
+            assert lru.victim_block(skip_pages=4) == 1
 
     def test_victim_page_with_skip(self):
-        lru = HierarchicalLRU()
-        for page in (0, 1, 16):
-            lru.insert(page)
-        assert lru.victim_page(0) == 0
-        assert lru.victim_page(1) == 1
-        assert lru.victim_page(2) == 16
+        for make in LRU_FACTORIES:
+            lru = make()
+            for page in (0, 1, 16):
+                lru.insert(page)
+            assert lru.victim_page(0) == 0
+            assert lru.victim_page(1) == 1
+            assert lru.victim_page(2) == 16
 
     def test_blocks_in_order(self):
-        lru = HierarchicalLRU()
-        lru.insert(0)
-        lru.insert(16)
-        lru.insert(PAGES_PER_CHUNK)
-        lru.touch(16)
-        # Chunk 0 was touched last -> chunk 1's block first? No: touch(16)
-        # moved chunk 0 to MRU, so chunk 1 (block 32) comes first.
-        order = lru.blocks_in_order()
-        assert order == [PAGES_PER_CHUNK // PAGES_PER_BLOCK, 0, 1]
+        for make in LRU_FACTORIES:
+            lru = make()
+            lru.insert(0)
+            lru.insert(16)
+            lru.insert(PAGES_PER_CHUNK)
+            lru.touch(16)
+            # Chunk 0 was touched last -> chunk 1's block first? No: touch(16)
+            # moved chunk 0 to MRU, so chunk 1 (block 32) comes first.
+            order = lru.blocks_in_order()
+            assert order == [PAGES_PER_CHUNK // PAGES_PER_BLOCK, 0, 1]
 
-    @given(st.lists(st.tuples(st.sampled_from(["ins", "del", "touch"]),
-                              st.integers(min_value=0, max_value=1200)),
-                    max_size=80))
+    @given(make=st.sampled_from(LRU_FACTORIES),
+           ops=st.lists(st.tuples(st.sampled_from(["ins", "del", "touch"]),
+                                  st.integers(min_value=0, max_value=1200)),
+                        max_size=80))
     @settings(max_examples=100, deadline=None)
-    def test_membership_matches_reference(self, ops):
-        lru = HierarchicalLRU()
+    def test_membership_matches_reference(self, make, ops):
+        lru = make()
         reference: set[int] = set()
         for op, page in ops:
             if op == "ins":
@@ -190,13 +218,14 @@ class TestHierarchicalLRU:
         """Full LRU-to-MRU page order (chunk, then block, then page)."""
         return [lru.victim_page(i) for i in range(len(lru))]
 
-    @given(st.lists(st.tuples(st.sampled_from(["ins", "del", "touch"]),
-                              st.integers(min_value=0, max_value=1100)),
-                    max_size=80))
+    @given(make=st.sampled_from(LRU_FACTORIES),
+           ops=st.lists(st.tuples(st.sampled_from(["ins", "del", "touch"]),
+                                  st.integers(min_value=0, max_value=1100)),
+                        max_size=80))
     @settings(max_examples=100, deadline=None)
-    def test_touch_orders_like_insert(self, ops):
-        touched = HierarchicalLRU()
-        inserted = HierarchicalLRU()
+    def test_touch_orders_like_insert(self, make, ops):
+        touched = make()
+        inserted = make()
         for op, page in ops:
             present = page in inserted
             if op == "ins" or (op == "touch" and present):
@@ -216,15 +245,16 @@ class TestHierarchicalLRU:
             assert touched.blocks_in_order() == inserted.blocks_in_order()
             assert self._order(touched) == self._order(inserted)
 
-    @given(st.lists(st.tuples(st.sampled_from(["run", "del", "touch"]),
-                              st.integers(min_value=0, max_value=1100),
-                              st.integers(min_value=1, max_value=40)),
-                    max_size=40))
+    @given(make=st.sampled_from(LRU_FACTORIES),
+           ops=st.lists(st.tuples(st.sampled_from(["run", "del", "touch"]),
+                                  st.integers(min_value=0, max_value=1100),
+                                  st.integers(min_value=1, max_value=40)),
+                        max_size=40))
     @settings(max_examples=100, deadline=None)
-    def test_insert_run_orders_like_inserts(self, ops):
+    def test_insert_run_orders_like_inserts(self, make, ops):
         """Runs across block and chunk edges, over present pages too."""
-        by_run = HierarchicalLRU()
-        by_page = HierarchicalLRU()
+        by_run = make()
+        by_page = make()
         for op, page, length in ops:
             if op == "run":
                 by_run.insert_run(page, page + length)
@@ -241,16 +271,122 @@ class TestHierarchicalLRU:
             assert self._order(by_run) == self._order(by_page)
 
     def test_touch_absent_raises_at_every_level(self):
-        lru = HierarchicalLRU()
-        lru.insert(0)
-        lru.insert(PAGES_PER_BLOCK)
-        before = self._order(lru)
-        for page in (PAGES_PER_CHUNK,          # absent chunk
-                     2 * PAGES_PER_BLOCK,      # absent block, chunk present
-                     1):                       # absent page, block present
-            with pytest.raises(PolicyError):
-                lru.touch(page)
-            assert self._order(lru) == before
+        for make in LRU_FACTORIES:
+            lru = make()
+            lru.insert(0)
+            lru.insert(PAGES_PER_BLOCK)
+            before = self._order(lru)
+            for page in (PAGES_PER_CHUNK,      # absent chunk
+                         2 * PAGES_PER_BLOCK,  # absent block, chunk present
+                         1):                   # absent page, block present
+                with pytest.raises(PolicyError):
+                    lru.touch(page)
+                assert self._order(lru) == before
+
+
+#: Pages of three chunks, four blocks each, so that operations hit
+#: present pages often.
+_ORACLE_PAGES = st.builds(
+    lambda chunk, block, offset:
+        chunk * PAGES_PER_CHUNK + block * PAGES_PER_BLOCK + offset,
+    st.integers(0, 2), st.integers(0, 3), st.integers(0, PAGES_PER_BLOCK - 1))
+_ORACLE_OPS = st.lists(st.one_of(
+    st.tuples(st.just("insert"), _ORACLE_PAGES),
+    st.tuples(st.just("insert_run"), _ORACLE_PAGES, st.integers(1, 40)),
+    st.tuples(st.just("touch"), _ORACLE_PAGES),
+    st.tuples(st.just("remove"), _ORACLE_PAGES),
+    st.tuples(st.just("remove_block"), _ORACLE_PAGES),
+    st.tuples(st.just("cascade"), _ORACLE_PAGES,
+              st.integers(0, PAGES_PER_BLOCK)),
+    st.tuples(st.just("victim_block"), st.integers(0, 200)),
+    st.tuples(st.just("victim_page"), st.integers(0, 200)),
+), max_size=60)
+
+
+def _outcome(call, *args):
+    """A call's result, or the PolicyError class it raised."""
+    try:
+        return call(*args)
+    except PolicyError:
+        return PolicyError
+
+
+def _apply(lru, op, args):
+    """One oracle operation on ``lru``; returns what it observed."""
+    if op == "insert_run":
+        page, length = args
+        return lru.insert_run(page, page + length)
+    if op in ("remove_block", "cascade"):
+        block = SPACE.block_of_page(args[0])
+        pages = lru.remove_block(block)
+        if op == "remove_block":
+            return pages
+        # TBNe's cascade: keep the ``wanted`` LRU-most pages of the
+        # block, re-insert the rest.
+        wanted = args[1]
+        for page in pages[wanted:]:
+            lru.insert(page)
+        return pages[:wanted]
+    return _outcome(getattr(lru, op), *args)
+
+
+class TestStampsAgainstOrderedOracle:
+    """The stamp LRU against the ``OrderedDict`` structure it replaced."""
+
+    @given(make=st.sampled_from(LRU_FACTORIES), ops=_ORACLE_OPS)
+    @settings(max_examples=150, deadline=None)
+    def test_every_query_matches(self, make, ops):
+        lru = make()
+        oracle = OrderedHierarchicalLRU(SPACE)
+        for op, *args in ops:
+            assert _apply(lru, op, args) == _apply(oracle, op, args)
+            assert len(lru) == len(oracle)
+            assert lru.blocks_in_order() == oracle.blocks_in_order()
+            # A page is a member exactly when its stamp is non-zero.
+            assert sum(map(bool, lru.stamps.page)) == len(lru)
+        order = [oracle.victim_page(i) for i in range(len(oracle))]
+        assert [lru.victim_page(i) for i in range(len(lru))] == order
+        assert lru.pages_in_order() == order
+        for page in range(3 * PAGES_PER_CHUNK):
+            assert (page in lru) == (page in oracle)
+
+    @given(make=st.sampled_from(LRU_FACTORIES),
+           pages=st.lists(_ORACLE_PAGES, min_size=1, max_size=80))
+    @settings(max_examples=50, deadline=None)
+    def test_touch_many_stamps_in_order(self, make, pages):
+        """The fast engine's flush: one stamp per page, in the order
+        given."""
+        lru = make()
+        oracle = OrderedHierarchicalLRU(SPACE)
+        for page in pages:
+            lru.insert(page)
+            oracle.insert(page)
+        lru.touch_many(reversed(pages))
+        for page in reversed(pages):
+            oracle.touch(page)
+        assert [lru.victim_page(i) for i in range(len(lru))] == \
+            [oracle.victim_page(i) for i in range(len(oracle))]
+
+    def test_page_table_growth_keeps_stamps(self):
+        """A stamp store that is the page table's moves with the table's
+        window and keeps every stamp and the clock."""
+        table = GpuPageTable()
+        lru = HierarchicalLRU(SPACE, table.claim_stamps(SPACE))
+        first = 1 << 20
+        lru.insert_run(first, first + 40)
+        order = [lru.victim_page(i) for i in range(len(lru))]
+        clock = lru.stamps.clock
+        table.begin_migration(first - 3 * (1 << 16))  # grows downwards
+        table.begin_migration(first + 5 * (1 << 16))  # and upwards
+        assert lru.stamps.base == table.access_view()[0]
+        assert len(lru.stamps.page) == len(table.access_view()[1])
+        assert [lru.victim_page(i) for i in range(len(lru))] == order
+        assert lru.stamps.clock == clock
+
+    def test_table_stamps_go_to_one_lru(self):
+        table = GpuPageTable()
+        assert table.claim_stamps(SPACE) is table.stamps is not None
+        assert table.claim_stamps(SPACE) is None
 
 
 class TestRandomMembership:

@@ -17,6 +17,7 @@ from repro.memory.page_table import GpuPageTable
 from repro.runtime import run_workload
 from repro.stats import SimStats
 from repro.workloads.synthetic import StreamingWorkload
+from tests.ordered_lru import OrderedHierarchicalLRU
 
 SPACE = AddressSpace()
 PAGES_PER_BLOCK = SPACE.pages_per_block
@@ -72,20 +73,28 @@ class TestHierarchicalLruAgainstReference:
     @given(lru_ops())
     @settings(max_examples=150, deadline=None)
     def test_victim_block_matches_reference(self, ops):
-        lru = HierarchicalLRU()
-        reference = _ReferenceLRU()
-        members: set[int] = set()
-        for op, page in ops:
-            if op == "touch":
-                lru.insert(page)
-                reference.touch(page)
-                members.add(page)
-            elif page in members:
-                lru.remove(page)
-                reference.remove(page)
-                members.discard(page)
-        if members:
-            assert lru.victim_block() == reference.victim_block()
+        """The stamp LRU, the ``OrderedDict`` one it replaced and the
+        brute-force model agree, over either stamp store."""
+        for lru in (HierarchicalLRU(),
+                    HierarchicalLRU(SPACE,
+                                    GpuPageTable().claim_stamps(SPACE))):
+            ordered = OrderedHierarchicalLRU()
+            reference = _ReferenceLRU()
+            members: set[int] = set()
+            for op, page in ops:
+                if op == "touch":
+                    lru.insert(page)
+                    ordered.insert(page)
+                    reference.touch(page)
+                    members.add(page)
+                elif page in members:
+                    lru.remove(page)
+                    ordered.remove(page)
+                    reference.remove(page)
+                    members.discard(page)
+            if members:
+                assert lru.victim_block() == ordered.victim_block() \
+                    == reference.victim_block()
 
 
 class TestTbnpTransferBounds:

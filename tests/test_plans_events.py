@@ -109,6 +109,23 @@ class TestSplitRunsAtFaults:
             assert in_faults in (set(), page_set)
             assert group.fault_pages == frozenset(in_faults)
 
+    def test_prefetch_only_runs_pass_through(self, monkeypatch):
+        """Only runs that hold faults are cut: a prefetch-only run
+        becomes one group without a fault-run split."""
+        import repro.core.plans as plans
+
+        calls = []
+        monkeypatch.setattr(plans, "contiguous_runs",
+                            lambda pages: calls.append(list(pages))
+                            or contiguous_runs(pages))
+        pages = [*range(0, 16), *range(32, 48), *range(64, 70)]
+        groups = plans.split_runs_at_faults(pages, {33, 34})
+        assert [g.pages for g in groups] == [
+            list(range(0, 16)), [32], [33, 34], list(range(35, 48)),
+            list(range(64, 70))]
+        # The merge of the planned pages, then the one run with faults.
+        assert calls == [pages, [33, 34]]
+
     @given(st.sets(st.integers(min_value=0, max_value=300)),
            st.sets(st.integers(min_value=-20, max_value=320)))
     def test_matches_per_page_walk(self, pages, faults):

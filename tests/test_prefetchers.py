@@ -214,6 +214,23 @@ class TestRandomPoolMatchesScan:
             for page in draw.sample(invalid, len(invalid) // 4):
                 table.begin_migration(page)
 
+    def test_one_range_lookup_per_chunk(self, monkeypatch):
+        """A chunk's requested range is looked up once per plan, however
+        many of the plan's faults fall in it."""
+        ctx, small, pair, far = self._ctx(2)
+        calls = []
+        lookup = ctx.requested_pages_in_large_page
+        monkeypatch.setattr(ctx, "requested_pages_in_large_page",
+                            lambda page: calls.append(page) or lookup(page))
+        faulted = [*small.page_range[:40], *far.page_range[:30:3]]
+        before = ctx.rng.getstate()
+        expected = scan_random_plan(faulted, ctx)
+        ctx.rng.setstate(before)
+        assert make_prefetcher("random").plan(faulted, ctx).groups \
+            == expected
+        chunks = {ctx.space.large_page_of_page(page) for page in faulted}
+        assert len(calls) == len(chunks) == 2
+
 
 class TestSequentialLocal:
     def test_migrates_whole_block(self):
