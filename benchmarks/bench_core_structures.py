@@ -3,9 +3,10 @@
 Unlike the experiment benches (one-shot, shape-asserting), these use
 pytest-benchmark's normal multi-round timing: they guard the hot paths the
 whole-simulation runtime depends on — tree balancing, hierarchical LRU
-maintenance, MSHR traffic, page-table run transitions, TLB lookups, the
-reference engine's per-access tail, the block evictors' recency stamps
-and victim query, and the bandwidth model.
+maintenance, MSHR traffic, page-table run transitions, TLB lookups and
+miss fills, the reference engine's per-access tail, the block evictors'
+recency stamps and victim query, the PCI-e schedule and the bandwidth
+model.
 """
 
 import random
@@ -103,20 +104,82 @@ def test_perf_mshr_bulk_register_complete(benchmark):
     """One 512-page plan: bulk register past 16 faulted entries, then
     complete it as 32 sixteen-page groups."""
     faulted = range(0, 512, 32)
-    plan = list(range(512))
-    groups = [plan[i:i + 16] for i in range(0, 512, 16)]
+    groups = [range(i, i + 16) for i in range(0, 512, 16)]
 
     def traffic():
         mshr = FarFaultMSHR(1024)
         for page in faulted:
             mshr.register(page, "warp", 0.0)
-        mshr.register_many(plan, 0.0)
+        mshr.register_many(groups)
         woken = 0
         for group in groups:
             woken += len(mshr.complete_many(group))
         return woken
 
     assert benchmark(traffic) == 16
+
+
+@pytest.mark.parametrize("file", ["counted", "per-page"])
+def test_perf_mshr_prefetch_group(benchmark, file):
+    """Register and complete one 512-page prefetch group with a warp
+    waiting on its first page: ``counted`` is the MSHR file (entries for
+    waited-on pages only), ``per-page`` the file it replaced (an entry
+    per in-flight page), kept in ``tests/per_page_mshr.py``."""
+    from tests.per_page_mshr import PerPageMSHR
+
+    group = range(512)
+
+    def counted():
+        mshr = FarFaultMSHR(1024)
+        mshr.register(0, "warp", 0.0)
+        mshr.register_many([group])
+        return mshr.complete_many(group)
+
+    def per_page():
+        mshr = PerPageMSHR(1024)
+        mshr.register(0, "warp", 0.0)
+        mshr.register_many(list(group), 0.0)
+        return mshr.complete_many(list(group))
+
+    assert benchmark(counted if file == "counted" else per_page) == ["warp"]
+
+
+@pytest.mark.parametrize("fill", ["inline", "gmmu"])
+def test_perf_tlb_miss_fill(benchmark, fill):
+    """2K TLB misses on VALID pages into a 16-entry TLB (every fill
+    evicts): ``inline`` is the issue loop's view test and LRU fill,
+    ``gmmu`` the ``Gmmu.handle_tlb_miss`` call it replaces."""
+    sim = Simulator(SimulatorConfig(tlb_entries=16))
+    table = sim.page_table
+    table.begin_migration_runs([(0, 4096)])
+    table.complete_migration_run(0, 4096)
+    sm = sim.sms[0]
+    rng = random.Random(5)
+    misses = [rng.randrange(4096) for _ in range(2000)]
+
+    def inline():
+        entries = sm.tlb._entries
+        entries.clear()
+        capacity = sm.tlb.capacity
+        base, state, _, valid = table.access_view()
+        size = len(state)
+        fills = 0
+        for page in misses:
+            index = page - base
+            if 0 <= index < size and state[index] == valid:
+                fills += 1
+                if len(entries) >= capacity:
+                    entries.popitem(last=False)
+                entries[page] = None
+        return fills
+
+    def gmmu():
+        sm.tlb.flush()
+        handle = sim.gmmu.handle_tlb_miss
+        return sum(handle(sm, None, page, 0.0) for page in misses)
+
+    assert benchmark(inline if fill == "inline" else gmmu) == len(misses)
+    assert len(sm.tlb) == 16
 
 
 @pytest.mark.parametrize("run_pages", [1, 8, 512])
@@ -268,6 +331,41 @@ def test_perf_victim_block_full_device(benchmark):
 
     victim = benchmark(lru.victim_block)
     assert victim == lru.blocks_in_order()[0]
+
+
+#: PCI-e transfer sizes of the fig11 sweep at scale 0.4 (both
+#: directions), weighted by count: every size seen 20 times or more,
+#: 98% of the 25,195 transfers.
+FIG11_SIZE_MIX = {4096: 22430, 61440: 1297, 65536: 428, 8192: 245,
+                  57344: 122, 53248: 86, 28672: 84, 131072: 49,
+                  16384: 43, 12288: 40, 32768: 35, 45056: 34, 40960: 32,
+                  49152: 26, 262144: 26, 36864: 25, 24576: 23, 20480: 22}
+
+
+@pytest.mark.parametrize("latency", ["schedule", "model"])
+def test_perf_pcie_schedule(benchmark, latency):
+    """1K transfers drawn from the fig11 size mix: ``schedule`` queues
+    them on one channel (latency memoized per size, one ``Transfer``
+    each), ``model`` only evaluates the bandwidth model per transfer,
+    which the channel used to do on every schedule."""
+    from repro.interconnect.pcie import PcieChannel
+    from repro.stats import TransferLog
+
+    rng = random.Random(6)
+    sizes = rng.choices(list(FIG11_SIZE_MIX),
+                        weights=list(FIG11_SIZE_MIX.values()), k=1000)
+    model = BandwidthModel()
+
+    def schedule():
+        channel = PcieChannel(model, "h2d", TransferLog())
+        for size in sizes:
+            channel.schedule(size, 0.0)
+        return channel.busy_until_ns
+
+    def evaluate():
+        return sum(map(model.latency_ns, sizes))
+
+    assert benchmark(schedule if latency == "schedule" else evaluate) > 0
 
 
 def test_perf_bandwidth_model(benchmark):

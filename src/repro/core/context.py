@@ -19,7 +19,7 @@ from ..memory.allocator import ManagedAllocator
 from ..memory.btree import BuddyTree
 from ..memory.frames import FramePool
 from ..memory.page_table import GpuPageTable
-from ..stats import SimStats
+from ..stats import AllocationStats, SimStats
 
 
 class UvmContext:
@@ -40,6 +40,8 @@ class UvmContext:
         #: 2MB chunk index -> allocation name (allocations are 2MB aligned
         #: with guard gaps, so a chunk belongs to at most one allocation).
         self._alloc_name_by_chunk: dict[int, str] = {}
+        #: 2MB chunk index -> that allocation's stats record.
+        self._alloc_stats_by_chunk: dict[int, AllocationStats] = {}
 
     # --- buddy trees ---------------------------------------------------------
     def tree_for_block(self, block: int) -> BuddyTree:
@@ -122,6 +124,17 @@ class UvmContext:
             name = alloc.name
             self._alloc_name_by_chunk[chunk] = name
         return name
+
+    def allocation_stats_of_page(self, page: int) -> AllocationStats:
+        """The stats record of the allocation owning ``page``
+        (chunk-cached; :meth:`SimStats.allocation` creates it on first
+        use)."""
+        chunk = page // self.space.pages_per_large_page
+        record = self._alloc_stats_by_chunk.get(chunk)
+        if record is None:
+            record = self._alloc_stats_by_chunk[chunk] = \
+                self.stats.allocation(self.allocation_name_of_page(page))
+        return record
 
     def allocation_page_counts(self, pages: Iterable[int]) -> Counter[str]:
         """Page counts per owning allocation, in first-seen page order."""

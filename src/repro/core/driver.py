@@ -94,9 +94,7 @@ class UvmDriver:
     def on_new_fault(self, page: int, now_ns: float) -> None:
         """A new far-fault was registered in the MSHRs (Figure 1, step 3)."""
         self.ctx.stats.far_faults += 1
-        self.ctx.stats.allocation(
-            self.ctx.allocation_name_of_page(page)
-        ).far_faults += 1
+        self.ctx.allocation_stats_of_page(page).far_faults += 1
         self._pending.append(page)
         if not self._busy:
             self._busy = True
@@ -118,9 +116,7 @@ class UvmDriver:
         the profile's redelivery latency, mimicking a fault-buffer replay.
         """
         self.ctx.stats.far_faults += 1
-        self.ctx.stats.allocation(
-            self.ctx.allocation_name_of_page(page)
-        ).far_faults += 1
+        self.ctx.allocation_stats_of_page(page).far_faults += 1
         delay = self.injector.profile.fault_redelivery_ns
         if self.tracer.enabled:
             self.tracer.instant(
@@ -273,15 +269,15 @@ class UvmDriver:
         frames = self.ctx.frames
         if frames.unbounded:
             return
-        demand = sum(len(g.pages) for g in plan.groups if g.fault_pages)
+        demand = sum(len(g.pages) for g in plan.groups if g.has_fault)
         available = frames.free_now + frames.pending_release
         total = plan.total_pages
         if total > available:
             self._evict(total - available, now_ns)
             available = frames.free_now + frames.pending_release
         if demand > available:
-            fault_pages = [p for g in plan.groups if g.fault_pages
-                           for p in g.fault_pages]
+            fault_pages = [p for g in plan.groups if g.has_fault
+                           for p in g.pages]
             raise SimulationError(
                 f"device memory cannot hold the {demand} faulted pages of "
                 f"one batch (only {available} obtainable); batch pages "
@@ -291,7 +287,7 @@ class UvmDriver:
         budget = available - demand
         kept: list[TransferGroup] = []
         for group in plan.ordered_groups():
-            if group.fault_pages:
+            if group.has_fault:
                 kept.append(group)
             elif len(group.pages) <= budget:
                 kept.append(group)
@@ -311,12 +307,12 @@ class UvmDriver:
         ctx = self.ctx
         config = ctx.config
         page_size = config.page_size
+        runs = [group.pages for group in plan.groups]
         ctx.page_table.begin_migration_runs(
-            [(group.pages[0], group.pages[0] + len(group.pages))
-             for group in plan.groups])
-        # Faulted pages hold their entries already; the rest get one
-        # with no waiter.
-        self.mshr.register_many(plan.all_pages(), now_ns)
+            [(run.start, run.stop) for run in runs])
+        # Faulted pages hold their entries already; the MSHR counts the
+        # rest, in flight with no waiter.
+        self.mshr.register_many(runs)
         ctx.drop_tree_views()  # the page table now holds the plan
 
         frames = ctx.frames
@@ -325,10 +321,10 @@ class UvmDriver:
         faults_handled = 0
         tracing = self.tracer.enabled
         for group in plan.ordered_groups():
-            if batched_handling or not group.fault_pages:
+            if batched_handling or not group.has_fault:
                 handled_at = batch_start_ns + latency
             else:
-                faults_handled += len(group.fault_pages)
+                faults_handled += len(group.pages)
                 handled_at = batch_start_ns + latency * faults_handled
             frames_ready = frames.allocate(len(group.pages), now_ns)
             if frames_ready > handled_at:
@@ -337,7 +333,7 @@ class UvmDriver:
             note = None
             if tracing:
                 note = {"pages": len(group.pages),
-                        "prefetch": not group.fault_pages}
+                        "prefetch": not group.has_fault}
                 if frames_ready > handled_at:
                     note["eviction_stall_ns"] = frames_ready - handled_at
             transfer = self.link.migrate(
@@ -440,13 +436,13 @@ class UvmDriver:
                               "waiters": len(entry.waiters)},
                     )
         # A group is one run inside one allocation (see TransferGroup).
-        thrashed = ctx.page_table.complete_migration_run(
-            pages[0], pages[0] + len(pages))
+        thrashed = ctx.page_table.complete_migration_run(pages.start,
+                                                         pages.stop)
         self.eviction.on_validated_many(pages, ctx)
         waiters = self.mshr.complete_many(pages)
         migrated = len(pages)
-        prefetched = migrated - len(group.fault_pages)
-        per = stats.allocation(ctx.allocation_name_of_page(pages[0]))
+        prefetched = 0 if group.has_fault else migrated
+        per = ctx.allocation_stats_of_page(pages.start)
         per.pages_migrated += migrated
         per.pages_thrashed += thrashed
         per.pages_prefetched += prefetched
@@ -477,16 +473,14 @@ class UvmDriver:
         dirty = set(ctx.page_table.dirty_pages(evicted_pages))
         ctx.page_table.invalidate_pages(evicted_pages)
         tracing = self.tracer.enabled
-        name_of = ctx.allocation_name_of_page
-        #: allocation name -> pages evicted, in first-seen order.  A unit
-        #: lies in one allocation: a block, a 2 MB chunk or one page.
-        per_alloc: dict[str, int] = {}
+        # A unit lies in one allocation (a block, a 2 MB chunk or one
+        # page), whose record its migration created.
+        alloc_stats = ctx.allocation_stats_of_page
         freed = 0
         written_back = 0
         dropped_clean = 0
         for unit in plan.units:
-            name = name_of(unit.pages[0])
-            per_alloc[name] = per_alloc.get(name, 0) + len(unit.pages)
+            alloc_stats(unit.pages[0]).pages_evicted += len(unit.pages)
             freed += len(unit.pages)
             if unit.unit_writeback:
                 # SLe/TBNe/2MB: the whole unit goes back as one transfer,
@@ -500,7 +494,11 @@ class UvmDriver:
                 stats.pages_written_back += len(unit.pages)
                 written_back += len(unit.pages)
             else:
-                unit_dirty = sorted(dirty.intersection(unit.pages))
+                if len(unit.pages) == 1:  # a 4 KB policy's usual unit
+                    unit_dirty = unit.pages if unit.pages[0] in dirty \
+                        else ()
+                else:
+                    unit_dirty = sorted(dirty.intersection(unit.pages))
                 dropped_clean += len(unit.pages) - len(unit_dirty)
                 note = {"pages": 1, "eviction": True} if tracing else None
                 for page in unit_dirty:
@@ -515,8 +513,6 @@ class UvmDriver:
             stats.pages_dropped_clean += dropped_clean
         ctx.drop_tree_views()
         stats.pages_evicted += freed
-        for name, count in per_alloc.items():
-            stats.allocation(name).pages_evicted += count
         # Observation hooks (no-ops for the built-ins): the fully applied
         # plan, pages now invalid.  Combined policies get the event once.
         self.eviction.on_evicted(evicted_pages, ctx)

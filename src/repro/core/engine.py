@@ -369,15 +369,19 @@ class Simulator:
 
         The loop runs on locals: it inlines the round-robin scan of
         :meth:`StreamingMultiprocessor.next_ready_warp`, the hit path of
-        :meth:`Tlb.lookup` and the cursor bump of :meth:`Warp.advance`,
-        and writes the SM clock, the rotation index and the hit counters
-        back once per quantum; a warp that retires its last access sets
-        the SM's ``reap_pending`` as :meth:`Warp.advance` does.  Nothing
-        it calls reads them: the GMMU gets the clock as an argument and
-        the driver only schedules events.  Every call that carries
-        semantics (page walk, GMMU miss handling, warp blocking, L2,
-        dirty marks, the eviction hook or stamps, the access-trace
-        sampler) keeps its order.
+        :meth:`Tlb.lookup`, the cursor bump of :meth:`Warp.advance`, and
+        the VALID branch of :meth:`Gmmu.handle_tlb_miss`: a miss whose
+        page the view shows VALID counts a walk and fills the TLB as
+        :meth:`Tlb.insert` does (the LRU entry goes at capacity), and only
+        a page that is not VALID calls the GMMU.  It writes the SM clock,
+        the rotation index and the hit, miss and walk counters back once
+        per quantum; a warp that retires its last access sets the SM's
+        ``reap_pending`` as :meth:`Warp.advance` does.  Nothing it calls
+        reads them: the GMMU gets the clock as an argument, the driver
+        only schedules events, and the watchdog and tracer read stats
+        between events.  Every call that carries semantics (page walk,
+        GMMU miss handling, warp blocking, L2, dirty marks, the eviction
+        hook or stamps, the access-trace sampler) keeps its order.
         """
         warps = sm.all_warps()
         n = len(warps)
@@ -394,16 +398,17 @@ class Simulator:
         l2_miss_ns = config.l2_miss_cycles * ns_per_cycle
         walker = self.walker
         gmmu = self.gmmu
+        # Both hold for this quantum only: the page table replaces its
+        # arrays when a driver event grows it, and a policy replaces the
+        # structures its hook binds on reset().  Deferred accesses never
+        # change validity, so the fast engine reads the same view.
+        page_table = self.page_table
+        pt_base, pt_state, pt_dirty, pt_valid = page_table.access_view()
+        pt_size = len(pt_state)
         log = self._access_log
         if log is None:
             defer = None
-            # Both hold for this quantum only: the page table replaces its
-            # arrays when a driver event grows it, and a policy replaces
-            # the structures its hook binds on reset().
-            page_table = self.page_table
             mark_access = page_table.mark_access
-            pt_base, pt_state, pt_dirty, pt_valid = page_table.access_view()
-            pt_size = len(pt_state)
             touch = self.driver.eviction.access_hook(self.ctx)
             if touch is None:
                 # The policy's recency is the page table's stamps: an
@@ -420,11 +425,13 @@ class Simulator:
         tlb = sm.tlb
         entries = tlb._entries
         refresh = entries.move_to_end
+        tlb_capacity = tlb.capacity
+        evict_lru = entries.popitem
         ready = WarpState.READY
         done = WarpState.DONE
         time = sm.time_ns
         rr = sm._rr_index
-        hits = 0
+        hits = misses = fills = 0
 
         for _ in range(budget):
             # Round-robin from the rotation index, wrapping once.
@@ -456,11 +463,17 @@ class Simulator:
                 if l2 is not None and not l2.access(page):
                     time += l2_miss_ns
             else:
-                tlb.misses += 1
-                stats.tlb_misses += 1
+                misses += 1
                 walk_ns = walker.walk_cycles(page) * ns_per_cycle
                 time += access_ns + walk_ns
-                if not gmmu.handle_tlb_miss(sm, warp, page, time):
+                index = page - pt_base
+                if 0 <= index < pt_size and pt_state[index] == pt_valid:
+                    # The walk finds a valid PTE: fill the TLB (LRU).
+                    fills += 1
+                    if len(entries) >= tlb_capacity:
+                        evict_lru(last=False)
+                    entries[page] = None
+                elif not gmmu.handle_tlb_miss(sm, warp, page, time):
                     warp.block_on(page)
                     continue
                 if l2 is not None and not l2.access(page):
@@ -508,6 +521,9 @@ class Simulator:
         sm._rr_index = rr
         tlb.hits += hits
         stats.tlb_hits += hits
+        tlb.misses += misses
+        stats.tlb_misses += misses
+        stats.page_table_walks += fills
         if defer is None and touch is None:
             stamps.clock = seq
 
@@ -532,14 +548,29 @@ class Simulator:
         valid = self.page_table.valid_count
         if not self.frames.unbounded:
             self.frames.check_conservation()
-        in_flight = sum(
-            1 for page in self.mshr.pages()
-            if self.page_table.state_of(page) is PageState.MIGRATING
-        )
+        # The page table is the in-flight record: a MIGRATING page holds
+        # a frame, and the MSHR holds an entry for it if a warp waits on
+        # it and counts it otherwise.
+        in_flight = self.page_table.migrating_count()
         if self.frames.used != valid + in_flight:
             raise SimulationError(
                 f"frames.used={self.frames.used} != valid pages {valid} + "
                 f"in-flight {in_flight}"
+            )
+        waited = 0
+        for page in self.mshr.pages():
+            state = self.page_table.state_of(page)
+            if state is PageState.MIGRATING:
+                waited += 1
+            elif state is not PageState.INVALID:
+                # INVALID: a fault the driver has yet to service.
+                raise SimulationError(
+                    f"MSHR entry for page {page} in state {state}")
+        if waited + self.mshr.unwaited != in_flight:
+            raise SimulationError(
+                f"MSHR tracks {waited} waited-on + {self.mshr.unwaited} "
+                f"prefetched in-flight pages, but {in_flight} pages are "
+                f"MIGRATING"
             )
         self.page_table.check_valid_count()
         for sm in self.sms:

@@ -139,6 +139,10 @@ class BlockLruEviction(EvictionPolicy):
         return lru.touch
 
     def on_accessed_many(self, pages, ctx: UvmContext) -> None:
+        if type(self).on_accessed is not BlockLruEviction.on_accessed:
+            # A subclass extends the per-page hook: keep calling it.
+            super().on_accessed_many(pages, ctx)
+            return
         self._structure(ctx).touch_many(pages)
 
     def on_invalidated_externally(self, page: int,

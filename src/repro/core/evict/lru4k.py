@@ -74,6 +74,10 @@ class Lru4kEviction(EvictionPolicy):
         return accessed
 
     def on_accessed_many(self, pages, ctx: UvmContext) -> None:
+        if type(self).on_accessed is not Lru4kEviction.on_accessed:
+            # A subclass extends the per-page hook: keep calling it.
+            super().on_accessed_many(pages, ctx)
+            return
         # Inlined loop over the compressed window (hot path).
         unaccessed_pop = self._unaccessed.pop
         insert = self._lru.insert

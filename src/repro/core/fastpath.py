@@ -35,6 +35,13 @@ page's last touch (dirty bits OR across the log).  Policies whose hooks
 are not pure recency declare ``supports_fastpath = False`` and are
 rejected here.
 
+A specialised ``on_accessed_many`` (the block evictors' stamps, LRU
+4 KB's list) is written for the ``on_accessed`` beside it.  A subclass
+that replaces that ``on_accessed`` may count or skip accesses, which no
+compressed window can reproduce, so the flush calls its ``on_accessed``
+once per logged access, in order, as the reference engine does at each
+access (:func:`extends_batched_hook`).
+
 Deferral is sound because the log is invisible until *observed*, and
 every observation point flushes first:
 :meth:`~repro.core.engine.Simulator._flush_pending` runs before any
@@ -65,6 +72,7 @@ from operator import itemgetter
 
 from ..config import SimulatorConfig
 from ..errors import SimulationError
+from ..policy.base import Policy
 from .engine import Simulator
 from .evict.base import EvictionPolicy
 from .prefetch.base import Prefetcher
@@ -78,6 +86,27 @@ DEFERRAL_COUNTERS = ("accesses_deferred", "flushes", "pages_replayed")
 #: flush on a fault-bound run often holds only a few accesses.
 _page = itemgetter(0)
 _is_write = itemgetter(1)
+
+
+def _owner(cls: type, name: str) -> type:
+    """The class in ``cls``'s MRO that defines ``name``."""
+    return next(c for c in cls.__mro__ if name in c.__dict__)
+
+
+def extends_batched_hook(policy: Policy) -> bool:
+    """True when ``policy``'s ``on_accessed`` replaces the one its
+    specialised ``on_accessed_many`` was written beside.
+
+    The generic ``on_accessed_many`` of :class:`Policy` and
+    :class:`EvictionPolicy` calls ``on_accessed`` per page, so it never
+    bypasses an override; a batch form of a concrete policy does.
+    """
+    cls = type(policy)
+    batch = _owner(cls, "on_accessed_many")
+    if batch is Policy or batch is EvictionPolicy:
+        return False
+    hook = _owner(cls, "on_accessed")
+    return hook is not batch and issubclass(hook, batch)
 
 
 class FastSimulator(Simulator):
@@ -100,6 +129,9 @@ class FastSimulator(Simulator):
                     f"engine='reference'"
                 )
         self._access_log = []
+        #: True when the flush must call ``on_accessed`` per access
+        #: (see the module docstring).
+        self._each_access = extends_batched_hook(self.driver.eviction)
         #: Counter -> total (see ``DEFERRAL_COUNTERS``).  Kept out of
         #: ``SimStats`` so no digest sees them.
         self.deferral_counts = dict.fromkeys(DEFERRAL_COUNTERS, 0)
@@ -117,13 +149,19 @@ class FastSimulator(Simulator):
         touched = list(dict.fromkeys(map(_page, reversed(log))))
         touched.reverse()
         written = set(map(_page, filter(_is_write, log)))
+        each = list(map(_page, log)) if self._each_access else None
         accesses = len(log)
         # Cleared in place: each quantum's issue loop binds ``append``.
         log.clear()
         mark_access = self.page_table.mark_access
         for page in touched:
             mark_access(page, page in written)
-        self.driver.eviction.on_accessed_many(touched, self.ctx)
+        if each is not None:
+            on_accessed = self.driver.eviction.on_accessed
+            for page in each:
+                on_accessed(page, self.ctx)
+        else:
+            self.driver.eviction.on_accessed_many(touched, self.ctx)
         counts = self.deferral_counts
         counts["accesses_deferred"] += accesses
         counts["flushes"] += 1

@@ -3,14 +3,21 @@
 The GMMU sits behind the per-SM TLBs (Figure 1): a TLB miss is relayed here,
 the page table is walked, and if the page has no valid PTE a far-fault is
 registered in the MSHRs and forwarded to the host driver.  Concurrent faults
-to the same page — and accesses to pages whose migration is already in
-flight — merge into the existing MSHR entry.
+to the same page merge into its MSHR entry.  An access to a page whose
+migration is already in flight (MIGRATING) is a merge too: the page table
+is the in-flight record, and the warp joins the page's entry, which the
+MSHR creates for the first warp to wait on a prefetched page.
+
+The issue loop fills a TLB inline on a miss to a VALID page and calls
+:meth:`Gmmu.handle_tlb_miss` only for the other pages; the method's own
+VALID branch does the same fill for any other caller.
 """
 
 from __future__ import annotations
 
 from ..gpu.warp import Warp
 from ..memory.mshr import FarFaultMSHR
+from ..memory.page import PageState
 from ..obs.tracer import CAT_INJECT, PID_INJECT, TID_INJECT
 from .context import UvmContext
 
@@ -35,9 +42,15 @@ class Gmmu:
         """
         stats = self.ctx.stats
         stats.page_table_walks += 1
-        if self.ctx.page_table.is_valid(page):
+        state = self.ctx.page_table.state_of(page)
+        if state is PageState.VALID:
             sm.tlb.insert(page)
             return True
+        if state is PageState.MIGRATING:
+            # The transfer is in flight: wait for it (no driver work).
+            self.mshr.merge_in_flight(page, warp, now_ns)
+            stats.mshr_merges += 1
+            return False
         outcome = self.mshr.register_fault(page, warp, now_ns)
         if outcome == "new":
             # A genuine new far-fault: no valid PTE and no transfer in

@@ -15,44 +15,75 @@ from ..errors import PolicyError
 from ..memory.addressing import contiguous_runs
 
 
-@dataclass
+@dataclass(init=False, slots=True)
 class TransferGroup:
-    """One PCI-e read transaction: a contiguous, sorted run of pages.
+    """One PCI-e read transaction: a contiguous run of pages that is
+    wholly a *page-fault group* or wholly a *prefetch group*.
 
-    ``fault_pages`` are the pages some warp is actually blocked on (a
-    subset of ``pages``); groups containing fault pages are scheduled
-    ahead of pure-prefetch groups so warps resume as early as possible.
+    ``pages`` is a ``range``; ``has_fault`` says whether warps are
+    blocked on its pages.  Fault groups are scheduled ahead of
+    pure-prefetch groups so warps resume as early as possible.  A policy
+    may hand over ``pages`` as an ascending list and ``fault_pages`` as
+    any collection of page numbers: they must be every page of the run
+    or none of them, else :class:`PolicyError` (a group never mixes
+    fault and prefetch pages, so ``split_runs_at_faults`` is how a plan
+    cuts them apart).
 
     Allocations are 2 MB aligned with a guard large page between them, so
     a group is one run inside one allocation: the driver applies it with
     one page-table, MSHR and eviction-hook call.
     """
 
-    pages: list[int]
-    fault_pages: frozenset[int] = frozenset()
+    pages: range
+    has_fault: bool
 
-    def __post_init__(self) -> None:
-        pages = self.pages
-        if not pages:
+    def __init__(self, pages, fault_pages=()) -> None:
+        if type(pages) is not range or pages.step != 1:
+            pages = _as_run(pages)
+        elif not pages:
             raise PolicyError("transfer group cannot be empty")
-        first = pages[0]
-        if pages != list(range(first, first + len(pages))):
-            raise PolicyError(
-                f"transfer group must be contiguous, got runs "
-                f"{contiguous_runs(pages)}"
-            )
-        fault_pages = self.fault_pages
-        if fault_pages and not (first <= min(fault_pages)
-                                and max(fault_pages) < first + len(pages)):
-            raise PolicyError(
-                f"transfer group fault pages "
-                f"{sorted(fault_pages - set(pages))[:8]} lie outside its "
-                f"pages [{first}, {first + len(pages)})"
-            )
+        self.pages = pages
+        # The splitter passes the run itself: one range comparison.
+        if fault_pages and fault_pages != pages:
+            _check_whole_run(pages, fault_pages)
+        self.has_fault = bool(fault_pages)
 
     @property
-    def has_fault(self) -> bool:
-        return bool(self.fault_pages)
+    def fault_pages(self) -> frozenset[int]:
+        """The pages warps are blocked on: all of ``pages`` or none
+        (built on each call; the driver reads ``has_fault``)."""
+        return frozenset(self.pages) if self.has_fault else frozenset()
+
+
+def _as_run(pages) -> range:
+    """``pages`` as a ``range``; PolicyError unless one ascending run."""
+    pages = list(pages)
+    if not pages:
+        raise PolicyError("transfer group cannot be empty")
+    run = range(pages[0], pages[0] + len(pages))
+    if pages != list(run):
+        raise PolicyError(
+            f"transfer group must be contiguous, got runs "
+            f"{contiguous_runs(pages)}"
+        )
+    return run
+
+
+def _check_whole_run(pages: range, fault_pages) -> None:
+    """PolicyError unless ``fault_pages`` are exactly the run's pages."""
+    faults = set(fault_pages)
+    outside = faults.difference(pages)
+    if outside:
+        raise PolicyError(
+            f"transfer group fault pages {sorted(outside)[:8]} lie "
+            f"outside its pages [{pages.start}, {pages.stop})"
+        )
+    if len(faults) != len(pages):
+        raise PolicyError(
+            f"transfer group [{pages.start}, {pages.stop}) mixes "
+            f"{len(faults)} fault pages with {len(pages) - len(faults)} "
+            f"prefetch pages; split it with split_runs_at_faults"
+        )
 
 
 @dataclass
@@ -69,9 +100,9 @@ class MigrationPlan:
         return [p for g in self.groups for p in g.pages]
 
     def ordered_groups(self) -> list[TransferGroup]:
-        """Fault-bearing groups first, then pure prefetch groups."""
-        with_fault = [g for g in self.groups if g.fault_pages]
-        without = [g for g in self.groups if not g.fault_pages]
+        """Fault groups first, then pure prefetch groups."""
+        with_fault = [g for g in self.groups if g.has_fault]
+        without = [g for g in self.groups if not g.has_fault]
         return with_fault + without
 
 
@@ -131,16 +162,15 @@ def split_runs_at_faults(
         hi = bisect_left(faults, stop, lo)
         if lo == hi:
             # A prefetch-only run: one prefetch group.
-            groups.append(TransferGroup(list(range(start, stop))))
+            groups.append(TransferGroup(range(start, stop)))
             continue
         cursor = start
         for first, length in contiguous_runs(faults[lo:hi]):
             if cursor < first:
-                groups.append(TransferGroup(list(range(cursor, first))))
+                groups.append(TransferGroup(range(cursor, first)))
             cursor = first + length
-            fault_run = list(range(first, cursor))
-            groups.append(TransferGroup(fault_run,
-                                        fault_pages=frozenset(fault_run)))
+            fault_run = range(first, cursor)
+            groups.append(TransferGroup(fault_run, fault_run))
         if cursor < stop:
-            groups.append(TransferGroup(list(range(cursor, stop))))
+            groups.append(TransferGroup(range(cursor, stop)))
     return groups

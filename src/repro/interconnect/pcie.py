@@ -4,7 +4,9 @@ Host-to-device migrations ride the read channel; eviction write-backs ride
 the write channel; the two proceed in parallel (which is what makes
 pre-eviction overlap write-backs with execution).  Each channel is a FIFO:
 a transfer starts at ``max(requested_start, channel_free)`` and occupies the
-channel for ``BandwidthModel.latency_ns(size)``.
+channel for ``BandwidthModel.latency_ns(size)``.  The model never changes
+once built, so each channel keeps the latency of every size it has seen:
+a run schedules a handful of distinct sizes thousands of times.
 
 Fault injection: when a :class:`~repro.faultinject.FaultInjector` is
 attached, a scheduled transfer may be marked *failed* (it still occupies
@@ -30,9 +32,13 @@ from ..stats import TransferLog
 from .bandwidth import BandwidthModel
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Transfer:
-    """One scheduled PCI-e transaction."""
+    """One scheduled PCI-e transaction.
+
+    Not frozen: a frozen dataclass's ``__init__`` pays an
+    ``object.__setattr__`` per field, and one is built per transfer.
+    """
 
     start_ns: float
     end_ns: float
@@ -62,6 +68,8 @@ class PcieChannel:
         self._span_name = "migrate" if direction == "h2d" \
             else "write_back"
         self.busy_until_ns = 0.0
+        #: size_bytes -> model latency: the same float the model returns.
+        self._latency: dict[int, float] = {}
 
     def schedule(self, size_bytes: int, earliest_start_ns: float,
                  note: dict | None = None) -> Transfer:
@@ -72,7 +80,10 @@ class PcieChannel:
         timing.
         """
         start = max(earliest_start_ns, self.busy_until_ns)
-        latency = self.model.latency_ns(size_bytes)
+        latency = self._latency.get(size_bytes)
+        if latency is None:
+            latency = self._latency[size_bytes] = \
+                self.model.latency_ns(size_bytes)
         failed = False
         multiplier = 1.0
         if self.injector is not None:

@@ -4,6 +4,17 @@ Concurrent faults from different warps to the same page merge into one MSHR
 entry (Figure 1, step 3): only the first fault triggers driver work, and all
 blocked warps are notified together when the migration completes (step 6).
 
+The file holds entries only for pages a warp waits on.  A page's
+in-flight record is its MIGRATING state in the page table, as GPGPU-Sim's
+page manager marks a page ``PENDING_MIGRATION`` in its own entry: a
+prefetched page gets no entry, only a place in the
+:attr:`FarFaultMSHR.unwaited` count, which keeps the file's capacity
+exact.  A fault on such a page turns its count into an entry holding the
+warp (:meth:`FarFaultMSHR.merge_in_flight`), a merge like any other.
+Occupancy is the entries plus that count, so an overflow raises at the
+same page, and ``peak_occupancy`` reads the same, as with one entry per
+in-flight page.
+
 Fault injection: a new fault's *notification* to the host driver can be
 lost — either dropped on the wire or squeezed out by a transient fault-
 buffer overflow.  The entry (and its blocked warps) is still created, so
@@ -14,8 +25,9 @@ reports the outcome to the GMMU, which arranges redelivery.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, filterfalse, repeat
+from itertools import chain
 from operator import attrgetter
+from typing import NoReturn
 
 from ..errors import SimulationError
 
@@ -41,29 +53,37 @@ class FarFaultMSHR:
         self.capacity = entries
         self.injector = injector
         self._entries: dict[int, MshrEntry] = {}
+        #: In-flight pages no warp waits on: counted, with no entry.
+        self.unwaited = 0
         self.merges = 0
         self.peak_occupancy = 0
 
+    def _overflow(self, page: int) -> SimulationError:
+        return SimulationError(
+            f"MSHR overflow registering page {page}: {self.capacity} "
+            f"far-faults already outstanding ({self.unwaited} prefetched, "
+            f"oldest waited-on pages: {list(self._entries)[:4]})"
+        )
+
     def _insert(self, page: int, waiter: object, now_ns: float) -> None:
         """Create the entry for a page with no outstanding fault."""
-        if len(self._entries) >= self.capacity:
-            raise SimulationError(
-                f"MSHR overflow registering page {page}: {self.capacity} "
-                f"far-faults already outstanding (oldest pages: "
-                f"{list(self._entries)[:4]})"
-            )
+        entries = self._entries
+        occupancy = len(entries) + self.unwaited
+        if occupancy >= self.capacity:
+            raise self._overflow(page)
         entry = MshrEntry(page, now_ns)
         if waiter is not None:
             entry.waiters.append(waiter)
-        self._entries[page] = entry
-        self.peak_occupancy = max(self.peak_occupancy, len(self._entries))
+        entries[page] = entry
+        if occupancy >= self.peak_occupancy:
+            self.peak_occupancy = occupancy + 1
 
     def register(self, page: int, waiter: object, now_ns: float) -> bool:
-        """Record a fault; returns True when this is a *new* fault.
+        """Record a fault on a page not in flight; returns True when this
+        is a *new* fault.
 
         A ``waiter`` (typically a warp) is appended either way so it gets
-        woken on completion.  ``waiter`` may be None for prefetch-initiated
-        migrations that no warp is blocked on.
+        woken on completion; ``waiter`` may be None.
         """
         entry = self._entries.get(page)
         if entry is not None:
@@ -74,29 +94,10 @@ class FarFaultMSHR:
         self._insert(page, waiter, now_ns)
         return True
 
-    def register_many(self, pages: list[int], now_ns: float) -> None:
-        """Waiter-less entries for the ``pages`` that have none: the
-        prefetched pages of one migration plan.
-
-        Equivalent to :meth:`register` ``(page, None, now_ns)`` for each
-        page without an outstanding entry, with one capacity check; an
-        overflow raises at the same page, with the same entries before
-        it, as the per-page calls would.
-        """
-        entries = self._entries
-        new = list(filterfalse(entries.__contains__, pages))
-        if len(entries) + len(new) > self.capacity:
-            # Page by page, so the overflow raises where it would have.
-            for page in new:
-                if page not in entries:
-                    self._insert(page, None, now_ns)
-            return
-        entries.update(zip(new, map(MshrEntry, new, repeat(now_ns))))
-        self.peak_occupancy = max(self.peak_occupancy, len(entries))
-
     def register_fault(self, page: int, waiter: object,
                        now_ns: float) -> str:
-        """Fault-path registration with injection; the GMMU entry point.
+        """Fault-path registration with injection, for a page that is
+        not in flight (INVALID); the GMMU entry point.
 
         Returns ``"merged"`` (outstanding entry absorbed the fault),
         ``"new"`` (driver must be notified), or ``"lost-overflow"`` /
@@ -117,44 +118,98 @@ class FarFaultMSHR:
                 return "lost-drop"
         return "new"
 
-    def outstanding(self, page: int) -> bool:
-        """True when a fault/migration for ``page`` is in flight."""
-        return page in self._entries
+    def merge_in_flight(self, page: int, waiter: object,
+                        now_ns: float) -> None:
+        """A fault on a page whose migration is in flight (MIGRATING):
+        the warp waits for the transfer, and the fault is a merge.
+
+        The first waiter on a prefetched page moves the page from the
+        :attr:`unwaited` count to an entry, so occupancy is unchanged.
+        """
+        entry = self._entries.get(page)
+        if entry is None:
+            entry = self._entries[page] = MshrEntry(page, now_ns)
+            self.unwaited -= 1
+        entry.waiters.append(waiter)
+        self.merges += 1
+
+    def register_many(self, runs: list[range]) -> None:
+        """Count the pages of a migration plan's ``runs`` that have no
+        entry: the prefetched pages, now in flight with no waiter.
+
+        One capacity check for the plan; an overflow raises at the page
+        a page-by-page registration of the plan's pages in order would
+        raise at, with the pages before it counted.
+        """
+        entries = self._entries
+        new = 0
+        for run in runs:
+            # Count from the smaller side: a run is a range, so a page
+            # tests membership in O(1) either way.
+            if len(entries) < len(run):
+                new += len(run) - sum(map(run.__contains__, entries))
+            else:
+                new += len(run) - sum(map(entries.__contains__, run))
+        occupancy = len(entries) + self.unwaited + new
+        if occupancy > self.capacity:
+            self._raise_in(runs)
+        self.unwaited += new
+        if occupancy > self.peak_occupancy:
+            self.peak_occupancy = occupancy
+
+    def _raise_in(self, runs: list[range]) -> NoReturn:
+        """Count the plan's pages one by one up to capacity and raise at
+        the first that does not fit."""
+        entries = self._entries
+        for run in runs:
+            for page in run:
+                if page not in entries:
+                    if len(entries) + self.unwaited >= self.capacity:
+                        self.peak_occupancy = max(self.peak_occupancy,
+                                                  self.capacity)
+                        raise self._overflow(page)
+                    self.unwaited += 1
+        raise AssertionError("plan fits the MSHR file")
 
     def entry(self, page: int) -> MshrEntry | None:
         """The live entry for ``page`` (observability: first-fault time
-        and blocked warps), or None when nothing is outstanding."""
+        and blocked warps), or None when no warp waits on it."""
         return self._entries.get(page)
 
-    def complete(self, page: int) -> list[object]:
-        """Retire the entry for ``page``; returns the waiters to wake."""
-        entry = self._entries.pop(page, None)
-        if entry is None:
-            raise SimulationError(
-                f"completing page {page} with no MSHR entry "
-                f"({len(self._entries)} entries outstanding)"
-            )
-        return entry.waiters
-
-    def complete_many(self, pages: list[int]) -> list[object]:
-        """:meth:`complete` for each of ``pages``; returns their waiters
-        in page order."""
-        pop = self._entries.pop
-        if len(pages) == 1:
-            entry = pop(pages[0], None)
+    def complete_many(self, run: range) -> list[object]:
+        """Retire the in-flight pages of ``run`` (one transfer group);
+        returns the waiters to wake, in page order."""
+        entries = self._entries
+        if len(run) == 1:
+            entry = entries.pop(run.start, None)
             if entry is not None:
                 return entry.waiters
-        try:
-            done = list(map(pop, pages))
-        except KeyError as missing:
-            # The pages before it are retired, as per-page calls would.
-            self.complete(missing.args[0])  # no entry: raises
-            raise
-        return list(chain.from_iterable(map(_WAITERS, done)))
+            held = ()
+        elif len(entries) < len(run):
+            held = sorted(filter(run.__contains__, entries))
+        else:
+            held = list(filter(entries.__contains__, run))
+        unwaited = self.unwaited - (len(run) - len(held))
+        if unwaited < 0:
+            raise SimulationError(
+                f"completing pages [{run.start}, {run.stop}) with "
+                f"{len(run) - len(held)} pages without an entry, but only "
+                f"{self.unwaited} prefetched pages are outstanding"
+            )
+        self.unwaited = unwaited
+        if not held:
+            return []
+        return list(chain.from_iterable(map(_WAITERS,
+                                            map(entries.pop, held))))
+
+    def complete(self, page: int) -> list[object]:
+        """:meth:`complete_many` for one page."""
+        return self.complete_many(range(page, page + 1))
 
     def __len__(self) -> int:
-        return len(self._entries)
+        """Occupancy: entries plus in-flight pages no warp waits on."""
+        return len(self._entries) + self.unwaited
 
     def pages(self) -> list[int]:
-        """Pages with outstanding entries (diagnostics)."""
+        """Pages with entries: those warps wait on (diagnostics)."""
         return list(self._entries)

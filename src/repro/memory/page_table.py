@@ -402,6 +402,10 @@ class GpuPageTable:
         return [page for page in pages
                 if 0 <= page - base < size and dirty[page - base]]
 
+    def migrating_count(self) -> int:
+        """Number of MIGRATING pages (in flight; a C-level scan)."""
+        return self._state.count(_MIGRATING)
+
     def check_valid_count(self) -> None:
         """Raise unless ``valid_count`` equals the number of VALID pages."""
         actual = self._state.count(_VALID)

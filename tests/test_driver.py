@@ -205,10 +205,10 @@ class TestBookkeeping:
         sim.synchronize()
         assert all(len(sm.tlb) == 0 for sm in sim.sms)
         # Round 2: edge and edge+1 re-migrate (thrashed), edge+1 and
-        # edge+2 are prefetched; b0 re-migrates as a fault page.
+        # edge+2 are prefetched; edge and b0 re-migrate as fault pages.
         self.migrate(sim, [
-            TransferGroup([edge, edge + 1, edge + 2],
-                          fault_pages=frozenset({edge})),
+            TransferGroup([edge], fault_pages=frozenset({edge})),
+            TransferGroup([edge + 1, edge + 2]),
             TransferGroup([b0], fault_pages=frozenset({b0})),
         ])
         per = sim.stats.per_allocation
@@ -314,3 +314,122 @@ class TestRangeBoundsValidation:
         sim.prefetch_async("a")
         sim.synchronize()
         assert set(sim.residency_map("a")) == {PageState.VALID}
+
+
+class TestInFlightInvariants:
+    """``Simulator.check_invariants`` reads in-flight pages from the page
+    table: frames held are VALID plus MIGRATING pages, an MSHR entry's
+    page is MIGRATING (or INVALID with its fault not yet serviced), and
+    the entries on MIGRATING pages plus the MSHR's count of prefetched
+    pages are the MIGRATING pages.  Each test runs an over-subscribed
+    cell with the checks at every watchdog tick, through prefetched
+    pages in flight, late waiters on them and pending faults, then
+    breaks one piece of the bookkeeping by hand."""
+
+    @staticmethod
+    def _checked_run():
+        from repro.experiments.common import COMBINATIONS, combo_config
+        from repro.workloads import make_workload
+        from repro.workloads.base import AddressResolver
+
+        workload = make_workload("hotspot", scale=0.1)
+        _, prefetcher, eviction, keep = COMBINATIONS[-1]
+        config = combo_config(workload, prefetcher, eviction, 110.0, keep,
+                              watchdog_interval_events=20,
+                              invariant_check_ticks=1)
+        sim = Simulator(config)
+        seen = {"migrating": 0, "late_waiters": 0, "pending": 0}
+        check = sim.check_invariants
+
+        def observed_check():
+            check()
+            table = sim.page_table
+            states = [table.state_of(page) for page in sim.mshr.pages()]
+            seen["migrating"] += table.migrating_count() > 0
+            seen["late_waiters"] += sim.mshr.unwaited > 0 \
+                and PageState.MIGRATING in states
+            seen["pending"] += PageState.INVALID in states
+
+        sim.check_invariants = observed_check
+        for spec in workload.allocations():
+            sim.malloc_managed(spec.name, spec.size_bytes)
+        for kernel in workload.kernel_specs(AddressResolver(sim.allocator)):
+            sim.launch_kernel(kernel)
+        sim.synchronize()
+        assert all(seen.values()), seen
+        assert sim.stats.mshr_merges > 0
+        del sim.check_invariants
+        sim.check_invariants()
+        return sim
+
+    @staticmethod
+    def _valid_page(sim):
+        base, state, _, valid = sim.page_table.access_view()
+        return base + state.index(valid)
+
+    def test_frames_are_valid_plus_migrating(self):
+        sim = self._checked_run()
+        # A VALID page marked MIGRATING (code 1) in place, its valid count
+        # kept: one frame too few for the pages that hold one.
+        base, state, _, _ = sim.page_table.access_view()
+        state[self._valid_page(sim) - base] = 1
+        with pytest.raises(SimulationError, match="frames.used"):
+            sim.check_invariants()
+
+    def test_entries_sit_on_pages_in_flight(self):
+        sim = self._checked_run()
+        sim.mshr.register(self._valid_page(sim), "warp", sim.now)
+        with pytest.raises(SimulationError, match="in state PageState"):
+            sim.check_invariants()
+
+    def test_entries_and_count_are_the_migrating_pages(self):
+        sim = self._checked_run()
+        sim.mshr.unwaited += 1
+        with pytest.raises(SimulationError, match="MIGRATING"):
+            sim.check_invariants()
+
+
+class TestMshrCapacity:
+    """The MSHR file's occupancy counts prefetched pages in flight without
+    an entry each: an ``mshr_entries`` overflow raises at the page, and a
+    run peaks at the occupancy, that one entry per in-flight page gave
+    (both recorded with that file)."""
+
+    @staticmethod
+    def _run(name, combo_index, capacity):
+        from repro.experiments.common import COMBINATIONS, combo_config
+        from repro.workloads import make_workload
+        from repro.workloads.base import AddressResolver
+
+        workload = make_workload(name, scale=0.1)
+        _, prefetcher, eviction, keep = COMBINATIONS[combo_index]
+        sim = Simulator(combo_config(workload, prefetcher, eviction, 110.0,
+                                     keep, mshr_entries=capacity))
+        for spec in workload.allocations():
+            sim.malloc_managed(spec.name, spec.size_bytes)
+        for kernel in workload.kernel_specs(AddressResolver(sim.allocator)):
+            sim.launch_kernel(kernel)
+        sim.synchronize()
+        return sim
+
+    @pytest.mark.parametrize("name,combo_index,capacity,page", [
+        ("hotspot", 3, 150, 1050676),   # a TBNp plan's prefetched pages
+        ("bfs", 2, 30, 1048606),        # an SLp plan's prefetched pages
+        ("srad", 0, 20, 1048589),       # an on-demand fault
+    ])
+    def test_overflow_raises_at_the_same_page(self, name, combo_index,
+                                              capacity, page):
+        with pytest.raises(SimulationError,
+                           match=f"registering page {page}:"):
+            self._run(name, combo_index, capacity)
+
+    @pytest.mark.parametrize("name,combo_index,capacity,peak", [
+        ("hotspot", 3, 300, 199),
+        ("bfs", 2, 100, 47),
+        ("srad", 1, 50, 23),
+    ])
+    def test_peak_occupancy_unchanged(self, name, combo_index, capacity,
+                                      peak):
+        sim = self._run(name, combo_index, capacity)
+        assert sim.mshr.peak_occupancy == peak
+        assert len(sim.mshr) == 0

@@ -342,3 +342,26 @@ class TestAccessHook:
         fresh, _ = make_ctx()
         assert owner.access_hook(fresh) is None
         assert owner._structure(fresh).stamps is fresh.page_table.stamps
+
+    @pytest.mark.parametrize("name", ["tbn", "lru4k"])
+    def test_batch_form_keeps_a_subclass_on_accessed(self, name):
+        """``on_accessed_many`` of a subclass that extends ``on_accessed``
+        calls the extension once per page, in order."""
+        base = type(make_eviction_policy(name))
+
+        class Counting(base):
+            def reset(self):
+                super().reset()
+                self.seen = []
+
+            def on_accessed(self, page, ctx):
+                self.seen.append(page)
+                super().on_accessed(page, ctx)
+
+        ctx, alloc = make_ctx()
+        policy = Counting()
+        policy.reset()
+        pages = list(alloc.page_range)[:32]
+        validate_pages(ctx, policy, pages, access=False)
+        policy.on_accessed_many([pages[5], pages[3]], ctx)
+        assert policy.seen == [pages[5], pages[3]]

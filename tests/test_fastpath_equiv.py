@@ -295,3 +295,35 @@ class TestDeferralCounters:
         assert runtime.simulator.deferral_counts == {
             "accesses_deferred": deferred, "flushes": flushes,
             "pages_replayed": replayed}
+
+
+class TestExtendsBatchedHook:
+    """Which eviction policies the fast engine's flush hands every
+    logged access instead of the compressed window."""
+
+    def test_only_an_on_accessed_below_a_batch_form(self):
+        from repro.core.evict.lru4k import Lru4kEviction
+        from repro.core.evict.random_e import RandomEviction
+        from repro.core.evict.tbn import TreeBasedNeighborhoodPreEviction
+        from repro.core.fastpath import extends_batched_hook
+
+        class Extended(TreeBasedNeighborhoodPreEviction):
+            def on_accessed(self, page, ctx):
+                super().on_accessed(page, ctx)
+
+        class OwnBatch(Extended):
+            def on_accessed_many(self, pages, ctx):
+                super().on_accessed_many(pages, ctx)
+
+        class BatchOnly(Lru4kEviction):
+            def on_accessed_many(self, pages, ctx):
+                super().on_accessed_many(pages, ctx)
+
+        class GenericBatch(RandomEviction):
+            def on_accessed(self, page, ctx):
+                super().on_accessed(page, ctx)
+
+        assert extends_batched_hook(Extended())
+        for policy in (TreeBasedNeighborhoodPreEviction(), Lru4kEviction(),
+                       OwnBatch(), BatchOnly(), GenericBatch()):
+            assert not extends_batched_hook(policy), type(policy)

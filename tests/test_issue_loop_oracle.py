@@ -23,7 +23,9 @@ workloads are ``slow``.
 import pytest
 
 from repro.core.engine import Simulator
+from repro.core.evict.lru4k import Lru4kEviction
 from repro.core.evict.tbn import TreeBasedNeighborhoodPreEviction
+from repro.core.fastpath import FastSimulator
 from repro.experiments.common import COMBINATIONS, combo_config
 from repro.faultinject.profile import FaultProfile
 from repro.gpu.sm import StreamingMultiprocessor
@@ -108,6 +110,19 @@ POLICY_WORKLOADS = ("hotspot", "bfs")
 class EveryOtherTouchTbne(TreeBasedNeighborhoodPreEviction):
     """TBNe that refreshes recency on every other access only: an
     ``on_accessed`` override whose effect shows in which blocks go."""
+
+    def reset(self):
+        super().reset()
+        self.accesses = 0
+
+    def on_accessed(self, page, ctx):
+        self.accesses += 1
+        if self.accesses % 2:
+            super().on_accessed(page, ctx)
+
+
+class EveryOtherTouchLru4k(Lru4kEviction):
+    """LRU 4 KB with the same every-other-access ``on_accessed``."""
 
     def reset(self):
         super().reset()
@@ -211,6 +226,27 @@ class TestIssueLoopOracle:
     def test_block_lru_subclass_extending_on_accessed(self, name):
         _assert_matches_oracle(name, TIER1_SCALE,
                                eviction_class=EveryOtherTouchTbne)
+
+
+class TestFastEngineRunsHookOverrides:
+    """A subclass that replaces the ``on_accessed`` of a policy with a
+    batch form gets that ``on_accessed`` once per access on the fast
+    engine too: same ``SimStats`` and same access count as the
+    reference engine."""
+
+    @pytest.mark.parametrize("eviction_class,combo", [
+        (EveryOtherTouchTbne, COMBINATIONS[-1]),
+        (EveryOtherTouchLru4k, COMBINATIONS[0]),
+    ], ids=["tbne", "lru4k"])
+    def test_fast_matches_reference(self, eviction_class, combo):
+        reference = _simulate(Simulator, "hotspot", TIER1_SCALE,
+                              eviction_class=eviction_class, combo=combo)
+        fast = _simulate(FastSimulator, "hotspot", TIER1_SCALE,
+                         eviction_class=eviction_class, combo=combo,
+                         engine="fast")
+        assert fast.stats.to_json() == reference.stats.to_json()
+        assert fast.driver.eviction.accesses \
+            == reference.driver.eviction.accesses > 0
 
 
 #: Block-LRU evictors whose recency the issue loop stamps inline, at an

@@ -17,6 +17,7 @@ from repro.memory.mshr import FarFaultMSHR
 from repro.memory.page import PageState
 from repro.memory.page_table import GpuPageTable
 from repro.memory.tlb import Tlb
+from tests.per_page_mshr import PerPageMSHR, overflow_page
 
 
 class TestPageTable:
@@ -398,70 +399,77 @@ class TestMshr:
 
     @staticmethod
     def _state(mshr):
-        return ({page: (e.first_fault_ns, list(e.waiters))
-                 for page, e in mshr._entries.items()},
-                mshr.peak_occupancy, mshr.merges)
+        """Waiters per waited-on page, occupancy, peak and merges: what
+        the per-page file and this one must agree on."""
+        return ({page: list(e.waiters)
+                 for page, e in mshr._entries.items() if e.waiters},
+                len(mshr), mshr.peak_occupancy, mshr.merges)
 
     @settings(max_examples=150, deadline=None)
     @given(capacity=st.integers(1, 24),
            faulted=st.lists(st.integers(0, 40), max_size=12, unique=True),
-           pages=st.lists(st.integers(0, 40), max_size=30))
-    def test_register_many_matches_per_page(self, capacity, faulted, pages):
-        """Same overflow edge, entries and peak as per-page registration
-        of the pages without an entry."""
-        bulk, single = FarFaultMSHR(capacity), FarFaultMSHR(capacity)
+           cuts=st.lists(st.integers(0, 41), max_size=30))
+    def test_register_many_matches_per_page(self, capacity, faulted, cuts):
+        """Same overflow page, occupancy and peak as the per-page file's
+        registration of the plan's pages without an entry."""
+        bulk, single = FarFaultMSHR(capacity), PerPageMSHR(capacity)
         for mshr in (bulk, single):
             for page in faulted[:capacity]:
                 mshr.register(page, f"warp-{page}", 0.0)
             if faulted:
                 mshr.complete(faulted[0])  # peak above occupancy
-
-        def per_page():
-            for page in pages:
-                if not single.outstanding(page):
-                    single.register(page, None, 5.0)
-
+        # Disjoint runs over pages 0..40, in a shuffled plan order.
+        bounds = sorted(set(cuts) | {0, 41})
+        runs = [range(a, b) for a, b in zip(bounds, bounds[1:])]
+        runs = runs[1::2] + runs[::2]
         outcomes = []
-        for call in (lambda: bulk.register_many(pages, 5.0), per_page):
+        for call in (lambda: bulk.register_many(runs),
+                     lambda: single.register_many(
+                         [p for run in runs for p in run], 5.0)):
             try:
                 call()
                 outcomes.append(None)
             except SimulationError as error:
-                outcomes.append(str(error))
+                outcomes.append(overflow_page(error))
         assert outcomes[0] == outcomes[1]
         assert self._state(bulk) == self._state(single)
 
     def test_register_many_overflows_at_capacity_edge(self):
         mshr = FarFaultMSHR(4)
         mshr.register(1, "warp", 0.0)
-        mshr.register_many([1, 2, 3, 4], 1.0)  # page 1 already outstanding
-        assert mshr.peak_occupancy == 4
+        mshr.register_many([range(1, 5)])  # page 1 already outstanding
+        assert mshr.peak_occupancy == 4 and len(mshr) == 4
         with pytest.raises(SimulationError, match="registering page 6"):
-            FarFaultMSHR(4).register_many([3, 4, 5, 2, 6, 7], 0.0)
+            FarFaultMSHR(4).register_many(
+                [range(3, 6), range(2, 3), range(6, 8)])
 
     @settings(max_examples=100, deadline=None)
     @given(waits=st.lists(st.integers(0, 3), min_size=1, max_size=20),
            missing=st.booleans())
     def test_complete_many_matches_per_page(self, waits, missing):
-        bulk, single = FarFaultMSHR(64), FarFaultMSHR(64)
+        """Waiters in page order, with prefetched (waiter-less) pages
+        between waited-on ones; a page that is not in flight raises."""
+        bulk, single = FarFaultMSHR(64), PerPageMSHR(64)
+        pages = range(len(waits))
         for mshr in (bulk, single):
             for page, count in enumerate(waits):
-                mshr.register(page, None, 0.0)
                 for warp in range(count):
                     mshr.register(page, (page, warp), 0.0)
-        pages = list(range(len(waits)))
+        bulk.register_many([pages])
+        single.register_many(list(pages), 0.0)
         if missing:
-            pages.insert(len(pages) // 2, 99)
+            pages = range(len(waits) + 1)
         outcomes = []
         for call in (lambda: bulk.complete_many(pages),
-                     lambda: [w for page in pages
-                              for w in single.complete(page)]):
+                     lambda: single.complete_many(list(pages))):
             try:
                 outcomes.append(call())
-            except SimulationError as error:
-                outcomes.append(str(error))
+            except SimulationError:
+                outcomes.append("raised")
         assert outcomes[0] == outcomes[1]
-        assert self._state(bulk) == self._state(single)
+        if not missing:
+            assert self._state(bulk) == self._state(single)
+            assert len(bulk) == 0
 
 
 class TestFramePool:

@@ -34,6 +34,27 @@ class TestTransferGroup:
         assert TransferGroup([1], fault_pages=frozenset({1})).has_fault
         assert not TransferGroup([1]).has_fault
 
+    def test_is_a_run(self):
+        """A list of pages becomes the run it spells; fault pages are
+        all of it or none of it."""
+        group = TransferGroup([4, 5, 6], fault_pages=[6, 5, 4])
+        assert group.pages == range(4, 7) and group.has_fault
+        assert group.fault_pages == frozenset(range(4, 7))
+        prefetch = TransferGroup(range(4, 7))
+        assert prefetch.fault_pages == frozenset()
+        assert prefetch != group
+        assert group == TransferGroup(range(4, 7), range(4, 7))
+
+    @pytest.mark.parametrize("fault_pages", [{1}, {2, 3}, [1, 1, 2]])
+    def test_rejects_partial_fault_group(self, fault_pages):
+        with pytest.raises(PolicyError, match="mixes"):
+            TransferGroup([1, 2, 3], fault_pages=fault_pages)
+
+    def test_rejects_empty_or_strided_range(self):
+        for pages in (range(3, 3), range(0, 6, 2)):
+            with pytest.raises(PolicyError):
+                TransferGroup(pages)
+
 
 class TestMigrationPlan:
     def test_ordered_groups_puts_faults_first(self):
@@ -69,23 +90,24 @@ class TestSplitRunsAtFaults:
         60KB prefetch group."""
         pages = list(range(16))
         groups = split_runs_at_faults(pages, {0})
-        assert [g.pages for g in groups] == [[0], list(range(1, 16))]
+        assert [list(g.pages) for g in groups] == [[0], list(range(1, 16))]
         assert groups[0].has_fault and not groups[1].has_fault
 
     def test_fault_mid_block_splits_three_ways(self):
         groups = split_runs_at_faults(list(range(16)), {7})
-        assert [g.pages for g in groups] == [
+        assert [list(g.pages) for g in groups] == [
             list(range(0, 7)), [7], list(range(8, 16))
         ]
 
     def test_contiguous_faults_grouped_together(self):
         groups = split_runs_at_faults(list(range(8)), {2, 3, 4})
-        assert [g.pages for g in groups] == [[0, 1], [2, 3, 4], [5, 6, 7]]
+        assert [list(g.pages) for g in groups] == \
+            [[0, 1], [2, 3, 4], [5, 6, 7]]
         assert groups[1].fault_pages == frozenset({2, 3, 4})
 
     def test_non_contiguous_pages_split_at_gaps(self):
         groups = split_runs_at_faults([0, 1, 5, 6], {0, 5})
-        assert [g.pages for g in groups] == [[0], [1], [5], [6]]
+        assert [list(g.pages) for g in groups] == [[0], [1], [5], [6]]
 
     def test_tbnp_example_fault_first_plus_prefetch(self):
         """Figure 2(b): four contiguous blocks grouped, split 4KB+252KB."""
@@ -108,6 +130,7 @@ class TestSplitRunsAtFaults:
             in_faults = page_set & faults
             assert in_faults in (set(), page_set)
             assert group.fault_pages == frozenset(in_faults)
+            assert type(group.pages) is range
 
     def test_prefetch_only_runs_pass_through(self, monkeypatch):
         """Only runs that hold faults are cut: a prefetch-only run
@@ -120,7 +143,7 @@ class TestSplitRunsAtFaults:
                             or contiguous_runs(pages))
         pages = [*range(0, 16), *range(32, 48), *range(64, 70)]
         groups = plans.split_runs_at_faults(pages, {33, 34})
-        assert [g.pages for g in groups] == [
+        assert [list(g.pages) for g in groups] == [
             list(range(0, 16)), [32], [33, 34], list(range(35, 48)),
             list(range(64, 70))]
         # The merge of the planned pages, then the one run with faults.

@@ -80,7 +80,7 @@ class TestOnDemand:
         base = alloc.page_range[0]
         plan = make_prefetcher("none").plan([base, base + 1], ctx)
         assert len(plan.groups) == 1
-        assert plan.groups[0].pages == [base, base + 1]
+        assert list(plan.groups[0].pages) == [base, base + 1]
 
 
 class TestRandomPrefetcher:
