@@ -151,11 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--buffer", type=float, default=0.0,
                        help="free-page buffer fraction")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--engine", default="reference",
-                       choices=("reference", "fast"),
-                       help="simulation engine; 'fast' defers recency "
-                            "updates (result-identical, see "
-                            "docs/PERFORMANCE.md)")
         p.add_argument("--preset", default=None,
                        choices=sorted(PRESETS),
                        help="named paper setting; overrides the policy "
@@ -599,14 +594,6 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_p.add_argument("preset_a", choices=sorted(PRESETS))
     cmp_p.add_argument("preset_b", choices=sorted(PRESETS))
     cmp_p.add_argument("--scale", type=float, default=0.5)
-
-    bench_p = sub.add_parser(
-        "bench",
-        help="run the fastpath-equiv differential matrix on both engines "
-             "and exit 1 on any byte-level mismatch",
-    )
-    bench_p.add_argument("--scale", type=float, default=1.0,
-                         help="workload footprint scale")
     return parser
 
 
@@ -617,8 +604,7 @@ def cmd_list() -> int:
     print("eviction  :", ", ".join(sorted(EVICTION_REGISTRY)))
     learned = sorted(set(learned_names("prefetch"))
                      | set(learned_names("evict")))
-    print("learned   :", ", ".join(learned),
-          "(reference engine only; see docs/POLICIES.md)")
+    print("learned   :", ", ".join(learned), "(see docs/POLICIES.md)")
     print("experiments:", ", ".join(sorted(EXPERIMENTS)), "+ all")
     return 0
 
@@ -650,7 +636,6 @@ def _flags_config(args: argparse.Namespace, workload,
             config = config.replace(fault_profile=profile)
         return config
     common = dict(
-        engine=getattr(args, "engine", "reference"),
         prefetcher=args.prefetcher,
         eviction=args.eviction,
         disable_prefetch_on_oversubscription=not args.keep_prefetching,
@@ -1251,14 +1236,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    from . import bench
-
-    results = bench.compare_engines(scale=args.scale)
-    print(bench.format_compare(results))
-    return 0 if all(r.identical for r in results) else 1
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "list":
@@ -1300,8 +1277,6 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if all(c.passed for c in checks) else 1
     if args.command == "compare":
         return cmd_compare(args)
-    if args.command == "bench":
-        return cmd_bench(args)
     raise AssertionError(f"unhandled command {args.command}")
 
 

@@ -32,11 +32,10 @@ class SimulatorConfig:
     """
 
     # --- Engine ------------------------------------------------------------
-    #: Simulation engine: ``"reference"`` is the per-access discrete-event
-    #: model; ``"fast"`` defers its recency updates to an access log
-    #: (:mod:`repro.core.fastpath`), byte-identical by contract and gated
-    #: by the ``fastpath-equiv`` validation claim.  The default stays
-    #: ``"reference"`` until the gate has a longer track record.
+    #: Engine label.  There is one engine, and both ``"reference"`` and
+    #: ``"fast"`` build it.  ``"fast"`` is still accepted because the
+    #: run-cache key, the pinned result forms and the perfbench cells
+    #: and metrics name it; retiring the label is a benchmark change.
     engine: str = "reference"
 
     # --- GPU execution -----------------------------------------------------
@@ -289,24 +288,11 @@ class SimulatorConfig:
                     f"{name} must be a non-negative integer, got {value!r}"
                 )
         # Policy names resolve against the registries (PolicyError lists
-        # the known names), and the fast engine is refused up front for
-        # policies that did not declare byte-identical batched-access
-        # equivalence.  Lazy imports: the registries live below config in
-        # the import graph (same pattern as FaultProfile above).
-        from .errors import SimulationError  # noqa: PLC0415
-        from .policy.registry import (  # noqa: PLC0415
-            pair_supports_fastpath, policy_class)
+        # the known names).  Lazy import: the registries live below
+        # config in the import graph (same pattern as FaultProfile above).
+        from .policy.registry import policy_class  # noqa: PLC0415
         policy_class(self.prefetcher, "prefetch")
         policy_class(self.eviction, "evict")
-        if self.engine == "fast":
-            if not pair_supports_fastpath(self.prefetcher, self.eviction):
-                raise SimulationError(
-                    f"engine='fast' is not supported with "
-                    f"prefetcher={self.prefetcher!r} / "
-                    f"eviction={self.eviction!r}: a selected policy "
-                    f"declares supports_fastpath=False; use "
-                    f"engine='reference'"
-                )
 
     @property
     def pages_per_block(self) -> int:

@@ -134,10 +134,6 @@ class Simulator:
         self.current_iteration = 0
         #: Accesses seen by the access-trace sampler (stride bookkeeping).
         self._access_seq = 0
-        #: Retired ``(page, is_write)`` accesses whose dirty marks and
-        #: eviction-policy touches wait for :meth:`_flush_pending`; None
-        #: applies them eagerly (this engine).
-        self._access_log: list | None = None
         self._ns_per_cycle = constants.NS_PER_CYCLE
         self._kernel_done = True
         self._kernel_end = 0.0
@@ -176,7 +172,6 @@ class Simulator:
         alloc = self.allocator.get(name)
         pages = self._resolve_page_range(alloc, first_page, num_pages,
                                          "prefetch_async")
-        self._flush_pending()
         self.driver.prefetch_range(pages, self.now)
 
     def cpu_access(self, name: str, first_page: int = 0,
@@ -192,7 +187,6 @@ class Simulator:
         alloc = self.allocator.get(name)
         pages = self._resolve_page_range(alloc, first_page, num_pages,
                                          "cpu_access")
-        self._flush_pending()
         self.driver.host_access_range(pages, self.now, is_write)
 
     def launch_kernel(self, kernel: KernelSpec) -> float:
@@ -220,20 +214,13 @@ class Simulator:
                     f"{sorted(self.mshr.pages())[:8]})"
                 )
             self.now, callback = self.events.pop()
-            if not getattr(callback, "is_sm_step", False):
-                self._flush_pending()
             callback(self.now)
             if watchdog is not None:
                 tick_budget -= 1
                 if tick_budget <= 0:
                     tick_budget = interval
                     watchdog.note_events(interval)
-                    self._flush_pending()
                     watchdog.tick(self)
-        # The access log stays pending across kernel launches (iterative
-        # workloads re-touch the same pages every kernel, so cross-kernel
-        # spans are where compression pays); ``synchronize``, the driver
-        # entry points, and ``check_invariants`` all flush first.
         self.now = max(self.now, self._kernel_end)
         duration = self._kernel_end - kernel_start
         self.stats.kernel_times_ns.append(duration)
@@ -252,10 +239,7 @@ class Simulator:
         """``cudaDeviceSynchronize``: drain every in-flight event."""
         while self.events:
             self.now, callback = self.events.pop()
-            if not getattr(callback, "is_sm_step", False):
-                self._flush_pending()
             callback(self.now)
-        self._flush_pending()
         self.frames.settle(self.now)
 
     # ------------------------------------------------------------ driver hooks
@@ -302,10 +286,6 @@ class Simulator:
         callback = self._sm_steps.get(sm)
         if callback is None:
             callback = lambda now, sm=sm: self._sm_step(sm, now)  # noqa: E731
-            # Marks the one event kind that may leave deferred accesses
-            # behind (see Simulator._flush_pending); every other callback
-            # flushes.
-            callback.is_sm_step = True
             self._sm_steps[sm] = callback
         self.events.push(time_ns, callback)
 
@@ -318,8 +298,6 @@ class Simulator:
         # was placed already done) since the last reap.
         finished = sm.reap_finished_blocks() if sm.reap_pending else None
         if finished:
-            # No flush needed: on_blocks_finished only refills scheduler
-            # queues and places blocks; it observes no recency state.
             self._kernel_end = max(self._kernel_end, sm.time_ns)
             self.scheduler.on_blocks_finished(sm, finished)
             if self.scheduler.kernel_done:
@@ -330,42 +308,24 @@ class Simulator:
         if sm.next_ready_warp() is not None or sm.reap_pending:
             self._schedule_sm(sm, sm.time_ns)
 
-    def _flush_pending(self) -> None:
-        """Apply the deferred access log (no-op here).
-
-        The fast engine (:mod:`repro.core.fastpath`) defers each retired
-        access's dirty mark and eviction-policy touch to its access log
-        and overrides this hook to apply the log.  The reference engine
-        applies both eagerly, so this is a no-op; it is called at every
-        point deferred state could become observable: before any
-        non-SM-step event callback, on ``synchronize``, before driver
-        entry points (``prefetch_async``, ``cpu_access``), before
-        watchdog ticks and before invariant checks.
-        """
-
     def _issue_quantum(self, sm: StreamingMultiprocessor,
                        budget: int) -> None:
         """The per-access issue loop of one SM step event.
 
         Retires up to ``budget`` accesses from the SM's READY warps in
-        round-robin order.  Both engines run this loop; they differ only
-        in its tail.  With no access log (the reference engine) each
-        retired access marks the page table and touches the eviction
-        policy at once: the dirty bit is set through the page table's
+        round-robin order.  Each retired access sets the page's dirty bit
+        through the page table's
         :meth:`~repro.memory.page_table.GpuPageTable.access_view` (a page
         outside it or not VALID goes through ``mark_access``, which
-        raises), and the policy is touched through the one-argument
-        :meth:`~repro.policy.base.Policy.access_hook` bound for this
-        quantum.  A hook of None means the policy's recency is the page
+        raises) and hands the page to the one-argument
+        :meth:`~repro.policy.base.Policy.access_hook` the eviction policy
+        bound for this quantum (LRU 4 KB's hook appends it to the
+        policy's access log).  A hook of None means the policy's recency is the page
         table's stamps: the access then stamps the page, its block and
         its chunk from a local copy of the stamps' clock (one index
         serves the dirty bit and the stamps), raising ``PolicyError``
         for a page the LRU does not hold, and the clock is written back
-        once per quantum.  With a log (the fast engine) the warp's own
-        ``(page, is_write)`` tuple is appended to it and
-        :meth:`_flush_pending` applies it later.  The TLB refresh, every
-        miss, page walk, fault, fill, L2 access and access-trace sample
-        run eagerly in both engines.
+        once per quantum.
 
         The loop runs on locals: it inlines the round-robin scan of
         :meth:`StreamingMultiprocessor.next_ready_warp`, the hit path of
@@ -400,28 +360,22 @@ class Simulator:
         gmmu = self.gmmu
         # Both hold for this quantum only: the page table replaces its
         # arrays when a driver event grows it, and a policy replaces the
-        # structures its hook binds on reset().  Deferred accesses never
-        # change validity, so the fast engine reads the same view.
+        # structures its hook binds on reset().
         page_table = self.page_table
         pt_base, pt_state, pt_dirty, pt_valid = page_table.access_view()
         pt_size = len(pt_state)
-        log = self._access_log
-        if log is None:
-            defer = None
-            mark_access = page_table.mark_access
-            touch = self.driver.eviction.access_hook(self.ctx)
-            if touch is None:
-                # The policy's recency is the page table's stamps: an
-                # access stamps page, block and chunk from one clock.
-                stamps = page_table.stamps
-                stamp = stamps.page
-                block_stamp = stamps.block
-                chunk_stamp = stamps.chunk
-                block_shift = stamps.block_shift
-                chunk_shift = stamps.chunk_shift
-                seq = stamps.clock
-        else:
-            defer = log.append
+        mark_access = page_table.mark_access
+        touch = self.driver.eviction.access_hook(self.ctx)
+        if touch is None:
+            # The policy's recency is the page table's stamps: an access
+            # stamps page, block and chunk from one clock.
+            stamps = page_table.stamps
+            stamp = stamps.page
+            block_stamp = stamps.block
+            chunk_stamp = stamps.chunk
+            block_shift = stamps.block_shift
+            chunk_shift = stamps.chunk_shift
+            seq = stamps.clock
         tlb = sm.tlb
         entries = tlb._entries
         refresh = entries.move_to_end
@@ -454,8 +408,7 @@ class Simulator:
             if rr == n:
                 rr = 0
             cursor = warp.cursor
-            access = warp.accesses[cursor]
-            page, is_write = access
+            page, is_write = warp.accesses[cursor]
             if page in entries:
                 refresh(page)
                 hits += 1
@@ -478,24 +431,21 @@ class Simulator:
                     continue
                 if l2 is not None and not l2.access(page):
                     time += l2_miss_ns
-            if defer is None:
-                index = page - pt_base
-                if 0 <= index < pt_size and pt_state[index] == pt_valid:
-                    if is_write:
-                        pt_dirty[index] = 1
-                else:
-                    mark_access(page, is_write)
-                if touch is None:
-                    if not stamp[index]:
-                        raise PolicyError(
-                            f"page {page} not in hierarchical LRU")
-                    seq += 1
-                    stamp[index] = block_stamp[index >> block_shift] = \
-                        chunk_stamp[index >> chunk_shift] = seq
-                else:
-                    touch(page)
+            index = page - pt_base
+            if 0 <= index < pt_size and pt_state[index] == pt_valid:
+                if is_write:
+                    pt_dirty[index] = 1
             else:
-                defer(access)
+                mark_access(page, is_write)
+            if touch is None:
+                if not stamp[index]:
+                    raise PolicyError(
+                        f"page {page} not in hierarchical LRU")
+                seq += 1
+                stamp[index] = block_stamp[index >> block_shift] = \
+                    chunk_stamp[index >> chunk_shift] = seq
+            else:
+                touch(page)
             if trace:
                 self._access_seq += 1
                 if (self._access_seq - 1) % trace_stride == 0:
@@ -513,7 +463,7 @@ class Simulator:
                 )
             cursor += 1
             warp.cursor = cursor
-            if cursor >= len(warp.accesses):
+            if cursor >= warp.num_accesses:
                 warp.state = done
                 sm.reap_pending = True
 
@@ -524,7 +474,7 @@ class Simulator:
         tlb.misses += misses
         stats.tlb_misses += misses
         stats.page_table_walks += fills
-        if defer is None and touch is None:
+        if touch is None:
             stamps.clock = seq
 
     # ---------------------------------------------------------------- inspection
@@ -544,7 +494,6 @@ class Simulator:
         """Cross-component consistency (used by tests after runs)."""
         from ..memory.page import PageState
 
-        self._flush_pending()
         valid = self.page_table.valid_count
         if not self.frames.unbounded:
             self.frames.check_conservation()
@@ -594,18 +543,12 @@ class Simulator:
 def make_simulator(config: SimulatorConfig, *,
                    prefetcher: Prefetcher | None = None,
                    eviction: EvictionPolicy | None = None) -> Simulator:
-    """Build the engine selected by ``config.engine``.
+    """Build the simulator of ``config``.
 
-    ``"reference"`` is the event-for-event model above; ``"fast"`` is the
-    deferred-recency :class:`~repro.core.fastpath.FastSimulator`, which
-    must be byte-identical in results (gated by the ``fastpath-equiv``
-    validate claim and ``repro bench``).  Explicit ``prefetcher`` /
-    ``eviction`` instances bypass the registries (tests, subclassed knob
-    variants); they are reset() before adoption, so a reused instance
-    behaves like a fresh one.
+    There is one engine: every ``config.engine`` label builds the
+    :class:`Simulator` above.  Explicit ``prefetcher`` / ``eviction``
+    instances bypass the registries (tests, subclassed knob variants);
+    they are reset() before adoption, so a reused instance behaves like
+    a fresh one.
     """
-    if config.engine == "fast":
-        from .fastpath import FastSimulator
-        return FastSimulator(config, prefetcher=prefetcher,
-                             eviction=eviction)
     return Simulator(config, prefetcher=prefetcher, eviction=eviction)

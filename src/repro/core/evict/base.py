@@ -48,19 +48,6 @@ class EvictionPolicy(Policy, ABC):
     def on_accessed(self, page: int, ctx: UvmContext) -> None:
         """A valid page was read or written."""
 
-    def on_accessed_many(self, pages, ctx: UvmContext) -> None:
-        """Batch form of :meth:`on_accessed` for the fast engine.
-
-        ``pages`` is an access window compressed to one entry per
-        distinct page, ordered by each page's *last* access.  For pure
-        recency bookkeeping (every built-in policy) this is equivalent to
-        replaying the full access sequence; a policy that counts repeated
-        accesses would need to override this with its own expansion.  The
-        ``fastpath-equiv`` differential harness gates that equivalence.
-        """
-        for page in pages:
-            self.on_accessed(page, ctx)
-
     @abstractmethod
     def on_invalidated_externally(self, page: int,
                                   ctx: UvmContext) -> None:
@@ -91,7 +78,7 @@ class BlockLruEviction(EvictionPolicy):
 
     The LRU keeps its recency in the page table's stamps when it is the
     first to claim them (:meth:`GpuPageTable.claim_stamps`).  Then
-    :meth:`access_hook` returns None and the reference issue loop stamps
+    :meth:`access_hook` returns None and the issue loop stamps
     each access inline; a subclass that overrides ``on_accessed`` keeps
     its hook, and so never mixes the two paths.
 
@@ -137,13 +124,6 @@ class BlockLruEviction(EvictionPolicy):
         if stamps is ctx.page_table.stamps and stamps.block_shift is not None:
             return None  # the issue loop stamps the page table inline
         return lru.touch
-
-    def on_accessed_many(self, pages, ctx: UvmContext) -> None:
-        if type(self).on_accessed is not BlockLruEviction.on_accessed:
-            # A subclass extends the per-page hook: keep calling it.
-            super().on_accessed_many(pages, ctx)
-            return
-        self._structure(ctx).touch_many(pages)
 
     def on_invalidated_externally(self, page: int,
                                   ctx: UvmContext) -> None:

@@ -23,12 +23,15 @@ class WarpState(Enum):
 class Warp:
     """One warp's execution cursor over its access stream."""
 
-    __slots__ = ("warp_id", "accesses", "cursor", "state", "blocked_on",
-                 "sm")
+    __slots__ = ("warp_id", "accesses", "num_accesses", "cursor", "state",
+                 "blocked_on", "sm")
 
     def __init__(self, warp_id: int, spec: WarpSpec) -> None:
         self.warp_id = warp_id
         self.accesses = spec.accesses
+        #: ``len(accesses)``, fixed for the warp's life: the issue loop
+        #: compares the cursor against it at every retired access.
+        self.num_accesses = len(spec.accesses)
         self.cursor = 0
         self.state = WarpState.READY if spec.accesses else WarpState.DONE
         #: Page index the warp is blocked on, when BLOCKED.
@@ -59,7 +62,7 @@ class Warp:
                 f"warp {self.warp_id} cannot advance while {self.state}"
             )
         self.cursor += 1
-        if self.cursor >= len(self.accesses):
+        if self.cursor >= self.num_accesses:
             self.state = WarpState.DONE
             if self.sm is not None:
                 self.sm.reap_pending = True
@@ -85,4 +88,4 @@ class Warp:
     @property
     def remaining(self) -> int:
         """Accesses left, including the current one."""
-        return len(self.accesses) - self.cursor
+        return self.num_accesses - self.cursor

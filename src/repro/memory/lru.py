@@ -204,30 +204,6 @@ class HierarchicalLRU:
             = stamps.chunk[page // self._pages_per_large_page
                            - stamps.chunk_base] = clock
 
-    def touch_many(self, pages) -> None:
-        """:meth:`touch` for each of ``pages``, in order: the fast
-        engine's flush, in last-access order."""
-        stamps = self.stamps
-        page_stamps = stamps.page
-        block_stamps = stamps.block
-        chunk_stamps = stamps.chunk
-        base = stamps.base
-        size = len(page_stamps)
-        block_base = stamps.block_base
-        chunk_base = stamps.chunk_base
-        per_block = self._pages_per_block
-        per_chunk = self._pages_per_large_page
-        clock = stamps.clock
-        for page in pages:
-            index = page - base
-            if not (0 <= index < size and page_stamps[index]):
-                stamps.clock = clock
-                raise PolicyError(f"page {page} not in hierarchical LRU")
-            clock += 1
-            page_stamps[index] = block_stamps[page // per_block - block_base] \
-                = chunk_stamps[page // per_chunk - chunk_base] = clock
-        stamps.clock = clock
-
     def remove(self, page: int) -> None:
         """Drop one page, pruning empty blocks/chunks."""
         if page not in self:

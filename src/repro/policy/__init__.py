@@ -28,7 +28,6 @@ from .registry import (
     learned_names,
     make_policy,
     make_policy_pair,
-    pair_supports_fastpath,
     policy_class,
     registry_for,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "learned_names",
     "make_policy",
     "make_policy_pair",
-    "pair_supports_fastpath",
     "policy_class",
     "registry_for",
 ]

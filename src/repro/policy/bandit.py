@@ -63,7 +63,6 @@ class BanditPolicy(Prefetcher, EvictionPolicy):
     """Online pairing selection over the paper's hand-built arms."""
 
     name = "bandit"
-    supports_fastpath = False
     learned = True
 
     #: Fault batches per decision epoch.
@@ -153,10 +152,6 @@ class BanditPolicy(Prefetcher, EvictionPolicy):
     def on_accessed(self, page: int, ctx: UvmContext) -> None:
         for arm in self._arms:
             arm.eviction.on_accessed(page, ctx)
-
-    def on_accessed_many(self, pages, ctx: UvmContext) -> None:
-        for arm in self._arms:
-            arm.eviction.on_accessed_many(pages, ctx)
 
     def on_invalidated_externally(self, page: int,
                                   ctx: UvmContext) -> None:

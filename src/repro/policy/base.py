@@ -19,26 +19,32 @@ the hooks at well-defined points:
     batch form receives one transfer group's pages: a contiguous,
     ascending run.
 
-``on_accessed(page, ctx)`` / ``on_accessed_many(pages, ctx)``
-    A valid page was read or written; the batch form receives an access
-    window compressed to one entry per distinct page in last-access
-    order (the fast engine's deferred flush).
+``on_accessed(page, ctx)``
+    A valid page was read or written.
 
 ``access_hook(ctx)``
-    Not an event: the reference engine asks for it once per SM step and
-    calls the returned one-argument callable with each page the step
-    retires, in place of ``on_accessed(page, ctx)``.  The default wraps
-    ``on_accessed``, so overriding ``on_accessed`` is enough; LRU4K and
-    Re return their structure's own method or a closure, so an access
-    costs one call.  A hook must not outlive the step it was made for.
+    Not an event: the engine asks for it once per SM step and calls the
+    returned one-argument callable with each page the step retires, in
+    place of ``on_accessed(page, ctx)``.  The default wraps
+    ``on_accessed``, so overriding ``on_accessed`` is enough; Re returns
+    its structure's own method, so an access costs one call.  A hook
+    must not outlive the step it was made for.
+
+    The hook may record the access and apply it later, provided the
+    policy applies what it recorded before any hook or planning call
+    that reads or changes its order.  LRU4K returns its access log's
+    ``append`` and settles the log first in every such method, which
+    leaves the same order as one ``on_accessed`` per access.
 
     A policy may instead return None: its recency *is* the page table's
     stamps (:meth:`~repro.memory.page_table.GpuPageTable.claim_stamps`),
     and the step stamps each retired page, its 64 KB block and its 2 MB
     chunk inline from the stamps' clock, then writes the clock back once
     per step.  The block evictors (``BlockLruEviction``) do so when
-    their LRU owns the table's stamps; a subclass that overrides ``on_accessed`` keeps a callable hook and is
-    never stamped inline, so the two paths never share a step.
+    their LRU owns the table's stamps.  A subclass that overrides
+    ``on_accessed`` keeps a callable hook that calls it once per access,
+    is never stamped inline and never logs, so the paths never share a
+    step.
 
 ``on_invalidated_externally(page, ctx)``
     A valid page was invalidated outside the policy's own plans (e.g. a
@@ -55,13 +61,7 @@ the hooks at well-defined points:
 
 Every hook has a no-op default: hand-built policies override only what
 they need, and the driver may call any hook on any policy without
-caring about its role.  Class attributes declare capabilities:
-
-``supports_fastpath``
-    ``False`` opts the policy out of the batched engine
-    (``SimulatorConfig(engine="fast")``); the combination is rejected at
-    config-validation time so learned policies run on the reference
-    engine explicitly instead of corrupting deferred-flush state.
+caring about its role.  A class attribute declares a capability:
 
 ``learned``
     Marks online-trained policies; used by ``repro list``, the tuner's
@@ -79,8 +79,6 @@ class Policy:
 
     #: Registry key and display name.
     name: str = "abstract"
-    #: Whether the batched fast engine may run this policy.
-    supports_fastpath: bool = True
     #: Whether the policy trains online from the event stream.
     learned: bool = False
 
@@ -105,19 +103,6 @@ class Policy:
         for the accesses of one SM step, or None when the step is to stamp
         the page table's recency stamps inline (see the module docs)."""
         return partial(self.on_accessed, ctx=ctx)
-
-    def on_accessed_many(self, pages, ctx) -> None:
-        """Batch form of :meth:`on_accessed` (fast-engine flush).
-
-        ``pages`` is an access window compressed to one entry per
-        distinct page, ordered by each page's *last* access.  For pure
-        recency bookkeeping this is equivalent to replaying the full
-        sequence; a policy that counts repeated accesses must override
-        this with its own expansion (or declare
-        ``supports_fastpath = False``).
-        """
-        for page in pages:
-            self.on_accessed(page, ctx)
 
     def on_invalidated_externally(self, page: int, ctx) -> None:
         """A valid page was invalidated outside this policy's own plans.

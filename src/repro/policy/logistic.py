@@ -41,7 +41,6 @@ class LogisticEvictor(BlockLruEviction):
     """Evicts the candidate block with the lowest predicted reuse."""
 
     name = "logistic"
-    supports_fastpath = False
     learned = True
 
     #: Hashed weight-vector dimensionality.

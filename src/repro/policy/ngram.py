@@ -27,7 +27,6 @@ class NGramPrefetcher(Prefetcher):
     """Order-1 Markov predictor over the faulted-block sequence."""
 
     name = "ngram"
-    supports_fastpath = False
     learned = True
 
     #: Predicted blocks prefetched per batch beyond the faulted ones.

@@ -14,8 +14,6 @@ and capability queries on top:
   registered in both registries, e.g. the bandit), a single shared
   instance serves both roles so its observations and decisions stay
   coherent;
-* :func:`pair_supports_fastpath` — whether the batched engine may run
-  a pairing (config validation rejects ``engine="fast"`` otherwise);
 * :func:`learned_names` — the online-trained policies per role.
 
 The registry imports resolve lazily at call time: this module is
@@ -117,14 +115,6 @@ def make_policy_pair(prefetcher: str, eviction: str) -> tuple[Policy, Policy]:
         shared = prefetch_cls()
         return shared, shared
     return prefetch_cls(), eviction_cls()
-
-
-def pair_supports_fastpath(prefetcher: str, eviction: str) -> bool:
-    """Whether ``engine="fast"`` may run this pairing."""
-    return (
-        policy_class(prefetcher, "prefetch").supports_fastpath
-        and policy_class(eviction, "evict").supports_fastpath
-    )
 
 
 def learned_names(role: str) -> list[str]:

@@ -518,29 +518,6 @@ def _tune_recover(scale):
             all(w == "TBNe+TBNp" for w in winners.values()))
 
 
-def _fastpath_equiv(scale):
-    """Both engines must produce byte-identical results.
-
-    Runs the fixed :func:`repro.bench.equivalence_matrix` — seeds ×
-    workloads × policy pairings × over-subscription levels, plus
-    fault-profile, tracing and L2 cells — under ``engine="reference"`` and
-    ``engine="fast"`` and byte-compares ``SimStats.to_json()`` per cell.
-    This is not a statistical claim about the paper but the correctness
-    gate that makes the fast engine's numbers *mean* anything: every
-    figure reproduced above may be produced by either engine only
-    because this claim holds.
-    """
-    from .bench import compare_engines
-
-    results = compare_engines(scale=scale)
-    mismatched = [r.cell.name for r in results if not r.identical]
-    passed = sum(1 for r in results if r.identical)
-    measured = f"{passed}/{len(results)} cells byte-identical"
-    if mismatched:
-        measured += f"; mismatched: {', '.join(mismatched[:4])}"
-    return measured, not mismatched
-
-
 #: The learned checks run at a pinned scale (0.3) like the tune check:
 #: the learned baselines' epoch/window knobs are sized for that regime.
 _LEARNED_SCALE = 0.3
@@ -762,12 +739,6 @@ CLAIMS: tuple[Claim, ...] = (
           "the auto-tuner recovers TBNe+TBNp on a regular workload at "
           "110% over-subscription, by search rather than assertion",
           "TBNe+TBNp wins on regular workloads at 110%", _tune_recover),
-    Claim("fastpath-equiv", (),
-          "the batched fast engine is result-identical to the reference "
-          "discrete-event engine across workloads, policy pairings, "
-          "over-subscription levels, fault profiles, tracing modes and L2",
-          "engine selection must never change simulation results",
-          _fastpath_equiv),
     Claim("learned-competitive", (),
           "at least one online-learned policy ties or beats TBNe+TBNp "
           "kernel time on at least one workload at 110% over-subscription",

@@ -3,13 +3,11 @@
 Each policy in ``EVICTION_REGISTRY`` runs two inputs at 115%
 over-subscription with TBNp kept on under pressure: ``hotspot`` at scale
 0.1 and a cyclic scan that re-reads its footprint six times.  The
-SHA-256 of ``SimStats.to_json()`` is pinned per (input, policy) and must
-be the same on both engines wherever the pairing allows the fast one.
+SHA-256 of ``SimStats.to_json()`` is pinned per (input, policy).
 
-The fast-vs-reference differential cannot see a behaviour change both
-engines share, and the perfbench digests only cover the policies its
-cells evict with; these pins catch a refactor of any policy's
-bookkeeping or victim selection that moves a single counter.  They are
+The perfbench digests only cover the policies its cells evict with;
+these pins catch a refactor of any policy's bookkeeping or victim
+selection that moves a single counter.  They are
 a behaviour contract: re-record them only for a deliberate model change,
 and say so in the change log.
 
@@ -29,7 +27,6 @@ from repro.config import oversubscribed
 from repro.core.evict import EVICTION_REGISTRY
 from repro.experiments.common import combo_config
 from repro.faultinject import FaultProfile
-from repro.policy.registry import pair_supports_fastpath
 from repro.runtime import UvmRuntime
 from repro.workloads import make_workload
 from repro.workloads.base import AddressResolver
@@ -165,13 +162,13 @@ def _cell(input_name: str, name: str):
     return INPUTS[input_name], PREFETCHER, name, PERCENT, {}, _run
 
 
-def _digest(input_name: str, name: str, engine: str) -> str:
+def _digest(input_name: str, name: str) -> str:
     make, prefetcher, eviction, percent, overrides, run = \
         _cell(input_name, name)
     workload = make()
     config = oversubscribed(
         workload.footprint_bytes, percent,
-        num_sms=4, prefetcher=prefetcher, eviction=eviction, engine=engine,
+        num_sms=4, prefetcher=prefetcher, eviction=eviction,
         **{"disable_prefetch_on_oversubscription": False, **overrides},
     )
     stats = run(UvmRuntime(config), workload)
@@ -202,13 +199,7 @@ def test_adaptive_switch_fires_on_both_inputs():
     "input_name,name",
     sorted(GOLDEN) + [(TREE_INPUT, label) for label in sorted(TREE_GOLDEN)])
 def test_golden_digest(input_name, name):
-    _, prefetcher, eviction, *_ = _cell(input_name, name)
-    engines = ["reference"]
-    if pair_supports_fastpath(prefetcher, eviction):
-        engines.append("fast")
-    for engine in engines:
-        assert _digest(input_name, name, engine) == \
-            _golden(input_name, name), engine
+    assert _digest(input_name, name) == _golden(input_name, name)
 
 
 def test_logistic_score_is_summation_order_free():

@@ -344,9 +344,10 @@ class TestAccessHook:
         assert owner._structure(fresh).stamps is fresh.page_table.stamps
 
     @pytest.mark.parametrize("name", ["tbn", "lru4k"])
-    def test_batch_form_keeps_a_subclass_on_accessed(self, name):
-        """``on_accessed_many`` of a subclass that extends ``on_accessed``
-        calls the extension once per page, in order."""
+    def test_subclass_hook_calls_on_accessed_per_access(self, name):
+        """The hook of a subclass that extends ``on_accessed`` calls the
+        extension once per access, in order, repeats included: it is
+        neither stamped inline nor logged."""
         base = type(make_eviction_policy(name))
 
         class Counting(base):
@@ -363,5 +364,8 @@ class TestAccessHook:
         policy.reset()
         pages = list(alloc.page_range)[:32]
         validate_pages(ctx, policy, pages, access=False)
-        policy.on_accessed_many([pages[5], pages[3]], ctx)
-        assert policy.seen == [pages[5], pages[3]]
+        hook = policy.access_hook(ctx)
+        for page in (pages[5], pages[3], pages[5]):
+            hook(page)
+        assert policy.seen == [pages[5], pages[3], pages[5]]
+        assert not getattr(policy, "_log", [])

@@ -1,14 +1,13 @@
-"""An independent oracle for the shared per-access issue loop.
+"""An independent oracle for the per-access issue loop.
 
-Both engines run ``Simulator._issue_quantum`` for every quantum; the
-fast engine only swaps the loop's recency tail for an append to its
-access log.  A bug in the rest of that loop therefore shows in neither
-the fast≡reference differential nor ``repro bench``.  ``OracleSimulator`` keeps the loop as it
-was written before it moved onto locals — one ``next_ready_warp``,
-``Tlb.lookup``, ``current_access`` and ``advance`` call per access — and
-every cell here asserts byte-identical ``SimStats.to_json()`` plus the
-per-SM state the loop writes back (clock, rotation index, TLB counters
-and LRU order).
+``Simulator._issue_quantum`` runs on locals and inlines the TLB, warp
+and policy calls it makes per access.  ``OracleSimulator`` keeps the loop
+as it was written before it moved onto locals — one
+``next_ready_warp``, ``Tlb.lookup``, ``current_access``, ``mark_access``,
+``on_accessed`` and ``advance`` call per access — and every cell here
+asserts byte-identical ``SimStats.to_json()`` plus the per-SM state the
+loop writes back (clock, rotation index, TLB counters) and the eviction
+policy's order.
 
 The tier-1 matrix runs four workloads at a small scale under the four
 fig11 pairings, unbounded and at 110%, with the default and a 16-entry
@@ -25,7 +24,6 @@ import pytest
 from repro.core.engine import Simulator
 from repro.core.evict.lru4k import Lru4kEviction
 from repro.core.evict.tbn import TreeBasedNeighborhoodPreEviction
-from repro.core.fastpath import FastSimulator
 from repro.experiments.common import COMBINATIONS, combo_config
 from repro.faultinject.profile import FaultProfile
 from repro.gpu.sm import StreamingMultiprocessor
@@ -34,7 +32,7 @@ from repro.workloads.base import AddressResolver
 
 
 class OracleSimulator(Simulator):
-    """The reference engine with the method-call issue loop."""
+    """The engine with the method-call issue loop."""
 
     def _issue_quantum(self, sm: StreamingMultiprocessor,
                        budget: int) -> None:
@@ -135,8 +133,15 @@ class EveryOtherTouchLru4k(Lru4kEviction):
 
 
 def _lru_order(sim) -> list[int] | None:
-    """The eviction policy's LRU-to-MRU page order, when it keeps one."""
-    lru = getattr(sim.driver.eviction, "_lru", None)
+    """The eviction policy's LRU-to-MRU page order, when it keeps one.
+
+    LRU4K's order is read through ``eviction_order``, which settles the
+    policy's access log first.
+    """
+    policy = sim.driver.eviction
+    if isinstance(policy, Lru4kEviction):
+        return policy.eviction_order()
+    lru = getattr(policy, "_lru", None)
     return None if lru is None else lru.pages_in_order()
 
 
@@ -228,25 +233,25 @@ class TestIssueLoopOracle:
                                eviction_class=EveryOtherTouchTbne)
 
 
-class TestFastEngineRunsHookOverrides:
-    """A subclass that replaces the ``on_accessed`` of a policy with a
-    batch form gets that ``on_accessed`` once per access on the fast
-    engine too: same ``SimStats`` and same access count as the
-    reference engine."""
+class TestHookOverrides:
+    """A subclass that replaces the ``on_accessed`` of a policy whose own
+    hook stamps inline (TBNe) or logs (LRU4K) gets that ``on_accessed``
+    once per access: same ``SimStats``, order and access count as the
+    oracle, which calls ``on_accessed`` itself."""
 
     @pytest.mark.parametrize("eviction_class,combo", [
         (EveryOtherTouchTbne, COMBINATIONS[-1]),
         (EveryOtherTouchLru4k, COMBINATIONS[0]),
     ], ids=["tbne", "lru4k"])
-    def test_fast_matches_reference(self, eviction_class, combo):
-        reference = _simulate(Simulator, "hotspot", TIER1_SCALE,
-                              eviction_class=eviction_class, combo=combo)
-        fast = _simulate(FastSimulator, "hotspot", TIER1_SCALE,
-                         eviction_class=eviction_class, combo=combo,
-                         engine="fast")
-        assert fast.stats.to_json() == reference.stats.to_json()
-        assert fast.driver.eviction.accesses \
-            == reference.driver.eviction.accesses > 0
+    def test_matches_oracle(self, eviction_class, combo):
+        oracle = _simulate(OracleSimulator, "hotspot", TIER1_SCALE,
+                           eviction_class=eviction_class, combo=combo)
+        engine = _simulate(Simulator, "hotspot", TIER1_SCALE,
+                           eviction_class=eviction_class, combo=combo)
+        assert engine.stats.to_json() == oracle.stats.to_json()
+        assert _lru_order(engine) == _lru_order(oracle)
+        assert engine.driver.eviction.accesses \
+            == oracle.driver.eviction.accesses > 0
 
 
 #: Block-LRU evictors whose recency the issue loop stamps inline, at an
@@ -260,7 +265,7 @@ STAMP_COMBOS = (
 
 
 class ClockCheckingSimulator(Simulator):
-    """The reference engine, checking the stamp clock after each quantum.
+    """The engine, checking the stamp clock after each quantum.
 
     Every stamp also lands in its chunk's stamp, and chunk stamps are
     never cleared, so the clock must equal the largest chunk stamp: an

@@ -1,7 +1,7 @@
 """Tests for the learned policy baselines (repro.policy).
 
-Covers the registry facade and its error quality, config-time rejection
-of unsupported engine pairings, seeded determinism of every learned
+Covers the registry facade and its error quality, config-time
+validation, seeded determinism of every learned
 baseline, and the online-learning mechanics of each policy in
 isolation.
 """
@@ -13,7 +13,7 @@ from repro.config import SimulatorConfig
 from repro.core.context import UvmContext
 from repro.core.evict import make_eviction_policy
 from repro.core.prefetch import make_prefetcher
-from repro.errors import PolicyError, SimulationError
+from repro.errors import PolicyError
 from repro.experiments.common import combo_config
 from repro.experiments.extension_learned import (
     HAND_BUILT,
@@ -30,7 +30,6 @@ from repro.policy import (
     learned_names,
     make_policy,
     make_policy_pair,
-    pair_supports_fastpath,
     policy_class,
 )
 from repro.policy.bandit import BanditPolicy
@@ -99,12 +98,6 @@ class TestRegistryFacade:
         prefetcher, eviction = make_policy_pair("tbn", "tbn")
         assert prefetcher is not eviction
 
-    def test_pair_supports_fastpath(self):
-        assert pair_supports_fastpath("tbn", "lru4k")
-        assert not pair_supports_fastpath("ngram", "lru4k")
-        assert not pair_supports_fastpath("tbn", "logistic")
-        assert not pair_supports_fastpath("bandit", "bandit")
-
 
 class TestConfigValidation:
     def test_unknown_prefetcher_rejected_at_config_time(self):
@@ -117,26 +110,18 @@ class TestConfigValidation:
             SimulatorConfig(eviction="bogus")
         assert "known:" in str(err.value)
 
-    @pytest.mark.parametrize("kwargs", [
-        {"prefetcher": "ngram"},
-        {"eviction": "logistic"},
-        {"prefetcher": "bandit", "eviction": "bandit"},
-    ])
-    def test_fast_engine_rejects_learned_policies(self, kwargs):
-        with pytest.raises(SimulationError) as err:
-            SimulatorConfig(engine="fast", **kwargs)
-        assert "supports_fastpath" in str(err.value)
-
-    def test_fast_engine_accepts_hand_built(self):
-        SimulatorConfig(engine="fast", prefetcher="tbn", eviction="tbn")
-
-    def test_fast_engine_rejects_injected_unsupported_instance(self):
-        """Defense in depth: an injected instance bypasses config
-        validation, so the fast engine itself must refuse it."""
-        from repro.core.engine import make_simulator
-        config = SimulatorConfig(engine="fast")
-        with pytest.raises(SimulationError):
-            make_simulator(config, prefetcher=NGramPrefetcher())
+    def test_both_engine_labels_build_the_one_simulator(self):
+        """``engine`` is a label: both values build a ``Simulator``, with
+        learned policies too, and keep distinct run-cache keys."""
+        from repro.core.engine import Simulator, make_simulator
+        from repro.sweep.cells import SweepCell
+        keys = set()
+        for engine in ("reference", "fast"):
+            config = SimulatorConfig(engine=engine, prefetcher="ngram",
+                                     eviction="logistic")
+            assert type(make_simulator(config)) is Simulator
+            keys.add(SweepCell({"name": "bfs"}, config).cache_key())
+        assert len(keys) == 2
 
 
 class TestSeededDeterminism:

@@ -350,23 +350,6 @@ class TestStampsAgainstOrderedOracle:
         for page in range(3 * PAGES_PER_CHUNK):
             assert (page in lru) == (page in oracle)
 
-    @given(make=st.sampled_from(LRU_FACTORIES),
-           pages=st.lists(_ORACLE_PAGES, min_size=1, max_size=80))
-    @settings(max_examples=50, deadline=None)
-    def test_touch_many_stamps_in_order(self, make, pages):
-        """The fast engine's flush: one stamp per page, in the order
-        given."""
-        lru = make()
-        oracle = OrderedHierarchicalLRU(SPACE)
-        for page in pages:
-            lru.insert(page)
-            oracle.insert(page)
-        lru.touch_many(reversed(pages))
-        for page in reversed(pages):
-            oracle.touch(page)
-        assert [lru.victim_page(i) for i in range(len(lru))] == \
-            [oracle.victim_page(i) for i in range(len(oracle))]
-
     def test_page_table_growth_keeps_stamps(self):
         """A stamp store that is the page table's moves with the table's
         window and keeps every stamp and the clock."""

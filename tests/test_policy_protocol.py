@@ -31,7 +31,6 @@ class CheckedPrefetcher(Prefetcher):
     """Delegating wrapper asserting the MigrationPlan contract."""
 
     name = "checked-prefetch"
-    supports_fastpath = False  # contract checks need the reference engine
 
     def __init__(self, inner):
         self.inner = inner
@@ -76,7 +75,6 @@ class CheckedEviction(EvictionPolicy):
     """Delegating wrapper asserting the EvictionPlan contract."""
 
     name = "checked-evict"
-    supports_fastpath = False
 
     def __init__(self, inner):
         self.inner = inner
@@ -97,9 +95,6 @@ class CheckedEviction(EvictionPolicy):
         assert ctx.page_table.is_valid(page), \
             "on_accessed with a non-VALID page"
         self.inner.on_accessed(page, ctx)
-
-    def on_accessed_many(self, pages, ctx):
-        self.inner.on_accessed_many(pages, ctx)
 
     def on_invalidated_externally(self, page, ctx):
         self.inner.on_invalidated_externally(page, ctx)

@@ -54,7 +54,7 @@ class TestValidateClaims:
             "ablation-walk", "ablation-buffer",
             "ext-adaptive", "ext-autotune", "ext-colocation",
             "optimality-bound", "optimality-srad",
-            "tune-recover", "fastpath-equiv",
+            "tune-recover",
             "learned-competitive", "learned-deterministic",
         ]
 
@@ -79,8 +79,6 @@ class TestValidateClaims:
         assert by_id["fig5-faults"].passed
         # The tune check runs at a pinned scale, so it passes too.
         assert by_id["tune-recover"].passed
-        # Engine equivalence is exact at every scale by construction.
-        assert by_id["fastpath-equiv"].passed
         # The learned checks run at a pinned scale, so they pass too.
         assert by_id["learned-competitive"].passed
         assert by_id["learned-deterministic"].passed
