@@ -90,11 +90,11 @@ def test_perf_mshr_register_complete(benchmark):
     def traffic():
         mshr = FarFaultMSHR(1024)
         for page in range(512):
-            mshr.register(page, None, 0.0)
-            mshr.register(page, "warp", 0.0)  # merge
+            mshr.register_fault(page, None, 0.0)
+            mshr.register_fault(page, "warp", 0.0)  # merge
         woken = 0
         for page in range(512):
-            woken += len(mshr.complete(page))
+            woken += len(mshr.complete_many(range(page, page + 1)))
         return woken
 
     assert benchmark(traffic) == 512
@@ -109,7 +109,7 @@ def test_perf_mshr_bulk_register_complete(benchmark):
     def traffic():
         mshr = FarFaultMSHR(1024)
         for page in faulted:
-            mshr.register(page, "warp", 0.0)
+            mshr.register_fault(page, "warp", 0.0)
         mshr.register_many(groups)
         woken = 0
         for group in groups:
@@ -131,7 +131,7 @@ def test_perf_mshr_prefetch_group(benchmark, file):
 
     def counted():
         mshr = FarFaultMSHR(1024)
-        mshr.register(0, "warp", 0.0)
+        mshr.register_fault(0, "warp", 0.0)
         mshr.register_many([group])
         return mshr.complete_many(group)
 

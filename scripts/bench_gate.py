@@ -5,7 +5,10 @@ Usage::
 
     python scripts/bench_gate.py PARENT_CHECKOUT CHANGE_CHECKOUT
 
-For every workload in the change's ``BENCHMARK.json`` it runs the
+It first byte-compiles ``src/`` in both checkouts, so neither side's
+``setup_s`` (a fresh interpreter importing the package) includes
+compiling every module on a tree that was never imported.  Then, for
+every workload in the change's ``BENCHMARK.json``, it runs the
 benchmark command (``perfbench/run.py --workload W --seconds 5``) in
 both checkouts, ``PAIRS`` times each, alternating which side runs first.
 It fails (exit 1) when any run reports ``correct`` false or
@@ -27,6 +30,12 @@ from pathlib import Path
 PAIRS = 3
 SECONDS = 5
 GATED = ("accesses_per_s.reference", "accesses_per_s.fast")
+
+
+def byte_compile(checkout: Path) -> None:
+    """Write the ``__pycache__`` of every module under ``src/``."""
+    subprocess.run([sys.executable, "-m", "compileall", "-q",
+                    str(checkout / "src")], check=True)
 
 
 def perfbench(checkout: Path, command: list[str], workload: str) -> dict:
@@ -77,6 +86,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("change", type=Path)
     args = parser.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    for checkout in (args.parent, args.change):
+        byte_compile(checkout)
     failures = []
     for workload in (w["name"] for w in spec["workloads"]):
         parent: list[dict] = []

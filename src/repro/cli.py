@@ -664,6 +664,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         file_fields = json.loads(args.config_file.read_text())
         if not isinstance(file_fields, dict):
             raise SystemExit("--config-file must contain a JSON object")
+        SimulatorConfig.check_field_names(file_fields)
     config = _flags_config(args, workload, file_fields)
     stats = UvmRuntime(config).run_workload(workload)
     if args.json:

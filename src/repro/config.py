@@ -28,7 +28,7 @@ class SimulatorConfig:
     """All knobs of the UVM simulator.
 
     Attributes are grouped as: GPU execution, memory system, fault handling,
-    interconnect, and policy behaviour under over-subscription.
+    and policy behaviour under over-subscription.
     """
 
     # --- Engine ------------------------------------------------------------
@@ -70,25 +70,9 @@ class SimulatorConfig:
     #: a finite GPU fault buffer).  0 means unlimited.
     fault_batch_limit: int = 0
     #: Page-table walk model: "fixed" (Table 2's constant latency) or
-    #: "radix" (4-level walk with a page-walk cache).
+    #: "radix" (4-level walk, 50 cycles per level, with a 64-entry
+    #: page-walk cache).
     page_walk_model: str = "fixed"
-    #: Per-level walker memory-access latency for the radix model, cycles.
-    radix_cycles_per_level: int = 50
-    #: Page-walk-cache entries for the radix model.
-    pwc_entries: int = 64
-    #: Model the shared L2 data cache (default off: the paper abstracts it;
-    #: far-fault costs dominate).
-    l2_enabled: bool = False
-    #: L2 capacity in 4 KB pages (default 4 MB) and associativity.
-    l2_capacity_pages: int = 1024
-    l2_ways: int = 16
-    #: Extra cycles on an L2 miss (the near-fault GDDR access).
-    l2_miss_cycles: int = 200
-
-    # --- Interconnect ------------------------------------------------------
-    #: Optional override of the Table-1 calibration points
-    #: (size-in-bytes -> bytes/sec).  ``None`` uses the paper's Table 1.
-    pcie_calibration: dict[int, float] | None = None
 
     # --- Policies ----------------------------------------------------------
     prefetcher: str = "tbn"
@@ -216,18 +200,6 @@ class SimulatorConfig:
             raise ConfigurationError(
                 "page_walk_model must be 'fixed' or 'radix'"
             )
-        if self.radix_cycles_per_level <= 0:
-            raise ConfigurationError("radix_cycles_per_level must be > 0")
-        if self.pwc_entries <= 0:
-            raise ConfigurationError("pwc_entries must be > 0")
-        if self.l2_capacity_pages <= 0 or self.l2_ways <= 0:
-            raise ConfigurationError("L2 capacity and ways must be > 0")
-        if self.l2_capacity_pages % self.l2_ways:
-            raise ConfigurationError(
-                "l2_capacity_pages must be a multiple of l2_ways"
-            )
-        if self.l2_miss_cycles < 0:
-            raise ConfigurationError("l2_miss_cycles must be >= 0")
         if not 0.0 <= self.free_page_buffer_fraction < 1.0:
             raise ConfigurationError(
                 "free_page_buffer_fraction must be in [0, 1)"
@@ -319,9 +291,8 @@ class SimulatorConfig:
     def to_dict(self) -> dict:
         """Every field as plain JSON-able values.
 
-        ``fault_profile`` flattens to its field dict and the
-        ``pcie_calibration`` keys become strings (JSON objects only have
-        string keys); :meth:`from_dict` reverses both, so
+        ``fault_profile`` flattens to its field dict; :meth:`from_dict`
+        reverses it, so
         ``SimulatorConfig.from_dict(config.to_dict()) == config``.
         """
         out: dict[str, object] = {}
@@ -329,14 +300,20 @@ class SimulatorConfig:
             value = getattr(self, spec.name)
             if spec.name == "fault_profile":
                 out[spec.name] = None if value is None else value.to_dict()
-            elif spec.name == "pcie_calibration":
-                out[spec.name] = None if value is None else {
-                    str(size): float(bandwidth)
-                    for size, bandwidth in sorted(value.items())
-                }
             else:
                 out[spec.name] = value
         return out
+
+    @classmethod
+    def check_field_names(cls, data: dict) -> None:
+        """Raise :class:`ConfigurationError` naming every key of ``data``
+        that is not a field (a misspelt or removed knob)."""
+        known = {spec.name for spec in dataclasses.fields(cls)}
+        unknown = sorted(set(data) - known)
+        if unknown:
+            raise ConfigurationError(
+                f"unknown SimulatorConfig fields: {', '.join(unknown)}"
+            )
 
     @classmethod
     def from_dict(cls, data: dict) -> "SimulatorConfig":
@@ -345,20 +322,8 @@ class SimulatorConfig:
             raise ConfigurationError(
                 f"config data must be a dict, got {type(data).__name__}"
             )
-        known = {spec.name for spec in dataclasses.fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown SimulatorConfig fields: {', '.join(unknown)}"
-            )
-        fields = dict(data)
-        calibration = fields.get("pcie_calibration")
-        if calibration is not None:
-            fields["pcie_calibration"] = {
-                int(size): float(bandwidth)
-                for size, bandwidth in calibration.items()
-            }
-        return cls(**fields)  # fault_profile dicts are coerced by validate
+        cls.check_field_names(data)
+        return cls(**data)  # fault_profile dicts are coerced by validate
 
     def cache_key(self) -> str:
         """Stable content hash of this configuration.

@@ -61,12 +61,3 @@ DEFAULT_NUM_SMS = 28
 #: CUDA cores per SM (Table 2: 128) — used only for documentation/presets.
 CORES_PER_SM = 128
 
-
-def cycles_to_ns(cycles: float) -> float:
-    """Convert GPU core cycles to nanoseconds."""
-    return cycles * NS_PER_CYCLE
-
-
-def ns_to_cycles(ns: float) -> float:
-    """Convert nanoseconds to GPU core cycles."""
-    return ns / NS_PER_CYCLE

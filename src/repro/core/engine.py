@@ -22,7 +22,6 @@ from ..errors import PolicyError, SimulationError
 from ..faultinject.injector import FaultInjector
 from ..faultinject.watchdog import Watchdog
 from ..gpu.kernel import KernelSpec
-from ..gpu.l2cache import L2Cache
 from ..gpu.sm import StreamingMultiprocessor
 from ..gpu.tb_scheduler import ThreadBlockScheduler
 from ..gpu.warp import WarpState
@@ -80,7 +79,7 @@ class Simulator:
         self.tracer = SpanTracer(config.trace_max_events) if config.trace \
             else NULL_TRACER
         standard_layout(self.tracer, config.num_sms)
-        self.link = PcieLink(BandwidthModel(config.pcie_calibration),
+        self.link = PcieLink(BandwidthModel(),
                              self.stats.h2d, self.stats.d2h,
                              injector=self.injector, tracer=self.tracer)
         self.mshr = FarFaultMSHR(config.mshr_entries,
@@ -109,11 +108,7 @@ class Simulator:
         self.driver.engine = self
         self.gmmu = Gmmu(self.ctx, self.mshr, self.driver)
         self.walker = make_walker(config.page_walk_model,
-                                  config.page_table_walk_cycles,
-                                  config.radix_cycles_per_level,
-                                  config.pwc_entries)
-        self.l2 = L2Cache(config.l2_capacity_pages, config.l2_ways) \
-            if config.l2_enabled else None
+                                  config.page_table_walk_cycles)
         self.sms = [StreamingMultiprocessor(i, config.tlb_entries)
                     for i in range(config.num_sms)]
         self.scheduler = ThreadBlockScheduler(
@@ -263,7 +258,7 @@ class Simulator:
             self._schedule_sm(sm, sm.time_ns)
 
     def tlb_shootdown(self, pages: list[int]) -> None:
-        """Invalidate the pages' translations (all SMs) and L2 lines.
+        """Invalidate the pages' translations on all SMs.
 
         The driver calls this once per eviction round with the round's
         whole page list, so each SM intersects its entries with the set
@@ -272,10 +267,6 @@ class Simulator:
         page_set = set(pages)
         for sm in self.sms:
             sm.tlb.invalidate_many(page_set)
-        l2 = self.l2
-        if l2 is not None:
-            for page in pages:
-                l2.invalidate(page)
 
     # ---------------------------------------------------------------- SM engine
     def _schedule_sm(self, sm: StreamingMultiprocessor,
@@ -340,7 +331,7 @@ class Simulator:
         reads them: the GMMU gets the clock as an argument, the driver
         only schedules events, and the watchdog and tracer read stats
         between events.  Every call that carries semantics (page walk,
-        GMMU miss handling, warp blocking, L2, dirty marks, the eviction
+        GMMU miss handling, warp blocking, dirty marks, the eviction
         hook or stamps, the access-trace sampler) keeps its order.
         """
         warps = sm.all_warps()
@@ -354,8 +345,6 @@ class Simulator:
         trace_cap = config.access_trace_cap
         ns_per_cycle = self._ns_per_cycle
         access_ns = config.cycles_per_access * ns_per_cycle
-        l2 = self.l2
-        l2_miss_ns = config.l2_miss_cycles * ns_per_cycle
         walker = self.walker
         gmmu = self.gmmu
         # Both hold for this quantum only: the page table replaces its
@@ -413,8 +402,6 @@ class Simulator:
                 refresh(page)
                 hits += 1
                 time += access_ns
-                if l2 is not None and not l2.access(page):
-                    time += l2_miss_ns
             else:
                 misses += 1
                 walk_ns = walker.walk_cycles(page) * ns_per_cycle
@@ -429,8 +416,6 @@ class Simulator:
                 elif not gmmu.handle_tlb_miss(sm, warp, page, time):
                     warp.block_on(page)
                     continue
-                if l2 is not None and not l2.access(page):
-                    time += l2_miss_ns
             index = page - pt_base
             if 0 <= index < pt_size and pt_state[index] == pt_valid:
                 if is_write:

@@ -14,9 +14,9 @@ from .common import ExperimentResult
 TRANSFER_SIZES_KB = (4, 16, 64, 256, 1024)
 
 
-def run(calibration: dict[int, float] | None = None) -> ExperimentResult:
+def run() -> ExperimentResult:
     """Evaluate the bandwidth model at the paper's transfer sizes."""
-    model = BandwidthModel(calibration)
+    model = BandwidthModel()
     result = ExperimentResult(
         name="Table 1",
         description="PCI-e read bandwidth vs transfer size",

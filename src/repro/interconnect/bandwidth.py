@@ -19,33 +19,17 @@ from __future__ import annotations
 import math
 
 from .. import constants
-from ..errors import ConfigurationError
 
 
 class BandwidthModel:
-    """Latency/bandwidth as a function of transfer size."""
+    """Latency/bandwidth as a function of transfer size (Table 1)."""
 
-    def __init__(
-        self, calibration: dict[int, float] | None = None
-    ) -> None:
-        points = calibration or constants.PCIE_MEASURED_BANDWIDTH
-        if len(points) < 2:
-            raise ConfigurationError(
-                "bandwidth calibration needs at least two points"
-            )
+    def __init__(self) -> None:
+        points = constants.PCIE_MEASURED_BANDWIDTH
         sizes = sorted(points)
         bandwidths = [points[s] for s in sizes]
-        if any(s <= 0 for s in sizes) or any(b <= 0 for b in bandwidths):
-            raise ConfigurationError(
-                "calibration sizes and bandwidths must be positive"
-            )
-        if bandwidths != sorted(bandwidths):
-            raise ConfigurationError(
-                "calibration bandwidth must be non-decreasing in size"
-            )
         self._log_sizes = [math.log2(s) for s in sizes]
-        self._bandwidths = [b for b in bandwidths]
-        self._calibration = dict(zip(sizes, bandwidths))
+        self._bandwidths = bandwidths
         self.alpha_ns, self.ns_per_byte = self._fit_overhead_model(
             sizes, bandwidths
         )
@@ -101,11 +85,3 @@ class BandwidthModel:
     def latency_ns(self, size_bytes: int) -> float:
         """Transfer latency for one transaction of ``size_bytes``."""
         return size_bytes / self.bandwidth_bps(size_bytes) * 1e9
-
-    def calibration_error(self) -> dict[int, float]:
-        """Relative model error at each calibration point (all ~0 by
-        construction; kept as a diagnostic for custom calibrations)."""
-        return {
-            size: abs(self.bandwidth_bps(size) - measured) / measured
-            for size, measured in self._calibration.items()
-        }

@@ -94,10 +94,6 @@ class AddressSpace:
         """Round ``value`` up to a multiple of ``granularity``."""
         return -(-value // granularity) * granularity
 
-    def align_down(self, value: int, granularity: int) -> int:
-        """Round ``value`` down to a multiple of ``granularity``."""
-        return (value // granularity) * granularity
-
 
 #: Default geometry (4 KB / 64 KB / 2 MB) used throughout the paper.
 DEFAULT_ADDRESS_SPACE = AddressSpace()

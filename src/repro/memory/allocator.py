@@ -86,11 +86,6 @@ class ManagedAllocator:
         return list(self._allocations.values())
 
     @property
-    def total_requested_bytes(self) -> int:
-        """Sum of requested sizes (the working-set footprint)."""
-        return sum(a.requested_bytes for a in self._allocations.values())
-
-    @property
     def total_pages(self) -> int:
         """Total 4 KB pages across requested extents."""
         return sum(a.num_pages for a in self._allocations.values())

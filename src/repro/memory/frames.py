@@ -57,10 +57,6 @@ class FramePool:
             return 0.0
         return self._used / self.capacity
 
-    def would_overflow(self, n_frames: int) -> bool:
-        """True if allocating ``n_frames`` needs frames not yet released."""
-        return not self.unbounded and n_frames > self._free
-
     # --- mutation -----------------------------------------------------------
     def allocate(self, n_frames: int, now_ns: float) -> float:
         """Claim ``n_frames`` frames; return when they are all available.

@@ -78,22 +78,6 @@ class FarFaultMSHR:
         if occupancy >= self.peak_occupancy:
             self.peak_occupancy = occupancy + 1
 
-    def register(self, page: int, waiter: object, now_ns: float) -> bool:
-        """Record a fault on a page not in flight; returns True when this
-        is a *new* fault.
-
-        A ``waiter`` (typically a warp) is appended either way so it gets
-        woken on completion; ``waiter`` may be None.
-        """
-        entry = self._entries.get(page)
-        if entry is not None:
-            if waiter is not None:
-                entry.waiters.append(waiter)
-            self.merges += 1
-            return False
-        self._insert(page, waiter, now_ns)
-        return True
-
     def register_fault(self, page: int, waiter: object,
                        now_ns: float) -> str:
         """Fault-path registration with injection, for a page that is
@@ -201,10 +185,6 @@ class FarFaultMSHR:
             return []
         return list(chain.from_iterable(map(_WAITERS,
                                             map(entries.pop, held))))
-
-    def complete(self, page: int) -> list[object]:
-        """:meth:`complete_many` for one page."""
-        return self.complete_many(range(page, page + 1))
 
     def __len__(self) -> int:
         """Occupancy: entries plus in-flight pages no warp waits on."""

@@ -8,10 +8,11 @@ level costs one device-memory access unless a Page Walk Cache (PWC) holds
 the intermediate entry.
 
 Select it with ``SimulatorConfig(page_walk_model="radix")``; the default
-``"fixed"`` reproduces the paper's constant.  With default parameters the
-radix model averages close to 100 cycles for walks with good upper-level
-locality and substantially more for sparse access patterns — which is
-exactly the effect the cited works measure.
+``"fixed"`` reproduces the paper's constant.  The simulator's radix walk
+uses the constructor defaults, 50 cycles per level and a 64-entry PWC;
+with them it averages close to 100 cycles for walks with good
+upper-level locality and substantially more for sparse access patterns —
+which is exactly the effect the cited works measure.
 """
 
 from __future__ import annotations
@@ -121,14 +122,12 @@ class FixedWalker:
         return self.cycles
 
 
-def make_walker(model: str, fixed_cycles: int,
-                radix_cycles_per_level: int = 50,
-                pwc_entries: int = 64):
+def make_walker(model: str, fixed_cycles: int):
     """Factory keyed by ``SimulatorConfig.page_walk_model``."""
     if model == "fixed":
         return FixedWalker(fixed_cycles)
     if model == "radix":
-        return RadixWalker(radix_cycles_per_level, pwc_entries)
+        return RadixWalker()
     raise ConfigurationError(
         f"unknown page_walk_model {model!r}; use 'fixed' or 'radix'"
     )

@@ -130,11 +130,6 @@ class MultiWorkloadRuntime:
             raise ValueError(f"duplicate workload label {label!r}")
         self._entries.append((label, workload))
 
-    @property
-    def total_footprint_bytes(self) -> int:
-        """Combined working-set size of every registered workload."""
-        return sum(w.footprint_bytes for _, w in self._entries)
-
     def run(self, check_invariants: bool = False) -> SimStats:
         """Allocate everything, interleave launches, synchronize."""
         if not self._entries:

@@ -33,7 +33,7 @@ from .queue import Job
 DEFAULT_JOURNAL_DIR = Path("results") / ".servejournal"
 
 #: Version of the journal-entry schema.
-JOURNAL_FORMAT = 1
+JOURNAL_FORMAT = 2
 
 #: Subdirectory (under the journal root) holding quarantined entries.
 QUARANTINE_DIRNAME = "quarantine"

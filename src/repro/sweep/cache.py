@@ -57,7 +57,7 @@ def resolve_cache_dir(explicit: str | Path | None = None) -> Path:
     return DEFAULT_CACHE_DIR
 
 #: Version of the cache *file* schema (the envelope around the result).
-CACHE_FORMAT = 1
+CACHE_FORMAT = 2
 
 #: Subdirectory (under the cache root) holding quarantined entries.
 QUARANTINE_DIRNAME = "quarantine"

@@ -129,6 +129,27 @@ def test_incorrect_change_run_fails_even_when_faster(gate, monkeypatch,
     assert code == 1
 
 
+def test_byte_compiles_both_sources_before_the_first_run(gate, monkeypatch,
+                                                       tmp_path):
+    parent, change = _checkouts(tmp_path)
+    for checkout in (parent, change):
+        (checkout / "src" / "pkg").mkdir(parents=True)
+        (checkout / "src" / "pkg" / "mod.py").write_text("X = 1\n")
+    compiled = []
+
+    def fake(checkout, command, workload):
+        if not compiled:
+            compiled.extend(
+                bool(list((c / "src" / "pkg" / "__pycache__").glob(
+                    "mod.*.pyc"))) for c in (parent, change))
+        return _result()
+
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.setattr(gate, "perfbench", fake)
+    assert gate.main([str(parent), str(change)]) == 0
+    assert compiled == [True, True]
+
+
 def test_runs_every_workload_in_alternated_pairs(gate, monkeypatch,
                                                  tmp_path):
     _, calls, (parent, change) = _gate(gate, monkeypatch, tmp_path,

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
+from tests.format1 import REMOVED_CONFIG_FIELDS
 
 
 class TestConfigFile:
@@ -35,6 +36,14 @@ class TestConfigFile:
         with pytest.raises(ConfigurationError):
             main(["run", "pathfinder", "--scale", "0.1",
                   "--config-file", str(path)])
+        # An unknown field, such as a removed one, is named.
+        for name in ("no_such_knob", *REMOVED_CONFIG_FIELDS):
+            path.write_text(json.dumps({"num_sms": 2, name: 1}))
+            with pytest.raises(ConfigurationError,
+                               match=f"unknown SimulatorConfig fields: "
+                                     f"{name}$"):
+                main(["run", "pathfinder", "--scale", "0.1",
+                      "--config-file", str(path)])
 
     def test_combines_with_oversubscription_flag(self, capsys, tmp_path):
         path = tmp_path / "cfg.json"

@@ -378,7 +378,7 @@ class TestInFlightInvariants:
 
     def test_entries_sit_on_pages_in_flight(self):
         sim = self._checked_run()
-        sim.mshr.register(self._valid_page(sim), "warp", sim.now)
+        sim.mshr.register_fault(self._valid_page(sim), "warp", sim.now)
         with pytest.raises(SimulationError, match="in state PageState"):
             sim.check_invariants()
 

@@ -100,9 +100,10 @@ class TestRadixWalker:
     def test_random_pattern_walks_cost_more_than_sequential(self):
         def mean_levels(workload):
             sim_config = SimulatorConfig(num_sms=2, prefetcher="none",
-                                         page_walk_model="radix",
-                                         pwc_entries=8)
+                                         page_walk_model="radix")
             runtime = UvmRuntime(sim_config)
+            # An 8-entry PWC, so the scattered pattern overflows it.
+            runtime.simulator.walker = RadixWalker(pwc_entries=8)
             runtime.run_workload(workload)
             return runtime.simulator.walker.mean_levels_per_walk
 

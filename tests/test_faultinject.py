@@ -91,7 +91,9 @@ class TestProfile:
 
     def test_to_dict_and_cache_key_are_stable(self):
         """Profiled configs keep their serialized bytes and cache keys,
-        so existing run-cache entries stay addressable."""
+        so existing run-cache entries stay addressable.  The keys moved
+        once, on purpose, when seven config fields were removed (run
+        cache format 2)."""
         profile = PROFILES["moderate"].replace(seed=7)
         assert json.dumps(profile.to_dict()) == (
             '{"transfer_fault_rate": 0.05, "latency_spike_rate": 0.05, '
@@ -105,14 +107,14 @@ class TestProfile:
         config = SimulatorConfig(prefetcher="tbn", eviction="lru4k",
                                  seed=3, fault_profile=profile)
         assert config.cache_key() == (
-            "4dbd07276a3f52a1b70d81b8b8a664c6"
-            "bdac645cca14f58f98ac4bd59ca9513a")
+            "aadaa4e48538ac23503623aa9c8f2283"
+            "d5d5bfbc6d3d1f9d52c8fc33cc127e1e")
         inline = oversubscribed(
             8 * MIB, 110.0, seed=1, fault_profile=FaultProfile.load(
                 "transfer_fault_rate=0.2,max_retries=3"))
         assert inline.cache_key() == (
-            "ff80bfbe57955a71cc2a0520b54fecd8"
-            "67b8dadec8431dd1c7ef7f6cdf93d571")
+            "afc77007f6bf42eeecf8b76e43965945"
+            "bdda0d6dabb52007111aa32b6d53ef4f")
 
     def test_config_coerces_profile_dict(self):
         config = SimulatorConfig(fault_profile={"transfer_fault_rate": 0.1})

@@ -43,18 +43,6 @@ class TestBandwidthModel:
         model = BandwidthModel()
         assert 900 <= model.latency_ns(4 * KIB) <= 1800
 
-    def test_custom_calibration(self):
-        model = BandwidthModel({1024: 1e9, 1024 * 1024: 10e9})
-        assert model.bandwidth_gbps(1024) < model.bandwidth_gbps(1024 * 1024)
-
-    def test_rejects_single_point(self):
-        with pytest.raises(ConfigurationError):
-            BandwidthModel({4096: 1e9})
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ConfigurationError):
-            BandwidthModel({4096: -1e9, 8192: 1e9})
-
     def test_rejects_zero_size_transfer(self):
         model = BandwidthModel()
         with pytest.raises(ValueError):

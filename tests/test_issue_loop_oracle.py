@@ -11,7 +11,7 @@ policy's order.
 
 The tier-1 matrix runs four workloads at a small scale under the four
 fig11 pairings, unbounded and at 110%, with the default and a 16-entry
-TLB, plus dedicated L2, access-trace and fault-profile cells.  Policy
+TLB, plus dedicated access-trace and fault-profile cells.  Policy
 cells cover every other registered eviction policy, the learned
 prefetcher, and a block-LRU evictor that extends ``on_accessed``: the
 engine calls each through its ``access_hook`` where the oracle calls
@@ -55,9 +55,6 @@ class OracleSimulator(Simulator):
             if sm.tlb.lookup(page):
                 stats.tlb_hits += 1
                 sm.time_ns += access_ns
-                if self.l2 is not None and not self.l2.access(page):
-                    sm.time_ns += (config.l2_miss_cycles
-                                   * self._ns_per_cycle)
             else:
                 stats.tlb_misses += 1
                 walk_ns = walker.walk_cycles(page) * ns_per_cycle
@@ -65,9 +62,6 @@ class OracleSimulator(Simulator):
                 if not self.gmmu.handle_tlb_miss(sm, warp, page, sm.time_ns):
                     warp.block_on(page)
                     continue
-                if self.l2 is not None and not self.l2.access(page):
-                    sm.time_ns += (config.l2_miss_cycles
-                                   * self._ns_per_cycle)
             page_table.mark_access(page, is_write)
             eviction.on_accessed(page, self.ctx)
             if trace:
@@ -201,14 +195,6 @@ class TestIssueLoopOracle:
     def test_matrix(self, name, overrides):
         _assert_matches_oracle(name, TIER1_SCALE, **overrides)
 
-    def test_l2_enabled(self):
-        _assert_matches_oracle("srad", TIER1_SCALE, l2_enabled=True,
-                               l2_capacity_pages=64, l2_ways=4)
-
-    def test_l2_enabled_small_tlb(self):
-        _assert_matches_oracle("hotspot", TIER1_SCALE, l2_enabled=True,
-                               tlb_entries=16)
-
     def test_access_trace_stride_and_cap(self):
         _assert_matches_oracle("kmeans", TIER1_SCALE,
                                record_access_trace=True,
@@ -328,8 +314,8 @@ class TestIssueLoopOracleSlow:
             fault_profile=FaultProfile.load(profile, seed=1),
         )
 
-    def test_l2_and_access_trace(self):
-        _assert_matches_oracle("srad", SLOW_SCALE, l2_enabled=True,
+    def test_access_trace(self):
+        _assert_matches_oracle("srad", SLOW_SCALE,
                                record_access_trace=True,
                                access_trace_stride=2,
                                access_trace_cap=2000)

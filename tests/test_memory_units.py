@@ -360,41 +360,41 @@ class TestTlb:
 class TestMshr:
     def test_first_fault_is_new(self):
         mshr = FarFaultMSHR(8)
-        assert mshr.register(1, "warp-a", 0.0)
-        assert not mshr.register(1, "warp-b", 1.0)
+        assert mshr.register_fault(1, "warp-a", 0.0) == "new"
+        assert mshr.register_fault(1, "warp-b", 1.0) == "merged"
         assert mshr.merges == 1
         assert len(mshr) == 1
 
     def test_complete_returns_waiters(self):
         mshr = FarFaultMSHR(8)
-        mshr.register(1, "warp-a", 0.0)
-        mshr.register(1, "warp-b", 0.0)
-        assert mshr.complete(1) == ["warp-a", "warp-b"]
+        mshr.register_fault(1, "warp-a", 0.0)
+        mshr.register_fault(1, "warp-b", 0.0)
+        assert mshr.complete_many(range(1, 2)) == ["warp-a", "warp-b"]
         assert len(mshr) == 0
 
     def test_complete_unknown_rejected(self):
         mshr = FarFaultMSHR(8)
         with pytest.raises(SimulationError):
-            mshr.complete(1)
+            mshr.complete_many(range(1, 2))
 
     def test_none_waiter_not_recorded(self):
         mshr = FarFaultMSHR(8)
-        mshr.register(1, None, 0.0)
-        assert mshr.complete(1) == []
+        mshr.register_fault(1, None, 0.0)
+        assert mshr.complete_many(range(1, 2)) == []
 
     def test_overflow(self):
         mshr = FarFaultMSHR(2)
-        mshr.register(1, None, 0.0)
-        mshr.register(2, None, 0.0)
+        mshr.register_fault(1, None, 0.0)
+        mshr.register_fault(2, None, 0.0)
         with pytest.raises(SimulationError):
-            mshr.register(3, None, 0.0)
+            mshr.register_fault(3, None, 0.0)
 
     def test_peak_occupancy(self):
         mshr = FarFaultMSHR(8)
-        mshr.register(1, None, 0.0)
-        mshr.register(2, None, 0.0)
-        mshr.complete(1)
-        mshr.register(3, None, 0.0)
+        mshr.register_fault(1, None, 0.0)
+        mshr.register_fault(2, None, 0.0)
+        mshr.complete_many(range(1, 2))
+        mshr.register_fault(3, None, 0.0)
         assert mshr.peak_occupancy == 2
 
     @staticmethod
@@ -415,9 +415,10 @@ class TestMshr:
         bulk, single = FarFaultMSHR(capacity), PerPageMSHR(capacity)
         for mshr in (bulk, single):
             for page in faulted[:capacity]:
-                mshr.register(page, f"warp-{page}", 0.0)
+                mshr.register_fault(page, f"warp-{page}", 0.0)
             if faulted:
-                mshr.complete(faulted[0])  # peak above occupancy
+                # Peak above occupancy.
+                mshr.complete_many(range(faulted[0], faulted[0] + 1))
         # Disjoint runs over pages 0..40, in a shuffled plan order.
         bounds = sorted(set(cuts) | {0, 41})
         runs = [range(a, b) for a, b in zip(bounds, bounds[1:])]
@@ -436,7 +437,7 @@ class TestMshr:
 
     def test_register_many_overflows_at_capacity_edge(self):
         mshr = FarFaultMSHR(4)
-        mshr.register(1, "warp", 0.0)
+        mshr.register_fault(1, "warp", 0.0)
         mshr.register_many([range(1, 5)])  # page 1 already outstanding
         assert mshr.peak_occupancy == 4 and len(mshr) == 4
         with pytest.raises(SimulationError, match="registering page 6"):
@@ -454,7 +455,7 @@ class TestMshr:
         for mshr in (bulk, single):
             for page, count in enumerate(waits):
                 for warp in range(count):
-                    mshr.register(page, (page, warp), 0.0)
+                    mshr.register_fault(page, (page, warp), 0.0)
         bulk.register_many([pages])
         single.register_many(list(pages), 0.0)
         if missing:

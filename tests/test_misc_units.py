@@ -36,12 +36,6 @@ class TestConstants:
         assert constants.BLOCKS_PER_LARGE_PAGE == 32
         assert constants.PAGES_PER_LARGE_PAGE == 512
 
-    def test_cycle_conversions_roundtrip(self):
-        cycles = 123.0
-        assert constants.ns_to_cycles(
-            constants.cycles_to_ns(cycles)
-        ) == pytest.approx(cycles)
-
     def test_ns_per_cycle(self):
         assert constants.NS_PER_CYCLE == pytest.approx(1e9 / 1_481e6)
 

@@ -45,6 +45,7 @@ from repro.serve.api import build_cell
 from repro.serve.queue import CANCELLED, DONE, FAILED, QUEUED, RUNNING
 from repro.stats import FailedRun, SimStats
 from repro.sweep import RunCache, SweepCell, decode_result, execute_cell
+from tests.format1 import REMOVED_CONFIG_FIELDS, as_format1
 
 SCALE = 0.12
 
@@ -288,15 +289,18 @@ class TestJournal:
         (journal.root / "zz-corrupt.json").write_text("{not json")
         (journal.root / "zz-stale.json").write_text(
             json.dumps({"format": -1}))
+        # An entry as format 1 wrote it, before seven config fields went.
+        (journal.root / "zz-format1.json").write_text(json.dumps(
+            as_format1(json.loads(journal.path_for(job.id).read_text()))))
         assert [job_id for job_id, _, _ in journal.load()] == [job.id]
-        assert journal.quarantined == 2
+        assert journal.quarantined == 3
         assert "quarantined" in capsys.readouterr().err
         # The bad files were moved aside, so a second replay is clean:
         # same result, no re-quarantine, corpses inspectable on disk.
         assert [job_id for job_id, _, _ in journal.load()] == [job.id]
-        assert journal.quarantined == 2
+        assert journal.quarantined == 3
         assert sorted(p.name for p in journal.quarantine_dir.iterdir()) \
-            == ["zz-corrupt.json", "zz-stale.json"]
+            == ["zz-corrupt.json", "zz-format1.json", "zz-stale.json"]
 
     def test_attempts_round_trip_and_are_omitted_while_zero(
             self, tmp_path):
@@ -353,6 +357,11 @@ class TestBuildCell:
         ):
             with pytest.raises(InvalidJobError):
                 build_cell(bad)
+        for name in REMOVED_CONFIG_FIELDS:
+            with pytest.raises(InvalidJobError,
+                               match=f"^invalid config: unknown "
+                                     f"SimulatorConfig fields: {name}$"):
+                build_cell({"workload": "hotspot", "config": {name: 1}})
 
     def test_seed_must_be_integral_in_config_too(self):
         with pytest.raises(ConfigurationError):
@@ -1332,6 +1341,15 @@ class TestHttpApi:
             assert body == json.dumps(
                 {"error": {"type": kind, "message": message}},
                 sort_keys=True).encode("utf-8")
+        # A removed config field is named, like any unknown one.
+        status, _, body = raw_http(
+            client.port, "POST", "/v1/jobs",
+            {"workload": "hotspot", "config": {"l2_enabled": True}})
+        assert status == 400
+        assert json.loads(body) == {"error": {
+            "type": "InvalidJobError",
+            "message": "invalid config: unknown SimulatorConfig "
+                       "fields: l2_enabled"}}
 
 
 @pytest.mark.serve

@@ -16,6 +16,7 @@ from repro.sweep import (
     sweep_context,
 )
 from repro.workloads.registry import make_workload
+from tests.format1 import REMOVED_CONFIG_FIELDS, as_format1
 
 TINY = ["pathfinder", "hotspot"]
 SCALE = 0.12
@@ -48,10 +49,13 @@ class TestConfigSerialization:
         assert SimulatorConfig.from_dict(config.to_dict()) == config
 
     def test_unknown_field_rejected(self):
-        data = SimulatorConfig().to_dict()
-        data["definitely_not_a_field"] = 1
-        with pytest.raises(ConfigurationError):
-            SimulatorConfig.from_dict(data)
+        for name in ("definitely_not_a_field", *REMOVED_CONFIG_FIELDS):
+            data = SimulatorConfig().to_dict()
+            data[name] = 1
+            with pytest.raises(ConfigurationError,
+                               match=f"unknown SimulatorConfig fields: "
+                                     f"{name}$"):
+                SimulatorConfig.from_dict(data)
 
     def test_cache_key_stable_and_sensitive(self):
         a = SimulatorConfig(prefetcher="tbn")
@@ -166,13 +170,17 @@ class TestRunCache:
         cells = tiny_cells()
         with sweep_context(cache=cache):
             execute_cells(cells)
-        path = cache.path_for(cells[0].cache_key())
-        document = json.loads(path.read_text())
+        # A stale stats payload, and a whole entry as format 1 wrote it.
+        stale, old = (cache.path_for(cell.cache_key()) for cell in cells)
+        document = json.loads(stale.read_text())
         document["result"]["stats"]["format"] = 999
-        path.write_text(json.dumps(document))
+        stale.write_text(json.dumps(document))
+        old.write_text(json.dumps(as_format1(json.loads(old.read_text()))))
         with sweep_context(cache=cache) as report:
             execute_cells(cells)
-        assert report.executed == 1
+        assert report.executed == 2
+        assert sorted(p.name for p in cache.quarantine_dir.iterdir()) \
+            == sorted([stale.name, old.name])
 
     def test_entry_under_another_key_is_a_quarantined_miss(self, tmp_path):
         cache = RunCache(tmp_path)
