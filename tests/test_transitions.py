@@ -22,6 +22,7 @@ only for an intended change to the event schema, a metric or the trace.
   heartbeat silence, each followed by failover.
 """
 
+import itertools
 import json
 import sys
 import tempfile
@@ -227,6 +228,37 @@ def _shard_history(root: Path, worker) -> dict:
     }
 
 
+#: Where each scripted coordinator job lands: its ring owner among the
+#: three shards, then its owner once ``VICTIM`` has died.  The seeds are
+#: chosen to match, so a change to every cache key (a config field added
+#: or removed) moves job ids but not the history.
+VICTIM = "s1"
+PLACEMENT = (("s0", "s0"), ("s2", "s2"), ("s1", "s2"), ("s0", "s0"),
+             ("s2", "s2"), ("s2", "s2"), ("s2", "s2"), ("s0", "s0"),
+             ("s1", "s0"))
+
+
+def placed_seeds(ring) -> list[int]:
+    """The lowest seeds whose cells land as :data:`PLACEMENT` says."""
+    from repro.cluster.ring import HashRing
+    from repro.serve.api import build_cell
+    from tests.test_cluster import spec_for
+
+    survivors = HashRing(seed=ring.seed, vnodes=ring.vnodes)
+    for shard_id in ring.members():
+        if shard_id != VICTIM:
+            survivors.add_shard(shard_id)
+    seeds: list[int] = []
+    candidates = itertools.count()
+    for want in PLACEMENT:
+        for seed in candidates:
+            key = build_cell(spec_for(seed)).cache_key()
+            if (ring.owner(key), survivors.owner(key)) == want:
+                seeds.append(seed)
+                break
+    return seeds
+
+
 def coordinator_history(root: Path) -> dict:
     """Run the scripted coordinator history; returns its views."""
     from tests.test_cluster import FakeCluster, spec_for
@@ -235,8 +267,11 @@ def coordinator_history(root: Path) -> dict:
     cluster = FakeCluster(count=3, auto_done=False, steal_threshold=2,
                           steal_batch=2, events=events)
     coordinator = cluster.coordinator
-    routed = [coordinator.submit(spec_for(seed)) for seed in range(9)]
-    assert coordinator.submit(spec_for(0))["coalesced"] is True
+    seeds = placed_seeds(coordinator.registry.ring)
+    routed = [coordinator.submit(spec_for(seed)) for seed in seeds]
+    assert [job["shard"] for job in routed] == \
+        [owner for owner, _ in PLACEMENT]
+    assert coordinator.submit(spec_for(seeds[0]))["coalesced"] is True
     by_shard: dict[str, list[dict]] = {}
     for job in routed:
         by_shard.setdefault(job["shard"], []).append(job)
@@ -259,6 +294,7 @@ def coordinator_history(root: Path) -> dict:
 
     # Death on contact: touching a job on a dead shard fails it over.
     victim = coordinator.status(routed[2]["id"])["shard"]
+    assert victim == VICTIM
     cluster.shards[victim].dead = True
     coordinator.status(routed[2]["id"])
     # Death on silence: every shard but one goes quiet.
