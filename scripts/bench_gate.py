@@ -29,7 +29,8 @@ from pathlib import Path
 
 PAIRS = 3
 SECONDS = 5
-GATED = ("accesses_per_s.reference", "accesses_per_s.fast")
+GATED = ("accesses_per_s.reference", "accesses_per_s.fast", "sweep_s",
+         "peak_rss_mb")
 
 
 def byte_compile(checkout: Path) -> None:

@@ -16,11 +16,17 @@ from dataclasses import dataclass
 from . import constants
 from .errors import ConfigurationError
 
-#: Process-wide default for ``check_invariants_on_completion=None``.
+#: Run ``Simulator.check_invariants`` when each kernel completes.
 #: Production keeps it off (the checks are observational but not free);
 #: ``tests/conftest.py`` flips it on so state corruption is caught at the
 #: kernel boundary where it was injected, not in downstream figures.
 AUTO_CHECK_INVARIANTS = False
+
+#: The values each field annotation admits.  ``bool`` is a subclass of
+#: ``int`` and is kept out of the numeric fields separately; a float
+#: field takes an int (``45000`` for ``45000.0``).
+_ANNOTATION_TYPES = {"int": int, "float": (int, float), "bool": bool,
+                     "str": str}
 
 
 @dataclass
@@ -109,10 +115,6 @@ class SimulatorConfig:
     watchdog_sim_time_budget_ns: float | None = None
     #: Run ``Simulator.check_invariants`` every N watchdog ticks (0 = off).
     invariant_check_ticks: int = 0
-    #: Run ``Simulator.check_invariants`` when each kernel completes.
-    #: ``None`` defers to the process-wide default (off in production,
-    #: flipped on by the test suite's conftest).
-    check_invariants_on_completion: bool | None = None
 
     # --- Instrumentation ---------------------------------------------------
     #: Record (time_ns, page_index) for every access (Figure 12 scatter).
@@ -120,15 +122,6 @@ class SimulatorConfig:
     #: Record one (time, residency, frames, prefetch-gate) sample per
     #: fault-service batch.
     record_timeline: bool = False
-    #: Keep every Nth access-trace sample / hard cap on samples kept
-    #: (0 = uncapped).  Overflow increments ``SimStats
-    #: .access_trace_dropped`` instead of growing the list, bounding
-    #: memory on long traced runs.
-    access_trace_stride: int = 1
-    access_trace_cap: int = 0
-    #: Same stride/cap pair for the per-batch residency timeline.
-    timeline_stride: int = 1
-    timeline_cap: int = 0
 
     # --- Observability -----------------------------------------------------
     #: Enable the span tracer (``repro.obs``): Chrome-trace spans for the
@@ -155,19 +148,34 @@ class SimulatorConfig:
         "large_page_size",
         "page_table_walk_cycles",
         "mshr_entries",
+        "watchdog_interval_events",
+        "watchdog_no_progress_ticks",
+    )
+    # Keys whose values must be non-negative integers.
+    _NON_NEGATIVE_INT_FIELDS = (
+        "fault_batch_limit",
+        "invariant_check_ticks",
+        "trace_max_events",
     )
 
     def validate(self) -> None:
         """Raise :class:`ConfigurationError` on any inconsistent setting."""
+        self._check_types()
         if self.engine not in ("reference", "fast"):
             raise ConfigurationError(
                 f"engine must be 'reference' or 'fast', got {self.engine!r}"
             )
         for name in self._POSITIVE_INT_FIELDS:
             value = getattr(self, name)
-            if not isinstance(value, int) or value <= 0:
+            if value <= 0:
                 raise ConfigurationError(
                     f"{name} must be a positive integer, got {value!r}"
+                )
+        for name in self._NON_NEGATIVE_INT_FIELDS:
+            value = getattr(self, name)
+            if value < 0:
+                raise ConfigurationError(
+                    f"{name} must be a non-negative integer, got {value!r}"
                 )
         if self.device_memory_bytes is not None:
             if self.device_memory_bytes < self.page_size:
@@ -194,8 +202,6 @@ class SimulatorConfig:
             )
         if self.fault_handling_latency_ns < 0:
             raise ConfigurationError("fault_handling_latency_ns must be >= 0")
-        if self.fault_batch_limit < 0:
-            raise ConfigurationError("fault_batch_limit must be >= 0")
         if self.page_walk_model not in ("fixed", "radix"):
             raise ConfigurationError(
                 "page_walk_model must be 'fixed' or 'radix'"
@@ -210,13 +216,6 @@ class SimulatorConfig:
             )
         if not 0.0 < self.tbn_threshold < 1.0:
             raise ConfigurationError("tbn_threshold must be in (0, 1)")
-        # ``random.Random`` silently accepts strings/floats, which would
-        # make a mistyped seed change results instead of erroring — and
-        # job specs arrive as untyped JSON (repro.serve), so be strict.
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ConfigurationError(
-                f"seed must be an integer, got {self.seed!r}"
-            )
         if self.fault_profile is not None:
             from .faultinject.profile import FaultProfile
             if isinstance(self.fault_profile, dict):
@@ -229,42 +228,36 @@ class SimulatorConfig:
                     "fault_profile must be a FaultProfile, a dict of its "
                     f"fields, or None, got {type(self.fault_profile)}"
                 )
-        for name in ("watchdog_interval_events",
-                     "watchdog_no_progress_ticks"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value <= 0:
-                raise ConfigurationError(
-                    f"{name} must be a positive integer, got {value!r}"
-                )
         if self.watchdog_sim_time_budget_ns is not None \
                 and self.watchdog_sim_time_budget_ns <= 0:
             raise ConfigurationError(
                 "watchdog_sim_time_budget_ns must be positive or None"
             )
-        if not isinstance(self.invariant_check_ticks, int) \
-                or self.invariant_check_ticks < 0:
-            raise ConfigurationError(
-                "invariant_check_ticks must be a non-negative integer"
-            )
-        for name in ("access_trace_stride", "timeline_stride"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value <= 0:
-                raise ConfigurationError(
-                    f"{name} must be a positive integer, got {value!r}"
-                )
-        for name in ("access_trace_cap", "timeline_cap",
-                     "trace_max_events"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 0:
-                raise ConfigurationError(
-                    f"{name} must be a non-negative integer, got {value!r}"
-                )
         # Policy names resolve against the registries (PolicyError lists
         # the known names).  Lazy import: the registries live below
         # config in the import graph (same pattern as FaultProfile above).
         from .policy.registry import policy_class  # noqa: PLC0415
         policy_class(self.prefetcher, "prefetch")
         policy_class(self.eviction, "evict")
+
+    def _check_types(self) -> None:
+        """Raise :class:`ConfigurationError` on a value its field's
+        annotation does not admit.  Job specs and config files arrive as
+        untyped JSON, and a mistyped value must not reach the simulator
+        (``random.Random`` takes a string seed, a string ``"no"`` is
+        truthy, and ``True`` hashes to another cache key than ``1``)."""
+        for spec in dataclasses.fields(self):
+            if spec.name == "fault_profile":
+                continue  # coerced from a dict and checked in validate
+            value = getattr(self, spec.name)
+            kind, _, optional = spec.type.partition(" | ")
+            if value is None and optional == "None":
+                continue
+            if not isinstance(value, _ANNOTATION_TYPES[kind]) \
+                    or (isinstance(value, bool) and kind != "bool"):
+                raise ConfigurationError(
+                    f"{spec.name} must be {spec.type}, got {value!r}"
+                )
 
     @property
     def pages_per_block(self) -> int:

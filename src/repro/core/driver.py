@@ -72,8 +72,6 @@ class UvmDriver:
         self._pending: list[int] = []
         self._busy = False
         self.prefetch_enabled = True
-        #: Timeline samples seen (stride bookkeeping for record_timeline).
-        self._timeline_seq = 0
         # Registry instruments, resolved once: the per-batch path observes
         # them directly instead of re-looking names up every batch.
         metrics = ctx.stats.metrics
@@ -167,18 +165,9 @@ class UvmDriver:
             return
         stats.fault_batches += 1
         if config.record_timeline:
-            self._timeline_seq += 1
-            if (self._timeline_seq - 1) % config.timeline_stride == 0:
-                if config.timeline_cap \
-                        and len(stats.timeline) >= config.timeline_cap:
-                    stats.timeline_dropped += 1
-                else:
-                    stats.timeline.append((
-                        now_ns,
-                        page_table.valid_count,
-                        self.ctx.frames.used,
-                        self.prefetch_enabled,
-                    ))
+            stats.timeline.append((now_ns, page_table.valid_count,
+                                   self.ctx.frames.used,
+                                   self.prefetch_enabled))
         if config.batch_fault_handling:
             handling_ns = config.fault_handling_latency_ns
         else:

@@ -120,15 +120,10 @@ class Simulator:
             config.watchdog_sim_time_budget_ns,
             config.invariant_check_ticks,
         ) if config.watchdog_enabled else None
-        if config.check_invariants_on_completion is None:
-            self._check_on_completion = config_mod.AUTO_CHECK_INVARIANTS
-        else:
-            self._check_on_completion = config.check_invariants_on_completion
+        self._check_on_completion = config_mod.AUTO_CHECK_INVARIANTS
         self.events = EventQueue()
         self.now = 0.0
         self.current_iteration = 0
-        #: Accesses seen by the access-trace sampler (stride bookkeeping).
-        self._access_seq = 0
         self._ns_per_cycle = constants.NS_PER_CYCLE
         self._kernel_done = True
         self._kernel_end = 0.0
@@ -332,7 +327,7 @@ class Simulator:
         only schedules events, and the watchdog and tracer read stats
         between events.  Every call that carries semantics (page walk,
         GMMU miss handling, warp blocking, dirty marks, the eviction
-        hook or stamps, the access-trace sampler) keeps its order.
+        hook or stamps, the access trace) keeps its order.
         """
         warps = sm.all_warps()
         n = len(warps)
@@ -341,8 +336,6 @@ class Simulator:
         config = self.config
         stats = self.stats
         trace = config.record_access_trace
-        trace_stride = config.access_trace_stride
-        trace_cap = config.access_trace_cap
         ns_per_cycle = self._ns_per_cycle
         access_ns = config.cycles_per_access * ns_per_cycle
         walker = self.walker
@@ -432,15 +425,8 @@ class Simulator:
             else:
                 touch(page)
             if trace:
-                self._access_seq += 1
-                if (self._access_seq - 1) % trace_stride == 0:
-                    if trace_cap \
-                            and len(stats.access_trace) >= trace_cap:
-                        stats.access_trace_dropped += 1
-                    else:
-                        stats.access_trace.append(
-                            (time, page, self.current_iteration)
-                        )
+                stats.access_trace.append(
+                    (time, page, self.current_iteration))
             if warp.state is not ready:
                 raise SimulationError(
                     f"warp {warp.warp_id} cannot advance while "

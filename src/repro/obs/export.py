@@ -50,17 +50,32 @@ def write_chrome_trace(tracer, path: str | Path) -> Path:
 
 # --- metrics ----------------------------------------------------------------
 
+#: SimStats counters exported as ``sim.<field>``.
+SIM_COUNTERS = (
+    "tlb_hits", "tlb_misses", "page_table_walks",
+    "far_faults", "fault_batches", "mshr_merges",
+    "pages_migrated", "pages_prefetched", "pages_thrashed",
+    "pages_evicted", "eviction_events", "pages_written_back",
+    "pages_dropped_clean",
+    "recovered_faults", "migration_retries", "degradation_events",
+    "watchdog_ticks",
+    "total_fault_handling_ns", "eviction_stall_ns", "retry_backoff_ns",
+)
+
+
 def metrics_dict(stats) -> dict:
     """One flat ``{name: value}`` dict over everything a run measured.
 
     Merges, in order (later sections use distinct key prefixes so nothing
     collides): the classic ``as_dict()`` table counters, the resilience
-    counters, the registry snapshot (bound SimStats fields plus live
-    histograms/gauges), transfer-size distributions from the PCI-e logs,
-    and the sampling-loss counters.
+    counters, the :data:`SIM_COUNTERS` fields as ``sim.*``, the registry
+    snapshot (the run's histograms and gauges), and transfer-size
+    distributions from the PCI-e logs.
     """
     out = dict(stats.as_dict())
     out.update(stats.resilience_dict())
+    for name in SIM_COUNTERS:
+        out[f"sim.{name}"] = getattr(stats, name)
     out.update(stats.metrics.snapshot())
     out["transfer.h2d_size_histogram"] = {
         str(size): count
@@ -70,8 +85,6 @@ def metrics_dict(stats) -> dict:
         str(size): count
         for size, count in sorted(stats.d2h.histogram.items())
     }
-    out["sampling.access_trace_dropped"] = stats.access_trace_dropped
-    out["sampling.timeline_dropped"] = stats.timeline_dropped
     return out
 
 

@@ -5,9 +5,9 @@ counters" as plain dataclass fields (the hot paths increment attributes
 directly); this module is the *export and distribution* layer on top of
 them:
 
-* **counters** — monotonic totals.  SimStats scalar fields are bound into
-  the registry as lazy counters (read at snapshot time), so every field is
-  addressable by name without duplicating the increment sites.
+* **counters** — monotonic totals (the service's job and worker
+  counts; the simulator's own counters are SimStats fields, which
+  :func:`repro.obs.export.metrics_dict` exports as ``sim.*``).
 * **gauges** — point-in-time values with min/max/last tracking (e.g.
   resident pages sampled on fault-batch boundaries).
 * **histograms** — bucketed distributions with sum/count/min/max (e.g.
@@ -104,31 +104,6 @@ class Counter:
 
     def load_state(self, state: dict) -> None:
         self.value = state["value"]
-
-
-class BoundCounter:
-    """Counter whose value is read from a callable at snapshot time.
-
-    This is how SimStats fields are exposed: the dataclass field stays the
-    single writable location (hot paths keep their plain ``+= 1``) and the
-    registry reads it lazily, so registration adds zero run-time cost.
-    """
-
-    __slots__ = ("name", "base_name", "labels", "help", "_read")
-
-    def __init__(self, name: str, read, help: str = "") -> None:
-        self.name = name
-        self.base_name = name
-        self.labels = {}
-        self.help = help
-        self._read = read
-
-    @property
-    def value(self):
-        return self._read()
-
-    def snapshot(self) -> dict:
-        return {self.name: self._read()}
 
 
 class Gauge:
@@ -354,11 +329,6 @@ class MetricsRegistry:
             lambda: Histogram(name, bounds, help, labels)
         )
 
-    def bind(self, name: str, read, help: str = "") -> BoundCounter:
-        """Expose an externally-owned value (e.g. a SimStats field)."""
-        return self._get_or_create(name, BoundCounter,
-                                   lambda: BoundCounter(name, read, help))
-
     def __contains__(self, name: str) -> bool:
         return name in self._instruments
 
@@ -384,16 +354,10 @@ class MetricsRegistry:
         return out
 
     def live_state(self) -> dict:
-        """Serializable state of every *live* instrument, by name.
-
-        Bound counters are excluded: they read externally-owned values
-        (SimStats fields) that serialize with their owner and re-bind on
-        construction.
-        """
+        """Serializable state of every instrument, by name."""
         return {
             name: instrument.state_dict()
             for name, instrument in sorted(self._instruments.items())
-            if not isinstance(instrument, BoundCounter)
         }
 
     def restore_live_state(self, state: dict) -> None:

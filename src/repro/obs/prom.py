@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import re
 
-from .metrics import BoundCounter, Counter, Gauge, Histogram
+from .metrics import Counter, Gauge, Histogram
 
 _INVALID_NAME_CHARS = re.compile(r"[^a-zA-Z0-9_:]")
 _SAMPLE_RE = re.compile(
@@ -75,8 +75,7 @@ def prometheus_text(registry) -> str:
 
     Families are emitted in sorted base-name order; label variants of
     one family are contiguous under a single header, as the format
-    requires.  Bound counters (lazily-read SimStats fields) render as
-    counters.
+    requires.
     """
     families: dict[str, list] = {}
     for instrument in registry.instruments():
@@ -87,13 +86,13 @@ def prometheus_text(registry) -> str:
         instruments = families[base]
         name = prometheus_name(base)
         first = instruments[0]
-        if isinstance(first, (Counter, BoundCounter)):
+        if isinstance(first, Counter):
             kind = "counter"
         elif isinstance(first, Gauge):
             kind = "gauge"
         elif isinstance(first, Histogram):
             kind = "histogram"
-        else:  # pragma: no cover — registry only holds the four kinds
+        else:  # pragma: no cover — registry only holds the three kinds
             kind = "untyped"
         if first.help:
             lines.append(f"# HELP {name} {_escape_help(first.help)}")

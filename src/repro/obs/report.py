@@ -136,14 +136,8 @@ def run_report(stats, tracer=None, top: int = 5,
         lines.append("")
 
     # --- sampling losses ----------------------------------------------------
-    dropped = []
-    if stats.access_trace_dropped:
-        dropped.append(f"{stats.access_trace_dropped} access samples")
-    if stats.timeline_dropped:
-        dropped.append(f"{stats.timeline_dropped} timeline samples")
     if tracer is not None and tracer.dropped_events:
-        dropped.append(f"{tracer.dropped_events} trace events")
-    if dropped:
-        lines.append("dropped by sampling caps: " + ", ".join(dropped))
+        lines.append(f"dropped by sampling caps: {tracer.dropped_events} "
+                     "trace events")
         lines.append("")
     return "\n".join(lines).rstrip() + "\n"

@@ -70,8 +70,6 @@ class FleetOptions:
     backoff_base: float = 0.05
     backoff_multiplier: float = 2.0
     backoff_cap: float = 1.0
-    #: ``multiprocessing`` start method for the children.
-    start_method: str = "spawn"
     #: Injected service-layer faults (chaos harness); None in production.
     fault_profile: ServiceFaultProfile | None = None
 
@@ -169,7 +167,6 @@ class Supervisor:
                 cache_dir=str(cache.root) if cache is not None else None,
                 profile_fields=profile.to_dict() if profile else None,
                 heartbeat_interval=self.options.heartbeat_interval,
-                start_method=self.options.start_method,
             )
         with self._lock:
             self._workers[slot] = worker

@@ -33,7 +33,7 @@ by SIGKILL, stalling, or corrupting the cache entry it just wrote —
 which is how `repro chaos` creates the failures the supervisor must
 survive.
 
-The child is started via the ``spawn`` method by default: a fresh
+The child is always started via the ``spawn`` method: a fresh
 interpreter per worker keeps fork-with-threads hazards out of the
 daemon and makes a respawned worker bit-identical to a fresh one.
 """
@@ -183,10 +183,10 @@ class WorkerProcess:
 
     def __init__(self, index: int, cache_dir: str | None = None,
                  profile_fields: dict | None = None,
-                 heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
-                 start_method: str = "spawn") -> None:
+                 heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL
+                 ) -> None:
         self.index = index
-        ctx = multiprocessing.get_context(start_method)
+        ctx = multiprocessing.get_context("spawn")
         self.conn, child_conn = ctx.Pipe(duplex=True)
         self.process = ctx.Process(
             target=_worker_main,

@@ -25,21 +25,6 @@ from .obs.metrics import (
 #: version mismatch as a miss.
 STATS_FORMAT = 1
 
-#: SimStats scalar fields published through the metrics registry.  The
-#: dataclass field stays the single writable location (hot paths keep
-#: their plain ``+= 1``); the registry binds each one lazily so every
-#: counter is addressable by a stable dotted name at export time.
-_REGISTRY_FIELDS = (
-    "tlb_hits", "tlb_misses", "page_table_walks",
-    "far_faults", "fault_batches", "mshr_merges",
-    "pages_migrated", "pages_prefetched", "pages_thrashed",
-    "pages_evicted", "eviction_events", "pages_written_back",
-    "pages_dropped_clean",
-    "recovered_faults", "migration_retries", "degradation_events",
-    "watchdog_ticks",
-    "access_trace_dropped", "timeline_dropped",
-)
-
 
 @dataclass
 class TransferLog:
@@ -212,35 +197,27 @@ class SimStats:
     timeline: list[tuple[float, int, int, bool]] = field(
         default_factory=list
     )
-    #: Samples discarded by the ``access_trace_cap`` / ``timeline_cap``
-    #: bounds (0 when uncapped: the traces are then complete).
+    #: Always 0, since the traces keep every sample.  Both stay in
+    #: :meth:`to_json` (the pinned digests hash it) until the next
+    #: stats-format change, the one that also retires the ``engine``
+    #: label.
     access_trace_dropped: int = 0
     timeline_dropped: int = 0
     #: Per-allocation activity breakdown, keyed by allocation name.
     per_allocation: dict[str, AllocationStats] = field(
         default_factory=dict
     )
-    #: Named-metrics registry: the scalar fields above bound as counters,
-    #: plus the live gauges/histograms recorded during the run (per-batch
-    #: service latency, batch sizes, residency samples).  Excluded from
-    #: comparisons — two runs are equal when their counters are.
+    #: Named-metrics registry: the gauges and histograms recorded during
+    #: the run (per-batch service latency, batch sizes, residency
+    #: samples).  Excluded from comparisons — two runs are equal when
+    #: their counters are.
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry,
                                      repr=False, compare=False)
 
     def __post_init__(self) -> None:
         registry = self.metrics
-        for name in _REGISTRY_FIELDS:
-            registry.bind(f"sim.{name}",
-                          lambda stats=self, name=name: getattr(stats,
-                                                                name))
-        registry.bind("sim.total_fault_handling_ns",
-                      lambda stats=self: stats.total_fault_handling_ns)
-        registry.bind("sim.eviction_stall_ns",
-                      lambda stats=self: stats.eviction_stall_ns)
-        registry.bind("sim.retry_backoff_ns",
-                      lambda stats=self: stats.retry_backoff_ns)
-        # Live instruments, created eagerly so their names always appear
-        # in snapshots (zero-count histograms are still information).
+        # Created eagerly so their names always appear in snapshots
+        # (zero-count histograms are still information).
         registry.histogram("fault_batch.service_latency_ns",
                            LATENCY_NS_BUCKETS,
                            help="per-batch fault service latency")

@@ -26,13 +26,15 @@ def gate():
 
 
 def _result(fast=1_000_000.0, reference=800_000.0, correct=True, failed=0,
-            sweep_s=2.0):
-    """One synthetic perfbench last-line result."""
+            sweep_s=2.0, peak_rss_mb=40.0, **others):
+    """One synthetic perfbench last-line result; ``others`` sets more
+    end-to-end metrics by name (every metric not set is 1.0)."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     values = {m["name"]: 1.0 for m in spec["end_to_end"]}
     values.update({"accesses_per_s.fast": fast,
                    "accesses_per_s.reference": reference,
-                   "sweep_s": sweep_s})
+                   "sweep_s": sweep_s, "peak_rss_mb": peak_rss_mb,
+                   **others})
     return {"correct": correct, "attempted": 10, "failed": failed,
             "metrics": {name: {"value": value, "unit": ""}
                         for name, value in values.items()}}
@@ -71,8 +73,10 @@ def test_passes_within_threshold(gate, monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize("slower", [{"fast": 750_000.0},
-                                    {"reference": 600_000.0}],
-                         ids=["fast", "reference"])
+                                    {"reference": 600_000.0},
+                                    {"sweep_s": 2.5},
+                                    {"peak_rss_mb": 44.5}],
+                         ids=["fast", "reference", "sweep_s", "peak_rss_mb"])
 def test_fails_when_a_gated_median_drops_past_bound(gate, monkeypatch,
                                                     tmp_path, slower):
     code, _, _ = _gate(gate, monkeypatch, tmp_path, [_result()],
@@ -96,7 +100,14 @@ def test_speedup_drop_alone_does_not_fail(gate, monkeypatch, tmp_path):
 
 def test_other_metrics_are_information_only(gate, monkeypatch, tmp_path):
     code, _, _ = _gate(gate, monkeypatch, tmp_path, [_result()],
-                       [_result(sweep_s=10.0)])
+                       [_result(setup_s=10.0, latency_p95_ms=10.0)])
+    assert code == 0
+
+
+def test_steady_metrics_pass_within_their_bounds(gate, monkeypatch,
+                                                 tmp_path):
+    code, _, _ = _gate(gate, monkeypatch, tmp_path, [_result()],
+                       [_result(sweep_s=2.35, peak_rss_mb=43.5)])
     assert code == 0
 
 

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
-from tests.format1 import REMOVED_CONFIG_FIELDS
+from tests.old_formats import REMOVED_CONFIG_FIELDS
 
 
 class TestConfigFile:

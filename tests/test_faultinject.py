@@ -92,8 +92,8 @@ class TestProfile:
     def test_to_dict_and_cache_key_are_stable(self):
         """Profiled configs keep their serialized bytes and cache keys,
         so existing run-cache entries stay addressable.  The keys moved
-        once, on purpose, when seven config fields were removed (run
-        cache format 2)."""
+        on purpose when config fields were removed: seven in run cache
+        format 2, five more in format 3."""
         profile = PROFILES["moderate"].replace(seed=7)
         assert json.dumps(profile.to_dict()) == (
             '{"transfer_fault_rate": 0.05, "latency_spike_rate": 0.05, '
@@ -107,14 +107,14 @@ class TestProfile:
         config = SimulatorConfig(prefetcher="tbn", eviction="lru4k",
                                  seed=3, fault_profile=profile)
         assert config.cache_key() == (
-            "aadaa4e48538ac23503623aa9c8f2283"
-            "d5d5bfbc6d3d1f9d52c8fc33cc127e1e")
+            "46f5ce3ae2d0ea707bf7911d2965ebea"
+            "0debd8d2f7cbb206b116ef7e57a4ef2c")
         inline = oversubscribed(
             8 * MIB, 110.0, seed=1, fault_profile=FaultProfile.load(
                 "transfer_fault_rate=0.2,max_retries=3"))
         assert inline.cache_key() == (
-            "afc77007f6bf42eeecf8b76e43965945"
-            "bdda0d6dabb52007111aa32b6d53ef4f")
+            "d79cc5b14bc2fe9cb763d95e0c412a98"
+            "4ee510d97b36e0ee6cc2509b4d77e68d")
 
     def test_config_coerces_profile_dict(self):
         config = SimulatorConfig(fault_profile={"transfer_fault_rate": 0.1})

@@ -39,8 +39,6 @@ class OracleSimulator(Simulator):
         config = self.config
         stats = self.stats
         trace = config.record_access_trace
-        trace_stride = config.access_trace_stride
-        trace_cap = config.access_trace_cap
         access_ns = config.cycles_per_access * self._ns_per_cycle
         ns_per_cycle = self._ns_per_cycle
         walker = self.walker
@@ -65,15 +63,9 @@ class OracleSimulator(Simulator):
             page_table.mark_access(page, is_write)
             eviction.on_accessed(page, self.ctx)
             if trace:
-                self._access_seq += 1
-                if (self._access_seq - 1) % trace_stride == 0:
-                    if trace_cap \
-                            and len(stats.access_trace) >= trace_cap:
-                        stats.access_trace_dropped += 1
-                    else:
-                        stats.access_trace.append(
-                            (sm.time_ns, page, self.current_iteration)
-                        )
+                stats.access_trace.append(
+                    (sm.time_ns, page, self.current_iteration)
+                )
             warp.advance()
 
 
@@ -195,11 +187,9 @@ class TestIssueLoopOracle:
     def test_matrix(self, name, overrides):
         _assert_matches_oracle(name, TIER1_SCALE, **overrides)
 
-    def test_access_trace_stride_and_cap(self):
+    def test_access_trace(self):
         _assert_matches_oracle("kmeans", TIER1_SCALE,
-                               record_access_trace=True,
-                               access_trace_stride=3,
-                               access_trace_cap=500)
+                               record_access_trace=True)
 
     def test_fault_profile(self):
         _assert_matches_oracle(
@@ -316,6 +306,4 @@ class TestIssueLoopOracleSlow:
 
     def test_access_trace(self):
         _assert_matches_oracle("srad", SLOW_SCALE,
-                               record_access_trace=True,
-                               access_trace_stride=2,
-                               access_trace_cap=2000)
+                               record_access_trace=True)

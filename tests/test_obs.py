@@ -21,11 +21,10 @@ from repro.obs import (
     to_metrics_json,
     validate_chrome_trace,
 )
-from repro.obs.export import chrome_trace_dict
+from repro.obs.export import chrome_trace_dict, metrics_dict
 from repro.obs.tracer import NULL_TRACER, PID_DRIVER, PID_GPU
 from repro.runtime import UvmRuntime
 from repro.workloads.registry import make_workload
-from repro.workloads.synthetic import CyclicScanWorkload
 
 
 def run_stats(trace=False, profile=None, **overrides):
@@ -71,13 +70,6 @@ class TestMetrics:
         assert registry.counter("x") is registry.counter("x")
         with pytest.raises(TypeError):
             registry.gauge("x")
-
-    def test_bound_counter_reads_lazily(self):
-        registry = MetricsRegistry()
-        box = {"v": 1}
-        registry.bind("boxed", lambda: box["v"])
-        box["v"] = 42
-        assert registry.snapshot()["boxed"] == 42
 
     def test_exponential_buckets(self):
         assert exponential_buckets(1, 2.0, 4) == [1.0, 2.0, 4.0, 8.0]
@@ -309,11 +301,23 @@ class TestEngineWiring:
         assert gauge.samples == runtime.stats.fault_batches
         assert gauge.max <= runtime.simulator.frames.capacity
 
-    def test_registry_binds_sim_counters(self):
+    def test_metrics_dict_exports_every_sim_counter(self):
         stats = run_stats().stats
-        snap = stats.metrics.snapshot()
-        assert snap["sim.far_faults"] == stats.far_faults
-        assert snap["sim.pages_migrated"] == stats.pages_migrated
+        metrics = metrics_dict(stats)
+        sim = {name[len("sim."):]: value
+               for name, value in metrics.items()
+               if name.startswith("sim.")}
+        assert sorted(sim) == sorted([
+            "tlb_hits", "tlb_misses", "page_table_walks", "far_faults",
+            "fault_batches", "mshr_merges", "pages_migrated",
+            "pages_prefetched", "pages_thrashed", "pages_evicted",
+            "eviction_events", "pages_written_back", "pages_dropped_clean",
+            "recovered_faults", "migration_retries", "degradation_events",
+            "watchdog_ticks", "total_fault_handling_ns",
+            "eviction_stall_ns", "retry_backoff_ns"])
+        for name, value in sim.items():
+            assert value == getattr(stats, name), name
+        assert stats.far_faults and stats.pages_migrated
 
     def test_disabled_tracer_is_shared_null(self):
         runtime = run_stats(trace=False)
@@ -325,54 +329,14 @@ class TestEngineWiring:
         stats = run_stats().stats
         metrics = json.loads(to_metrics_json(stats))
         assert metrics["far_faults"] == stats.far_faults
-        assert metrics["sampling.access_trace_dropped"] == 0
+        assert not [name for name in metrics
+                    if name.startswith("sampling.")
+                    or name.endswith("_dropped")]
 
 
 # ----------------------------------------------------------- sampling bounds
 class TestSamplingBounds:
-    def make_runtime(self, **overrides):
-        workload = CyclicScanWorkload(pages=320, iterations=3)
-        config = oversubscribed(
-            workload.footprint_bytes, 115.0, num_sms=2,
-            prefetcher="tbn", eviction="lru4k", **overrides,
-        )
-        runtime = UvmRuntime(config)
-        runtime.run_workload(workload)
-        return runtime
-
-    def test_access_trace_stride(self):
-        full = self.make_runtime(record_access_trace=True).stats
-        strided = self.make_runtime(record_access_trace=True,
-                                    access_trace_stride=4).stats
-        assert len(strided.access_trace) \
-            == (len(full.access_trace) + 3) // 4
-        assert strided.access_trace[0] == full.access_trace[0]
-        assert strided.access_trace_dropped == 0
-
-    def test_access_trace_cap_counts_drops(self):
-        full = self.make_runtime(record_access_trace=True).stats
-        capped = self.make_runtime(record_access_trace=True,
-                                   access_trace_cap=100).stats
-        assert len(capped.access_trace) == 100
-        assert capped.access_trace_dropped \
-            == len(full.access_trace) - 100
-        assert capped.access_trace == full.access_trace[:100]
-
-    def test_timeline_stride_and_cap(self):
-        full = self.make_runtime(record_timeline=True).stats
-        strided = self.make_runtime(record_timeline=True,
-                                    timeline_stride=2).stats
-        assert len(strided.timeline) == (len(full.timeline) + 1) // 2
-        capped = self.make_runtime(record_timeline=True,
-                                   timeline_cap=5).stats
-        assert len(capped.timeline) == 5
-        assert capped.timeline_dropped == len(full.timeline) - 5
-
     def test_invalid_knobs_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SimulatorConfig(access_trace_stride=0)
-        with pytest.raises(ConfigurationError):
-            SimulatorConfig(timeline_cap=-1)
         with pytest.raises(ConfigurationError):
             SimulatorConfig(trace_max_events=-1)
 

@@ -45,7 +45,11 @@ from repro.serve.api import build_cell
 from repro.serve.queue import CANCELLED, DONE, FAILED, QUEUED, RUNNING
 from repro.stats import FailedRun, SimStats
 from repro.sweep import RunCache, SweepCell, decode_result, execute_cell
-from tests.format1 import REMOVED_CONFIG_FIELDS, as_format1
+from tests.old_formats import (
+    FORMAT2_FIELDS,
+    REMOVED_CONFIG_FIELDS,
+    as_format,
+)
 
 SCALE = 0.12
 
@@ -289,18 +293,22 @@ class TestJournal:
         (journal.root / "zz-corrupt.json").write_text("{not json")
         (journal.root / "zz-stale.json").write_text(
             json.dumps({"format": -1}))
-        # An entry as format 1 wrote it, before seven config fields went.
-        (journal.root / "zz-format1.json").write_text(json.dumps(
-            as_format1(json.loads(journal.path_for(job.id).read_text()))))
+        # Entries as formats 1 and 2 wrote them, before config fields
+        # went.
+        current = json.loads(journal.path_for(job.id).read_text())
+        for version in (1, 2):
+            (journal.root / f"zz-format{version}.json").write_text(
+                json.dumps(as_format(current, version)))
         assert [job_id for job_id, _, _ in journal.load()] == [job.id]
-        assert journal.quarantined == 3
+        assert journal.quarantined == 4
         assert "quarantined" in capsys.readouterr().err
         # The bad files were moved aside, so a second replay is clean:
         # same result, no re-quarantine, corpses inspectable on disk.
         assert [job_id for job_id, _, _ in journal.load()] == [job.id]
-        assert journal.quarantined == 3
+        assert journal.quarantined == 4
         assert sorted(p.name for p in journal.quarantine_dir.iterdir()) \
-            == ["zz-corrupt.json", "zz-format1.json", "zz-stale.json"]
+            == ["zz-corrupt.json", "zz-format1.json", "zz-format2.json",
+                "zz-stale.json"]
 
     def test_attempts_round_trip_and_are_omitted_while_zero(
             self, tmp_path):
@@ -1342,14 +1350,34 @@ class TestHttpApi:
                 {"error": {"type": kind, "message": message}},
                 sort_keys=True).encode("utf-8")
         # A removed config field is named, like any unknown one.
-        status, _, body = raw_http(
-            client.port, "POST", "/v1/jobs",
-            {"workload": "hotspot", "config": {"l2_enabled": True}})
-        assert status == 400
-        assert json.loads(body) == {"error": {
-            "type": "InvalidJobError",
-            "message": "invalid config: unknown SimulatorConfig "
-                       "fields: l2_enabled"}}
+        for name in ("l2_enabled", *FORMAT2_FIELDS):
+            status, _, body = raw_http(
+                client.port, "POST", "/v1/jobs",
+                {"workload": "hotspot", "config": {name: True}})
+            assert status == 400
+            assert json.loads(body) == {"error": {
+                "type": "InvalidJobError",
+                "message": "invalid config: unknown SimulatorConfig "
+                           f"fields: {name}"}}
+
+    def test_mistyped_config_is_400(self, http_service, raw_http):
+        _, _, client = http_service
+        for config, message in (
+                ({"tbn_threshold": "0.5"},
+                 "tbn_threshold must be float, got '0.5'"),
+                ({"fault_batch_limit": 2.5},
+                 "fault_batch_limit must be int, got 2.5"),
+                ({"batch_fault_handling": "no"},
+                 "batch_fault_handling must be bool, got 'no'"),
+                ({"prefetcher": []}, "prefetcher must be str, got []"),
+                ({"num_sms": True}, "num_sms must be int, got True")):
+            status, _, body = raw_http(
+                client.port, "POST", "/v1/jobs",
+                {"workload": "bfs", "config": config})
+            assert status == 400, config
+            assert json.loads(body) == {"error": {
+                "type": "InvalidJobError",
+                "message": f"invalid config: {message}"}}
 
 
 @pytest.mark.serve

@@ -16,7 +16,7 @@ from repro.sweep import (
     sweep_context,
 )
 from repro.workloads.registry import make_workload
-from tests.format1 import REMOVED_CONFIG_FIELDS, as_format1
+from tests.old_formats import REMOVED_CONFIG_FIELDS, as_format
 
 TINY = ["pathfinder", "hotspot"]
 SCALE = 0.12
@@ -56,6 +56,26 @@ class TestConfigSerialization:
                                match=f"unknown SimulatorConfig fields: "
                                      f"{name}$"):
                 SimulatorConfig.from_dict(data)
+
+    def test_mistyped_values_rejected(self):
+        """Config input is untyped JSON: a field takes only the type its
+        annotation names, and a float field also takes an int."""
+        for name, value in (("tbn_threshold", "0.5"),
+                            ("fault_batch_limit", 2.5),
+                            ("batch_fault_handling", "no"),
+                            ("prefetcher", []),
+                            ("num_sms", True),
+                            ("seed", False),
+                            ("device_memory_bytes", float(1 << 24)),
+                            ("watchdog_sim_time_budget_ns", "1e6"),
+                            ("record_access_trace", 1)):
+            with pytest.raises(ConfigurationError,
+                               match=f"^{name} must be "):
+                SimulatorConfig.from_dict({name: value})
+        config = SimulatorConfig.from_dict(
+            {"fault_handling_latency_ns": 45000, "tbn_threshold": 0.75,
+             "watchdog_sim_time_budget_ns": None})
+        assert config.fault_handling_latency_ns == 45000
 
     def test_cache_key_stable_and_sensitive(self):
         a = SimulatorConfig(prefetcher="tbn")
@@ -167,20 +187,24 @@ class TestRunCache:
 
     def test_stale_stats_format_is_a_miss(self, tmp_path):
         cache = RunCache(tmp_path)
-        cells = tiny_cells()
+        cells = tiny_cells() + tiny_cells(eviction="tbn")[:1]
         with sweep_context(cache=cache):
             execute_cells(cells)
-        # A stale stats payload, and a whole entry as format 1 wrote it.
-        stale, old = (cache.path_for(cell.cache_key()) for cell in cells)
+        # A stale stats payload, and whole entries as formats 1 and 2
+        # wrote them.
+        stale, old1, old2 = (cache.path_for(cell.cache_key())
+                             for cell in cells)
         document = json.loads(stale.read_text())
         document["result"]["stats"]["format"] = 999
         stale.write_text(json.dumps(document))
-        old.write_text(json.dumps(as_format1(json.loads(old.read_text()))))
+        for version, old in ((1, old1), (2, old2)):
+            old.write_text(json.dumps(
+                as_format(json.loads(old.read_text()), version)))
         with sweep_context(cache=cache) as report:
             execute_cells(cells)
-        assert report.executed == 2
+        assert report.executed == 3
         assert sorted(p.name for p in cache.quarantine_dir.iterdir()) \
-            == sorted([stale.name, old.name])
+            == sorted([stale.name, old1.name, old2.name])
 
     def test_entry_under_another_key_is_a_quarantined_miss(self, tmp_path):
         cache = RunCache(tmp_path)
