@@ -30,10 +30,12 @@ import threading
 from contextlib import contextmanager
 from pathlib import Path
 
+from repro.cluster.ring import HashRing
 from repro.config import SimulatorConfig
 from repro.errors import WorkerCrashError
 from repro.obs.prom import prometheus_text
 from repro.serve import supervisor
+from repro.serve.api import build_cell
 from repro.serve.events import (
     ServeEventLog,
     ServiceTracer,
@@ -240,8 +242,6 @@ PLACEMENT = (("s0", "s0"), ("s2", "s2"), ("s1", "s2"), ("s0", "s0"),
 
 def placed_seeds(ring) -> list[int]:
     """The lowest seeds whose cells land as :data:`PLACEMENT` says."""
-    from repro.cluster.ring import HashRing
-    from repro.serve.api import build_cell
     from tests.test_cluster import spec_for
 
     survivors = HashRing(seed=ring.seed, vnodes=ring.vnodes)
