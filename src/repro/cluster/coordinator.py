@@ -127,7 +127,8 @@ class RoutedJob:
 
     id: str
     seq: int
-    #: The validated submission spec, re-submittable verbatim.
+    #: The cell's :meth:`SweepCell.to_dict` form (bound workload spec,
+    #: full config), re-submittable verbatim.
     spec: dict
     key: str
     shard_id: str
@@ -149,13 +150,11 @@ class RoutedJob:
 
     def status_dict(self) -> dict:
         """The coordinator's own view (no shard round-trip)."""
-        workload = self.spec.get("workload")
-        if isinstance(workload, str):
-            workload = {"name": workload}
+        workload = self.spec["workload"]
         return {
             "id": self.id,
             "state": self.state,
-            "workload": (workload or {}).get("name", "?"),
+            "workload": workload["name"],
             "workload_spec": workload,
             "seq": self.seq,
             "key": self.key,
@@ -276,7 +275,6 @@ class ClusterCoordinator:
         """Route one submission; returns the coordinator's 202 body."""
         cell = build_cell(spec)  # validate before touching the network
         key = cell.cache_key()
-        normalized = dict(spec)  # type: ignore[arg-type]
         with self._lock:
             active = self._active_by_key.get(key)
             if active is not None:
@@ -285,7 +283,7 @@ class ClusterCoordinator:
                 payload = active.status_dict()
                 payload["coalesced"] = True
                 return payload
-        routed = self._route_spec(normalized, key)
+        routed = self._route_spec(cell.to_dict(), key)
         payload = routed.status_dict()
         payload["coalesced"] = False
         return payload
@@ -303,8 +301,7 @@ class ClusterCoordinator:
             shard = self.registry.route(key)  # NoShardAvailableError
             try:
                 answer = self._client(shard).submit(
-                    spec.get("workload"), config=spec.get("config"),
-                    seed=spec.get("seed"))
+                    spec["workload"], config=spec["config"])
             except BackpressureError as exc:
                 # The owner is full; surface 429 with its hint — the
                 # submitting client owns the retry policy.
@@ -532,7 +529,7 @@ class ClusterCoordinator:
         ring owner if the receiver refuses); never drops the cell."""
         try:
             answer = self._client(receiver).submit(
-                spec.get("workload"), config=spec.get("config"))
+                spec["workload"], config=spec["config"])
         except (ServeClientError, ClusterError) as exc:
             if isinstance(exc, ServeClientError) and exc.status == 0:
                 self._note_dead(receiver.id, reason=str(exc))

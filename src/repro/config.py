@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 
 from . import constants
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ReproError
 
 #: Run ``Simulator.check_invariants`` when each kernel completes.
 #: Production keeps it off (the checks are observational but not free);
@@ -27,6 +27,20 @@ AUTO_CHECK_INVARIANTS = False
 #: field takes an int (``45000`` for ``45000.0``).
 _ANNOTATION_TYPES = {"int": int, "float": (int, float), "bool": bool,
                      "str": str}
+
+
+def check_annotation(name: str, annotation: str, value: object,
+                     error: type[ReproError]) -> None:
+    """Raise ``error`` when ``value`` is not admitted by ``annotation``,
+    the string form of a field or parameter annotation (``"int"``,
+    ``"float | None"``, ...).  The one type rule for untyped JSON input:
+    both a config field and a workload-spec parameter go through it."""
+    kind, _, optional = annotation.partition(" | ")
+    if value is None and optional == "None":
+        return
+    if not isinstance(value, _ANNOTATION_TYPES[kind]) \
+            or (isinstance(value, bool) and kind != "bool"):
+        raise error(f"{name} must be {annotation}, got {value!r}")
 
 
 @dataclass
@@ -249,15 +263,8 @@ class SimulatorConfig:
         for spec in dataclasses.fields(self):
             if spec.name == "fault_profile":
                 continue  # coerced from a dict and checked in validate
-            value = getattr(self, spec.name)
-            kind, _, optional = spec.type.partition(" | ")
-            if value is None and optional == "None":
-                continue
-            if not isinstance(value, _ANNOTATION_TYPES[kind]) \
-                    or (isinstance(value, bool) and kind != "bool"):
-                raise ConfigurationError(
-                    f"{spec.name} must be {spec.type}, got {value!r}"
-                )
+            check_annotation(spec.name, spec.type, getattr(self, spec.name),
+                             ConfigurationError)
 
     @property
     def pages_per_block(self) -> int:

@@ -34,7 +34,7 @@ coordinator GET    /v1/cluster/metrics          ``?format=json|prom``,
 =========== ====== ============================ ==========================
 
 The handler is deliberately thin: :func:`build_cell` validates a job
-spec (workload name against the registry, config via
+spec (the workload bound in :class:`SweepCell`, the config via
 :meth:`SimulatorConfig.from_dict`), and every decision about
 admission, coalescing, backpressure, routing and drain lives in the
 backend.
@@ -60,9 +60,9 @@ from ..errors import (
     QueueFullError,
     ReproError,
     ShardNotFoundError,
+    WorkloadError,
 )
 from ..sweep import SweepCell
-from ..workloads.registry import WORKLOAD_REGISTRY
 
 #: Largest accepted request body; a job spec is a few KB at most.
 MAX_BODY_BYTES = 1 << 20
@@ -81,12 +81,14 @@ def build_cell(spec: object) -> SweepCell:
     """Validate one submitted job spec into an executable cell.
 
     ``spec`` must be ``{"workload": <name or dict>, "config": <dict,
-    optional>, "seed": <int, optional>}``.  The workload name must be
-    registered; the config dict round-trips through
-    :meth:`SimulatorConfig.from_dict` (unknown fields and inconsistent
-    values rejected there); a top-level ``seed`` overrides
-    ``config["seed"]``.  Raises :class:`InvalidJobError` with a message
-    safe to echo back to the client.
+    optional>, "seed": <int, optional>}``.  The workload binds to its
+    canonical form in :class:`SweepCell` (unknown names and parameters,
+    mistyped values and a bad scale rejected there); the config dict
+    round-trips through :meth:`SimulatorConfig.from_dict` (unknown
+    fields, mistyped and inconsistent values rejected there, and a
+    ``null`` or absent config is the default one); a top-level ``seed``
+    overrides ``config["seed"]``.  Raises :class:`InvalidJobError` with a
+    message safe to echo back to the client.
     """
     if not isinstance(spec, dict):
         raise InvalidJobError(
@@ -97,27 +99,19 @@ def build_cell(spec: object) -> SweepCell:
         raise InvalidJobError(
             f"unknown job-spec fields: {', '.join(unknown)}"
         )
-    workload = spec.get("workload")
-    if isinstance(workload, str):
-        workload = {"name": workload}
-    if not isinstance(workload, dict) or "name" not in workload:
-        raise InvalidJobError(
-            "workload must be a name or an object with a 'name' field"
-        )
-    if workload["name"] not in WORKLOAD_REGISTRY:
-        known = ", ".join(sorted(WORKLOAD_REGISTRY))
-        raise InvalidJobError(
-            f"unknown workload {workload['name']!r}; known: {known}"
-        )
-    config_data = spec.get("config") or {}
+    config_data = spec.get("config")
     try:
-        config = SimulatorConfig.from_dict(config_data)
+        config = SimulatorConfig.from_dict(
+            {} if config_data is None else config_data)
         seed = spec.get("seed")
         if seed is not None:
             config = config.replace(seed=seed)
     except ConfigurationError as exc:
         raise InvalidJobError(f"invalid config: {exc}") from None
-    return SweepCell(workload_spec=dict(workload), config=config)
+    try:
+        return SweepCell(workload_spec=spec.get("workload"), config=config)
+    except WorkloadError as exc:
+        raise InvalidJobError(f"invalid workload: {exc}") from None
 
 
 def error_payload(exc: Exception) -> dict:

@@ -143,7 +143,7 @@ class Job:
         out = {
             "id": self.id,
             "state": self.state,
-            "workload": self.cell.workload_spec.get("name", "?"),
+            "workload": self.cell.workload_spec["name"],
             "workload_spec": self.cell.workload_spec,
             "seq": self.seq,
             "key": self.key,

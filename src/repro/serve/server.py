@@ -237,7 +237,7 @@ class SimulationService:
                        crash: WorkerCrashError) -> None:
         """Fail a worker-killing job cleanly instead of retrying it."""
         result = FailedRun(
-            job.cell.workload_spec.get("name", "?"),
+            job.cell.workload_spec["name"],
             "PoisonJobError",
             f"quarantined after {attempts} worker-killing attempt(s); "
             f"last: {crash}",

@@ -2,11 +2,12 @@
 result.
 
 A :class:`SweepCell` is the unit of work of every experiment sweep: one
-workload specification (registry name + construction parameters — enough
-to rebuild the workload in any process) paired with one fully-validated
-:class:`~repro.config.SimulatorConfig`.  Cells are *data*, not closures,
-so they can be content-addressed for the run cache and shipped to worker
-processes without pickling live simulator state.
+workload specification (registry name + every construction parameter —
+enough to rebuild the workload in any process), bound to its canonical
+form by :func:`~repro.workloads.registry.bind_workload_spec`, paired with
+one fully-validated :class:`~repro.config.SimulatorConfig`.  Cells are
+*data*, not closures, so they can be content-addressed for the run cache
+and shipped to worker processes without pickling live simulator state.
 
 Every carrier of a cell or its result — the run-cache file, the sweep
 process pool, the serve worker pipe, the journal, and the HTTP result
@@ -25,24 +26,30 @@ from dataclasses import dataclass
 from ..config import SimulatorConfig
 from ..errors import ReproError
 from ..stats import FailedRun, SimStats
+from ..workloads.registry import bind_workload_spec
 
 #: Version of the cell-identity derivation.  Bumped when the key payload
 #: shape changes, invalidating every existing cache entry at once.
-CELL_FORMAT = 1
+#: Format 2 keys the canonical workload spec (every parameter written).
+CELL_FORMAT = 2
 
 
 @dataclass
 class SweepCell:
     """One (workload-spec, config) point of an experiment cross-product."""
 
-    #: Keyword arguments for ``make_workload`` (at least ``name``;
-    #: usually also ``scale``).  Must be plain JSON-able values.
+    #: A registry name or ``make_workload`` keyword arguments (at least
+    #: ``name``); replaced by its canonical form on construction, so two
+    #: specs of one simulation are one cell.
     workload_spec: dict
     config: SimulatorConfig
     #: Opaque grouping key for the caller (e.g. a column label).  Not
     #: part of the cell's identity: the same simulation under two labels
     #: is still the same simulation.
     label: object = None
+
+    def __post_init__(self) -> None:
+        self.workload_spec = bind_workload_spec(self.workload_spec)
 
     def to_dict(self) -> dict:
         """The cell's JSON form: ``{"workload": spec, "config": dict}``.
@@ -54,21 +61,22 @@ class SweepCell:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepCell":
-        """Rebuild a cell from :meth:`to_dict` output (trusted input;
-        requests from outside go through ``serve.api.build_cell``)."""
+        """Rebuild a cell from :meth:`to_dict` output (the workload spec
+        is bound again, so an entry a newer binder refuses raises
+        :class:`~repro.errors.WorkloadError`)."""
         return cls(workload_spec=data["workload"],
                    config=SimulatorConfig.from_dict(data["config"]))
 
     def failed(self, exc: BaseException) -> FailedRun:
         """The :class:`FailedRun` row for this cell raising ``exc``."""
-        return FailedRun(self.workload_spec.get("name", "?"),
+        return FailedRun(self.workload_spec["name"],
                          type(exc).__name__, str(exc))
 
     def cache_key(self) -> str:
         """Stable content hash identifying this cell's *result*.
 
-        SHA-256 over the canonical JSON of the workload spec and the full
-        config dict (see :meth:`SimulatorConfig.cache_key`), versioned by
+        SHA-256 over the canonical JSON of the bound workload spec and the
+        full config dict (see :meth:`SimulatorConfig.cache_key`), versioned by
         :data:`CELL_FORMAT`.  Two cells share a key exactly when they
         would run the identical simulation.
         """

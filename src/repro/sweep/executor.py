@@ -218,7 +218,7 @@ def execute_cells(
         for cell, result in zip(cells, results):
             if isinstance(result, FailedRun):
                 raise SweepError(
-                    f"sweep cell {cell.workload_spec.get('name', '?')!r} "
+                    f"sweep cell {cell.workload_spec['name']!r} "
                     f"failed with {result.error_type}: {result.message}"
                 )
     return results

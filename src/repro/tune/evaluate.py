@@ -57,7 +57,7 @@ class ServerEvaluator:
             result = decode_result(outcome["result"])
             if result is None:  # cancelled out from under us
                 result = FailedRun(
-                    cell.workload_spec.get("name", "?"),
+                    cell.workload_spec["name"],
                     "JobStateError",
                     f"server job {job['id']} was cancelled",
                 )

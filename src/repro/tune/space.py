@@ -24,7 +24,7 @@ from ..errors import PolicyError, TuneError
 from ..experiments.common import COMBINATIONS, combo_config
 from ..policy.registry import policy_class
 from ..sweep import SweepCell
-from ..workloads.registry import make_workload, validate_scale
+from ..workloads.registry import make_workload
 
 #: The paper's four Figure-11 pairings, re-exported as the default
 #: policy axis: (label, prefetcher, eviction, keep-prefetching).
@@ -86,7 +86,6 @@ class Candidate:
         ``percent`` sizes device memory so the footprint is that
         percentage of it, exactly as every experiment does.
         """
-        scale = validate_scale(scale, "tuner fidelity scale")
         workload = make_workload(workload_name, scale=scale)
         config = combo_config(
             workload,

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import TuneError
-from ..workloads.registry import WORKLOAD_REGISTRY, validate_scale
+from ..workloads.registry import bind_workload_spec, validate_scale
 from .cards import CARD_FORMAT
 from .drivers import GridSearch, SearchDriver, make_trial
 from .evaluate import LocalEvaluator
@@ -47,12 +47,8 @@ class TuneRequest:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.workload not in WORKLOAD_REGISTRY:
-            known = ", ".join(sorted(WORKLOAD_REGISTRY))
-            raise TuneError(
-                f"unknown workload {self.workload!r}; known: {known}"
-            )
-        self.scale = validate_scale(self.scale, "tune scale")
+        self.scale = bind_workload_spec(
+            {"name": self.workload, "scale": self.scale})["scale"]
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise TuneError(f"seed must be an integer, got {self.seed!r}")
 

@@ -66,8 +66,48 @@ def validate_scale(value: object, source: str = "scale") -> float:
     return scale
 
 
-def make_workload(name: str, scale: float = 1.0, **kwargs) -> Workload:
-    """Instantiate a registered workload by name."""
+#: ``{class: {parameter: (annotation, default)}}`` of each registered
+#: class's constructor, read on its first bind.
+_PARAMETERS: dict[type[Workload], dict[str, tuple[str, object]]] = {}
+
+
+def _parameters(cls: type[Workload]) -> dict[str, tuple[str, object]]:
+    parameters = _PARAMETERS.get(cls)
+    if parameters is None:
+        import inspect  # noqa: PLC0415 — only binding needs it
+
+        parameters = _PARAMETERS[cls] = {
+            name: (parameter.annotation, parameter.default)
+            for name, parameter in inspect.signature(cls).parameters.items()
+        }
+    return parameters
+
+
+def bind_workload_spec(spec: object) -> dict:
+    """The canonical form of one workload spec.
+
+    ``spec`` is a registry name or a dict with a ``name`` and any of the
+    registered class's constructor parameters.  The answer holds the
+    name and every parameter, with its default applied and an int
+    widened to float where the annotation says ``float``, so two specs
+    of one simulation have one form (and one cache key).  Raises
+    :class:`~repro.errors.WorkloadError` on a non-string or unknown
+    name, an unknown parameter, a value its parameter's annotation does
+    not admit (the rule :meth:`SimulatorConfig.validate` applies to
+    config fields), or a scale :func:`validate_scale` refuses.
+    """
+    from ..config import check_annotation  # noqa: PLC0415
+
+    if isinstance(spec, str):
+        spec = {"name": spec}
+    if not isinstance(spec, dict) or "name" not in spec:
+        raise WorkloadError(
+            "workload must be a name or an object with a 'name' field, "
+            f"got {spec!r}"
+        )
+    name = spec["name"]
+    if not isinstance(name, str):
+        raise WorkloadError(f"workload name must be a string, got {name!r}")
     try:
         cls = WORKLOAD_REGISTRY[name]
     except KeyError:
@@ -75,7 +115,27 @@ def make_workload(name: str, scale: float = 1.0, **kwargs) -> Workload:
         raise WorkloadError(
             f"unknown workload {name!r}; known: {known}"
         ) from None
-    return cls(scale=validate_scale(scale), **kwargs)
+    parameters = _parameters(cls)
+    unknown = sorted(set(spec) - {"name"} - set(parameters))
+    if unknown:
+        raise WorkloadError(
+            f"unknown {name} parameters: {', '.join(unknown)}; "
+            f"known: {', '.join(sorted(parameters))}"
+        )
+    bound = {"name": name}
+    for parameter, (annotation, default) in parameters.items():
+        value = spec.get(parameter, default)
+        check_annotation(parameter, annotation, value, WorkloadError)
+        bound[parameter] = float(value) if annotation == "float" else value
+    bound["scale"] = validate_scale(bound["scale"])
+    return bound
+
+
+def make_workload(name: str, scale: float = 1.0, **kwargs) -> Workload:
+    """Instantiate a registered workload from its bound spec (see
+    :func:`bind_workload_spec`)."""
+    spec = bind_workload_spec({"name": name, "scale": scale, **kwargs})
+    return WORKLOAD_REGISTRY[spec.pop("name")](**spec)
 
 
 def default_suite(scale: float = 1.0) -> list[Workload]:

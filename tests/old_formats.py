@@ -8,6 +8,10 @@ invariant switch.  Every older entry on disk holds them, with the values
 below (no caller ever set another).  Tests use them to build an entry of
 an older format and to check that input naming a removed field is
 rejected by name.
+
+Format-3 entries were also written before a workload spec was bound to
+its canonical form, so one may hold a spec the way it was submitted:
+a shorthand the binder completes, or a parameter the binder refuses.
 """
 
 #: Fields format 2 dropped, as every format-1 entry holds them.
@@ -41,3 +45,17 @@ def as_format(document: dict, version: int) -> dict:
     if version == 1:
         config.update(FORMAT1_FIELDS)
     return {**document, "format": version, "config": config}
+
+
+#: Workload specs a format-3 journal entry may hold from before binding,
+#: by what replay does with them.
+UNBOUND_WORKLOADS = {
+    "replays": {"name": "bfs", "scale": 1},
+    "quarantined": {"name": "bfs", "scale": 0.05, "bogus": 1},
+}
+
+
+def as_unbound(document: dict, workload: dict) -> dict:
+    """A current journal entry as it was written before binding, for a
+    job submitted with ``workload`` (its id aside)."""
+    return {**document, "workload": workload}

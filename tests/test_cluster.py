@@ -416,6 +416,21 @@ class TestCoordinatorRouting:
         snapshot = coordinator.metrics.snapshot()
         assert snapshot["cluster.jobs_coalesced"] == 1
 
+    def test_equivalent_workload_specs_are_one_routed_job(self):
+        cluster = FakeCluster(auto_done=False)
+        coordinator = cluster.coordinator
+        first = coordinator.submit({"workload": "bfs"})
+        second = coordinator.submit(
+            {"workload": {"name": "bfs", "scale": 1}})
+        assert (first["coalesced"], second["coalesced"]) == (False, True)
+        assert second["id"] == first["id"]
+        [job] = coordinator.jobs()
+        canonical = build_cell({"workload": "bfs"})
+        assert job["workload_spec"] == canonical.workload_spec
+        # The shard got the cell's own form, as a stolen job comes back.
+        [forwarded] = cluster.shards[first["shard"]].jobs.values()
+        assert forwarded["spec"] == canonical.to_dict()
+
     def test_status_and_result_rewritten(self):
         cluster = FakeCluster()
         coordinator = cluster.coordinator

@@ -1,6 +1,7 @@
 """Documentation health: the README quickstart executes, and the docs
 reference only registry names that exist."""
 
+import inspect
 import pathlib
 import re
 
@@ -57,6 +58,16 @@ class TestWorkloadDocs:
         doc = read("docs/WORKLOADS.md")
         for name in WORKLOAD_REGISTRY:
             assert name in doc, f"workload {name} undocumented"
+
+    def test_spec_table_matches_the_constructors(self):
+        doc = read("docs/WORKLOADS.md")
+        rows = dict(re.findall(r"^\| `([a-z]+)` \| (`.*`) \|$", doc,
+                               re.MULTILINE))
+        for name, cls in WORKLOAD_REGISTRY.items():
+            expected = ", ".join(
+                f"`{p.name}: {p.annotation} = {p.default!r}`"
+                for p in inspect.signature(cls).parameters.values())
+            assert rows.get(name) == expected, name
 
 
 class TestDesignDoc:

@@ -48,7 +48,9 @@ from repro.sweep import RunCache, SweepCell, decode_result, execute_cell
 from tests.old_formats import (
     FORMAT2_FIELDS,
     REMOVED_CONFIG_FIELDS,
+    UNBOUND_WORKLOADS,
     as_format,
+    as_unbound,
 )
 
 SCALE = 0.12
@@ -344,13 +346,17 @@ class TestBuildCell:
                                          "scale": 0.25},
                             "config": {"prefetcher": "none"},
                             "seed": 9})
-        assert built.workload_spec == {"name": "hotspot", "scale": 0.25}
+        assert built.workload_spec == {"name": "hotspot", "scale": 0.25,
+                                       "iterations": 6, "warps_per_tb": 4,
+                                       "pages_per_warp": 16}
         assert built.config.prefetcher == "none"
         assert built.config.seed == 9
 
     def test_workload_shorthand_string(self):
-        assert build_cell({"workload": "bfs"}).workload_spec == \
-            {"name": "bfs"}
+        assert build_cell({"workload": "bfs"}).workload_spec == {
+            "name": "bfs", "scale": 1.0, "levels": 10,
+            "frontier_fraction": 0.3, "cluster_pages": 4, "seed": 12345,
+            "warps_per_tb": 4, "pages_per_warp": 8}
 
     def test_rejections(self):
         for bad in (
@@ -374,6 +380,106 @@ class TestBuildCell:
     def test_seed_must_be_integral_in_config_too(self):
         with pytest.raises(ConfigurationError):
             SimulatorConfig(seed="abc")
+
+
+#: ``(workload, config, message)`` of ``POST /v1/jobs`` bodies refused
+#: with a 400, each against ``{"name": "bfs", "scale": 0.05}``.
+BFS = {"name": "bfs", "scale": 0.05}
+REFUSED_SPECS = {
+    "unknown-parameter": (
+        {**BFS, "bogus": 1}, None,
+        "invalid workload: unknown bfs parameters: bogus; known: "
+        "cluster_pages, frontier_fraction, levels, pages_per_warp, scale, "
+        "seed, warps_per_tb"),
+    "string-scale": (
+        {**BFS, "scale": "0.05"}, None,
+        "invalid workload: scale must be float, got '0.05'"),
+    "negative-scale": (
+        {**BFS, "scale": -1}, None,
+        "invalid workload: scale must be > 0, got -1.0"),
+    "bool-scale": (
+        {**BFS, "scale": True}, None,
+        "invalid workload: scale must be float, got True"),
+    "float-levels": (
+        {**BFS, "levels": 2.5}, None,
+        "invalid workload: levels must be int, got 2.5"),
+    "list-name": (
+        {**BFS, "name": ["bfs"]}, None,
+        "invalid workload: workload name must be a string, got ['bfs']"),
+    "missing-name": (
+        {"scale": 0.05}, None,
+        "invalid workload: workload must be a name or an object with a "
+        "'name' field, got {'scale': 0.05}"),
+    "list-config": (
+        BFS, [], "invalid config: config data must be a dict, got list"),
+}
+
+#: Three specs of one simulation.
+EQUIVALENT_BFS = ("bfs", {"name": "bfs", "scale": 1.0},
+                  {"name": "bfs", "scale": 1})
+
+
+class TestWorkloadSpecBinding:
+    """A workload spec is bound to one canonical form in ``SweepCell``:
+    equivalent specs are one simulation, a bad one never reaches a
+    worker."""
+
+    def test_equivalent_specs_have_one_key(self):
+        cells = [build_cell({"workload": spec}) for spec in EQUIVALENT_BFS]
+        assert len({c.cache_key() for c in cells}) == 1
+        assert all(c.workload_spec == cells[0].workload_spec
+                   for c in cells)
+
+    def test_equivalent_submission_coalesces(self):
+        queue = JobQueue()
+        job, coalesced = queue.submit(build_cell({"workload": "bfs"}))
+        again, again_coalesced = queue.submit(
+            build_cell({"workload": {"name": "bfs", "scale": 1}}))
+        assert (coalesced, again_coalesced) == (False, True)
+        assert again is job and queue.depth == 1
+
+    @pytest.mark.parametrize("case", sorted(REFUSED_SPECS))
+    def test_refused_spec_is_400(self, case, http_service, raw_http):
+        service, runner, client = http_service
+        workload, config, message = REFUSED_SPECS[case]
+        body = {"workload": workload}
+        if config is not None:
+            body["config"] = config
+        status, _, raw = raw_http(client.port, "POST", "/v1/jobs", body)
+        assert status == 400
+        assert json.loads(raw) == {"error": {"type": "InvalidJobError",
+                                             "message": message}}
+        assert service.queue.jobs() == [] and runner.calls == 0
+
+    def test_pre_binding_journal_entries(self, tmp_path):
+        """An entry the old code journaled replays under the canonical
+        key, or is quarantined when the binder refuses its spec."""
+        journal = JobJournal(tmp_path / "journal")
+        canonical = build_cell({"workload": "bfs"})
+        job, _ = JobQueue().submit(canonical)
+        journal.record(job)
+        current = json.loads(journal.path_for(job.id).read_text())
+        journal.forget(job.id)
+        for seq, (outcome, workload) in enumerate(
+                sorted(UNBOUND_WORKLOADS.items()), start=1):
+            entry = {**as_unbound(current, workload), "seq": seq,
+                     "id": f"j{seq:06d}-{outcome}"}
+            journal.path_for(entry["id"]).write_text(json.dumps(entry))
+
+        runner = GatedRunner()
+        runner.release()
+        service = SimulationService(jobs=1, journal=journal,
+                                    runner=runner)
+        assert service.start() == 1
+        replayed = service.queue.get("j000002-replays")
+        assert replayed.key == canonical.cache_key()
+        assert replayed.cell.workload_spec == canonical.workload_spec
+        assert service.registry.get(
+            "serve.journal_entries_quarantined").value == 1
+        assert [p.name for p in journal.quarantine_dir.iterdir()] == \
+            ["j000001-quarantined.json"]
+        assert replayed.wait(timeout=30) and replayed.state == DONE
+        assert service.drain(timeout=30)
 
 
 class TestClientConnectRetries:

@@ -110,7 +110,9 @@ class TestSearchSpace:
         cand = candidate(pairing="TBNe+TBNp", tbn_threshold=0.3,
                          fault_batch_limit=16)
         cell = cand.cell("gemm", SCALE, 110.0, seed=7)
-        assert cell.workload_spec == {"name": "gemm", "scale": SCALE}
+        assert cell.workload_spec == {"name": "gemm", "scale": SCALE,
+                                      "row_blocks": 8, "warps_per_tb": 4,
+                                      "pages_per_warp": 16}
         assert cell.label == "TBNe+TBNp|thr=0.3|batch=16"
         assert cell.config.prefetcher == "tbn"
         assert cell.config.eviction == "tbn"
@@ -251,7 +253,7 @@ class TestDrivers:
 
 class TestTuneRequest:
     def test_rejects_unknown_workload(self):
-        with pytest.raises(TuneError, match="unknown workload"):
+        with pytest.raises(WorkloadError, match="unknown workload"):
             TuneRequest(workload="quantum-chess")
 
     def test_rejects_degenerate_scale_and_seed(self):
